@@ -40,6 +40,7 @@ from .mapping import (
     save_map,
 )
 from .verification import (
+    EvalPlan,
     RocReport,
     ScoredPairs,
     TemplateSet,

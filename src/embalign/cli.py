@@ -171,9 +171,8 @@ def cmd_verify(args) -> int:
     if args.map is not None:
         fitted = mapping.load_map(args.map)
         side_a = mapping.apply_map(fitted, side_a)
-    templates_a = verification.build_templates(side_a, manifest)
-    templates_b = verification.build_templates(side_b, manifest)
-    scored = verification.score_pairs(templates_a, templates_b, pairs, manifest)
+    plan = verification.EvalPlan(manifest, side_a.media_ids, pairs)
+    scored = plan.score(plan.templates(side_a), plan.templates(side_b))
     report = verification.roc(scored, _parse_fars(args.far))
     if args.scores_out:
         verification.scores_to_csv(scored, args.scores_out)

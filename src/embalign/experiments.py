@@ -25,7 +25,7 @@ from .mapping import (
     identity_map,
 )
 from .store import EmbeddingSet, MediaEntry, MediaManifest, PairList, align_pairs
-from .verification import TemplateSet, build_templates, roc, score_pairs
+from .verification import EvalPlan, TemplateSet, build_templates, roc
 
 DEFAULT_FARS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DIAGONAL_KIND = "unmapped"
@@ -291,7 +291,8 @@ def run_grid(
     media across models. Diagonal cells are single-model evaluations of
     the unmapped verification embeddings, computed once regardless of the
     requested kinds; off-diagonal cells fit on the enrollment split and
-    evaluate source-mapped templates against target templates.
+    evaluate source-mapped templates against target templates. Every
+    cell is evaluated through one EvalPlan.
     """
     models = list(models)
     if not models:
@@ -312,10 +313,11 @@ def run_grid(
         if set(enroll.media_ids) != enroll_ids or set(verify.media_ids) != verify_ids:
             raise ProtocolError("models must share enrollment and verification splits")
 
-    templates = [build_templates(verify, manifest) for _, verify in models]
+    plan = EvalPlan(manifest, models[0][1].media_ids, pairs)
+    templates = [plan.templates(verify) for _, verify in models]
     cells: list[GridCell] = []
-    for i, (_, verify) in enumerate(models):
-        report = roc(score_pairs(templates[i], templates[i], pairs, manifest), fars)
+    for i in range(len(models)):
+        report = roc(plan.score(templates[i], templates[i]), fars)
         cells.append(
             GridCell(
                 source_model_id=ids[i],
@@ -331,11 +333,8 @@ def run_grid(
                 continue
             for kind in kinds:
                 mapping = _fit_kind(kind, enroll_i, enroll_j)
-                mapped = apply_map(mapping, verify_i)
-                mapped_templates = build_templates(mapped, manifest)
-                report = roc(
-                    score_pairs(mapped_templates, templates[j], pairs, manifest), fars
-                )
+                mapped = plan.templates(apply_map(mapping, verify_i))
+                report = roc(plan.score(mapped, templates[j]), fars)
                 cells.append(
                     GridCell(
                         source_model_id=ids[i],
@@ -364,7 +363,8 @@ def run_sweep(
     For each (kind, count, repetition) a fresh uniform subset of the
     enrollment media is drawn without replacement using a Philox stream
     keyed on (seed + repetition, count), the map is fit on the subset,
-    and TAR at ``far`` is evaluated on the full verification split.
+    and TAR at ``far`` is evaluated on the full verification split
+    through one EvalPlan shared by every point.
     """
     enroll_a, verify_a = model_a
     enroll_b, verify_b = model_b
@@ -388,7 +388,8 @@ def run_sweep(
                 f"sample count {c} outside [1, {len(enroll_ids)}] enrollment media"
             )
 
-    target_templates = build_templates(verify_b, manifest)
+    plan = EvalPlan(manifest, verify_a.media_ids, pairs)
+    target_templates = plan.templates(verify_b)
     points: list[SweepPoint] = []
     for kind in kinds:
         for count in counts:
@@ -399,12 +400,8 @@ def run_sweep(
                 sub_a = enroll_a.restrict(subset)
                 sub_b = enroll_b.restrict(subset)
                 mapping = _fit_kind(kind, sub_a, sub_b)
-                mapped = apply_map(mapping, verify_a)
-                mapped_templates = build_templates(mapped, manifest)
-                report = roc(
-                    score_pairs(mapped_templates, target_templates, pairs, manifest),
-                    [far],
-                )
+                mapped = plan.templates(apply_map(mapping, verify_a))
+                report = roc(plan.score(mapped, target_templates), [far])
                 points.append(
                     SweepPoint(
                         map_kind=kind,

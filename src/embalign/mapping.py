@@ -39,7 +39,7 @@ from .errors import (
     FileFormatError,
     TruncationError,
 )
-from .store import EmbeddingSet
+from .store import DEGENERATE_NORM, EmbeddingSet
 
 LINEAR = "linear"
 ROTATION = "rotation"
@@ -49,8 +49,6 @@ MAP_KINDS = (LINEAR, ROTATION, IDENTITY)
 ORTHOGONALITY_TOL = 1e-8
 # relative cutoff below which singular values of the design matrix are dropped
 SVD_RCOND = 1e-10
-# mapped rows with norm below this are excluded rather than normalized
-DEGENERATE_NORM = 1e-12
 
 _MAP_MAGIC = b"CFEM"
 _MAP_VERSION = 1

@@ -34,7 +34,11 @@ from .errors import (
 _MAGIC = b"CFEB"
 _VERSION = 1
 
+# a vector counts as unit length when its norm is within this of 1
 UNIT_NORM_TOL = 1e-6
+# a vector with norm below this has no direction: it is excluded rather
+# than normalized
+DEGENERATE_NORM = 1e-12
 
 
 def _frozen_array(values, dtype=None) -> np.ndarray:
@@ -257,6 +261,13 @@ def load_embeddings(path) -> EmbeddingSet:
         raise FileFormatError(f"{path}: unsupported version {version}")
     dim = cur.u32("dimension")
     count = cur.u64("record count")
+    # each record is at least an id length and a vector; check before
+    # allocating so a forged count cannot ask for more memory than the file
+    if count * (2 + 4 * dim) > len(buf) - cur.pos:
+        raise TruncationError(
+            f"{path}: header declares {count} records of dimension {dim}, "
+            f"more than the {len(buf) - cur.pos} bytes that follow"
+        )
     vectors = np.empty((count, dim), dtype=np.float32)
     media_ids = []
     row_bytes = dim * 4

@@ -7,6 +7,19 @@ Template pipeline (per template):
     3. image features and video-average features are summed;
     4. the sum is L2-normalized.
 
+Media are taken in sorted id order, images before videos and videos in
+sorted video-id order, and every sum adds left to right in that order, so
+templates are bit-identical under any input row order.
+
+An experiment evaluates one protocol (manifest, verification media, pair
+list) at many points that differ only in the map. EvalPlan compiles that
+protocol once: the media-to-video-to-template grouping as integer row
+arrays, and the pair list resolved to template indices with genuine
+labels and manifest checks. A point then costs a few vectorised passes
+over the rows, and pairs are scored in fixed-size chunks, so scoring
+memory is bounded in the number of pairs. build_templates and
+score_pairs compile a plan for one call.
+
 Pairs are scored by the plain inner product, which equals cosine
 similarity because templates are unit length. ROC analysis uses exact
 counting with "score >= threshold accepts": for a FAR target f the
@@ -19,14 +32,25 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import DataError, DimensionError, ProtocolError, UnknownIdError
-from .store import EmbeddingSet, MediaManifest, PairList, _frozen_array
+from .store import (
+    DEGENERATE_NORM,
+    UNIT_NORM_TOL,
+    EmbeddingSet,
+    MediaManifest,
+    PairList,
+    _frozen_array,
+)
 
-UNIT_NORM_TOL = 1e-6
-DEGENERATE_NORM = 1e-12
+# pairs gathered per scoring step: memory is 2 x chunk x dim floats
+_PAIR_CHUNK = 4096
+# row codes of a pair template that is not a row of the scored side
+_UNKNOWN = -1
+_DROPPED = -2
 
 
 @dataclass(frozen=True)
@@ -146,12 +170,183 @@ class RocReport:
         }
 
 
-def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 copy of the rows scaled to unit length, and which rows are
+    usable; a row with norm below DEGENERATE_NORM becomes zero."""
+    rows = vectors.astype(np.float64)
     norms = np.linalg.norm(rows, axis=1)
     ok = norms >= DEGENERATE_NORM
-    out = np.zeros_like(rows)
-    out[ok] = rows[ok] / norms[ok, None]
-    return out, ok
+    rows[~ok] = 0.0
+    rows /= np.where(ok, norms, 1.0)[:, None]
+    return rows, ok
+
+
+def _ordered_sums(values: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Row g is the left-to-right sum of values[members[starts[g]:starts[g + 1]]].
+
+    One vectorised pass per position within a group, so every group adds
+    its rows in order onto +0.0, as ``np.sum(axis=0)`` does over the
+    stacked rows (a lone -0.0 sums to +0.0).
+    """
+    first = starts[:-1]
+    sizes = np.diff(starts)
+    acc = np.zeros((len(first), values.shape[1]))
+    for j in range(int(sizes.max(initial=0))):
+        live = np.flatnonzero(sizes > j)
+        acc[live] += values[members[first[live] + j]]
+    return acc
+
+
+class _Grouping:
+    """The rows of one media order grouped into features and templates.
+
+    Templates are in sorted id order. Within a template, its features
+    are its images by media id, then its videos by video id; a video's
+    frames are listed by media id. Rows that ``usable`` marks False take
+    no part; a template left without features keeps its place.
+    """
+
+    def __init__(self, media_ids, manifest: MediaManifest, usable=None):
+        by_template: dict[str, list[tuple[str, int]]] = {}
+        for row, mid in enumerate(media_ids):
+            entry = manifest.by_media.get(mid)
+            if entry is None:
+                raise UnknownIdError(f"media id {mid!r} not in manifest")
+            by_template.setdefault(entry.template_id, []).append((mid, row))
+        self.template_ids = tuple(sorted(by_template))
+        self.subject_ids = tuple(manifest.template_subject[t] for t in self.template_ids)
+        rows: list[int] = []
+        feature_starts = [0]
+        template_starts = [0]
+        for tid in self.template_ids:
+            images: list[list[int]] = []
+            videos: dict[str, list[int]] = {}
+            for mid, row in sorted(by_template[tid]):
+                if usable is not None and not usable[row]:
+                    continue
+                vid = manifest.by_media[mid].video_id
+                if vid is None:
+                    images.append([row])
+                else:
+                    videos.setdefault(vid, []).append(row)
+            for frames in images + [videos[vid] for vid in sorted(videos)]:
+                rows.extend(frames)
+                feature_starts.append(len(rows))
+            template_starts.append(len(feature_starts) - 1)
+        self.rows = np.array(rows, dtype=np.intp)
+        self.feature_starts = np.array(feature_starts, dtype=np.intp)
+        self.template_starts = np.array(template_starts, dtype=np.intp)
+
+    def sums(self, normalized: np.ndarray) -> np.ndarray:
+        """Per template, the sum of its features in order; zero when it has
+        none. A feature is the mean of its frames: an image is a one-frame
+        feature, and x / 1 is x."""
+        features = _ordered_sums(normalized, self.rows, self.feature_starts)
+        features /= np.diff(self.feature_starts)[:, None]
+        return _ordered_sums(features, np.arange(len(features)), self.template_starts)
+
+
+class EvalPlan:
+    """One verification protocol, compiled once and evaluated many times.
+
+    Compiled for a manifest, the media order of the verification set and
+    a pair list: it holds the media-to-video-to-template grouping as row
+    arrays, and the pairs resolved to indices into their distinct template
+    ids with manifest checks and genuine labels. Experiments evaluate
+    every point, which differ only in the map, through one plan.
+    """
+
+    def __init__(self, manifest: MediaManifest, media_ids, pairs: PairList):
+        self._manifest = manifest
+        self._media_ids = tuple(media_ids)
+        self._grouping = _Grouping(self._media_ids, manifest)
+        index: dict[str, int] = {}
+        side_a = [index.setdefault(ta, len(index)) for ta, _ in pairs.pairs]
+        side_b = [index.setdefault(tb, len(index)) for _, tb in pairs.pairs]
+        subjects = [manifest.template_subject.get(tid) for tid in index]
+        codes: dict[str | None, int] = {}
+        subject_code = np.array(
+            [codes.setdefault(s, len(codes)) for s in subjects], dtype=np.intp
+        )
+        self._index = index
+        self._known = np.array([s is not None for s in subjects], dtype=bool)
+        self._ids_a = tuple(ta for ta, _ in pairs.pairs)
+        self._ids_b = tuple(tb for _, tb in pairs.pairs)
+        self._side_a = np.array(side_a, dtype=np.intp)
+        self._side_b = np.array(side_b, dtype=np.intp)
+        self._in_manifest = self._known[self._side_a] & self._known[self._side_b]
+        self._genuine = subject_code[self._side_a] == subject_code[self._side_b]
+
+    def templates(self, embeddings: EmbeddingSet) -> TemplateSet:
+        """``build_templates(embeddings, manifest)``. The compiled grouping
+        serves a set with the compiled media order and no degenerate row;
+        any other set is grouped afresh."""
+        normalized, usable = _normalized(embeddings.vectors)
+        grouping = self._grouping
+        if embeddings.media_ids != self._media_ids or not usable.all():
+            grouping = _Grouping(embeddings.media_ids, self._manifest, usable)
+        totals = grouping.sums(normalized)
+        del normalized  # frees the rows x dim copy before the output is built
+        # one np.dot per row is what np.linalg.norm computes for one vector,
+        # so each norm matches it bit for bit; a vectorised row norm does not
+        norms = np.sqrt(np.fromiter(map(np.dot, totals, totals), float, len(totals)))
+        keep = norms >= DEGENERATE_NORM
+        vectors = totals if keep.all() else totals[keep]
+        vectors /= norms[keep, None]
+        return TemplateSet(
+            model_id=embeddings.model_id,
+            template_ids=tuple(compress(grouping.template_ids, keep.tolist())),
+            subject_ids=tuple(compress(grouping.subject_ids, keep.tolist())),
+            vectors=vectors,
+            dropped=tuple(compress(grouping.template_ids, (~keep).tolist())),
+        )
+
+    def _rows_in(self, side: TemplateSet) -> np.ndarray:
+        """Per distinct pair template: its row in ``side``, else _DROPPED
+        or _UNKNOWN."""
+        pos = {tid: i for i, tid in enumerate(side.template_ids)}
+        pos.update(dict.fromkeys(side.dropped, _DROPPED))
+        return np.array([pos.get(tid, _UNKNOWN) for tid in self._index], dtype=np.intp)
+
+    def _raise_unknown(self, p: int, row_a: np.ndarray, row_b: np.ndarray):
+        ta, tb = self._ids_a[p], self._ids_b[p]
+        if row_a[p] == _UNKNOWN:
+            raise UnknownIdError(f"template {ta!r} not in side-a set")
+        if row_b[p] == _UNKNOWN:
+            raise UnknownIdError(f"template {tb!r} not in side-b set")
+        missing = tb if self._known[self._side_a[p]] else ta
+        raise UnknownIdError(f"template {missing!r} not in manifest")
+
+    def score(self, a: TemplateSet, b: TemplateSet) -> ScoredPairs:
+        """``score_pairs(a, b, pairs, manifest)`` over the compiled pairs,
+        gathered and scored in chunks of _PAIR_CHUNK pairs."""
+        if a.dim != b.dim:
+            raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
+        row_a = self._rows_in(a)[self._side_a]
+        row_b = self._rows_in(b)[self._side_b]
+        keep = (row_a != _DROPPED) & (row_b != _DROPPED)
+        bad = keep & ((row_a < 0) | (row_b < 0) | ~self._in_manifest)
+        if bad.any():
+            self._raise_unknown(int(np.argmax(bad)), row_a, row_b)
+        kept = np.flatnonzero(keep)
+        row_a, row_b = row_a[kept], row_b[kept]
+        scores = np.empty(kept.size)
+        for start in range(0, kept.size, _PAIR_CHUNK):
+            stop = start + _PAIR_CHUNK
+            scores[start:stop] = np.einsum(
+                "ij,ij->i", a.vectors[row_a[start:stop]], b.vectors[row_b[start:stop]]
+            )
+        ids_a, ids_b = self._ids_a, self._ids_b
+        if kept.size < len(ids_a):
+            mask = keep.tolist()
+            ids_a, ids_b = tuple(compress(ids_a, mask)), tuple(compress(ids_b, mask))
+        return ScoredPairs(
+            template_ids_a=ids_a,
+            template_ids_b=ids_b,
+            scores=scores,
+            genuine=self._genuine[kept],
+            dropped_pairs=len(self._ids_a) - kept.size,
+        )
 
 
 def build_templates(embeddings: EmbeddingSet, manifest: MediaManifest) -> TemplateSet:
@@ -163,59 +358,8 @@ def build_templates(embeddings: EmbeddingSet, manifest: MediaManifest) -> Templa
     the input row order. A template whose feature sum is all-zero is
     excluded and reported via ``dropped``.
     """
-    for mid in embeddings.media_ids:
-        if mid not in manifest.by_media:
-            raise UnknownIdError(f"media id {mid!r} not in manifest")
-
-    vectors = embeddings.vectors.astype(np.float64)
-    normalized, media_ok = _normalize_rows(vectors)
-
-    by_template: dict[str, list[str]] = {}
-    for mid in embeddings.media_ids:
-        by_template.setdefault(manifest.by_media[mid].template_id, []).append(mid)
-
-    template_ids: list[str] = []
-    subject_ids: list[str] = []
-    rows: list[np.ndarray] = []
-    dropped: list[str] = []
-    for tid in sorted(by_template):
-        videos: dict[str, list[str]] = {}
-        images: list[str] = []
-        for mid in sorted(by_template[tid]):
-            idx = embeddings.index_of(mid)
-            if not media_ok[idx]:
-                continue
-            vid = manifest.by_media[mid].video_id
-            if vid is None:
-                images.append(mid)
-            else:
-                videos.setdefault(vid, []).append(mid)
-        features = [normalized[embeddings.index_of(mid)] for mid in images]
-        for vid in sorted(videos):
-            frames = np.stack(
-                [normalized[embeddings.index_of(mid)] for mid in videos[vid]]
-            )
-            features.append(frames.mean(axis=0))
-        if not features:
-            dropped.append(tid)
-            continue
-        total = np.sum(features, axis=0)
-        norm = float(np.linalg.norm(total))
-        if norm < DEGENERATE_NORM:
-            dropped.append(tid)
-            continue
-        template_ids.append(tid)
-        subject_ids.append(manifest.template_subject[tid])
-        rows.append(total / norm)
-
-    matrix = np.stack(rows) if rows else np.zeros((0, embeddings.dim))
-    return TemplateSet(
-        model_id=embeddings.model_id,
-        template_ids=tuple(template_ids),
-        subject_ids=tuple(subject_ids),
-        vectors=matrix,
-        dropped=tuple(dropped),
-    )
+    plan = EvalPlan(manifest, embeddings.media_ids, PairList(pairs=()))
+    return plan.templates(embeddings)
 
 
 def score_pairs(
@@ -231,49 +375,7 @@ def score_pairs(
     ``dropped_pairs``; ids unknown to both the set and its dropped list
     raise UnknownIdError.
     """
-    if a.dim != b.dim:
-        raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
-    dropped_a = set(a.dropped)
-    dropped_b = set(b.dropped)
-    ids_a: list[str] = []
-    ids_b: list[str] = []
-    idx_a: list[int] = []
-    idx_b: list[int] = []
-    genuine: list[bool] = []
-    dropped_pairs = 0
-    for ta, tb in pairs.pairs:
-        if ta in dropped_a or tb in dropped_b:
-            dropped_pairs += 1
-            continue
-        try:
-            ia = a.index_of(ta)
-        except KeyError:
-            raise UnknownIdError(f"template {ta!r} not in side-a set") from None
-        try:
-            ib = b.index_of(tb)
-        except KeyError:
-            raise UnknownIdError(f"template {tb!r} not in side-b set") from None
-        for tid in (ta, tb):
-            if tid not in manifest.template_subject:
-                raise UnknownIdError(f"template {tid!r} not in manifest")
-        ids_a.append(ta)
-        ids_b.append(tb)
-        idx_a.append(ia)
-        idx_b.append(ib)
-        genuine.append(
-            manifest.template_subject[ta] == manifest.template_subject[tb]
-        )
-    if idx_a:
-        scores = np.einsum("ij,ij->i", a.vectors[idx_a], b.vectors[idx_b])
-    else:
-        scores = np.zeros(0)
-    return ScoredPairs(
-        template_ids_a=tuple(ids_a),
-        template_ids_b=tuple(ids_b),
-        scores=scores,
-        genuine=np.array(genuine, dtype=bool),
-        dropped_pairs=dropped_pairs,
-    )
+    return EvalPlan(manifest, (), pairs).score(a, b)
 
 
 def scores_to_csv(scored: ScoredPairs, path) -> None:

@@ -1,0 +1,158 @@
+"""Reference template aggregation and pair scoring: one template and one
+pair at a time, in plain loops.
+
+The oracle for `embalign.verification`. Its compiled plan must return
+exactly what these loops return, bit for bit: the same template ids,
+dropped ids, vectors, scores, genuine labels and dropped-pair counts, and
+UnknownIdError on the same inputs.
+"""
+
+import numpy as np
+
+from embalign import (
+    DimensionError,
+    EmbeddingSet,
+    MediaManifest,
+    PairList,
+    ScoredPairs,
+    TemplateSet,
+    UnknownIdError,
+)
+from embalign.store import DEGENERATE_NORM
+
+
+def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norms = np.linalg.norm(rows, axis=1)
+    ok = norms >= DEGENERATE_NORM
+    out = np.zeros_like(rows)
+    out[ok] = rows[ok] / norms[ok, None]
+    return out, ok
+
+
+def build_templates(embeddings: EmbeddingSet, manifest: MediaManifest) -> TemplateSet:
+    for mid in embeddings.media_ids:
+        if mid not in manifest.by_media:
+            raise UnknownIdError(f"media id {mid!r} not in manifest")
+
+    vectors = embeddings.vectors.astype(np.float64)
+    normalized, media_ok = _normalize_rows(vectors)
+
+    by_template: dict[str, list[str]] = {}
+    for mid in embeddings.media_ids:
+        by_template.setdefault(manifest.by_media[mid].template_id, []).append(mid)
+
+    template_ids: list[str] = []
+    subject_ids: list[str] = []
+    rows: list[np.ndarray] = []
+    dropped: list[str] = []
+    for tid in sorted(by_template):
+        videos: dict[str, list[str]] = {}
+        images: list[str] = []
+        for mid in sorted(by_template[tid]):
+            idx = embeddings.index_of(mid)
+            if not media_ok[idx]:
+                continue
+            vid = manifest.by_media[mid].video_id
+            if vid is None:
+                images.append(mid)
+            else:
+                videos.setdefault(vid, []).append(mid)
+        features = [normalized[embeddings.index_of(mid)] for mid in images]
+        for vid in sorted(videos):
+            frames = np.stack(
+                [normalized[embeddings.index_of(mid)] for mid in videos[vid]]
+            )
+            features.append(frames.mean(axis=0))
+        if not features:
+            dropped.append(tid)
+            continue
+        total = np.sum(features, axis=0)
+        norm = float(np.linalg.norm(total))
+        if norm < DEGENERATE_NORM:
+            dropped.append(tid)
+            continue
+        template_ids.append(tid)
+        subject_ids.append(manifest.template_subject[tid])
+        rows.append(total / norm)
+
+    matrix = np.stack(rows) if rows else np.zeros((0, embeddings.dim))
+    return TemplateSet(
+        model_id=embeddings.model_id,
+        template_ids=tuple(template_ids),
+        subject_ids=tuple(subject_ids),
+        vectors=matrix,
+        dropped=tuple(dropped),
+    )
+
+
+def score_pairs(
+    a: TemplateSet,
+    b: TemplateSet,
+    pairs: PairList,
+    manifest: MediaManifest,
+) -> ScoredPairs:
+    if a.dim != b.dim:
+        raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
+    dropped_a = set(a.dropped)
+    dropped_b = set(b.dropped)
+    ids_a: list[str] = []
+    ids_b: list[str] = []
+    idx_a: list[int] = []
+    idx_b: list[int] = []
+    genuine: list[bool] = []
+    dropped_pairs = 0
+    for ta, tb in pairs.pairs:
+        if ta in dropped_a or tb in dropped_b:
+            dropped_pairs += 1
+            continue
+        try:
+            ia = a.index_of(ta)
+        except KeyError:
+            raise UnknownIdError(f"template {ta!r} not in side-a set") from None
+        try:
+            ib = b.index_of(tb)
+        except KeyError:
+            raise UnknownIdError(f"template {tb!r} not in side-b set") from None
+        for tid in (ta, tb):
+            if tid not in manifest.template_subject:
+                raise UnknownIdError(f"template {tid!r} not in manifest")
+        ids_a.append(ta)
+        ids_b.append(tb)
+        idx_a.append(ia)
+        idx_b.append(ib)
+        genuine.append(
+            manifest.template_subject[ta] == manifest.template_subject[tb]
+        )
+    if idx_a:
+        scores = np.einsum("ij,ij->i", a.vectors[idx_a], b.vectors[idx_b])
+    else:
+        scores = np.zeros(0)
+    return ScoredPairs(
+        template_ids_a=tuple(ids_a),
+        template_ids_b=tuple(ids_b),
+        scores=scores,
+        genuine=np.array(genuine, dtype=bool),
+        dropped_pairs=dropped_pairs,
+    )
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Equal shape, dtype and bytes: stricter than ==, which takes -0.0
+    for 0.0."""
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def assert_same_templates(got: TemplateSet, want: TemplateSet) -> None:
+    assert got.model_id == want.model_id
+    assert got.template_ids == want.template_ids
+    assert got.subject_ids == want.subject_ids
+    assert got.dropped == want.dropped
+    assert same_bits(got.vectors, want.vectors)
+
+
+def assert_same_scores(got: ScoredPairs, want: ScoredPairs) -> None:
+    assert got.template_ids_a == want.template_ids_a
+    assert got.template_ids_b == want.template_ids_b
+    assert got.dropped_pairs == want.dropped_pairs
+    assert np.array_equal(got.genuine, want.genuine)
+    assert same_bits(got.scores, want.scores)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -133,6 +134,30 @@ class TestFit:
         assert code == 0
         assert json.loads(stdout)["m"] == 0
         assert load_map(out).kind == "identity"
+
+    @pytest.mark.parametrize("count", [2**36, 2**62, 3])
+    def test_forged_record_count_exits_2(self, world, tmp_path, capsys, count):
+        # a header declaring more records than the file holds: a 20-byte
+        # file with a huge count, or a valid file claiming one record more
+        forged = tmp_path / "forged.cfeb"
+        if count == 3:
+            save_embeddings(
+                EmbeddingSet("A", ("x", "y"), np.eye(2, dtype=np.float32)), forged
+            )
+            raw = bytearray(forged.read_bytes())
+            raw[10:18] = struct.pack("<Q", count)
+            forged.write_bytes(bytes(raw))
+        else:
+            forged.write_bytes(b"CFEB" + struct.pack("<HIQ", 1, 512, count) + b"\x00\x00")
+        out = tmp_path / "never.cfem"
+        code, stdout, stderr = run_cli(
+            capsys, "fit", str(forged), str(world["b"]), "--kind", "linear",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+        assert not out.exists()
 
     def test_rotation_dimension_mismatch_exits_2(self, tmp_path, capsys):
         rng = np.random.default_rng(0)

@@ -1,16 +1,21 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import reference_eval as reference
 from embalign import (
     DIAGONAL_KIND,
     MediaEntry,
     MediaManifest,
     ProtocolError,
     SynthSpec,
+    apply_map,
     build_templates,
+    experiments,
     generate_world,
+    identity_map,
     roc,
     run_attack,
     run_grid,
@@ -228,6 +233,71 @@ class TestRunSweep:
             run_sweep(
                 models[0], models[1], manifest, pairs, ["linear"], [4], 0, 1e-2, 0
             )
+
+
+class ReferencePlan:
+    """EvalPlan's interface over the reference loops: every call
+    aggregates and scores from scratch, one template and one pair at a
+    time."""
+
+    def __init__(self, manifest, media_ids, pairs):
+        self.manifest = manifest
+        self.pairs = pairs
+
+    def templates(self, embeddings):
+        return reference.build_templates(embeddings, self.manifest)
+
+    def score(self, a, b):
+        return reference.score_pairs(a, b, self.pairs, self.manifest)
+
+
+def sharing_world(degenerate: bool):
+    """A small video world split for evaluation. With ``degenerate``, model
+    A's verification vector is zero for one video frame: templates over
+    that set skip the frame, and every mapped set loses its row, so it no
+    longer has the media the plan was compiled for."""
+    _, a, b, manifest, _ = make_world(
+        dim=12, num_subjects=30, media_per_subject=10, frames_per_video=3, seed=43
+    )
+    models, pairs = split_world(a, b, manifest, impostors=3000)
+    if degenerate:
+        verify_a = models[0][1]
+        frame = min(m for m in verify_a.media_ids if manifest.by_media[m].video_id)
+        vectors = verify_a.vectors.copy()
+        vectors[verify_a.index_of(frame)] = 0.0
+        models[0] = (models[0][0], dataclasses.replace(verify_a, vectors=vectors))
+    return models, pairs, manifest
+
+
+class TestPlanSharing:
+    """run_sweep and run_grid evaluate every point through one compiled
+    plan; the result must equal evaluating each point from scratch with the
+    reference loops (apply_map, build_templates, score_pairs, roc)."""
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_sweep_equals_per_point_reference(self, monkeypatch, degenerate):
+        models, pairs, manifest = sharing_world(degenerate)
+        args = (models[0], models[1], manifest, pairs,
+                ["linear", "rotation", "identity"], [4, 12, 40], 2, 1e-1, 3)
+        shared = run_sweep(*args)
+        monkeypatch.setattr(experiments, "EvalPlan", ReferencePlan)
+        assert shared == run_sweep(*args)
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_grid_equals_per_point_reference(self, monkeypatch, degenerate):
+        models, pairs, manifest = sharing_world(degenerate)
+        args = (models, manifest, pairs, ["linear", "rotation", "identity"],
+                [1e-1, 1e-2])
+        shared = run_grid(*args)
+        monkeypatch.setattr(experiments, "EvalPlan", ReferencePlan)
+        assert shared == run_grid(*args)
+
+    def test_degenerate_world_changes_the_mapped_media(self):
+        models, _, _ = sharing_world(degenerate=True)
+        verify_a = models[0][1]
+        mapped = apply_map(identity_map(verify_a.dim), verify_a)
+        assert len(mapped.dropped) == 1
+        assert mapped.media_ids != verify_a.media_ids
 
 
 def attack_setup(planted_kind="rotation", seed=3, **kw):

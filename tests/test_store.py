@@ -131,6 +131,29 @@ class TestEmbeddingFile:
         with pytest.raises(TruncationError):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("count", [2**36, 2**62])
+    def test_forged_count_rejected_before_allocating(self, tmp_path, count):
+        # 20 bytes declaring `count` records of dimension 512: far more
+        # than the file holds, and more memory than numpy can allocate
+        path = tmp_path / "forged.cfeb"
+        path.write_bytes(b"CFEB" + struct.pack("<HIQ", 1, 512, count) + b"\x00\x00")
+        assert path.stat().st_size == 20
+        with pytest.raises(TruncationError):
+            load_embeddings(path)
+
+    def test_one_record_short_past_the_header_check(self, tmp_path):
+        # long ids make the short file still pass the header's size bound,
+        # so the record scan is what finds the missing record
+        path = tmp_path / "short.cfeb"
+        s = make_set(["a" * 60, "b" * 60], [[1.0, 0.0], [0.0, 1.0]])
+        save_embeddings(s, path)
+        raw = bytearray(path.read_bytes())
+        raw[10:18] = struct.pack("<Q", 3)
+        path.write_bytes(bytes(raw))
+        assert 3 * (2 + 4 * 2) <= len(raw) - 18
+        with pytest.raises(TruncationError):
+            load_embeddings(path)
+
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "extra.cfeb"
         s = make_set(["a"], [[1.0, 0.0]])

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_eval as reference
+from embalign import verification
 from embalign import (
     DataError,
     DimensionError,
     EmbeddingSet,
+    EvalPlan,
     MediaEntry,
     MediaManifest,
     PairList,
@@ -134,7 +137,7 @@ class TestBuildTemplates:
             embset([ids[i] for i in perm], vectors[perm]), self.manifest()
         )
         assert base.template_ids == shuffled.template_ids
-        assert np.allclose(base.vectors, shuffled.vectors, atol=1e-12)
+        assert np.array_equal(base.vectors, shuffled.vectors)
 
     def test_templates_without_media_absent(self):
         templates = build_templates(embset(["solo"], [[1.0, 1.0]]), self.manifest())
@@ -261,6 +264,148 @@ class TestScorePairs:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "template_id_a,template_id_b,score,genuine"
         assert lines[1].startswith("t1,t3,1.0,false")
+
+
+@st.composite
+def protocols(draw):
+    """A random manifest, two embedding sets over it, side a again in a
+    shuffled row order, and a pair list.
+
+    Covers images and multi-frame videos, degenerate (zero) media rows,
+    templates whose feature sum cancels to zero, templates with no media
+    on a side, pairs through dropped or unknown templates, and media
+    missing from the manifest.
+    """
+    dim = draw(st.integers(1, 7))
+    n_templates = draw(st.integers(1, 6))
+    n_subjects = draw(st.integers(1, 3))
+    subjects = [draw(st.integers(0, n_subjects - 1)) for _ in range(n_templates)]
+    n_media = draw(st.integers(1, 16))
+    names = draw(st.permutations(range(n_media)))
+    entries = []
+    for m in range(n_media):
+        t = draw(st.integers(0, n_templates - 1))
+        video = draw(st.sampled_from([None, None, 0, 1]))
+        entries.append(
+            MediaEntry(
+                f"m{names[m]:02d}",
+                f"s{subjects[t]}",
+                f"t{t}",
+                None if video is None else f"v{t}_{video}",
+            )
+        )
+    manifest = MediaManifest(entries)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def side(model_id, ghost):
+        ids, rows = [], []
+        for e in entries:
+            if not draw(st.booleans()) and draw(st.booleans()):
+                continue
+            mode = draw(st.sampled_from(["normal", "integer", "zero", "negated"]))
+            if mode == "normal":
+                row = rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+            elif mode == "integer":
+                row = rng.integers(-1, 2, dim).astype(float)
+            elif mode == "zero" or not rows:
+                row = np.zeros(dim)
+            else:
+                # an exact opposite direction, so a template can cancel
+                row = -4.0 * rows[draw(st.integers(0, len(rows) - 1))]
+            ids.append(e.media_id)
+            rows.append(row)
+        if ghost:
+            ids.append("ghost")
+            rows.append(np.ones(dim))
+        return embset(ids, np.array(rows).reshape(len(ids), dim), model_id)
+
+    emb_a = side("A", draw(st.integers(0, 9)) == 0)
+    emb_b = side("B", False)
+    perm = draw(st.permutations(range(len(emb_a))))
+    shuffled_a = embset(
+        [emb_a.media_ids[i] for i in perm], emb_a.vectors[list(perm)], "A"
+    )
+    template_ids = [f"t{t}" for t in range(n_templates)] + ["t_unknown"]
+    index_pairs = draw(
+        st.lists(st.tuples(st.sampled_from(template_ids), st.sampled_from(template_ids)),
+                 max_size=25)
+    )
+    pairs = PairList(pairs=tuple((x, y) for x, y in index_pairs if x != y))
+    return manifest, emb_a, emb_b, shuffled_a, pairs
+
+
+def unknown_id_message(fn, *args):
+    """The message of the UnknownIdError that fn raises, or None."""
+    try:
+        fn(*args)
+    except UnknownIdError as exc:
+        return str(exc)
+    return None
+
+
+class TestEvalPlanOracle:
+    """The compiled plan against the reference loops, compared bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(protocols())
+    def test_plan_matches_reference_loops(self, protocol):
+        manifest, emb_a, emb_b, shuffled_a, pairs = protocol
+        error = unknown_id_message(reference.build_templates, emb_a, manifest)
+        if error is not None:
+            assert unknown_id_message(build_templates, emb_a, manifest) == error
+            assert unknown_id_message(build_templates, shuffled_a, manifest) == error
+            assert unknown_id_message(EvalPlan, manifest, emb_a.media_ids, pairs) == error
+            return
+        want_a = reference.build_templates(emb_a, manifest)
+        want_b = reference.build_templates(emb_b, manifest)
+        plan = EvalPlan(manifest, emb_a.media_ids, pairs)
+        for got in (
+            build_templates(emb_a, manifest),
+            build_templates(shuffled_a, manifest),
+            plan.templates(emb_a),
+            plan.templates(shuffled_a),
+        ):
+            reference.assert_same_templates(got, want_a)
+        reference.assert_same_templates(plan.templates(emb_b), want_b)
+
+        error = unknown_id_message(reference.score_pairs, want_a, want_b, pairs, manifest)
+        if error is not None:
+            assert unknown_id_message(score_pairs, want_a, want_b, pairs, manifest) == error
+            assert unknown_id_message(plan.score, want_a, want_b) == error
+            return
+        want = reference.score_pairs(want_a, want_b, pairs, manifest)
+        reference.assert_same_scores(score_pairs(want_a, want_b, pairs, manifest), want)
+        reference.assert_same_scores(plan.score(want_a, want_b), want)
+
+    def test_scores_span_many_chunks(self):
+        # more pairs than one scoring chunk, on sides in different row orders
+        rng = np.random.default_rng(11)
+        n, dim = 400, 37
+        entries = [
+            MediaEntry(f"m{i:03d}", f"s{i // 2 % 40}", f"t{i // 2:03d}",
+                       f"v{i // 2:03d}" if i % 4 < 2 else None)
+            for i in range(n)
+        ]
+        manifest = MediaManifest(entries)
+        ids = [e.media_id for e in entries]
+        a = embset(ids, rng.standard_normal((n, dim)), "A")
+        order = rng.permutation(n)
+        b = embset([ids[i] for i in order], rng.standard_normal((n, dim)), "B")
+        tids = sorted(manifest.template_subject)
+        picks = rng.integers(0, len(tids), size=(20000, 2))
+        pairs = PairList(
+            pairs=tuple((tids[i], tids[j]) for i, j in picks if i != j)
+        )
+        assert len(pairs) > 4 * verification._PAIR_CHUNK
+        plan = EvalPlan(manifest, a.media_ids, pairs)
+        want_a = reference.build_templates(a, manifest)
+        want_b = reference.build_templates(b, manifest)
+        got_a, got_b = plan.templates(a), plan.templates(b)
+        reference.assert_same_templates(got_a, want_a)
+        reference.assert_same_templates(got_b, want_b)
+        reference.assert_same_scores(
+            plan.score(got_a, got_b), reference.score_pairs(want_a, want_b, pairs, manifest)
+        )
 
 
 class TestRoc:
