@@ -33,6 +33,7 @@ from .mapping import (
     FitReport,
     MappingMatrix,
     apply_map,
+    fit,
     fit_linear,
     fit_rotation,
     identity_map,
@@ -62,6 +63,7 @@ from .experiments import (
     run_grid,
     run_sweep,
     sample_eval_pairs,
+    split_attack,
     split_by_template,
     subject_gallery,
 )

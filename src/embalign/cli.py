@@ -5,8 +5,10 @@ Machine-readable JSON goes to stdout; logs and errors go to stderr.
 Exit status contract: 0 success, 1 io error, 2 validation error.
 
 Seed precedence: --seed flag > config file value > EMBALIGN_SEED
-environment variable > 0. A --jobs flag is accepted for symmetry with
-parallel runners; results are independent of its value.
+environment variable > 0, for every command that takes a seed (synth
+included). A seed outside [0, 2**64) is a validation error. A --jobs
+flag is accepted for symmetry with parallel runners; results are
+independent of its value.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, mapping, store, synthetic, verification
-from .errors import DimensionError, EmbAlignError
+from .errors import EmbAlignError
 
 log = logging.getLogger("embalign")
 
@@ -42,15 +44,13 @@ def _parse_fars(text: str) -> list[float]:
         raise ValueError(f"cannot parse FAR list {text!r}") from None
 
 
-def _resolve_seed(args, config: dict | None = None) -> int:
-    if getattr(args, "seed", None) is not None:
+def _resolve_seed(args, config: dict) -> int:
+    if args.seed is not None:
         return args.seed
-    if config is not None and config.get("seed") is not None:
+    if config.get("seed") is not None:
         return int(config["seed"])
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return 0
+    return 0 if env is None else int(env)
 
 
 def _load_config(path) -> tuple[dict, Path]:
@@ -122,28 +122,10 @@ def cmd_ingest(args) -> int:
 def cmd_fit(args) -> int:
     source = store.load_embeddings(args.source)
     target = store.load_embeddings(args.target)
-    if args.kind == mapping.IDENTITY:
-        if source.dim != target.dim:
-            raise DimensionError(
-                f"identity map needs equal dimensions, got {source.dim} and {target.dim}"
-            )
-        fitted = mapping.identity_map(
-            source.dim,
-            source_model_id=source.model_id,
-            target_model_id=target.model_id,
-        )
-        report = {"kind": mapping.IDENTITY, "m": 0, "residual_rms": None,
-                  "condition_diagnostic": None}
-    else:
-        x, y = store.align_pairs(source, target)
-        fit = mapping.fit_rotation if args.kind == mapping.ROTATION else mapping.fit_linear
-        fitted, fit_report = fit(
-            x, y, source_model_id=source.model_id, target_model_id=target.model_id
-        )
-        report = fit_report.to_dict()
+    fitted, report = mapping.fit(args.kind, source, target)
     mapping.save_map(fitted, args.out)
     log.info("wrote %s map to %s", fitted.kind, args.out)
-    _emit(report)
+    _emit(report.to_dict())
     return 0
 
 
@@ -282,36 +264,9 @@ def cmd_attack(args) -> int:
     enroll_pairs = int(_require(config, "enroll_pairs", "attack"))
     k_values = [int(k) for k in config.get("k_values", [1, 5, 10])]
 
-    # enrollment subjects are disjoint from gallery/probe subjects, so a
-    # chance-level control stays at chance (the map cannot memorize
-    # per-subject correspondences for the probe population)
-    media = sorted(set(unknown.media_ids) & set(attacker.media_ids))
-    if enroll_pairs < 1 or enroll_pairs >= len(media):
-        raise ValueError(
-            f"enroll_pairs must be in [1, {len(media) - 1}] shared media"
-        )
-    by_subject: dict[str, list[str]] = {}
-    for mid in media:
-        by_subject.setdefault(manifest.subject_of_media(mid), []).append(mid)
-    subjects = sorted(by_subject)
-    rng = experiments._stream(seed, experiments._S_ATTACK)
-    subject_order = [subjects[i] for i in rng.permutation(len(subjects))]
-    enroll_ids: set[str] = set()
-    cut = 0
-    while cut < len(subject_order) and len(enroll_ids) < enroll_pairs:
-        enroll_ids.update(by_subject[subject_order[cut]])
-        cut += 1
-    if cut >= len(subject_order):
-        raise ValueError("enroll_pairs leaves no subjects for gallery and probes")
-    enroll_ids = set(sorted(enroll_ids)[:enroll_pairs])
-    gallery_ids: set[str] = set()
-    probe_ids: set[str] = set()
-    for sid in subject_order[cut:]:
-        mids = sorted(by_subject[sid])
-        half = (len(mids) + 1) // 2
-        gallery_ids.update(mids[:half])
-        probe_ids.update(mids[half:])
-
+    enroll_ids, gallery_ids, probe_ids = experiments.split_attack(
+        unknown, attacker, manifest, enroll_pairs, seed
+    )
     gallery = experiments.subject_gallery(attacker.restrict(gallery_ids), manifest)
     result = experiments.run_attack(
         unknown.restrict(enroll_ids),
@@ -336,11 +291,7 @@ def cmd_attack(args) -> int:
 
 def cmd_synth(args) -> int:
     config, _ = _load_config(args.config)
-    if args.seed is not None:
-        config = config | {"seed": args.seed}
-    elif "seed" not in config and os.environ.get(SEED_ENV_VAR) is not None:
-        config = config | {"seed": int(os.environ[SEED_ENV_VAR])}
-    spec = synthetic.SynthSpec.from_dict(config)
+    spec = synthetic.SynthSpec.from_dict(config | {"seed": _resolve_seed(args, config)})
     set_a, set_b, manifest, ground_truth = synthetic.generate_world(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

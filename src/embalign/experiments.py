@@ -13,35 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ProtocolError, UnknownIdError
-from .mapping import (
-    IDENTITY,
-    MAP_KINDS,
-    ROTATION,
-    MappingMatrix,
-    apply_map,
-    fit_linear,
-    fit_rotation,
-    identity_map,
-)
-from .store import EmbeddingSet, MediaEntry, MediaManifest, PairList, align_pairs
+from .errors import ProtocolError, UnknownIdError
+from .mapping import MAP_KINDS, apply_map, fit
+from .rng import Purpose, stream
+from .store import EmbeddingSet, MediaEntry, MediaManifest, PairList
 from .verification import EvalPlan, TemplateSet, build_templates, roc
 
 DEFAULT_FARS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DIAGONAL_KIND = "unmapped"
-
-_S_SPLIT = 16
-_S_PAIRS = 17
-_S_SWEEP = 18
-_S_ATTACK = 19
-
-
-def _stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
-    key = np.array(
-        [np.uint64(seed), np.uint64((purpose << 48) | index)], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -193,7 +172,7 @@ def split_by_template(
     verify_media: set[str] = set()
     for i, sid in enumerate(sorted(by_subject)):
         templates = sorted(by_subject[sid])
-        rng = _stream(seed, _S_SPLIT, i)
+        rng = stream(seed, Purpose.SPLIT, i)
         order = rng.permutation(len(templates))
         n_enroll = int(round(enroll_fraction * len(templates)))
         n_enroll = min(max(n_enroll, 1), len(templates) - 1) if len(templates) > 1 else 0
@@ -229,7 +208,7 @@ def sample_eval_pairs(
     imp_a, imp_b = ia[~same], ib[~same]
     if n_impostor > 0 and imp_a.size:
         take = min(n_impostor, imp_a.size)
-        rng = _stream(seed, _S_PAIRS)
+        rng = stream(seed, Purpose.PAIRS)
         chosen = rng.choice(imp_a.size, size=take, replace=False)
         chosen.sort()
         pairs.extend(
@@ -248,33 +227,6 @@ def _check_model_pair(enroll: EmbeddingSet, verify: EmbeddingSet) -> None:
         raise ProtocolError(
             f"enrollment and verification splits overlap on {len(overlap)} media"
         )
-
-
-def _fit_kind(
-    kind: str,
-    enroll_source: EmbeddingSet,
-    enroll_target: EmbeddingSet,
-) -> MappingMatrix:
-    if kind == IDENTITY:
-        if enroll_source.dim != enroll_target.dim:
-            raise DimensionError(
-                f"identity map needs equal dimensions, got "
-                f"{enroll_source.dim} and {enroll_target.dim}"
-            )
-        return identity_map(
-            enroll_source.dim,
-            source_model_id=enroll_source.model_id,
-            target_model_id=enroll_target.model_id,
-        )
-    x, y = align_pairs(enroll_source, enroll_target)
-    fit = fit_rotation if kind == ROTATION else fit_linear
-    mapping, _ = fit(
-        x,
-        y,
-        source_model_id=enroll_source.model_id,
-        target_model_id=enroll_target.model_id,
-    )
-    return mapping
 
 
 def run_grid(
@@ -332,7 +284,7 @@ def run_grid(
             if i == j:
                 continue
             for kind in kinds:
-                mapping = _fit_kind(kind, enroll_i, enroll_j)
+                mapping, _ = fit(kind, enroll_i, enroll_j)
                 mapped = plan.templates(apply_map(mapping, verify_i))
                 report = roc(plan.score(mapped, templates[j]), fars)
                 cells.append(
@@ -361,8 +313,8 @@ def run_sweep(
     """Map quality versus enrollment sample count.
 
     For each (kind, count, repetition) a fresh uniform subset of the
-    enrollment media is drawn without replacement using a Philox stream
-    keyed on (seed + repetition, count), the map is fit on the subset,
+    enrollment media is drawn without replacement from the stream keyed
+    on seed and (repetition << 32) | count, the map is fit on the subset,
     and TAR at ``far`` is evaluated on the full verification split
     through one EvalPlan shared by every point.
     """
@@ -394,12 +346,12 @@ def run_sweep(
     for kind in kinds:
         for count in counts:
             for rep in range(repetitions):
-                rng = _stream(seed + rep, _S_SWEEP, count)
+                rng = stream(seed, Purpose.SWEEP, (rep << 32) | count)
                 picked = rng.choice(len(enroll_ids), size=count, replace=False)
                 subset = [enroll_ids[i] for i in picked]
                 sub_a = enroll_a.restrict(subset)
                 sub_b = enroll_b.restrict(subset)
-                mapping = _fit_kind(kind, sub_a, sub_b)
+                mapping, _ = fit(kind, sub_a, sub_b)
                 mapped = plan.templates(apply_map(mapping, verify_a))
                 report = roc(plan.score(mapped, target_templates), [far])
                 points.append(
@@ -412,6 +364,54 @@ def run_sweep(
                 )
     return SweepResult(
         far_target=float(far), repetitions=repetitions, points=tuple(points)
+    )
+
+
+def split_attack(
+    unknown: EmbeddingSet,
+    attacker: EmbeddingSet,
+    manifest: MediaManifest,
+    enroll_pairs: int,
+    seed: int,
+) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+    """Subject-disjoint (enrollment, gallery, probe) media for ``run_attack``.
+
+    Over the media both models embed, shuffled subjects fill the paired
+    enrollment until it holds ``enroll_pairs`` media. Each other subject
+    puts the first half of its media (rounded up) in the gallery and the
+    rest in the probes. With no enrollment subject among the probes, a
+    chance-level control stays at chance: the map cannot memorize
+    per-subject correspondences for the probe population.
+    """
+    media = sorted(set(unknown.media_ids) & set(attacker.media_ids))
+    if enroll_pairs < 1 or enroll_pairs >= len(media):
+        raise ValueError(
+            f"enroll_pairs must be in [1, {len(media) - 1}] shared media"
+        )
+    by_subject: dict[str, list[str]] = {}
+    for mid in media:
+        by_subject.setdefault(manifest.subject_of_media(mid), []).append(mid)
+    subjects = sorted(by_subject)
+    rng = stream(seed, Purpose.ATTACK)
+    subject_order = [subjects[i] for i in rng.permutation(len(subjects))]
+    enroll_ids: set[str] = set()
+    cut = 0
+    while cut < len(subject_order) and len(enroll_ids) < enroll_pairs:
+        enroll_ids.update(by_subject[subject_order[cut]])
+        cut += 1
+    if cut >= len(subject_order):
+        raise ValueError("enroll_pairs leaves no subjects for gallery and probes")
+    gallery_ids: set[str] = set()
+    probe_ids: set[str] = set()
+    for sid in subject_order[cut:]:
+        mids = by_subject[sid]
+        half = (len(mids) + 1) // 2
+        gallery_ids.update(mids[:half])
+        probe_ids.update(mids[half:])
+    return (
+        frozenset(sorted(enroll_ids)[:enroll_pairs]),
+        frozenset(gallery_ids),
+        frozenset(probe_ids),
     )
 
 
@@ -453,8 +453,6 @@ def run_attack(
     product, and reports rank-k accuracy: the fraction of probes whose
     true subject appears within the top k gallery entries.
     """
-    if map_kind not in MAP_KINDS:
-        raise ValueError(f"unknown map kind {map_kind!r}")
     shared = set(unknown_enroll.media_ids) & set(attacker_enroll.media_ids)
     if not shared:
         raise ValueError("attack requires at least one paired enrollment embedding")
@@ -469,7 +467,7 @@ def run_attack(
     if ks[0] < 1 or ks[-1] > len(gallery):
         raise ValueError(f"k values must lie in [1, {len(gallery)}]")
 
-    mapping = _fit_kind(map_kind, unknown_enroll, attacker_enroll)
+    mapping, _ = fit(map_kind, unknown_enroll, attacker_enroll)
     mapped = apply_map(mapping, probes)
     if len(mapped) == 0:
         raise ValueError("no probes survived mapping")

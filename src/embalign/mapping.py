@@ -39,7 +39,7 @@ from .errors import (
     FileFormatError,
     TruncationError,
 )
-from .store import DEGENERATE_NORM, EmbeddingSet
+from .store import DEGENERATE_NORM, EmbeddingSet, align_pairs
 
 LINEAR = "linear"
 ROTATION = "rotation"
@@ -107,17 +107,18 @@ class MappingMatrix:
 class FitReport:
     """Fit summary: sample count, per-row RMS residual, and, for linear
     fits, the ratio of the largest to smallest retained singular value of
-    the design matrix."""
+    the design matrix. The identity baseline fits nothing: m is 0 and the
+    residual None."""
 
     kind: str
     m: int
-    residual_rms: float
+    residual_rms: float | None
     condition_diagnostic: float | None = None
 
     def __post_init__(self):
-        if self.m < 1:
+        if self.m < 1 and self.kind != IDENTITY:
             raise DataError("fit reports require at least one sample")
-        if self.residual_rms < 0:
+        if self.residual_rms is not None and self.residual_rms < 0:
             raise DataError("residual RMS cannot be negative")
 
     def to_dict(self) -> dict:
@@ -243,6 +244,30 @@ def identity_map(
         matrix=np.eye(d),
         fit_sample_count=0,
     )
+
+
+def fit(
+    kind: str, source: EmbeddingSet, target: EmbeddingSet
+) -> tuple[MappingMatrix, FitReport]:
+    """Fit a map of ``kind`` from ``source``'s space into ``target``'s.
+
+    Linear and rotation maps are fit on the rows of the media the two
+    sets share (``align_pairs``); the identity needs equal dimensions and
+    no samples.
+    """
+    if kind not in MAP_KINDS:
+        raise ValueError(f"unknown map kind {kind!r}")
+    ids = {"source_model_id": source.model_id, "target_model_id": target.model_id}
+    if kind == IDENTITY:
+        if source.dim != target.dim:
+            raise DimensionError(
+                f"identity map needs equal dimensions, got {source.dim} and {target.dim}"
+            )
+        return identity_map(source.dim, **ids), FitReport(IDENTITY, 0, None)
+    x, y = align_pairs(source, target)
+    if kind == ROTATION:
+        return fit_rotation(x, y, **ids)
+    return fit_linear(x, y, **ids)
 
 
 def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:

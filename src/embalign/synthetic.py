@@ -15,10 +15,15 @@ Model B is derived per planted kind:
                 number <= 10;
 * independent - regenerated from fresh subject means, unrelated to A.
 
-Randomness uses counter-based Philox streams keyed by (seed, purpose,
-index), one stream per subject and purpose, so generation is bit-stable
-regardless of evaluation order or worker count. Media within a subject
-are drawn in index order from that subject's stream.
+``generate_world`` and ``derive_model`` derive model B on one path.
+Randomness comes from ``embalign.rng`` streams keyed by (seed, purpose,
+subject index), one stream per subject and purpose. Subjects are indexed
+in sorted subject-id order, and each subject's media draw their noise in
+media-id order. The planted product is taken over every manifest medium
+in that same order, so BLAS always sees the same matrix shape. A derived
+vector therefore depends only on the seed, the manifest and its own base
+vector: not on the base set's row order, on which other media it holds,
+or on worker count.
 """
 
 from __future__ import annotations
@@ -29,22 +34,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import UnknownIdError
 from .mapping import LINEAR, MappingMatrix, ROTATION
+from .rng import Purpose, stream
 from .store import EmbeddingSet, MediaEntry, MediaManifest
 
 PLANTED_ROTATION = "rotation"
 PLANTED_LINEAR = "linear"
 PLANTED_INDEPENDENT = "independent"
 PLANTED_KINDS = (PLANTED_ROTATION, PLANTED_LINEAR, PLANTED_INDEPENDENT)
-
-# Philox stream purposes; index (e.g. subject number) goes in the low bits.
-_S_PLANTED = 0
-_S_MEAN_A = 1
-_S_NOISE_A = 2
-_S_NOISE_X = 3
-_S_MEAN_B = 4
-_S_NOISE_B = 5
-_S_ORACLE_ROTATION = 6
 
 
 @dataclass(frozen=True)
@@ -89,13 +87,6 @@ class SynthSpec:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
-    key = np.array(
-        [np.uint64(seed), np.uint64((purpose << 48) | index)], dtype=np.uint64
-    )
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _unit(rows: np.ndarray) -> np.ndarray:
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
@@ -124,7 +115,7 @@ def random_rotation(dim: int, seed: int) -> MappingMatrix:
     """Haar-uniform rotation wrapped as a MappingMatrix (oracle helper)."""
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    matrix = _haar_rotation(dim, _stream(seed, _S_ORACLE_ROTATION))
+    matrix = _haar_rotation(dim, stream(seed, Purpose.ORACLE_ROTATION))
     return MappingMatrix(
         kind=ROTATION,
         source_model_id="",
@@ -135,16 +126,12 @@ def random_rotation(dim: int, seed: int) -> MappingMatrix:
     )
 
 
-def _subject_media_ids(spec: SynthSpec, subject: int) -> list[str]:
-    sid = f"s{subject:05d}"
-    return [f"{sid}_m{m:03d}" for m in range(spec.media_per_subject)]
-
-
 def _manifest_entries(spec: SynthSpec) -> list[MediaEntry]:
+    """Entries in media order: subject by subject, media by index."""
     entries = []
     for s in range(spec.num_subjects):
         sid = f"s{s:05d}"
-        media = _subject_media_ids(spec, s)
+        media = [f"{sid}_m{m:03d}" for m in range(spec.media_per_subject)]
         if spec.frames_per_video is None:
             for mid in media:
                 entries.append(MediaEntry(mid, sid, f"T_{mid}", None))
@@ -165,17 +152,52 @@ def _noise_scale(level: float, dim: int) -> float:
     return level / np.sqrt(dim)
 
 
-def _model_a_vectors(spec: SynthSpec) -> np.ndarray:
-    rows = np.empty((spec.num_subjects * spec.media_per_subject, spec.dim))
-    scale = _noise_scale(spec.within_class_noise, spec.dim)
-    for s in range(spec.num_subjects):
-        mean = _unit(_stream(spec.seed, _S_MEAN_A, s).standard_normal(spec.dim))
-        noise = _stream(spec.seed, _S_NOISE_A, s).standard_normal(
-            (spec.media_per_subject, spec.dim)
-        )
-        block = mean[None, :] + scale * noise
-        rows[s * spec.media_per_subject : (s + 1) * spec.media_per_subject] = _unit(block)
+def _clustered(seed, mean_purpose, noise_purpose, blocks, shape, level) -> np.ndarray:
+    """Unnormalized rows mean + noise. Subject block i takes its unit mean
+    and its media's noise from the streams of the two purposes keyed by i."""
+    rows = np.empty(shape)
+    scale = _noise_scale(level, shape[1])
+    for i, block in enumerate(blocks):
+        mean = _unit(stream(seed, mean_purpose, i).standard_normal(shape[1]))
+        noise = stream(seed, noise_purpose, i).standard_normal(rows[block].shape)
+        rows[block] = mean + scale * noise
     return rows
+
+
+def _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
+            within_class_noise, seed, model_id):
+    """Derive a model space over ``base``'s media from base rows laid out
+    in canonical order: ``grid`` holds one float64 row per manifest
+    medium, ``blocks`` are its subject row slices in sorted subject order,
+    and ``take`` selects ``base``'s rows from it."""
+    dim = grid.shape[1]
+    ground_truth = None
+    if planted_kind == PLANTED_INDEPENDENT:
+        rows = _clustered(seed, Purpose.MEAN_B, Purpose.NOISE_B, blocks, grid.shape,
+                          within_class_noise)
+    else:
+        rng = stream(seed, Purpose.PLANTED)
+        if planted_kind == PLANTED_ROTATION:
+            kind, planted = ROTATION, _haar_rotation(dim, rng)
+        else:
+            kind, planted = LINEAR, _bounded_linear(dim, rng)
+        rows = grid @ planted
+        if cross_model_noise > 0:
+            scale = _noise_scale(cross_model_noise, dim)
+            for i, block in enumerate(blocks):
+                noise = stream(seed, Purpose.NOISE_X, i).standard_normal(rows[block].shape)
+                rows[block] += scale * noise
+        ground_truth = MappingMatrix(
+            kind=kind,
+            source_model_id=base.model_id,
+            target_model_id=model_id,
+            matrix=planted,
+            fit_sample_count=0,
+            fit_seed=seed,
+        )
+    derived = EmbeddingSet(model_id=model_id, media_ids=base.media_ids,
+                           vectors=_unit(rows[take]))
+    return derived, ground_truth
 
 
 def generate_world(
@@ -185,58 +207,22 @@ def generate_world(
     planted ground-truth map (None for independent worlds).
 
     Deterministic for a fixed spec: repeated calls are bit-identical.
+    Model B is ``derive_model(model_a, manifest, ...)`` with the spec's
+    kind, noise levels and seed, as long as the media ids sort in
+    generation order (at most 100,000 subjects and 1,000 media each).
     """
     entries = _manifest_entries(spec)
-    manifest = MediaManifest(entries)
-    media_ids = tuple(
-        mid for s in range(spec.num_subjects) for mid in _subject_media_ids(spec, s)
-    )
-    vectors_a = _model_a_vectors(spec)
+    media_ids = tuple(e.media_id for e in entries)
+    per = spec.media_per_subject
+    blocks = [slice(s * per, (s + 1) * per) for s in range(spec.num_subjects)]
+    vectors_a = _unit(_clustered(spec.seed, Purpose.MEAN_A, Purpose.NOISE_A, blocks,
+                                 (len(media_ids), spec.dim), spec.within_class_noise))
     set_a = EmbeddingSet(model_id=model_a_id, media_ids=media_ids, vectors=vectors_a)
-
-    if spec.planted_kind == PLANTED_INDEPENDENT:
-        rows = np.empty_like(vectors_a)
-        scale = _noise_scale(spec.within_class_noise, spec.dim)
-        for s in range(spec.num_subjects):
-            mean = _unit(_stream(spec.seed, _S_MEAN_B, s).standard_normal(spec.dim))
-            noise = _stream(spec.seed, _S_NOISE_B, s).standard_normal(
-                (spec.media_per_subject, spec.dim)
-            )
-            block = mean[None, :] + scale * noise
-            rows[s * spec.media_per_subject : (s + 1) * spec.media_per_subject] = _unit(
-                block
-            )
-        set_b = EmbeddingSet(model_id=model_b_id, media_ids=media_ids, vectors=rows)
-        return set_a, set_b, manifest, None
-
-    rng = _stream(spec.seed, _S_PLANTED)
-    if spec.planted_kind == PLANTED_ROTATION:
-        planted = _haar_rotation(spec.dim, rng)
-        kind = ROTATION
-    else:
-        planted = _bounded_linear(spec.dim, rng)
-        kind = LINEAR
-    mapped = vectors_a @ planted
-    if spec.cross_model_noise > 0:
-        scale = _noise_scale(spec.cross_model_noise, spec.dim)
-        for s in range(spec.num_subjects):
-            noise = _stream(spec.seed, _S_NOISE_X, s).standard_normal(
-                (spec.media_per_subject, spec.dim)
-            )
-            sl = slice(s * spec.media_per_subject, (s + 1) * spec.media_per_subject)
-            mapped[sl] += scale * noise
-    set_b = EmbeddingSet(
-        model_id=model_b_id, media_ids=media_ids, vectors=_unit(mapped)
+    set_b, ground_truth = _derive(
+        vectors_a, blocks, slice(None), set_a, spec.planted_kind,
+        spec.cross_model_noise, spec.within_class_noise, spec.seed, model_b_id,
     )
-    ground_truth = MappingMatrix(
-        kind=kind,
-        source_model_id=model_a_id,
-        target_model_id=model_b_id,
-        matrix=planted,
-        fit_sample_count=0,
-        fit_seed=spec.seed,
-    )
-    return set_a, set_b, manifest, ground_truth
+    return set_a, set_b, MediaManifest(entries), ground_truth
 
 
 def derive_model(
@@ -254,51 +240,27 @@ def derive_model(
     For rotation/linear kinds the new space is a planted transform of the
     base vectors plus cross-model noise; for independent it is rebuilt
     from fresh per-subject means. Useful for grids with three or more
-    models sharing one media population.
+    models sharing one media population. Each derived vector is the same
+    bytes under any row order or subset of ``base``; the work grows with
+    the manifest, not with ``base``. Raises UnknownIdError for a base
+    medium missing from the manifest.
     """
     if planted_kind not in PLANTED_KINDS:
         raise ValueError(f"unknown planted kind {planted_kind!r}")
-    if planted_kind == PLANTED_INDEPENDENT:
-        subjects = sorted({manifest.by_media[m].subject_id for m in base.media_ids})
-        subject_index = {sid: i for i, sid in enumerate(subjects)}
-        rows = np.empty((len(base), base.dim))
-        means = {
-            sid: _unit(_stream(seed, _S_MEAN_B, i).standard_normal(base.dim))
-            for sid, i in subject_index.items()
-        }
-        noise_rngs = {
-            sid: _stream(seed, _S_NOISE_B, i) for sid, i in subject_index.items()
-        }
-        scale = _noise_scale(within_class_noise, base.dim)
-        for r, mid in enumerate(base.media_ids):
-            sid = manifest.by_media[mid].subject_id
-            noise = noise_rngs[sid].standard_normal(base.dim)
-            rows[r] = means[sid] + scale * noise
-        return (
-            EmbeddingSet(model_id=model_id, media_ids=base.media_ids, vectors=_unit(rows)),
-            None,
-        )
-
-    rng = _stream(seed, _S_PLANTED)
-    if planted_kind == PLANTED_ROTATION:
-        planted = _haar_rotation(base.dim, rng)
-        kind = ROTATION
-    else:
-        planted = _bounded_linear(base.dim, rng)
-        kind = LINEAR
-    mapped = base.vectors.astype(np.float64) @ planted
-    if cross_model_noise > 0:
-        noise = _stream(seed, _S_NOISE_X).standard_normal(mapped.shape)
-        mapped = mapped + _noise_scale(cross_model_noise, base.dim) * noise
-    derived = EmbeddingSet(
-        model_id=model_id, media_ids=base.media_ids, vectors=_unit(mapped)
-    )
-    ground_truth = MappingMatrix(
-        kind=kind,
-        source_model_id=base.model_id,
-        target_model_id=model_id,
-        matrix=planted,
-        fit_sample_count=0,
-        fit_seed=seed,
-    )
-    return derived, ground_truth
+    by_subject: dict[str, list[str]] = {}
+    for mid, entry in manifest.by_media.items():
+        by_subject.setdefault(entry.subject_id, []).append(mid)
+    order: list[str] = []
+    blocks = []
+    for sid in sorted(by_subject):
+        blocks.append(slice(len(order), len(order) + len(by_subject[sid])))
+        order += sorted(by_subject[sid])
+    row_of = {mid: r for r, mid in enumerate(order)}
+    try:
+        take = [row_of[mid] for mid in base.media_ids]
+    except KeyError as exc:
+        raise UnknownIdError(f"media id {exc.args[0]!r} not in manifest") from None
+    grid = np.zeros((len(order), base.dim))
+    grid[take] = base.vectors
+    return _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
+                   within_class_noise, seed, model_id)

@@ -6,14 +6,20 @@ import pytest
 
 from embalign import (
     EmbeddingSet,
+    SynthSpec,
     build_templates,
+    generate_world,
     load_embeddings,
     load_manifest,
     load_map,
     load_pairs,
     roc,
+    run_attack,
     save_embeddings,
+    save_manifest,
     score_pairs,
+    split_attack,
+    subject_gallery,
 )
 from embalign.cli import main
 
@@ -446,6 +452,40 @@ class TestExperimentCommands:
         assert result["rank_k_accuracy"]["1"] >= 0.9
         assert (out / "attack.csv").exists()
 
+    def test_attack_matches_library_byte_for_byte(self, tmp_path, capsys):
+        # a noisy world, so the accuracies depend on which media the split picks
+        spec = SynthSpec(dim=16, num_subjects=60, media_per_subject=6,
+                         within_class_noise=2.0, cross_model_noise=0.5, seed=12)
+        unknown, attacker, manifest, _ = generate_world(spec)
+        save_embeddings(unknown, tmp_path / "a.cfeb")
+        save_embeddings(attacker, tmp_path / "b.cfeb")
+        save_manifest(manifest, tmp_path / "manifest.csv")
+        config = tmp_path / "attack.json"
+        config.write_text(json.dumps({
+            "unknown": {"embeddings": "a.cfeb"},
+            "attacker": {"embeddings": "b.cfeb"},
+            "manifest": "manifest.csv",
+            "map_kind": "linear",
+            "enroll_pairs": 100,
+            "k_values": [1, 5],
+        }))
+        out = tmp_path / "attack"
+        code, _, _ = run_cli(capsys, "attack", str(config), "--out", str(out), "--seed", "4")
+        assert code == 0
+
+        unknown = load_embeddings(tmp_path / "a.cfeb")
+        attacker = load_embeddings(tmp_path / "b.cfeb")
+        manifest = load_manifest(tmp_path / "manifest.csv")
+        enroll, gallery_media, probes = split_attack(unknown, attacker, manifest, 100, seed=4)
+        gallery = subject_gallery(attacker.restrict(gallery_media), manifest)
+        result = run_attack(
+            unknown.restrict(enroll), attacker.restrict(enroll), unknown.restrict(probes),
+            gallery, manifest, "linear", [1, 5],
+        )
+        expected = json.dumps(result.to_dict(), indent=2, sort_keys=True)
+        assert (out / "attack.json").read_text() == expected
+        assert 0.0 < result.rank_k_accuracy[1] < 1.0
+
     def test_bad_config_schema_exits_2(self, world, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"manifest": str(world["manifest"])}))
@@ -460,6 +500,39 @@ class TestExperimentCommands:
         config.write_text("{not json")
         code, _, _ = run_cli(capsys, "grid", str(config), "--out", str(tmp_path / "g"))
         assert code == 2
+
+
+class TestSeedRange:
+    def configs(self, world):
+        models = {"embeddings": str(world["a"])}, {"embeddings": str(world["b"])}
+        manifest = {"manifest": str(world["manifest"]), "impostor_pairs": 500}
+        return {
+            "grid": manifest | {"models": list(models), "kinds": ["rotation"]},
+            "sweep": manifest | {"source": models[0], "target": models[1],
+                                 "sample_counts": [8], "repetitions": 1},
+            "attack": manifest | {"unknown": models[0], "attacker": models[1],
+                                  "enroll_pairs": 40},
+            "synth": {"dim": 4, "num_subjects": 3, "media_per_subject": 2},
+        }
+
+    @pytest.mark.parametrize("command", ["grid", "sweep", "attack", "synth"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), "env -3"])
+    def test_out_of_range_seed_exits_2(self, world, tmp_path, capsys, monkeypatch,
+                                       command, seed):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.configs(world)[command]))
+        out = tmp_path / "out"
+        argv = [command, str(config), "--out", str(out)]
+        if seed.startswith("env "):
+            monkeypatch.setenv("EMBALIGN_SEED", seed.split()[1])
+        else:
+            argv += ["--seed", seed]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+        assert "seed" in stderr
+        assert not out.exists()
 
 
 class TestArgumentErrors:

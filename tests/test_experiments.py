@@ -22,6 +22,7 @@ from embalign import (
     run_sweep,
     sample_eval_pairs,
     score_pairs,
+    split_attack,
     split_by_template,
     subject_gallery,
 )
@@ -217,6 +218,26 @@ class TestRunSweep:
         args = (models[0], models[1], manifest, pairs, ["linear"], [8], 2, 1e-2)
         assert run_sweep(*args, 5) == run_sweep(*args, 5)
 
+    def test_repetition_streams_do_not_collide_across_seeds(self, monkeypatch):
+        # a stream keyed on seed + repetition gives seed 7 / repetition 1
+        # the subset of seed 8 / repetition 0
+        _, a, b, manifest, _ = make_world(seed=43)
+        models, pairs = split_world(a, b, manifest)
+        subsets = []
+        real_fit = experiments.fit
+
+        def recording_fit(kind, source, target):
+            subsets.append(tuple(source.media_ids))
+            return real_fit(kind, source, target)
+
+        monkeypatch.setattr(experiments, "fit", recording_fit)
+        args = (models[0], models[1], manifest, pairs, ["linear"], [8])
+        run_sweep(*args, 2, 1e-2, 7)
+        run_sweep(*args, 1, 1e-2, 8)
+        seed7_rep0, seed7_rep1, seed8_rep0 = subsets
+        assert seed7_rep1 != seed8_rep0
+        assert seed7_rep0 != seed7_rep1
+
     def test_count_exceeding_enrollment_rejected(self):
         _, a, b, manifest, _ = make_world()
         models, pairs = split_world(a, b, manifest)
@@ -401,6 +422,45 @@ class TestRunAttack:
             gallery, manifest, "rotation", [1, 5],
         )
         assert run_attack(*args) == run_attack(*args)
+
+
+class TestSplitAttack:
+    def world(self):
+        _, a, b, manifest, _ = make_world(num_subjects=30, media_per_subject=5, seed=8)
+        return a, b, manifest
+
+    def subjects(self, manifest, media):
+        return {manifest.by_media[m].subject_id for m in media}
+
+    @pytest.mark.parametrize("enroll_pairs", [1, 12, 40])
+    def test_subject_disjoint_sides(self, enroll_pairs):
+        a, b, manifest = self.world()
+        enroll, gallery, probes = split_attack(a, b, manifest, enroll_pairs, seed=3)
+        assert len(enroll) == enroll_pairs
+        assert not (enroll & gallery or enroll & probes or gallery & probes)
+        assert not self.subjects(manifest, enroll) & self.subjects(manifest, gallery | probes)
+        assert self.subjects(manifest, probes) <= self.subjects(manifest, gallery)
+        assert split_attack(a, b, manifest, enroll_pairs, seed=3) == (enroll, gallery, probes)
+        assert split_attack(a, b, manifest, enroll_pairs, seed=4) != (enroll, gallery, probes)
+
+    def test_only_shared_media_split(self):
+        a, b, manifest = self.world()
+        b = b.restrict(b.media_ids[10:])
+        enroll, gallery, probes = split_attack(a, b, manifest, 12, seed=3)
+        assert enroll | gallery | probes <= set(b.media_ids)
+
+    @pytest.mark.parametrize("enroll_pairs", [0, 150])
+    def test_enroll_pairs_out_of_range(self, enroll_pairs):
+        a, b, manifest = self.world()
+        message = r"enroll_pairs must be in \[1, 149\] shared media"
+        with pytest.raises(ValueError, match=message):
+            split_attack(a, b, manifest, enroll_pairs, seed=3)
+
+    def test_enroll_pairs_leaving_no_subjects(self):
+        a, b, manifest = self.world()
+        # 30 subjects of 5 media: 146 enrollment media take every subject
+        with pytest.raises(ValueError, match="enroll_pairs leaves no subjects"):
+            split_attack(a, b, manifest, 146, seed=3)
 
 
 class TestSubjectGallery:

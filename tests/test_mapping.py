@@ -12,7 +12,9 @@ from embalign import (
     LINEAR,
     MappingMatrix,
     ROTATION,
+    align_pairs,
     apply_map,
+    fit,
     fit_linear,
     fit_rotation,
     identity_map,
@@ -211,6 +213,45 @@ class TestFitRotation:
         residual = mx - y[:, None, :]
         sweep_min = float(np.min(np.sum(residual * residual, axis=(0, 2))))
         assert objective(mapping.matrix, x, y) <= sweep_min + 1e-9
+
+
+class TestFitDispatch:
+    def sets(self, dim_b=3):
+        rng = np.random.default_rng(4)
+        a = EmbeddingSet("A", ("u", "v", "w", "x"), rng.standard_normal((4, 3)))
+        # shares three media with a, in another row order
+        b = EmbeddingSet("B", ("x", "w", "u", "y"), rng.standard_normal((4, dim_b)))
+        return a, b
+
+    @pytest.mark.parametrize("kind, fitter", [(LINEAR, fit_linear), (ROTATION, fit_rotation)])
+    def test_fits_the_shared_media(self, kind, fitter):
+        a, b = self.sets()
+        mapping, report = fit(kind, a, b)
+        expected, expected_report = fitter(
+            *align_pairs(a, b), source_model_id="A", target_model_id="B"
+        )
+        assert mapping.matrix.tobytes() == expected.matrix.tobytes()
+        assert (mapping.kind, mapping.source_model_id, mapping.target_model_id) == (
+            kind, "A", "B")
+        assert report == expected_report and report.m == 3
+
+    def test_identity_fits_nothing(self):
+        a, b = self.sets()
+        mapping, report = fit(IDENTITY, a, b)
+        assert np.array_equal(mapping.matrix, np.eye(3))
+        assert (mapping.source_model_id, mapping.target_model_id) == ("A", "B")
+        assert report.to_dict() == {"kind": IDENTITY, "m": 0, "residual_rms": None,
+                                    "condition_diagnostic": None}
+
+    def test_identity_dimension_mismatch(self):
+        a, b = self.sets(dim_b=5)
+        with pytest.raises(DimensionError, match="identity map needs equal dimensions"):
+            fit(IDENTITY, a, b)
+
+    def test_unknown_kind_rejected(self):
+        a, b = self.sets()
+        with pytest.raises(ValueError, match="unknown map kind 'affine'"):
+            fit("affine", a, b)
 
 
 class TestIdentityAndApply:

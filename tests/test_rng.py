@@ -1,0 +1,80 @@
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import embalign
+from embalign import SynthSpec, derive_model, generate_world
+from embalign.rng import Purpose, stream
+
+
+class TestStream:
+    def test_key_layout(self):
+        # seed in the first key word, purpose << 48 | index in the second:
+        # the layout every stored world and split was drawn with
+        key = np.array([5, (18 << 48) | 9], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).random(4)
+        assert stream(5, Purpose.SWEEP, 9).random(4).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_edges_accepted(self, seed):
+        stream(seed, Purpose.PLANTED, 2**48 - 1).random()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            stream(seed, Purpose.PLANTED)
+
+    @pytest.mark.parametrize("index", [-1, 2**48])
+    def test_index_out_of_range_rejected(self, index):
+        with pytest.raises(ValueError, match="stream index must be in"):
+            stream(0, Purpose.PLANTED, index)
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(TypeError):
+            stream(5.5, Purpose.PLANTED)
+        numpy_seed = stream(np.uint64(5), Purpose.PLANTED).random()
+        assert numpy_seed == stream(5, Purpose.PLANTED).random()
+
+    def test_unregistered_purpose_rejected(self):
+        with pytest.raises(ValueError):
+            stream(0, 7)
+
+
+class TestOneHome:
+    def test_purpose_codes_unique_and_stable(self):
+        codes = [p.value for p in Purpose]
+        assert len(set(codes)) == len(codes)
+        assert all(0 <= c < 2**16 for c in codes)
+        assert {p.name: p.value for p in Purpose} == {
+            "PLANTED": 0, "MEAN_A": 1, "NOISE_A": 2, "NOISE_X": 3, "MEAN_B": 4,
+            "NOISE_B": 5, "ORACLE_ROTATION": 6,
+            "SPLIT": 16, "PAIRS": 17, "SWEEP": 18, "ATTACK": 19,
+        }
+
+    def test_philox_constructed_only_in_rng(self):
+        package = Path(embalign.__file__).parent
+        users = sorted(p.name for p in package.glob("*.py") if "Philox" in p.read_text())
+        assert users == ["rng.py"]
+
+    @pytest.mark.parametrize("kind", ["rotation", "linear", "independent"])
+    @pytest.mark.parametrize("frames", [None, 3])
+    def test_world_model_b_is_derive_model(self, kind, frames):
+        spec = SynthSpec(dim=9, num_subjects=11, media_per_subject=7,
+                         frames_per_video=frames, cross_model_noise=0.05,
+                         planted_kind=kind, seed=13)
+        a, b, manifest, ground_truth = generate_world(spec)
+        derived, planted = derive_model(
+            a, manifest, planted_kind=kind, cross_model_noise=spec.cross_model_noise,
+            within_class_noise=spec.within_class_noise, seed=spec.seed, model_id="B",
+        )
+        assert derived.media_ids == b.media_ids
+        assert derived.vectors.tobytes() == b.vectors.tobytes()
+        if kind == "independent":
+            assert planted is None and ground_truth is None
+        else:
+            assert planted.matrix.tobytes() == ground_truth.matrix.tobytes()
+            fields = ("kind", "source_model_id", "target_model_id", "fit_seed")
+            assert [getattr(planted, f) for f in fields] == [
+                getattr(ground_truth, f) for f in fields
+            ]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from embalign import (
+    EmbeddingSet,
     PairList,
     SynthSpec,
     align_pairs,
@@ -19,6 +20,7 @@ from embalign import (
     sample_eval_pairs,
     score_pairs,
 )
+from embalign.errors import UnknownIdError
 
 
 class TestSynthSpec:
@@ -180,6 +182,32 @@ class TestDeriveModel:
         d1, _ = derive_model(a, manifest, planted_kind="linear", seed=3)
         d2, _ = derive_model(a, manifest, planted_kind="linear", seed=3)
         assert d1.vectors.tobytes() == d2.vectors.tobytes()
+
+    @pytest.mark.parametrize("kind", ["rotation", "linear", "independent"])
+    def test_rows_independent_of_base_order_and_subset(self, kind):
+        spec = SynthSpec(dim=33, num_subjects=9, media_per_subject=5, seed=2)
+        a, _, manifest, _ = generate_world(spec)
+        options = dict(planted_kind=kind, cross_model_noise=0.05, seed=4)
+        full, _ = derive_model(a, manifest, **options)
+        expected = {mid: full.vectors[i].tobytes() for i, mid in enumerate(full.media_ids)}
+        rng = np.random.default_rng(0)
+        bases = []
+        for n in (1, 2, 7, len(a) // 2, len(a)):
+            # a shuffled subset: n random rows in random order
+            pick = rng.permutation(len(a))[:n]
+            bases.append(EmbeddingSet("A", [a.media_ids[i] for i in pick], a.vectors[pick]))
+        for base in bases:
+            derived, _ = derive_model(base, manifest, **options)
+            assert derived.media_ids == base.media_ids
+            for i, mid in enumerate(derived.media_ids):
+                assert derived.vectors[i].tobytes() == expected[mid]
+
+    def test_medium_missing_from_manifest_rejected(self):
+        spec = SynthSpec(dim=4, num_subjects=3, media_per_subject=2, seed=1)
+        a, _, manifest, _ = generate_world(spec)
+        stray = EmbeddingSet("A", ("stray",), np.ones((1, 4)))
+        with pytest.raises(UnknownIdError, match="stray"):
+            derive_model(stray, manifest, planted_kind="rotation")
 
 
 class TestRandomRotation:
