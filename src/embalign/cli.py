@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments, mapping, store, synthetic, verification
-from .errors import EmbAlignError
+from .errors import EmbAlignError, ProtocolError
 
 log = logging.getLogger("embalign")
 
@@ -170,13 +170,20 @@ def _load_model_entry(entry: dict, base: Path, what: str) -> store.EmbeddingSet:
     return embeddings
 
 
-def _split_models(models, manifest, enroll_fraction, seed):
+def _split_and_pair(models, config, base, manifest, seed):
+    """Split every model by template and load or sample the evaluation
+    pairs; sampled pairs take every genuine pair among the verification
+    templates, so a split that leaves no subject two of them is refused
+    here, where its cause is known."""
+    enroll_fraction = float(config.get("enroll_fraction", 0.5))
     enroll_media, verify_media = experiments.split_by_template(
         manifest, enroll_fraction, seed
     )
     split = [
         (full.restrict(enroll_media), full.restrict(verify_media)) for full in models
     ]
+    if "pairs" in config:
+        return split, store.load_pairs(_cfg_path(base, config["pairs"]), manifest)
     verify_templates = sorted(
         {
             manifest.by_media[mid].template_id
@@ -184,14 +191,16 @@ def _split_models(models, manifest, enroll_fraction, seed):
             if mid in manifest.by_media
         }
     )
-    return split, verify_templates
-
-
-def _eval_pairs(config, base, manifest, verify_templates, seed) -> store.PairList:
-    if "pairs" in config:
-        return store.load_pairs(_cfg_path(base, config["pairs"]), manifest)
+    subjects = [manifest.template_subject[tid] for tid in verify_templates]
+    if len(set(subjects)) == len(subjects):
+        raise ProtocolError(
+            "no genuine pair to sample: no subject keeps two verification "
+            f"templates at enroll_fraction {enroll_fraction}"
+        )
     n_impostor = int(config.get("impostor_pairs", 20000))
-    return experiments.sample_eval_pairs(manifest, verify_templates, n_impostor, seed)
+    return split, experiments.sample_eval_pairs(
+        manifest, verify_templates, n_impostor, seed
+    )
 
 
 def cmd_grid(args) -> int:
@@ -202,10 +211,7 @@ def cmd_grid(args) -> int:
     models = [_load_model_entry(e, base, "grid model") for e in model_entries]
     kinds = config.get("kinds", [mapping.LINEAR, mapping.ROTATION, mapping.IDENTITY])
     fars = [float(f) for f in config.get("fars", experiments.DEFAULT_FARS)]
-    split, verify_templates = _split_models(
-        models, manifest, float(config.get("enroll_fraction", 0.5)), seed
-    )
-    pairs = _eval_pairs(config, base, manifest, verify_templates, seed)
+    split, pairs = _split_and_pair(models, config, base, manifest, seed)
     result = experiments.run_grid(split, manifest, pairs, kinds, fars)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -226,10 +232,7 @@ def cmd_sweep(args) -> int:
     kinds = config.get("kinds", [mapping.LINEAR, mapping.ROTATION])
     far = float(config.get("far", 1e-2))
     repetitions = int(config.get("repetitions", 3))
-    split, verify_templates = _split_models(
-        [source, target], manifest, float(config.get("enroll_fraction", 0.5)), seed
-    )
-    pairs = _eval_pairs(config, base, manifest, verify_templates, seed)
+    split, pairs = _split_and_pair([source, target], config, base, manifest, seed)
     enroll_size = len(split[0][0])
     if "sample_counts" in config:
         counts = [int(c) for c in config["sample_counts"]]

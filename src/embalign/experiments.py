@@ -22,6 +22,10 @@ from .verification import EvalPlan, TemplateSet, build_templates, roc
 DEFAULT_FARS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DIAGONAL_KIND = "unmapped"
 
+# Probes ranked per chunk in run_attack: the working set is a few
+# chunk x gallery arrays, whatever the number of probes.
+_PROBE_CHUNK = 1024
+
 @dataclass(frozen=True)
 class GridCell:
     source_model_id: str
@@ -437,6 +441,34 @@ def subject_gallery(embeddings: EmbeddingSet, manifest: MediaManifest) -> Templa
     return build_templates(embeddings, MediaManifest(entries))
 
 
+def _probe_chunks(n: int) -> list[slice]:
+    """Consecutive row slices of at most _PROBE_CHUNK rows covering n rows.
+
+    A 1-row last chunk is folded into the chunk before it: a 1-row product
+    runs through gemv, whose scores can differ in the last bit from the
+    same rows inside a GEMM.
+    """
+    starts = list(range(0, n, _PROBE_CHUNK))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _first_hits(
+    scores: np.ndarray, probe_codes: np.ndarray, gallery_codes: np.ndarray
+) -> np.ndarray:
+    """Each probe's 0-based rank of its first true-subject gallery entry,
+    in the order a stable sort of -scores gives (+0.0 and -0.0 tie).
+    Scores must be finite and every probe code must be in the gallery."""
+    match = gallery_codes == probe_codes[:, None]
+    best = np.where(match, scores, -np.inf).argmax(axis=1)
+    best_score = scores[np.arange(len(best)), best][:, None]
+    ahead = (scores > best_score) | (
+        (scores == best_score) & (np.arange(scores.shape[1]) < best[:, None])
+    )
+    return np.count_nonzero(ahead, axis=1)
+
+
 def run_attack(
     unknown_enroll: EmbeddingSet,
     attacker_enroll: EmbeddingSet,
@@ -452,6 +484,15 @@ def run_attack(
     on the paired enrollment, maps each probe, ranks the gallery by inner
     product, and reports rank-k accuracy: the fraction of probes whose
     true subject appears within the top k gallery entries.
+
+    Ranking counts instead of sorting. Gallery entries are ordered by
+    descending score, ties broken by lower gallery index; a probe's first
+    hit is its best-scoring entry of the true subject (the lowest index
+    among equal scores), and its rank is the number of entries scoring
+    higher plus those scoring equal at a lower index. The gallery may
+    hold several templates per subject. Probes are scored and ranked in
+    chunks of _PROBE_CHUNK rows, so memory is O(chunk x gallery) whatever
+    the number of probes.
     """
     shared = set(unknown_enroll.media_ids) & set(attacker_enroll.media_ids)
     if not shared:
@@ -471,19 +512,19 @@ def run_attack(
     mapped = apply_map(mapping, probes)
     if len(mapped) == 0:
         raise ValueError("no probes survived mapping")
-    gallery_subjects = np.array(gallery.subject_ids)
-    known = set(gallery.subject_ids)
-    probe_subjects = []
-    for mid in mapped.media_ids:
+    code = {sid: i for i, sid in enumerate(sorted(set(gallery.subject_ids)))}
+    gallery_codes = np.array([code[sid] for sid in gallery.subject_ids])
+    probe_codes = np.empty(len(mapped), dtype=gallery_codes.dtype)
+    for i, mid in enumerate(mapped.media_ids):
         sid = manifest.subject_of_media(mid)
-        if sid not in known:
+        if sid not in code:
             raise ProtocolError(f"probe subject {sid!r} absent from gallery")
-        probe_subjects.append(sid)
+        probe_codes[i] = code[sid]
 
-    scores = mapped.vectors @ gallery.vectors.T
-    order = np.argsort(-scores, axis=1, kind="stable")
-    ranked_match = gallery_subjects[order] == np.array(probe_subjects)[:, None]
-    first_hit = ranked_match.argmax(axis=1)
+    first_hit = np.empty(len(mapped), dtype=np.int64)
+    for rows in _probe_chunks(len(mapped)):
+        scores = mapped.vectors[rows] @ gallery.vectors.T
+        first_hit[rows] = _first_hits(scores, probe_codes[rows], gallery_codes)
     accuracy = {
         k: float(np.mean(first_hit < k)) for k in ks
     }

@@ -1,10 +1,13 @@
 """Reference template aggregation and pair scoring: one template and one
-pair at a time, in plain loops.
+pair at a time, in plain loops. Reference attack ranking: a full stable
+argsort of every probe's scores against the whole gallery.
 
 The oracle for `embalign.verification`. Its compiled plan must return
 exactly what these loops return, bit for bit: the same template ids,
 dropped ids, vectors, scores, genuine labels and dropped-pair counts, and
-UnknownIdError on the same inputs.
+UnknownIdError on the same inputs. Also the oracle for the ranking in
+`embalign.experiments.run_attack`, which must give the same rank-k
+accuracies, float for float.
 """
 
 import numpy as np
@@ -134,6 +137,25 @@ def score_pairs(
         genuine=np.array(genuine, dtype=bool),
         dropped_pairs=dropped_pairs,
     )
+
+
+def first_hits(scores: np.ndarray, probe_subjects, gallery_subjects) -> np.ndarray:
+    """Each probe's 0-based position of its first true-subject entry in
+    the gallery sorted by descending score, ties kept in gallery order."""
+    order = np.argsort(-scores, axis=1, kind="stable")
+    ranked_match = np.array(gallery_subjects)[order] == np.array(probe_subjects)[:, None]
+    return ranked_match.argmax(axis=1)
+
+
+def rank_k_accuracy(
+    mapped: EmbeddingSet, gallery: TemplateSet, manifest: MediaManifest, ks
+) -> dict[int, float]:
+    """Rank-k accuracy of mapped probes, scored against the whole gallery
+    in one product."""
+    probe_subjects = [manifest.subject_of_media(mid) for mid in mapped.media_ids]
+    hits = first_hits(mapped.vectors @ gallery.vectors.T, probe_subjects,
+                      gallery.subject_ids)
+    return {k: float(np.mean(hits < k)) for k in ks}
 
 
 def same_bits(x: np.ndarray, y: np.ndarray) -> bool:

@@ -502,6 +502,36 @@ class TestExperimentCommands:
         assert code == 2
 
 
+class TestNoGenuinePairs:
+    """Three templates per subject (two 3-frame videos and one image) at the
+    default enroll_fraction 0.5: round(1.5) enrolls two of them, so no
+    subject keeps two verification templates to form a genuine pair."""
+
+    @pytest.mark.parametrize("command", ["grid", "sweep"])
+    def test_split_without_genuine_pairs_exits_2(self, tmp_path, capsys, command):
+        spec = SynthSpec(dim=24, num_subjects=40, media_per_subject=7,
+                         frames_per_video=3, seed=11)
+        a, b, manifest, _ = generate_world(spec)
+        assert len(manifest.template_subject) == 3 * 40
+        save_embeddings(a, tmp_path / "a.cfeb")
+        save_embeddings(b, tmp_path / "b.cfeb")
+        save_manifest(manifest, tmp_path / "manifest.csv")
+        models = {"embeddings": "a.cfeb"}, {"embeddings": "b.cfeb"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "grid": {"models": list(models)},
+            "sweep": {"source": models[0], "target": models[1]},
+        }[command] | {"manifest": "manifest.csv"}))
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, command, str(config), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "Traceback" not in stderr
+        assert ("no subject keeps two verification templates at enroll_fraction 0.5"
+                in stderr)
+        assert not out.exists()
+
+
 class TestSeedRange:
     def configs(self, world):
         models = {"embeddings": str(world["a"])}, {"embeddings": str(world["b"])}

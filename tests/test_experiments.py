@@ -1,16 +1,26 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import reference_eval as reference
 from embalign import (
     DIAGONAL_KIND,
+    EmbeddingSet,
     MediaEntry,
     MediaManifest,
     ProtocolError,
     SynthSpec,
+    TemplateSet,
     apply_map,
     build_templates,
     experiments,
@@ -422,6 +432,170 @@ class TestRunAttack:
             gallery, manifest, "rotation", [1, 5],
         )
         assert run_attack(*args) == run_attack(*args)
+
+
+CHUNK = experiments._PROBE_CHUNK
+SCORE_VALUES = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+
+
+@st.composite
+def score_cases(draw):
+    """Scores from a few values, +0.0 and -0.0 among them, so exact ties
+    are common; gallery subject codes repeat, and every probe's code is in
+    the gallery."""
+    n = draw(st.integers(1, 6))
+    size = draw(st.integers(1, 8))
+    scores = draw(arrays(np.float64, (n, size), elements=st.sampled_from(SCORE_VALUES)))
+    gallery_codes = draw(arrays(np.int64, size, elements=st.integers(0, 2)))
+    present = sorted(set(gallery_codes.tolist()))
+    probe_codes = draw(arrays(np.int64, n, elements=st.sampled_from(present)))
+    return scores, probe_codes, gallery_codes
+
+
+@st.composite
+def attack_cases(draw):
+    """Probes and a gallery TemplateSet built directly from a small pool of
+    unit vectors (signed basis vectors and random directions): duplicated
+    gallery rows tie exactly, and subjects may hold several templates. The
+    probe counts sit at the edges of the chunking."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    directions = rng.standard_normal((3, dim))
+    directions /= np.linalg.norm(directions, axis=1)[:, None]
+    pool = np.vstack([np.eye(dim), -np.eye(dim), directions])
+    size = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size, max_size=size))
+    subjects = draw(st.lists(st.sampled_from(["s0", "s1", "s2"]),
+                             min_size=size, max_size=size))
+    gallery = TemplateSet("B", [f"g{i}" for i in range(size)], subjects, pool[rows])
+    n = draw(st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
+    media = [f"p{i:05d}" for i in range(n)]
+    probe_subjects = rng.choice(sorted(set(subjects)), size=n)
+    manifest = MediaManifest(
+        [MediaEntry("e0", "enroll", "te0", None)]
+        + [MediaEntry(m, str(s), "t" + m, None) for m, s in zip(media, probe_subjects)]
+    )
+    probes = EmbeddingSet("A", media, pool[rng.integers(len(pool), size=n)])
+    enroll = EmbeddingSet("A", ["e0"], pool[:1]), EmbeddingSet("B", ["e0"], pool[:1])
+    return enroll, probes, gallery, manifest
+
+
+# Run in a child under an address-space cap a little above the
+# interpreter's own size: the probes x gallery float64 score matrix alone
+# (720 MB) cannot fit, while ranking in chunks needs a few chunk x gallery
+# arrays (about 25 MB each).
+MEMORY_GATE = """
+import json, resource
+import numpy as np
+from embalign import EmbeddingSet, MediaEntry, MediaManifest, TemplateSet, run_attack
+
+n_probes, n_gallery, dim = 30_000, 3_000, 8
+rng = np.random.default_rng(0)
+
+def unit(n):
+    v = rng.standard_normal((n, dim))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+subjects = [f"s{i:04d}" for i in range(n_gallery)]
+gallery = TemplateSet("B", subjects, subjects, unit(n_gallery))
+media = [f"p{i:05d}" for i in range(n_probes)]
+owners = rng.integers(n_gallery, size=n_probes)
+manifest = MediaManifest(
+    [MediaEntry(m, subjects[o], "t" + m, None) for m, o in zip(media, owners)]
+)
+probes = EmbeddingSet("A", media, unit(n_probes))
+seed_row = unit(1)
+enroll_a = EmbeddingSet("A", ["e0"], seed_row)
+enroll_b = EmbeddingSet("B", ["e0"], seed_row)
+
+with open("/proc/self/status") as status:
+    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (256 << 20), hard))
+result = run_attack(enroll_a, enroll_b, probes, gallery, manifest, "identity", [1, 10])
+print(json.dumps(result.to_dict()))
+"""
+
+
+class TestAttackRanking:
+    """run_attack ranks by counting, in probe chunks; the reference ranks
+    by a full stable argsort of every probe's scores."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(score_cases())
+    def test_counting_matches_stable_argsort(self, case):
+        scores, probe_codes, gallery_codes = case
+        got = experiments._first_hits(scores, probe_codes, gallery_codes)
+        want = reference.first_hits(scores, probe_codes, gallery_codes)
+        assert np.array_equal(got, want)
+
+    def test_signed_zeros_tie_by_lower_index(self):
+        # entry 1 (-0.0) is the subject's first hit; entry 0 (+0.0) ties
+        # with it at a lower index, so it ranks ahead
+        scores = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -1.0]])
+        gallery_codes = np.array([1, 0, 0])
+        probe_codes = np.array([0, 1])
+        got = experiments._first_hits(scores, probe_codes, gallery_codes)
+        assert got.tolist() == [1, 0]
+        assert np.array_equal(got, reference.first_hits(scores, probe_codes, gallery_codes))
+
+    @settings(max_examples=150, deadline=None)
+    @given(attack_cases())
+    def test_rank_k_matches_oracle_for_every_k(self, case):
+        enroll, probes, gallery, manifest = case
+        ks = range(1, len(gallery) + 1)
+        result = run_attack(*enroll, probes, gallery, manifest, "identity", ks)
+        mapped = apply_map(identity_map(probes.dim), probes)
+        assert result.probe_count == len(probes)
+        assert result.rank_k_accuracy == reference.rank_k_accuracy(
+            mapped, gallery, manifest, ks
+        )
+
+    def test_no_one_row_chunk(self):
+        for n in range(1, 3 * CHUNK + 3):
+            chunks = experiments._probe_chunks(n)
+            assert chunks[0].start == 0 and chunks[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+            sizes = [c.stop - c.start for c in chunks]
+            assert max(sizes) <= CHUNK + 1
+            assert n == 1 or min(sizes) >= 2
+
+    def test_chunk_plus_one_probes_match_oracle(self, monkeypatch):
+        a, b, manifest, enroll, probe_media, gallery = attack_setup(
+            num_subjects=400, within_class_noise=2.0, cross_model_noise=0.5
+        )
+        unknown, attacker = a.restrict(enroll), b.restrict(enroll)
+        probes = a.restrict(sorted(probe_media)[: CHUNK + 1])
+        chunks, used = experiments._probe_chunks, []
+
+        def spy(n):
+            used.append(chunks(n))
+            return used[-1]
+
+        monkeypatch.setattr(experiments, "_probe_chunks", spy)
+        ks = range(1, len(gallery) + 1)
+        result = run_attack(unknown, attacker, probes, gallery, manifest, "rotation", ks)
+        mapping, _ = experiments.fit("rotation", unknown, attacker)
+        mapped = apply_map(mapping, probes)
+        assert len(mapped) == CHUNK + 1
+        assert used == [[slice(0, CHUNK + 1)]]
+        assert result.rank_k_accuracy == reference.rank_k_accuracy(
+            mapped, gallery, manifest, ks
+        )
+        assert 0.0 < result.rank_k_accuracy[1] < 1.0
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_memory_bounded_in_probes(self):
+        src = Path(experiments.__file__).resolve().parents[1]
+        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", MEMORY_GATE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        result = json.loads(done.stdout)
+        assert result["probe_count"] == 30_000
+        assert result["gallery_size"] == 3_000
 
 
 class TestSplitAttack:
