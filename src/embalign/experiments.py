@@ -191,8 +191,6 @@ def sample_eval_pairs(
     template_ids,
     n_impostor: int,
     seed: int,
-    *,
-    include_all_genuine: bool = True,
 ) -> PairList:
     """All genuine pairs among the given templates plus a uniform sample
     of impostor pairs without replacement."""
@@ -204,11 +202,7 @@ def sample_eval_pairs(
     n = len(templates)
     ia, ib = np.triu_indices(n, k=1)
     same = subjects[ia] == subjects[ib]
-    pairs: list[tuple[str, str]] = []
-    if include_all_genuine:
-        pairs.extend(
-            (templates[i], templates[j]) for i, j in zip(ia[same], ib[same])
-        )
+    pairs = [(templates[i], templates[j]) for i, j in zip(ia[same], ib[same])]
     imp_a, imp_b = ia[~same], ib[~same]
     if n_impostor > 0 and imp_a.size:
         take = min(n_impostor, imp_a.size)

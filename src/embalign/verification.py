@@ -100,9 +100,6 @@ class TemplateSet:
             object.__setattr__(self, "_index", index)
             return index[template_id]
 
-    def subject_of(self, template_id: str) -> str:
-        return self.subject_ids[self.index_of(template_id)]
-
 
 @dataclass(frozen=True)
 class ScoredPairs:
@@ -186,12 +183,16 @@ def _ordered_sums(values: np.ndarray, members: np.ndarray, starts: np.ndarray) -
 
     One vectorised pass per position within a group, so every group adds
     its rows in order onto +0.0, as ``np.sum(axis=0)`` does over the
-    stacked rows (a lone -0.0 sums to +0.0).
+    stacked rows (a lone -0.0 sums to +0.0). Positions every group has
+    add onto the whole accumulator, with no index over the groups.
     """
     first = starts[:-1]
     sizes = np.diff(starts)
     acc = np.zeros((len(first), values.shape[1]))
-    for j in range(int(sizes.max(initial=0))):
+    shared = int(sizes.min()) if sizes.size else 0
+    for j in range(shared):
+        acc += values[members[first + j]]
+    for j in range(shared, int(sizes.max(initial=0))):
         live = np.flatnonzero(sizes > j)
         acc[live] += values[members[first[live] + j]]
     return acc

@@ -7,20 +7,27 @@ exactly what these loops return, bit for bit: the same template ids,
 dropped ids, vectors, scores, genuine labels and dropped-pair counts, and
 UnknownIdError on the same inputs. Also the oracle for the ranking in
 `embalign.experiments.run_attack`, which must give the same rank-k
-accuracies, float for float.
+accuracies, float for float. Reference linear fit: the SVD pseudoinverse
+of the whole design matrix, the oracle for `embalign.mapping.fit_linear`,
+which must return the same bytes wherever it falls back to the SVD and
+the same map to 1e-9 relative where it solves from the Gram.
 """
 
 import numpy as np
 
 from embalign import (
+    LINEAR,
     DimensionError,
     EmbeddingSet,
+    FitReport,
+    MappingMatrix,
     MediaManifest,
     PairList,
     ScoredPairs,
     TemplateSet,
     UnknownIdError,
 )
+from embalign.mapping import SVD_RCOND
 from embalign.store import DEGENERATE_NORM
 
 
@@ -156,6 +163,28 @@ def rank_k_accuracy(
     hits = first_hits(mapped.vectors @ gallery.vectors.T, probe_subjects,
                       gallery.subject_ids)
     return {k: float(np.mean(hits < k)) for k in ks}
+
+
+def fit_linear_svd(source_rows, target_rows) -> tuple[MappingMatrix, FitReport]:
+    """Least-squares map through the SVD of the m x d design matrix, with
+    singular values below SVD_RCOND * sigma_max truncated (minimum norm on
+    rank-deficient inputs), and the residual from one m x d product."""
+    x = np.asarray(source_rows, dtype=np.float64)
+    y = np.asarray(target_rows, dtype=np.float64)
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    if s.size and s[0] > 0:
+        keep = s > SVD_RCOND * s[0]
+    else:
+        keep = np.zeros(s.shape, dtype=bool)
+    inv = np.zeros_like(s)
+    inv[keep] = 1.0 / s[keep]
+    matrix = vt.T @ (inv[:, None] * (u.T @ y))
+    retained = s[keep]
+    cond = float(retained[0] / retained[-1]) if retained.size else float("inf")
+    diff = x @ matrix - y
+    residual = float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
+    mapping = MappingMatrix(LINEAR, "", "", matrix, x.shape[0])
+    return mapping, FitReport(LINEAR, x.shape[0], residual, cond)
 
 
 def same_bits(x: np.ndarray, y: np.ndarray) -> bool:

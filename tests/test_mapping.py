@@ -1,8 +1,16 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_eval as reference
+from embalign import mapping as mapping_module
 from embalign import (
     CorruptMapError,
     DataError,
@@ -100,6 +108,169 @@ class TestFitLinear:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit_linear(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+# cond(X) at which the Gram route ends: its Gram's condition is 1 / GRAM_RCOND
+GRAM_BOUND = float(np.sqrt(1.0 / mapping_module.GRAM_RCOND))
+
+
+def planted_design(seed, m, d_a, d_b, cond, weak, noise):
+    """x = U diag(s) V^T with orthonormal U (m x d_a), orthogonal V and
+    singular values s from 1 down to 1 / cond, scaled together; ``weak``
+    of them sit at 1 / cond and the rest are spread geometrically. y is x
+    times a planted d_a x d_b map, plus Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((m, d_a)))
+    v, _ = np.linalg.qr(rng.standard_normal((d_a, d_a)))
+    s = np.geomspace(1.0, 1.0 / cond, d_a)
+    s[d_a - weak:] = 1.0 / cond
+    x = (u * (rng.uniform(0.1, 10.0) * s)) @ v.T
+    y = x @ rng.standard_normal((d_a, d_b)) + noise * rng.standard_normal((m, d_b))
+    return x, y
+
+
+@st.composite
+def designs(draw, cond):
+    d_a = draw(st.integers(2, 24))
+    d_b = draw(st.integers(1, 24))
+    m = d_a * draw(st.sampled_from([1, 1, 2, 7, 40]))
+    weak = draw(st.integers(1, d_a - 1))
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.5]))
+    return planted_design(draw(st.integers(0, 2**32 - 1)), m, d_a, d_b, draw(cond),
+                          weak, noise)
+
+
+UNDER_BOUND = st.one_of(
+    st.floats(0.0, np.log10(0.99 * GRAM_BOUND)).map(lambda e: 10.0**e),
+    st.sampled_from([1.0, 0.99 * GRAM_BOUND]),
+)
+OVER_BOUND = st.one_of(
+    st.floats(np.log10(1.01 * GRAM_BOUND), 8.0).map(lambda e: 10.0**e),
+    st.sampled_from([1.01 * GRAM_BOUND, 0.99e4, 1.01e4]),
+)
+
+
+def relative_gap(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestGramRoute:
+    """fit_linear solves well-conditioned fits with m >= d from the Gram,
+    to 1e-9 of the SVD oracle, and every other fit through the SVD, to the
+    oracle's bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(designs(UNDER_BOUND))
+    def test_gram_route_matches_svd_oracle(self, design):
+        x, y = design
+        assert mapping_module._gram_solve(x, y) is not None
+        got, report = fit_linear(x, y)
+        want, want_report = reference.fit_linear_svd(x, y)
+        assert relative_gap(got.matrix, want.matrix) <= 1e-9
+        assert report.condition_diagnostic == pytest.approx(
+            want_report.condition_diagnostic, rel=1e-6)
+        # a residual at rounding level (noise 0) is compared on y's scale
+        y_rms = float(np.sqrt(np.mean(np.sum(y * y, axis=1))))
+        assert report.residual_rms == pytest.approx(want_report.residual_rms,
+                                                     rel=1e-9, abs=1e-9 * y_rms)
+
+    @settings(max_examples=200, deadline=None)
+    @given(designs(OVER_BOUND))
+    def test_ill_conditioned_fits_take_the_svd(self, design):
+        x, y = design
+        assert mapping_module._gram_solve(x, y) is None
+        self.assert_same_as_oracle(x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 23),
+           extra=st.integers(1, 24), d_b=st.integers(1, 24))
+    def test_fewer_samples_than_dimensions_take_the_svd(self, seed, m, extra, d_b):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, m + extra))
+        y = rng.standard_normal((m, d_b))
+        assert mapping_module._gram_solve(x, y) is None
+        self.assert_same_as_oracle(x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d_a=st.integers(2, 24),
+           data=st.data(), d_b=st.integers(1, 24))
+    def test_rank_deficient_fits_take_the_svd(self, seed, d_a, data, d_b):
+        rank = data.draw(st.integers(0, d_a - 1))
+        m = d_a * data.draw(st.sampled_from([1, 3, 40]))
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, d_a))
+        y = rng.standard_normal((m, d_b))
+        assert mapping_module._gram_solve(x, y) is None
+        self.assert_same_as_oracle(x, y)
+
+    def assert_same_as_oracle(self, x, y):
+        got, report = fit_linear(x, y)
+        want, want_report = reference.fit_linear_svd(x, y)
+        assert reference.same_bits(got.matrix, want.matrix)
+        assert report == want_report
+
+    @pytest.mark.parametrize("factor, gram", [(0.99, True), (1.01, False)])
+    def test_route_switches_at_the_bound(self, factor, gram):
+        x, y = planted_design(3, 64, 16, 8, factor * GRAM_BOUND, 1, 0.1)
+        solved = mapping_module._gram_solve(x, y)
+        assert (solved is not None) == gram
+        _, report = fit_linear(x, y)
+        assert report.condition_diagnostic == pytest.approx(factor * GRAM_BOUND,
+                                                            rel=1e-6)
+
+    @pytest.mark.parametrize("dim", [8, 512])
+    @pytest.mark.parametrize("m", [1, 2, 4095, 4096, 4097, 4098, 8194, 12291])
+    def test_chunked_residual_has_the_bytes_of_one_product(self, dim, m):
+        # a 2- or 3-row chunk at dim 512 takes a small-matrix kernel whose
+        # products differ in the last bit from the same rows in one GEMM
+        rng = np.random.default_rng(m)
+        x = rng.standard_normal((m, dim))
+        y = rng.standard_normal((m, dim))
+        matrix = rng.standard_normal((dim, dim))
+        product = x @ matrix
+        diff = product - y
+        want = float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
+        assert mapping_module._residual_rms(x, matrix, y) == want
+        # exactly 0 only if every chunk's product has the bytes of its rows
+        # in the one product
+        assert mapping_module._residual_rms(x, matrix, product) == 0.0
+
+    def test_fit_memory_bounded(self):
+        src = Path(mapping_module.__file__).resolve().parents[1]
+        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", FIT_MEMORY_GATE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        result = json.loads(done.stdout)
+        assert result["m"] == [60_000, 60_000]
+        assert result["condition"] < GRAM_BOUND
+
+
+# Both fitters on 60,000 x 256 inputs (117 MiB each) under an RLIMIT_AS of
+# the child's VmSize plus 64 MiB. Measured at one BLAS thread: the fits pass
+# at 32 MiB above VmSize and fail at 16; an SVD of the design needs more
+# than 256 MiB, and a residual over the whole m x d product one 117 MiB
+# array.
+FIT_MEMORY_GATE = """
+import json, resource
+import numpy as np
+from embalign import fit_linear, fit_rotation
+
+m, dim = 60_000, 256
+rng = np.random.default_rng(0)
+x = rng.standard_normal((m, dim))
+y = x @ rng.standard_normal((dim, dim))
+y += rng.standard_normal((m, dim))
+
+with open("/proc/self/status") as status:
+    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (64 << 20), hard))
+_, linear = fit_linear(x, y)
+_, rotation = fit_rotation(x, y)
+print(json.dumps({"m": [linear.m, rotation.m], "condition": linear.condition_diagnostic}))
+"""
 
 
 class TestFitRotation:
