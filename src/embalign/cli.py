@@ -47,8 +47,11 @@ def _parse_fars(text: str) -> list[float]:
 def _resolve_seed(args, config: dict) -> int:
     if args.seed is not None:
         return args.seed
-    if config.get("seed") is not None:
-        return int(config["seed"])
+    seed = config.get("seed")
+    if seed is not None:
+        if type(seed) is not int:
+            raise ValueError(f"config seed must be an integer, got {seed!r}")
+        return seed
     env = os.environ.get(SEED_ENV_VAR)
     return 0 if env is None else int(env)
 
@@ -65,6 +68,8 @@ def _load_config(path) -> tuple[dict, Path]:
 
 
 def _cfg_path(base: Path, value) -> Path:
+    if not isinstance(value, str):
+        raise ValueError(f"config path must be a string, got {value!r}")
     p = Path(value)
     return p if p.is_absolute() else base / p
 
@@ -81,11 +86,8 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def cmd_ingest(args) -> int:
-    rows = []
     with open(args.source, newline="", encoding="utf-8") as f:
-        for row in csv.reader(f):
-            if row:
-                rows.append(row)
+        rows = [row for row in store.csv_rows(f, args.source) if row]
     if rows and rows[0] and rows[0][0] == "media_id":
         rows = rows[1:]
     if not rows:

@@ -23,7 +23,7 @@ Neither fit carries a bias term; point sets are deliberately left in
 their original translation because embeddings live on the unit
 hypersphere around the origin.
 
-Map file (.cfem):
+Map file (.cfem), in the header and string codec of ``store``:
     magic "CFEM" | version u16=1 | kind u8 (0=linear,1=rotation,2=identity) |
     d_a u32 | d_b u32 | d_a*d_b float64 LE row-major |
     source_model_id { len u16, UTF-8 } | target_model_id { len u16, UTF-8 } |
@@ -32,20 +32,20 @@ Map file (.cfem):
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    CorruptMapError,
-    DataError,
-    DimensionError,
-    FileFormatError,
-    TruncationError,
+from .errors import CorruptMapError, DataError, DimensionError, FileFormatError
+from .store import (
+    DEGENERATE_NORM,
+    BinaryReader,
+    EmbeddingSet,
+    align_pairs,
+    binary_header,
+    binary_string,
 )
-from .store import DEGENERATE_NORM, EmbeddingSet, align_pairs
 
 LINEAR = "linear"
 ROTATION = "rotation"
@@ -62,7 +62,6 @@ GRAM_RCOND = 1e-5
 _RESIDUAL_CHUNK = 4096
 
 _MAP_MAGIC = b"CFEM"
-_MAP_VERSION = 1
 _KIND_CODES = {LINEAR: 0, ROTATION: 1, IDENTITY: 2}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
@@ -352,21 +351,13 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
 
 
 def save_map(mapping: MappingMatrix, path) -> None:
-    out = bytearray()
-    out += _MAP_MAGIC
-    out += struct.pack("<H", _MAP_VERSION)
-    out += struct.pack("<B", _KIND_CODES[mapping.kind])
-    out += struct.pack("<I", mapping.d_a)
-    out += struct.pack("<I", mapping.d_b)
+    code = _KIND_CODES[mapping.kind]
+    out = binary_header(_MAP_MAGIC, "<BII", code, mapping.d_a, mapping.d_b)
     out += np.ascontiguousarray(mapping.matrix, dtype="<f8").tobytes()
-    for name in (mapping.source_model_id, mapping.target_model_id):
-        raw = name.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise DataError("model id too long to serialize")
-        out += struct.pack("<H", len(raw))
-        out += raw
-    out += struct.pack("<Q", mapping.fit_sample_count)
-    Path(path).write_bytes(bytes(out))
+    out += binary_string(mapping.source_model_id, "source model id")
+    out += binary_string(mapping.target_model_id, "target model id")
+    out += int(mapping.fit_sample_count).to_bytes(8, "little")
+    Path(path).write_bytes(out)
 
 
 def load_map(path) -> MappingMatrix:
@@ -377,42 +368,22 @@ def load_map(path) -> MappingMatrix:
     CorruptMapError. The fit seed is not part of the file format, so
     loaded maps carry ``fit_seed=None``.
     """
-    buf = Path(path).read_bytes()
-    pos = 0
-
-    def take(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(buf):
-            raise TruncationError(f"{path}: file ends inside {what}")
-        chunk = buf[pos : pos + n]
-        pos += n
-        return chunk
-
-    if len(buf) < 4 or take(4, "magic") != _MAP_MAGIC:
-        raise FileFormatError(f"{path}: not a map file (bad magic)")
-    version = struct.unpack("<H", take(2, "version"))[0]
-    if version != _MAP_VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    code = struct.unpack("<B", take(1, "kind"))[0]
+    reader = BinaryReader(path, _MAP_MAGIC, "a map file")
+    (code,) = reader.unpack("<B", "kind")
     if code not in _CODE_KINDS:
         raise FileFormatError(f"{path}: unknown kind code {code}")
-    d_a = struct.unpack("<I", take(4, "d_a"))[0]
-    d_b = struct.unpack("<I", take(4, "d_b"))[0]
-    raw = take(d_a * d_b * 8, "matrix payload")
-    matrix = np.frombuffer(raw, dtype="<f8").reshape(d_a, d_b)
-    names = []
-    for what in ("source model id", "target model id"):
-        n = struct.unpack("<H", take(2, what + " length"))[0]
-        names.append(take(n, what).decode("utf-8"))
-    fit_sample_count = struct.unpack("<Q", take(8, "fit sample count"))[0]
-    if pos != len(buf):
-        raise FileFormatError(f"{path}: {len(buf) - pos} trailing bytes")
+    d_a, d_b = reader.unpack("<II", "dimensions")
+    raw = reader.take(d_a * d_b * 8, "matrix payload")
+    source_model_id = reader.string("source model id")
+    target_model_id = reader.string("target model id")
+    (fit_sample_count,) = reader.unpack("<Q", "fit sample count")
+    reader.end("fit sample count")
     try:
         return MappingMatrix(
             kind=_CODE_KINDS[code],
-            source_model_id=names[0],
-            target_model_id=names[1],
-            matrix=matrix,
+            source_model_id=source_model_id,
+            target_model_id=target_model_id,
+            matrix=np.frombuffer(raw, dtype="<f8").reshape(d_a, d_b),
             fit_sample_count=fit_sample_count,
         )
     except (DataError, DimensionError) as exc:

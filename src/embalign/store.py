@@ -5,6 +5,12 @@ Binary embedding file (.cfeb):
     count records of { id_len u16, id UTF-8, dim x float32 LE } |
     model_id as { len u16, UTF-8 }
 
+Both binary formats, .cfeb here and .cfem in ``mapping``, share this
+module's codec: ``BinaryReader`` checks the magic and u16 version, reads
+u16-length-prefixed UTF-8 strings and fields bounded by the file's
+length, and refuses trailing bytes; ``binary_header`` and
+``binary_string`` write the header and the strings.
+
 Manifest CSV has header ``media_id,subject_id,template_id,video_id``
 (video_id may be empty). Pair CSV has header
 ``template_id_a,template_id_b``.
@@ -32,6 +38,7 @@ from .errors import (
 )
 
 _MAGIC = b"CFEB"
+# the version of both binary formats
 _VERSION = 1
 
 # a vector counts as unit length when its norm is within this of 1
@@ -188,129 +195,157 @@ class PairList:
         return len(self.pairs)
 
 
+def binary_header(magic: bytes, fmt: str, *fields) -> bytearray:
+    """The magic, the format version and the ``fmt``-packed header fields."""
+    return bytearray(magic + struct.pack("<H", _VERSION) + struct.pack(fmt, *fields))
+
+
+def binary_string(text: str, what: str) -> bytes:
+    """``text`` as UTF-8 behind its u16 byte length."""
+    raw = text.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise DataError(f"{what} too long to serialize ({len(raw)} bytes)")
+    return struct.pack("<H", len(raw)) + raw
+
+
+class BinaryReader:
+    """Sequential reads over one binary file, each bounded by its length.
+
+    Opening reads the file and checks its magic and version. Every read
+    names its field, so a file that ends early raises TruncationError
+    saying inside which field, and a string that is not UTF-8 raises
+    FileFormatError naming it.
+    """
+
+    def __init__(self, path, magic: bytes, what: str):
+        self.path = path
+        self.buf = memoryview(Path(path).read_bytes())
+        if self.buf[:4] != magic:
+            raise FileFormatError(f"{path}: not {what} (bad magic)")
+        self.pos = 4
+        (version,) = self.unpack("<H", "version")
+        if version != _VERSION:
+            raise FileFormatError(f"{path}: unsupported version {version}")
+
+    @property
+    def remaining(self) -> int:
+        return len(self.buf) - self.pos
+
+    def take(self, n: int, what: str) -> memoryview:
+        if n > len(self.buf) - self.pos:
+            raise TruncationError(
+                f"{self.path}: file ends inside {what} "
+                f"(need {n} bytes at offset {self.pos})"
+            )
+        self.pos += n
+        return self.buf[self.pos - n : self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def string(self, what: str) -> str:
+        (n,) = self.unpack("<H", f"{what} length")
+        raw = self.take(n, what)
+        try:
+            return str(raw, "utf-8")
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(
+                f"{self.path}: {what} is not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+
+    def end(self, what: str) -> None:
+        """Refuse bytes left over after the last field, ``what``."""
+        if self.remaining:
+            raise FileFormatError(
+                f"{self.path}: {self.remaining} trailing bytes after {what}"
+            )
+
+
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     """Write the binary embedding format; float32 payload, little-endian.
 
     A set whose vectors are already float32 round-trips bit-exactly
     through save/load; float64 vectors are rounded to float32 on disk.
     """
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<H", _VERSION)
-    out += struct.pack("<I", embeddings.dim)
-    out += struct.pack("<Q", len(embeddings))
+    out = binary_header(_MAGIC, "<IQ", embeddings.dim, len(embeddings))
     payload = np.ascontiguousarray(embeddings.vectors, dtype="<f4")
-    for i, media_id in enumerate(embeddings.media_ids):
-        raw = media_id.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise DataError(f"media id too long to serialize: {media_id!r}")
-        out += struct.pack("<H", len(raw))
-        out += raw
-        out += payload[i].tobytes()
-    model_raw = embeddings.model_id.encode("utf-8")
-    if len(model_raw) > 0xFFFF:
-        raise DataError("model id too long to serialize")
-    out += struct.pack("<H", len(model_raw))
-    out += model_raw
-    Path(path).write_bytes(bytes(out))
-
-
-class _Cursor:
-    """Sequential reader over a byte buffer with truncation checks."""
-
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise TruncationError(
-                f"file ends inside {what} (need {n} bytes at offset {self.pos})"
-            )
-        chunk = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def u64(self, what: str) -> int:
-        return struct.unpack("<Q", self.take(8, what))[0]
-
-    def string(self, what: str) -> str:
-        n = self.u16(what + " length")
-        return self.take(n, what).decode("utf-8")
+    for media_id, row in zip(embeddings.media_ids, payload):
+        out += binary_string(media_id, "media id")
+        out += row.tobytes()
+    out += binary_string(embeddings.model_id, "model id")
+    Path(path).write_bytes(out)
 
 
 def load_embeddings(path) -> EmbeddingSet:
     """Read a .cfeb file, validating structure and invariants.
 
-    Raises FileFormatError on a bad magic/version, TruncationError when
-    the payload is shorter than the declared dimension and count, and
-    DataError on non-finite values or duplicate media ids.
+    Raises FileFormatError on a bad magic/version or a string that is not
+    UTF-8, TruncationError when the payload is shorter than the declared
+    dimension and count, and DataError on non-finite values or duplicate
+    media ids.
     """
-    buf = Path(path).read_bytes()
-    cur = _Cursor(buf)
-    if len(buf) < 4 or cur.take(4, "magic") != _MAGIC:
-        raise FileFormatError(f"{path}: not an embedding file (bad magic)")
-    version = cur.u16("version")
-    if version != _VERSION:
-        raise FileFormatError(f"{path}: unsupported version {version}")
-    dim = cur.u32("dimension")
-    count = cur.u64("record count")
+    reader = BinaryReader(path, _MAGIC, "an embedding file")
+    dim, count = reader.unpack("<IQ", "dimension and record count")
     # each record is at least an id length and a vector; check before
     # allocating so a forged count cannot ask for more memory than the file
-    if count * (2 + 4 * dim) > len(buf) - cur.pos:
+    if count * (2 + 4 * dim) > reader.remaining:
         raise TruncationError(
             f"{path}: header declares {count} records of dimension {dim}, "
-            f"more than the {len(buf) - cur.pos} bytes that follow"
+            f"more than the {reader.remaining} bytes that follow"
         )
-    vectors = np.empty((count, dim), dtype=np.float32)
+    row_bytes = 4 * dim
+    vectors = bytearray(count * row_bytes)
     media_ids = []
-    row_bytes = dim * 4
     for i in range(count):
-        media_ids.append(cur.string(f"record {i} id"))
-        raw = cur.take(row_bytes, f"record {i} vector")
-        vectors[i] = np.frombuffer(raw, dtype="<f4")
-    model_id = cur.string("model id")
-    if cur.pos != len(buf):
-        raise FileFormatError(
-            f"{path}: {len(buf) - cur.pos} trailing bytes after model id"
+        media_ids.append(reader.string(f"record {i} id"))
+        vectors[i * row_bytes : (i + 1) * row_bytes] = reader.take(
+            row_bytes, f"record {i} vector"
         )
-    return EmbeddingSet(model_id=model_id, media_ids=tuple(media_ids), vectors=vectors)
+    model_id = reader.string("model id")
+    reader.end("model id")
+    return EmbeddingSet(
+        model_id=model_id,
+        media_ids=tuple(media_ids),
+        vectors=np.frombuffer(vectors, dtype="<f4").reshape(count, dim),
+    )
 
 
 _MANIFEST_HEADER = ["media_id", "subject_id", "template_id", "video_id"]
 _PAIRS_HEADER = ["template_id_a", "template_id_b"]
 
 
-def load_manifest(path) -> MediaManifest:
+def csv_rows(f, path):
+    """The rows of an open CSV file; one that does not parse as CSV raises
+    FileFormatError at ``path:line``."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _csv_table(path, header: list[str], what: str):
+    """The non-empty rows under ``header``, each as wide as it."""
     with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _MANIFEST_HEADER:
-            raise FileFormatError(
-                f"{path}: manifest header must be {','.join(_MANIFEST_HEADER)}"
-            )
-        entries = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise FileFormatError(f"{path}:{lineno}: expected 4 columns")
-            media_id, subject_id, template_id, video_id = row
-            entries.append(
-                MediaEntry(
-                    media_id=media_id,
-                    subject_id=subject_id,
-                    template_id=template_id,
-                    video_id=video_id or None,
+        rows = csv_rows(f, path)
+        if next(rows, None) != header:
+            raise FileFormatError(f"{path}: {what} header must be {','.join(header)}")
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) == len(header):
+                yield row
+            elif row:
+                raise FileFormatError(
+                    f"{path}:{lineno}: expected {len(header)} columns"
                 )
-            )
-    return MediaManifest(entries)
+
+
+def load_manifest(path) -> MediaManifest:
+    return MediaManifest(
+        MediaEntry(media_id, subject_id, template_id, video_id or None)
+        for media_id, subject_id, template_id, video_id in _csv_table(
+            path, _MANIFEST_HEADER, "manifest"
+        )
+    )
 
 
 def save_manifest(manifest: MediaManifest, path) -> None:
@@ -323,20 +358,7 @@ def save_manifest(manifest: MediaManifest, path) -> None:
 
 def load_pairs(path, manifest: MediaManifest | None = None) -> PairList:
     """Read a pair CSV; with a manifest, every id must resolve to a template."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != _PAIRS_HEADER:
-            raise FileFormatError(
-                f"{path}: pair header must be {','.join(_PAIRS_HEADER)}"
-            )
-        pairs = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise FileFormatError(f"{path}:{lineno}: expected 2 columns")
-            pairs.append((row[0], row[1]))
+    pairs = [(a, b) for a, b in _csv_table(path, _PAIRS_HEADER, "pair")]
     if manifest is not None:
         known = manifest.template_subject
         for a, b in pairs:

@@ -532,37 +532,112 @@ class TestNoGenuinePairs:
         assert not out.exists()
 
 
-class TestSeedRange:
-    def configs(self, world):
-        models = {"embeddings": str(world["a"])}, {"embeddings": str(world["b"])}
-        manifest = {"manifest": str(world["manifest"]), "impostor_pairs": 500}
-        return {
-            "grid": manifest | {"models": list(models), "kinds": ["rotation"]},
-            "sweep": manifest | {"source": models[0], "target": models[1],
-                                 "sample_counts": [8], "repetitions": 1},
-            "attack": manifest | {"unknown": models[0], "attacker": models[1],
-                                  "enroll_pairs": 40},
-            "synth": {"dim": 4, "num_subjects": 3, "media_per_subject": 2},
-        }
+def command_configs(world):
+    """A small valid config for each command that reads one."""
+    models = {"embeddings": str(world["a"])}, {"embeddings": str(world["b"])}
+    manifest = {"manifest": str(world["manifest"]), "impostor_pairs": 500}
+    return {
+        "grid": manifest | {"models": list(models), "kinds": ["rotation"]},
+        "sweep": manifest | {"source": models[0], "target": models[1],
+                             "sample_counts": [8], "repetitions": 1},
+        "attack": manifest | {"unknown": models[0], "attacker": models[1],
+                              "enroll_pairs": 40},
+        "synth": {"dim": 4, "num_subjects": 3, "media_per_subject": 2},
+    }
 
+
+def assert_refused(code, stdout, stderr, out):
+    """Exit 2 with one `error: ` line, no traceback and no output."""
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert "Traceback" not in stderr
+    assert not out.exists()
+
+
+class TestSeedRange:
     @pytest.mark.parametrize("command", ["grid", "sweep", "attack", "synth"])
-    @pytest.mark.parametrize("seed", ["-1", str(2**64), "env -3"])
+    @pytest.mark.parametrize(
+        "seed", ["-1", str(2**64), "env -3", "config 1.5", "config true", 'config "7"']
+    )
     def test_out_of_range_seed_exits_2(self, world, tmp_path, capsys, monkeypatch,
                                        command, seed):
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(self.configs(world)[command]))
+        values = command_configs(world)[command]
         out = tmp_path / "out"
         argv = [command, str(config), "--out", str(out)]
         if seed.startswith("env "):
             monkeypatch.setenv("EMBALIGN_SEED", seed.split()[1])
+        elif seed.startswith("config "):
+            values["seed"] = json.loads(seed.split(maxsplit=1)[1])
         else:
             argv += ["--seed", seed]
+        config.write_text(json.dumps(values))
         code, stdout, stderr = run_cli(capsys, *argv)
-        assert code == 2
-        assert stdout == ""
-        assert stderr.startswith("error: ") and "Traceback" not in stderr
+        assert_refused(code, stdout, stderr, out)
         assert "seed" in stderr
-        assert not out.exists()
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("damage", ["truncated header", "bad utf-8 string"])
+    @pytest.mark.parametrize("suffix", [".cfeb", ".cfem"])
+    def test_damaged_binary_file_exits_2(self, world, tmp_path, capsys, suffix, damage):
+        # the first id or model id string begins at byte 20 of world["a"]
+        # and at byte 15 + 8 * 16 * 16 + 2 of the 16-d ground truth
+        good = world["a"] if suffix == ".cfeb" else world["ground_truth"]
+        raw = bytearray(good.read_bytes())
+        if damage == "truncated header":
+            raw = raw[:9]
+        else:
+            raw[20 if suffix == ".cfeb" else 15 + 8 * 16 * 16 + 2] = 0xFF
+        bad = tmp_path / f"bad{suffix}"
+        bad.write_bytes(bytes(raw))
+        out = tmp_path / "out.cfeb"
+        if suffix == ".cfeb":
+            argv = ["fit", str(bad), str(world["b"]), "--kind", "linear"]
+        else:
+            argv = ["apply", str(bad), str(world["a"])]
+        code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))
+        assert_refused(code, stdout, stderr, out)
+        assert f"{bad}: " in stderr
+
+    @pytest.mark.parametrize("command", ["sweep", "ingest"])
+    def test_overlong_csv_field_exits_2(self, world, tmp_path, capsys, command):
+        # a field over the csv module's 131,072-character limit
+        source = tmp_path / "bad.csv"
+        source.write_text(world["manifest"].read_text() + "x" * 200_000 + ",s,t,\n")
+        out = tmp_path / "out"
+        if command == "ingest":
+            argv = ["ingest", str(source), "--model-id", "m", "--out", str(out)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(
+                command_configs(world)["sweep"] | {"manifest": str(source)}
+            ))
+            argv = ["sweep", str(config), "--out", str(out)]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert_refused(code, stdout, stderr, out)
+        assert f"{source}:" in stderr and "field larger than field limit" in stderr
+
+    @pytest.mark.parametrize("command, key", [
+        ("grid", "manifest"), ("grid", "pairs"), ("grid", "models.0.embeddings"),
+        ("sweep", "manifest"), ("sweep", "pairs"), ("sweep", "source.embeddings"),
+        ("sweep", "target.embeddings"), ("attack", "manifest"),
+        ("attack", "unknown.embeddings"), ("attack", "attacker.embeddings"),
+    ])
+    def test_non_string_config_path_exits_2(self, world, tmp_path, capsys, command, key):
+        values = command_configs(world)[command]
+        *parents, last = [int(k) if k.isdigit() else k for k in key.split(".")]
+        entry = values
+        for k in parents:
+            entry = entry[k]
+        entry[last] = 5
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, command, str(config), "--out", str(out))
+        assert_refused(code, stdout, stderr, out)
+        assert "config path must be a string, got 5" in stderr
 
 
 class TestArgumentErrors:

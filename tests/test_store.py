@@ -1,14 +1,18 @@
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import embalign
 from embalign import (
     AlignmentError,
     ConsistencyError,
     DataError,
+    EmbAlignError,
     EmbeddingSet,
     FileFormatError,
     MediaEntry,
@@ -19,11 +23,15 @@ from embalign import (
     align_pairs,
     load_embeddings,
     load_manifest,
+    load_map,
     load_pairs,
+    random_rotation,
     save_embeddings,
     save_manifest,
+    save_map,
     save_pairs,
 )
+from embalign.mapping import MappingMatrix
 
 
 def make_set(ids, vectors, model_id="m", dtype=np.float32):
@@ -257,6 +265,18 @@ class TestManifest:
         with pytest.raises(FileFormatError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("which", ["manifest", "pairs"])
+    def test_csv_parse_error_names_line(self, tmp_path, which):
+        # a field over the csv module's 131,072-character limit
+        path = tmp_path / f"{which}.csv"
+        header, row = {
+            "manifest": ("media_id,subject_id,template_id,video_id", "a,s1,t1,"),
+            "pairs": ("template_id_a,template_id_b", "t1,t2"),
+        }[which]
+        path.write_text(f"{header}\n{row}\n{'x' * 200_000},t3\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}:3: field larger")):
+            {"manifest": load_manifest, "pairs": load_pairs}[which](path)
+
     def test_round_trip(self, tmp_path):
         manifest = MediaManifest(
             [
@@ -337,3 +357,133 @@ class TestAlignPairs:
         second = align_pairs(a, b)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
+
+
+# Every UTF-8 byte of these characters, and every byte of the vectors and
+# linear matrices below, is at least 0x30. So a length read from a
+# misaligned offset is at least 0x130 (0x30 before a non-zero length low
+# byte) and more than any file these strategies write holds: a damaged
+# length or dimension cannot realign the parse into a valid file.
+_id_text = st.text(alphabet="09AZaz\u00e9\u540d", min_size=1, max_size=4)
+
+
+def _bytes_at_least_0x30(rng, shape, itemsize, high_bytes):
+    raw = rng.integers(0x30, 0x80, size=(*shape, itemsize), dtype=np.uint8)
+    raw[..., -1] = rng.choice(high_bytes, size=shape)
+    return raw
+
+
+@st.composite
+def _cfeb_files(draw):
+    """(set, offsets of its header bytes and of every length field)"""
+    dim = draw(st.integers(1, 4))
+    ids = draw(st.lists(_id_text, min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    raw = _bytes_at_least_0x30(rng, (len(ids), dim), 4, [0x3E, 0x3F])
+    s = make_set(ids, raw.view("<f4")[..., 0], model_id=draw(_id_text))
+    lengths, pos = [], 18
+    for media_id in ids:
+        lengths.append(pos)
+        pos += 2 + len(media_id.encode()) + 4 * dim
+    return s, list(range(18)) + lengths + [pos]
+
+
+@st.composite
+def _cfem_files(draw):
+    """(map, offsets of its header bytes and of both length fields)"""
+    kind = draw(st.sampled_from(["linear", "rotation", "identity"]))
+    d_a = draw(st.integers(2, 4))
+    d_b = draw(st.integers(1, 4)) if kind == "linear" else d_a
+    seed = draw(st.integers(0, 2**32))
+    matrix = {
+        "linear": lambda: _bytes_at_least_0x30(
+            np.random.default_rng(seed), (d_a, d_b), 8, [0x3F, 0x40]
+        ).view("<f8")[..., 0],
+        "rotation": lambda: random_rotation(d_a, seed).matrix,
+        "identity": lambda: np.eye(d_a),
+    }[kind]()
+    source = draw(_id_text)
+    mapping = MappingMatrix(
+        kind=kind, source_model_id=source, target_model_id=draw(_id_text),
+        matrix=matrix, fit_sample_count=draw(st.integers(0, 2**64 - 1)),
+    )
+    first = 15 + 8 * d_a * d_b
+    return mapping, list(range(15)) + [first, first + 2 + len(source.encode())]
+
+
+def _flips(raw: bytes, offsets, mask: int):
+    for offset in offsets:
+        for m in {mask} | {1 << bit for bit in range(8)}:
+            damaged = bytearray(raw)
+            damaged[offset] ^= m
+            yield offset, bytes(damaged)
+
+
+class TestBinaryCodec:
+    """The .cfeb and .cfem formats share store's header and string codec."""
+
+    def test_struct_imported_only_in_store(self):
+        package = Path(embalign.__file__).parent
+        importers = re.compile(r"^\s*(import|from)\s+struct\b", re.MULTILINE)
+        users = sorted(p.name for p in package.glob("*.py") if importers.search(p.read_text()))
+        assert users == ["store.py"]
+
+    @pytest.mark.parametrize("field", ["record 0 id", "model id"])
+    def test_bad_utf8_embedding_string(self, tmp_path, field):
+        path = tmp_path / "bad.cfeb"
+        save_embeddings(make_set(["abc"], [[1.0, 0.0]], model_id="xyz"), path)
+        raw = bytearray(path.read_bytes())
+        raw[20 if field == "record 0 id" else -3] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: {field} is not UTF-8")):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("field", ["source model id", "target model id"])
+    def test_bad_utf8_map_string(self, tmp_path, field):
+        path = tmp_path / "bad.cfem"
+        save_map(MappingMatrix("identity", "abc", "xyz", np.eye(2), 0), path)
+        raw = bytearray(path.read_bytes())
+        raw[15 + 32 + 2 if field == "source model id" else -11] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}: {field} is not UTF-8")):
+            load_map(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cfeb_files(), mask=st.integers(1, 255))
+    def test_damaged_embedding_file_refused(self, tmp_path_factory, case, mask):
+        s, offsets = case
+        path = tmp_path_factory.mktemp("cfeb") / "s.cfeb"
+        save_embeddings(s, path)
+        raw = path.read_bytes()
+        assert load_embeddings(path).vectors.tobytes() == s.vectors.tobytes()
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(FileFormatError):
+                load_embeddings(path)
+        for offset, damaged in _flips(raw, offsets, mask):
+            path.write_bytes(damaged)
+            with pytest.raises(EmbAlignError):
+                load_embeddings(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_cfem_files(), mask=st.integers(1, 255))
+    def test_damaged_map_file_refused(self, tmp_path_factory, case, mask):
+        mapping, offsets = case
+        path = tmp_path_factory.mktemp("cfem") / "m.cfem"
+        save_map(mapping, path)
+        raw = path.read_bytes()
+        assert load_map(path).matrix.tobytes() == mapping.matrix.tobytes()
+        for size in range(len(raw)):
+            path.write_bytes(raw[:size])
+            with pytest.raises(FileFormatError):
+                load_map(path)
+        for offset, damaged in _flips(raw, offsets, mask):
+            path.write_bytes(damaged)
+            try:
+                loaded = load_map(path)
+            except EmbAlignError:
+                continue
+            # a kind code may name another kind whose invariants the matrix
+            # meets too (a rotation is also a linear map); nothing else loads
+            assert offset == 6 and loaded.kind != mapping.kind
+            assert loaded.matrix.tobytes() == mapping.matrix.tobytes()
