@@ -2,12 +2,17 @@
 
 Subcommands: ingest, fit, apply, verify, grid, sweep, attack, synth.
 Machine-readable JSON goes to stdout; logs and errors go to stderr.
-Exit status contract: 0 success, 1 io error, 2 validation error.
+Exit status contract: 0 success, 1 io error or out of memory, 2
+validation error.
 
-Seed precedence: --seed flag > config file value > EMBALIGN_SEED
-environment variable > 0, for every command that takes a seed (synth
-included). A seed outside [0, 2**64) is a validation error. A --jobs
-flag is accepted for symmetry with parallel runners; results are
+grid, sweep, attack and synth read their JSON config with one reader,
+``_read_config``, into a frozen dataclass that declares each key's type
+and default: ``GridConfig``, ``SweepConfig``, ``AttackConfig``,
+``synthetic.SynthSpec``. Unknown keys, missing required keys and values
+not of the exact JSON type are validation errors naming the file and key;
+ranges are checked by the library. Seed precedence: --seed flag > config
+value (``null`` falls through) > EMBALIGN_SEED environment variable > 0.
+A --jobs flag is accepted for symmetry with parallel runners; results are
 independent of its value.
 """
 
@@ -20,21 +25,146 @@ import json
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
 
 from . import experiments, mapping, store, synthetic, verification
-from .errors import EmbAlignError, ProtocolError
+from .errors import EmbAlignError, FileFormatError, ProtocolError
 
 log = logging.getLogger("embalign")
 
 SEED_ENV_VAR = "EMBALIGN_SEED"
 
 
+@dataclasses.dataclass(frozen=True)
+class ModelRef:
+    """A config's model: an embeddings file and an optional new model id."""
+
+    embeddings: Path
+    id: str | None = None
+
+    def load(self) -> store.EmbeddingSet:
+        loaded = store.load_embeddings(self.embeddings)
+        return loaded if self.id is None else dataclasses.replace(loaded, model_id=self.id)
+
+
+@dataclasses.dataclass(frozen=True)
+class GridConfig:
+    manifest: Path
+    models: tuple[ModelRef, ...]
+    kinds: tuple[str, ...] = (mapping.LINEAR, mapping.ROTATION, mapping.IDENTITY)
+    fars: tuple[float, ...] = experiments.DEFAULT_FARS
+    enroll_fraction: float = 0.5
+    impostor_pairs: int = 20000
+    pairs: Path | None = None
+    seed: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class SweepConfig:
+    manifest: Path
+    source: ModelRef
+    target: ModelRef
+    kinds: tuple[str, ...] = (mapping.LINEAR, mapping.ROTATION)
+    # None: every power of two from 2 up to the enrollment size
+    sample_counts: tuple[int, ...] | None = None
+    repetitions: int = 3
+    far: float = 1e-2
+    enroll_fraction: float = 0.5
+    impostor_pairs: int = 20000
+    pairs: Path | None = None
+    seed: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class AttackConfig:
+    manifest: Path
+    unknown: ModelRef
+    attacker: ModelRef
+    enroll_pairs: int
+    map_kind: str = mapping.ROTATION
+    k_values: tuple[int, ...] = (1, 5, 10)
+    seed: int = 0
+
+
+def _typed(value, hint, path: Path, key: str = ""):
+    """The JSON ``value`` as ``hint``: a dataclass, ``tuple[X, ...]``,
+    ``X | None``, ``Path``, ``int``, ``float`` or ``str``. ``key`` names
+    ``value``'s place in the file ``path`` in the error when it does not fit."""
+    where = f"{path}: {key}: " if key else f"{path}: "
+    if dataclasses.is_dataclass(hint):
+        if type(value) is not dict:
+            raise ValueError(f"{where}expected an object, got {value!r}")
+        fields = {f.name: f for f in dataclasses.fields(hint)}
+        for name in value:
+            if name not in fields:
+                raise ValueError(f"{where}unknown key {name!r}")
+        for name, field in fields.items():
+            if name not in value and field.default is dataclasses.MISSING:
+                raise ValueError(f"{where}missing required key {name!r}")
+        hints = typing.get_type_hints(hint)
+        return hint(**{
+            name: _typed(v, hints[name], path, f"{key}.{name}" if key else name)
+            for name, v in value.items()
+        })
+    if type(None) in typing.get_args(hint):  # X | None
+        return None if value is None else _typed(value, typing.get_args(hint)[0], path, key)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        if type(value) is not list:
+            raise ValueError(f"{where}expected an array, got {value!r}")
+        item = typing.get_args(hint)[0]
+        return tuple(_typed(v, item, path, f"{key}[{i}]") for i, v in enumerate(value))
+    if hint is Path:
+        if type(value) is not str:
+            raise ValueError(f"{where}config path must be a string, got {value!r}")
+        return path.parent / value
+    if hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return value  # an integer is a number too
+    if hint is not float and type(value) is hint:
+        return value
+    name = {int: "an integer", float: "a finite number", str: "a string"}[hint]
+    raise ValueError(f"{where}expected {name}, got {value!r}")
+
+
+def _read_config(args, schema):
+    """The UTF-8 JSON object in the file ``args.config`` as the dataclass
+    ``schema``, its seed taken from --seed, the config, EMBALIGN_SEED or 0."""
+    path = Path(args.config)
+    try:
+        values = json.loads(path.read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from None
+    if type(values) is not dict:
+        raise ValueError(f"{path}: config must be a JSON object")
+    seed = _typed(values.pop("seed", None), int | None, path, "seed")
+    if args.seed is not None:
+        seed = args.seed
+    elif seed is None:
+        env = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer seed") from None
+    return _typed(values | {"seed": seed}, schema, path)
+
+
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
+
+
+def _write_outputs(args, name: str, result, summary: dict) -> None:
+    """Write ``result`` as --out's ``<name>.json`` and ``<name>.csv``; print ``summary``."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / f"{name}.json").write_text(
+        json.dumps(result.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
+    )
+    with open(out_dir / f"{name}.csv", "w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerows(result.csv_rows())
+    _emit(summary | {"out": str(out_dir)})
 
 
 def _parse_fars(text: str) -> list[float]:
@@ -44,68 +174,29 @@ def _parse_fars(text: str) -> list[float]:
         raise ValueError(f"cannot parse FAR list {text!r}") from None
 
 
-def _resolve_seed(args, config: dict) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = config.get("seed")
-    if seed is not None:
-        if type(seed) is not int:
-            raise ValueError(f"config seed must be an integer, got {seed!r}")
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    return 0 if env is None else int(env)
-
-
-def _load_config(path) -> tuple[dict, Path]:
-    cfg_path = Path(path)
-    try:
-        config = json.loads(cfg_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return config, cfg_path.parent
-
-
-def _cfg_path(base: Path, value) -> Path:
-    if not isinstance(value, str):
-        raise ValueError(f"config path must be a string, got {value!r}")
-    p = Path(value)
-    return p if p.is_absolute() else base / p
-
-
-def _require(config: dict, key: str, what: str):
-    if key not in config:
-        raise ValueError(f"{what} config missing required key {key!r}")
-    return config[key]
-
-
-def _write_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        csv.writer(f).writerows(rows)
-
-
 def cmd_ingest(args) -> int:
     with open(args.source, newline="", encoding="utf-8") as f:
-        rows = [row for row in store.csv_rows(f, args.source) if row]
-    if rows and rows[0] and rows[0][0] == "media_id":
+        rows = [(n, row) for n, row in enumerate(store.csv_rows(f, args.source), 1) if row]
+    if rows and rows[0][1][0] == "media_id":
         rows = rows[1:]
     if not rows:
         vectors = np.zeros((0, 0), dtype=np.float32)
         media_ids: tuple[str, ...] = ()
     else:
-        width = len(rows[0]) - 1
+        width = len(rows[0][1]) - 1
         if width < 1:
             raise ValueError("ingest rows need a media id plus vector components")
-        media_ids = tuple(r[0] for r in rows)
+        for n, row in rows:
+            if len(row) != width + 1:
+                raise FileFormatError(f"{args.source}:{n}: {len(row) - 1} vector components, "
+                                      f"but line {rows[0][0]} has {width}")
+        media_ids = tuple(row[0] for _, row in rows)
         try:
             vectors = np.array(
-                [[float(v) for v in r[1:]] for r in rows], dtype=np.float32
+                [[float(v) for v in row[1:]] for _, row in rows], dtype=np.float32
             )
         except ValueError as exc:
             raise ValueError(f"non-numeric vector component: {exc}") from None
-        if vectors.shape[1] != width:
-            raise ValueError("inconsistent vector widths in ingest input")
     embeddings = store.EmbeddingSet(
         model_id=args.model_id, media_ids=media_ids, vectors=vectors
     )
@@ -164,139 +255,73 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _load_model_entry(entry: dict, base: Path, what: str) -> store.EmbeddingSet:
-    path = _cfg_path(base, _require(entry, "embeddings", what))
-    embeddings = store.load_embeddings(path)
-    if "id" in entry:
-        embeddings = dataclasses.replace(embeddings, model_id=str(entry["id"]))
-    return embeddings
-
-
-def _split_and_pair(models, config, base, manifest, seed):
-    """Split every model by template and load or sample the evaluation
-    pairs; sampled pairs take every genuine pair among the verification
-    templates, so a split that leaves no subject two of them is refused
-    here, where its cause is known."""
-    enroll_fraction = float(config.get("enroll_fraction", 0.5))
+def _split_and_pair(config, refs):
+    """Load the manifest and models, split the models by template, and load
+    or sample the evaluation pairs. Sampled pairs take every genuine pair
+    among the verification templates, so a split leaving no subject two of
+    them is refused here, where its cause is known."""
+    manifest = store.load_manifest(config.manifest)
+    models = [ref.load() for ref in refs]
     enroll_media, verify_media = experiments.split_by_template(
-        manifest, enroll_fraction, seed
+        manifest, config.enroll_fraction, config.seed
     )
     split = [
         (full.restrict(enroll_media), full.restrict(verify_media)) for full in models
     ]
-    if "pairs" in config:
-        return split, store.load_pairs(_cfg_path(base, config["pairs"]), manifest)
-    verify_templates = sorted(
-        {
-            manifest.by_media[mid].template_id
-            for mid in verify_media
-            if mid in manifest.by_media
-        }
-    )
+    if config.pairs is not None:
+        return manifest, split, store.load_pairs(config.pairs, manifest)
+    verify_templates = sorted({manifest.by_media[mid].template_id for mid in verify_media})
     subjects = [manifest.template_subject[tid] for tid in verify_templates]
     if len(set(subjects)) == len(subjects):
         raise ProtocolError(
             "no genuine pair to sample: no subject keeps two verification "
-            f"templates at enroll_fraction {enroll_fraction}"
+            f"templates at enroll_fraction {config.enroll_fraction}"
         )
-    n_impostor = int(config.get("impostor_pairs", 20000))
-    return split, experiments.sample_eval_pairs(
-        manifest, verify_templates, n_impostor, seed
+    return manifest, split, experiments.sample_eval_pairs(
+        manifest, verify_templates, config.impostor_pairs, config.seed
     )
 
 
 def cmd_grid(args) -> int:
-    config, base = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    manifest = store.load_manifest(_cfg_path(base, _require(config, "manifest", "grid")))
-    model_entries = _require(config, "models", "grid")
-    models = [_load_model_entry(e, base, "grid model") for e in model_entries]
-    kinds = config.get("kinds", [mapping.LINEAR, mapping.ROTATION, mapping.IDENTITY])
-    fars = [float(f) for f in config.get("fars", experiments.DEFAULT_FARS)]
-    split, pairs = _split_and_pair(models, config, base, manifest, seed)
-    result = experiments.run_grid(split, manifest, pairs, kinds, fars)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "grid.json").write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    _write_csv(out_dir / "grid.csv", result.csv_rows())
-    _emit({"cells": len(result.cells), "out": str(out_dir), "seed": seed})
+    config = _read_config(args, GridConfig)
+    manifest, split, pairs = _split_and_pair(config, config.models)
+    result = experiments.run_grid(split, manifest, pairs, config.kinds, config.fars)
+    _write_outputs(args, "grid", result, {"cells": len(result.cells), "seed": config.seed})
     return 0
 
 
 def cmd_sweep(args) -> int:
-    config, base = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    manifest = store.load_manifest(_cfg_path(base, _require(config, "manifest", "sweep")))
-    source = _load_model_entry(_require(config, "source", "sweep"), base, "sweep source")
-    target = _load_model_entry(_require(config, "target", "sweep"), base, "sweep target")
-    kinds = config.get("kinds", [mapping.LINEAR, mapping.ROTATION])
-    far = float(config.get("far", 1e-2))
-    repetitions = int(config.get("repetitions", 3))
-    split, pairs = _split_and_pair([source, target], config, base, manifest, seed)
-    enroll_size = len(split[0][0])
-    if "sample_counts" in config:
-        counts = [int(c) for c in config["sample_counts"]]
-    else:
-        counts = []
-        c = 2
-        while c <= enroll_size:
-            counts.append(c)
-            c *= 2
+    config = _read_config(args, SweepConfig)
+    manifest, split, pairs = _split_and_pair(config, [config.source, config.target])
+    counts = config.sample_counts
+    if counts is None:
+        counts = [2**k for k in range(1, len(split[0][0]).bit_length())]
     result = experiments.run_sweep(
-        split[0], split[1], manifest, pairs, kinds, counts, repetitions, far, seed
+        split[0], split[1], manifest, pairs, config.kinds, counts,
+        config.repetitions, config.far, config.seed,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.json").write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    _write_csv(out_dir / "sweep.csv", result.csv_rows())
-    _emit({"points": len(result.points), "out": str(out_dir), "seed": seed})
+    _write_outputs(args, "sweep", result, {"points": len(result.points), "seed": config.seed})
     return 0
 
 
 def cmd_attack(args) -> int:
-    config, base = _load_config(args.config)
-    seed = _resolve_seed(args, config)
-    manifest = store.load_manifest(_cfg_path(base, _require(config, "manifest", "attack")))
-    unknown = _load_model_entry(_require(config, "unknown", "attack"), base, "attack unknown")
-    attacker = _load_model_entry(
-        _require(config, "attacker", "attack"), base, "attack attacker"
-    )
-    map_kind = config.get("map_kind", mapping.ROTATION)
-    enroll_pairs = int(_require(config, "enroll_pairs", "attack"))
-    k_values = [int(k) for k in config.get("k_values", [1, 5, 10])]
-
+    config = _read_config(args, AttackConfig)
+    manifest = store.load_manifest(config.manifest)
+    unknown, attacker = config.unknown.load(), config.attacker.load()
     enroll_ids, gallery_ids, probe_ids = experiments.split_attack(
-        unknown, attacker, manifest, enroll_pairs, seed
+        unknown, attacker, manifest, config.enroll_pairs, config.seed
     )
     gallery = experiments.subject_gallery(attacker.restrict(gallery_ids), manifest)
     result = experiments.run_attack(
-        unknown.restrict(enroll_ids),
-        attacker.restrict(enroll_ids),
-        unknown.restrict(probe_ids),
-        gallery,
-        manifest,
-        map_kind,
-        k_values,
+        unknown.restrict(enroll_ids), attacker.restrict(enroll_ids),
+        unknown.restrict(probe_ids), gallery, manifest, config.map_kind, config.k_values,
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "attack.json").write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True), encoding="utf-8"
-    )
-    rows = [["k", "accuracy"]]
-    rows += [[k, repr(v)] for k, v in sorted(result.rank_k_accuracy.items())]
-    _write_csv(out_dir / "attack.csv", rows)
-    _emit(result.to_dict() | {"out": str(out_dir), "seed": seed})
+    _write_outputs(args, "attack", result, result.to_dict() | {"seed": config.seed})
     return 0
 
 
 def cmd_synth(args) -> int:
-    config, _ = _load_config(args.config)
-    spec = synthetic.SynthSpec.from_dict(config | {"seed": _resolve_seed(args, config)})
+    spec = _read_config(args, synthetic.SynthSpec)
     set_a, set_b, manifest, ground_truth = synthetic.generate_world(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -376,20 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
         ("grid", cmd_grid, "cross-model TAR grid from a JSON config"),
         ("sweep", cmd_sweep, "sample-count sensitivity sweep from a JSON config"),
         ("attack", cmd_attack, "gallery re-identification attack from a JSON config"),
+        ("synth", cmd_synth, "generate a synthetic world from a spec JSON"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config")
         p.add_argument("--out", required=True)
         p.add_argument("--seed", type=int, default=None)
         p.set_defaults(func=func)
-
-    p = sub.add_parser("synth", help="generate a synthetic world from a spec JSON")
-    p.add_argument("config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    # synth's own flags; p is its parser
     p.add_argument("--pairs-out", default=None, help="also write an evaluation pair list")
     p.add_argument("--impostor-pairs", type=int, default=20000)
-    p.set_defaults(func=cmd_synth)
     return parser
 
 
@@ -404,6 +425,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     except (EmbAlignError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

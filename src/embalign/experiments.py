@@ -157,6 +157,10 @@ class AttackResult:
             "rank_k_accuracy": {str(k): v for k, v in sorted(self.rank_k_accuracy.items())},
         }
 
+    def csv_rows(self) -> list[list]:
+        accuracy = sorted(self.rank_k_accuracy.items())
+        return [["k", "accuracy"]] + [[k, repr(v)] for k, v in accuracy]
+
 
 def split_by_template(
     manifest: MediaManifest, enroll_fraction: float, seed: int

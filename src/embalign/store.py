@@ -315,13 +315,17 @@ _PAIRS_HEADER = ["template_id_a", "template_id_b"]
 
 
 def csv_rows(f, path):
-    """The rows of an open CSV file; one that does not parse as CSV raises
-    FileFormatError at ``path:line``."""
+    """The rows of an open CSV file; one that does not parse as CSV or is
+    not UTF-8 raises FileFormatError at ``path:line``."""
     reader = csv.reader(f)
     try:
         yield from reader
     except csv.Error as exc:
         raise FileFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # the reader has not yet had the lines before the bad byte in its chunk
+        line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
+        raise FileFormatError(f"{path}:{line}: not UTF-8 ({exc.reason})") from None
 
 
 def _csv_table(path, header: list[str], what: str):

@@ -28,9 +28,7 @@ or on worker count.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -74,17 +72,6 @@ class SynthSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthSpec":
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
-        if unknown:
-            raise ValueError(f"unknown spec fields: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, path) -> "SynthSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 def _unit(rows: np.ndarray) -> np.ndarray:

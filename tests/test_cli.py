@@ -1,8 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embalign import (
     EmbeddingSet,
@@ -17,6 +26,7 @@ from embalign import (
     run_attack,
     save_embeddings,
     save_manifest,
+    save_map,
     score_pairs,
     split_attack,
     subject_gallery,
@@ -28,6 +38,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_quiet(*argv):
+    """run_cli without a function-scoped fixture, for hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +132,32 @@ class TestSynth:
         repeated = (out3 / "model_a.cfeb").read_bytes()
         assert base != reseeded
         assert reseeded == repeated
+
+    def test_spec_round_trip(self, tmp_path, capsys):
+        # synth of spec.to_dict() (its frames_per_video is null) writes
+        # generate_world(spec)'s bytes
+        spec = SynthSpec(dim=16, num_subjects=5, seed=9, planted_kind="linear")
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps(spec.to_dict()))
+        out, expected = tmp_path / "world", tmp_path / "expected"
+        code, _, _ = run_cli(capsys, "synth", str(config), "--out", str(out))
+        assert code == 0
+        a, b, manifest, ground_truth = generate_world(spec)
+        expected.mkdir()
+        save_embeddings(a, expected / "model_a.cfeb")
+        save_embeddings(b, expected / "model_b.cfeb")
+        save_manifest(manifest, expected / "manifest.csv")
+        save_map(ground_truth, expected / "ground_truth.cfem")
+        for path in expected.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes()
+
+    def test_unknown_key_refused(self, tmp_path, capsys):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"dim": 16, "bogus": 1}))
+        out = tmp_path / "world"
+        code, stdout, stderr = run_cli(capsys, "synth", str(config), "--out", str(out))
+        assert_refused(code, stdout, stderr, out)
+        assert f"{config}: unknown key 'bogus'" in stderr
 
 
 class TestFit:
@@ -227,6 +271,16 @@ class TestApplyAndIngest:
             "--out", str(tmp_path / "o.cfeb"),
         )
         assert code == 2
+
+    def test_ingest_ragged_rows_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "vecs.csv"
+        src.write_text("a,1,2\n\nb,3\n")
+        out = tmp_path / "o.cfeb"
+        code, stdout, stderr = run_cli(
+            capsys, "ingest", str(src), "--model-id", "x", "--out", str(out)
+        )
+        assert_refused(code, stdout, stderr, out)
+        assert f"{src}:3: 1 vector components, but line 1 has 2" in stderr
 
 
 class TestVerify:
@@ -535,11 +589,13 @@ class TestNoGenuinePairs:
 def command_configs(world):
     """A small valid config for each command that reads one."""
     models = {"embeddings": str(world["a"])}, {"embeddings": str(world["b"])}
-    manifest = {"manifest": str(world["manifest"]), "impostor_pairs": 500}
+    manifest = {"manifest": str(world["manifest"])}
     return {
-        "grid": manifest | {"models": list(models), "kinds": ["rotation"]},
+        "grid": manifest | {"models": list(models), "kinds": ["rotation"],
+                            "impostor_pairs": 500},
         "sweep": manifest | {"source": models[0], "target": models[1],
-                             "sample_counts": [8], "repetitions": 1},
+                             "sample_counts": [8], "repetitions": 1,
+                             "impostor_pairs": 500},
         "attack": manifest | {"unknown": models[0], "attacker": models[1],
                               "enroll_pairs": 40},
         "synth": {"dim": 4, "num_subjects": 3, "media_per_subject": 2},
@@ -555,10 +611,19 @@ def assert_refused(code, stdout, stderr, out):
     assert not out.exists()
 
 
+def set_key(values: dict, key: str, value) -> None:
+    """Set the dotted ``key`` of a config; a number indexes a list."""
+    *parents, last = [int(k) if k.isdigit() else k for k in key.split(".")]
+    for k in parents:
+        values = values[k]
+    values[last] = value
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("command", ["grid", "sweep", "attack", "synth"])
     @pytest.mark.parametrize(
-        "seed", ["-1", str(2**64), "env -3", "config 1.5", "config true", 'config "7"']
+        "seed", ["-1", str(2**64), "env -3", "env abc", "config 1.5", "config true",
+                 'config "7"']
     )
     def test_out_of_range_seed_exits_2(self, world, tmp_path, capsys, monkeypatch,
                                        command, seed):
@@ -575,7 +640,10 @@ class TestSeedRange:
         config.write_text(json.dumps(values))
         code, stdout, stderr = run_cli(capsys, *argv)
         assert_refused(code, stdout, stderr, out)
-        assert "seed" in stderr
+        # the config's path names the test, which holds "seed" too
+        assert "seed" in stderr.replace(str(config), "")
+        if seed == "env abc":
+            assert "EMBALIGN_SEED" in stderr
 
 
 class TestHostileInput:
@@ -627,17 +695,246 @@ class TestHostileInput:
     ])
     def test_non_string_config_path_exits_2(self, world, tmp_path, capsys, command, key):
         values = command_configs(world)[command]
-        *parents, last = [int(k) if k.isdigit() else k for k in key.split(".")]
-        entry = values
-        for k in parents:
-            entry = entry[k]
-        entry[last] = 5
+        set_key(values, key, 5)
         config = tmp_path / "config.json"
         config.write_text(json.dumps(values))
         out = tmp_path / "out"
         code, stdout, stderr = run_cli(capsys, command, str(config), "--out", str(out))
         assert_refused(code, stdout, stderr, out)
         assert "config path must be a string, got 5" in stderr
+
+    @pytest.mark.parametrize("command", ["sweep", "ingest"])
+    def test_non_utf8_csv_exits_2(self, world, tmp_path, capsys, command):
+        lines = world["manifest"].read_bytes().splitlines(keepends=True)
+        lines[59] = b"\xff" + lines[59]
+        source = tmp_path / "bad.csv"
+        source.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        if command == "ingest":
+            argv = ["ingest", str(source), "--model-id", "m", "--out", str(out)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(
+                command_configs(world)["sweep"] | {"manifest": str(source)}
+            ))
+            argv = ["sweep", str(config), "--out", str(out)]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert_refused(code, stdout, stderr, out)
+        assert f"{source}:60: not UTF-8" in stderr
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_memory_error_exits_1(self, tmp_path):
+        # an 8 TB world: the allocation fails at once, and under the limit
+        # even where the system would overcommit it
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"dim": 10**12, "num_subjects": 1,
+                                      "media_per_subject": 1}))
+        out = tmp_path / "world"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", MEMORY_LIMITED_MAIN, "synth", str(config),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr[-2000:]
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: out of memory: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert not out.exists()
+
+
+# main() under RLIMIT_AS = VmSize + 256 MiB, taken after the imports
+MEMORY_LIMITED_MAIN = """
+import resource, sys
+from embalign.cli import main
+with open("/proc/self/status") as status:
+    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (256 << 20), hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+# Configs that broke the exit contract before the typed reader: a
+# traceback at exit 1, a value silently coerced or a key ignored at
+# exit 0, or a misleading message; then non-finite numbers. Each is
+# (command, dotted key, value, the message after the config's path).
+CONFIG_ESCAPES = [
+    ("grid", "models", 5, "models: expected an array, got 5"),
+    ("grid", "models", [5], "models[0]: expected an object, got 5"),
+    ("grid", "kinds", 5, "kinds: expected an array, got 5"),
+    ("grid", "enroll_fraction", None, "enroll_fraction: expected a finite number, got None"),
+    ("sweep", "sample_counts", 5, "sample_counts: expected an array, got 5"),
+    ("sweep", "far", [1], "far: expected a finite number, got [1]"),
+    ("sweep", "source", 5, "source: expected an object, got 5"),
+    ("attack", "k_values", 5, "k_values: expected an array, got 5"),
+    ("synth", "dim", "x", "dim: expected an integer, got 'x'"),
+    ("synth", "dim", 4.5, "dim: expected an integer, got 4.5"),
+    ("synth", "num_subjects", 1e30, "num_subjects: expected an integer, got 1e+30"),
+    ("synth", "within_class_noise", "0.1",
+     "within_class_noise: expected a finite number, got '0.1'"),
+    ("synth", "frames_per_video", 2.5, "frames_per_video: expected an integer, got 2.5"),
+    ("grid", "impostor_pairs", 1.7, "impostor_pairs: expected an integer, got 1.7"),
+    ("sweep", "impostor_pairs", 1.7, "impostor_pairs: expected an integer, got 1.7"),
+    ("grid", "enroll_fraction", "0.5", "enroll_fraction: expected a finite number, got '0.5'"),
+    ("sweep", "enroll_fraction", "0.5",
+     "enroll_fraction: expected a finite number, got '0.5'"),
+    ("sweep", "repetitions", 1.9, "repetitions: expected an integer, got 1.9"),
+    ("sweep", "repetitions", True, "repetitions: expected an integer, got True"),
+    ("sweep", "sample_counts", [8.9], "sample_counts[0]: expected an integer, got 8.9"),
+    ("sweep", "far", True, "far: expected a finite number, got True"),
+    ("attack", "k_values", [1.5], "k_values[0]: expected an integer, got 1.5"),
+    ("attack", "k_values", [True], "k_values[0]: expected an integer, got True"),
+    ("attack", "enroll_pairs", 30.7, "enroll_pairs: expected an integer, got 30.7"),
+    ("grid", "models.0.id", [1], "models[0].id: expected a string, got [1]"),
+    ("grid", "impostor_pair", 2000, "unknown key 'impostor_pair'"),
+    ("sweep", "source.name", "A", "source: unknown key 'name'"),
+    ("grid", "kinds", "rotation", "kinds: expected an array, got 'rotation'"),
+    ("sweep", "far", float("nan"), "far: expected a finite number, got nan"),
+    ("grid", "fars", [1e400], "fars[0]: expected a finite number, got inf"),
+    ("synth", "cross_model_noise", 10**400, "cross_model_noise: expected a finite number"),
+]
+
+# The JSON types each key of the gate's configs accepts, a list's
+# elements under "key[]"; required keys; keys that refuse 1e30.
+ACCEPTS = {
+    **dict.fromkeys(["manifest", "embeddings", "map_kind", "planted_kind", "kinds[]"], (str,)),
+    "id": (str, type(None)),
+    "sample_counts": (list, type(None)),
+    **dict.fromkeys(["models", "kinds", "k_values", "fars"], (list,)),
+    **dict.fromkeys(["models[]", "source", "target", "unknown", "attacker"], (dict,)),
+    **dict.fromkeys(["impostor_pairs", "repetitions", "enroll_pairs", "sample_counts[]",
+                     "k_values[]", "dim", "num_subjects", "media_per_subject"], (int,)),
+    **dict.fromkeys(["far", "fars[]", "enroll_fraction", "within_class_noise"], (int, float)),
+}
+REQUIRED = {"manifest", "models", "source", "target", "unknown", "attacker", "enroll_pairs",
+            "embeddings"}
+HUGE_REFUSED = {"far", "fars[]", "enroll_fraction"} | {
+    key for key, types in ACCEPTS.items() if types == (int,)
+}
+
+
+def gate_configs(world):
+    """command_configs with every optional key the gate mutates set."""
+    configs = copy.deepcopy(command_configs(world))
+    configs["grid"] |= {"fars": [0.1], "enroll_fraction": 0.5}
+    configs["grid"]["models"][0]["id"] = "A"
+    configs["sweep"] |= {"kinds": ["rotation"], "far": 0.1}
+    configs["attack"] |= {"map_kind": "rotation", "k_values": [1, 5]}
+    configs["synth"] |= {"within_class_noise": 0.1, "planted_kind": "linear"}
+    return configs
+
+
+def config_keys(value, path=()):
+    """(path, key type) of every dict key and list element in a config."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for k, v in items:
+        yield path + (k,), k if isinstance(value, dict) else f"{path[-1]}[]"
+        if isinstance(v, (dict, list)):
+            yield from config_keys(v, path + (k,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 9) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# the values a hand-written config gets wrong most often
+NEAR_MISSES = st.sampled_from([True, False, 0.5, 1e30, "7", None, [7], {}])
+
+
+@st.composite
+def mutated_configs(draw, configs):
+    """A command and its gate config broken in one place: a value of a
+    JSON type its key refuses (nested junk included), a required key
+    dropped, an unknown key added, 1e30 for an integer, a FAR or a
+    fraction, or a seed of 2**64 or more."""
+    command = draw(st.sampled_from(sorted(configs)))
+    values = copy.deepcopy(configs[command])
+    keys = list(config_keys(values))
+    mutations = ["swap", "unknown", "huge", "seed"]
+    if any(kind in REQUIRED for _, kind in keys):
+        mutations.append("missing")
+    mutation = draw(st.sampled_from(mutations))
+    if mutation == "seed":
+        values["seed"] = 2**64 + draw(st.integers(0, 2**70))
+        return command, values
+    if mutation == "unknown":
+        objects = [()] + [path for path, kind in keys if ACCEPTS[kind] == (dict,)]
+        path = draw(st.sampled_from(objects))
+        key = path + ("x-" + draw(st.text(max_size=6)),)
+        value = draw(JSON_VALUES)
+    else:
+        wanted = {"swap": ACCEPTS, "huge": HUGE_REFUSED, "missing": REQUIRED}[mutation]
+        key, kind = draw(st.sampled_from([(p, k) for p, k in keys if k in wanted]))
+        value = 1e30
+        if mutation == "swap":
+            refused = (NEAR_MISSES | JSON_VALUES).filter(lambda v: type(v) not in ACCEPTS[kind])
+            value = draw(refused)
+    parent = values
+    for k in key[:-1]:
+        parent = parent[k]
+    if mutation == "missing":
+        del parent[key[-1]]
+    else:
+        parent[key[-1]] = value
+    return command, values
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "command, key, value, message", CONFIG_ESCAPES,
+        ids=[f"{c}-{k}={v!r:.12}" for c, k, v, _ in CONFIG_ESCAPES],
+    )
+    def test_escape_refused(self, world, tmp_path, capsys, command, key, value, message):
+        values = command_configs(world)[command]
+        set_key(values, key, value)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, command, str(config), "--out", str(out))
+        assert_refused(code, stdout, stderr, out)
+        assert stderr.startswith(f"error: {config}: {message}")
+
+    @pytest.mark.parametrize("content, message", [
+        (b"{not json", "invalid JSON"),
+        (b'{"dim": "\xff"}', "invalid JSON ('utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000, "invalid JSON (maximum recursion depth exceeded"),
+        (b"[1]", "config must be a JSON object"),
+    ], ids=["bad json", "bad utf-8", "deep nesting", "array"])
+    def test_unreadable_config_refused(self, tmp_path, capsys, content, message):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, "synth", str(config), "--out", str(out))
+        assert_refused(code, stdout, stderr, out)
+        assert stderr.startswith(f"error: {config}: {message}")
+
+    @pytest.mark.parametrize("command", ["grid", "sweep", "attack", "synth"])
+    def test_gate_config_runs(self, world, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(gate_configs(world)[command]))
+        code, _, stderr = run_cli(capsys, command, str(config), "--out", str(tmp_path / "o"))
+        assert code == 0, stderr
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_config_refused(self, world, tmp_path_factory, data):
+        # no mutation gives a size a valid type: a valid huge size, such as
+        # synth num_subjects 10**9, would build a world for minutes
+        command, values = data.draw(mutated_configs(gate_configs(world)))
+        root = tmp_path_factory.mktemp("mutated")
+        config = root / "config.json"
+        config.write_text(json.dumps(values))
+        code, stdout, stderr = run_quiet(command, config, "--out", root / "out")
+        assert code in (1, 2)
+        assert stdout == ""
+        assert stderr.startswith(("error: ", "io error: ")) and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+        assert not (root / "out").exists()
 
 
 class TestArgumentErrors:

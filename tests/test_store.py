@@ -277,6 +277,22 @@ class TestManifest:
         with pytest.raises(FileFormatError, match=re.escape(f"{path}:3: field larger")):
             {"manifest": load_manifest, "pairs": load_pairs}[which](path)
 
+    @pytest.mark.parametrize("line", [1, 2, 300, 1000])
+    @pytest.mark.parametrize("which", ["manifest", "pairs"])
+    def test_non_utf8_names_line(self, tmp_path, which, line):
+        # 1,000 lines of over 20 bytes, so the bad byte may lie past the
+        # first chunks the text decoder reads
+        path = tmp_path / f"{which}.csv"
+        header, row = {
+            "manifest": ("media_id,subject_id,template_id,video_id", "m{0:05d},s1,t{0:05d},"),
+            "pairs": ("template_id_a,template_id_b", "t{0:05d},t{1:05d}"),
+        }[which]
+        lines = [header.encode()] + [row.format(i, i + 1).encode() for i in range(999)]
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(FileFormatError, match=re.escape(f"{path}:{line}: not UTF-8")):
+            {"manifest": load_manifest, "pairs": load_pairs}[which](path)
+
     def test_round_trip(self, tmp_path):
         manifest = MediaManifest(
             [

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -41,16 +40,6 @@ class TestSynthSpec:
             SynthSpec(planted_kind="affine")
         with pytest.raises(ValueError):
             SynthSpec(num_subjects=0)
-
-    def test_json_round_trip(self, tmp_path):
-        spec = SynthSpec(dim=16, num_subjects=5, seed=9, planted_kind="linear")
-        path = tmp_path / "spec.json"
-        path.write_text(json.dumps(spec.to_dict()))
-        assert SynthSpec.from_json(path) == spec
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError):
-            SynthSpec.from_dict({"dim": 16, "bogus": 1})
 
 
 class TestGenerateWorld:
