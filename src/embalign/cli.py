@@ -174,6 +174,15 @@ def _parse_fars(text: str) -> list[float]:
         raise ValueError(f"cannot parse FAR list {text!r}") from None
 
 
+def _check_fars(fars, where: str) -> None:
+    """Refuse FAR targets out of range before any input is loaded, naming
+    ``where`` they came from."""
+    try:
+        verification.check_fars(fars)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def cmd_ingest(args) -> int:
     with open(args.source, newline="", encoding="utf-8") as f:
         rows = [(n, row) for n, row in enumerate(store.csv_rows(f, args.source), 1) if row]
@@ -239,6 +248,8 @@ def cmd_apply(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    fars = _parse_fars(args.far)
+    _check_fars(fars, "--far")
     side_a = store.load_embeddings(args.a)
     side_b = store.load_embeddings(args.b)
     manifest = store.load_manifest(args.manifest)
@@ -248,7 +259,7 @@ def cmd_verify(args) -> int:
         side_a = mapping.apply_map(fitted, side_a)
     plan = verification.EvalPlan(manifest, side_a.media_ids, pairs)
     scored = plan.score(plan.templates(side_a), plan.templates(side_b))
-    report = verification.roc(scored, _parse_fars(args.far))
+    report = verification.roc(scored, fars)
     if args.scores_out:
         verification.scores_to_csv(scored, args.scores_out)
     _emit(report.to_dict())
@@ -284,6 +295,7 @@ def _split_and_pair(config, refs):
 
 def cmd_grid(args) -> int:
     config = _read_config(args, GridConfig)
+    _check_fars(config.fars, f"{Path(args.config)}: fars")
     manifest, split, pairs = _split_and_pair(config, config.models)
     result = experiments.run_grid(split, manifest, pairs, config.kinds, config.fars)
     _write_outputs(args, "grid", result, {"cells": len(result.cells), "seed": config.seed})
@@ -292,6 +304,7 @@ def cmd_grid(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _read_config(args, SweepConfig)
+    _check_fars([config.far], f"{Path(args.config)}: far")
     manifest, split, pairs = _split_and_pair(config, [config.source, config.target])
     counts = config.sample_counts
     if counts is None:

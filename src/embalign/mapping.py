@@ -33,6 +33,7 @@ Map file (.cfem), in the header and string codec of ``store``:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,7 @@ from .store import (
     align_pairs,
     binary_header,
     binary_string,
+    row_norms,
 )
 
 LINEAR = "linear"
@@ -335,17 +337,19 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
             f"set dimension {embeddings.dim} does not match map input {mapping.d_a}"
         )
     mapped = embeddings.vectors.astype(np.float64) @ mapping.matrix
-    norms = np.linalg.norm(mapped, axis=1)
+    norms = row_norms(mapped)
     keep = norms >= DEGENERATE_NORM
-    dropped = tuple(
-        mid for mid, ok in zip(embeddings.media_ids, keep) if not ok
-    )
-    kept_ids = tuple(mid for mid, ok in zip(embeddings.media_ids, keep) if ok)
-    normalized = mapped[keep] / norms[keep, None]
+    media_ids = embeddings.media_ids
+    dropped = tuple(media_ids[i] for i in np.flatnonzero(~keep))
+    if dropped:
+        media_ids = tuple(compress(media_ids, keep.tolist()))
+        mapped, norms = mapped[keep], norms[keep]
+    mapped /= norms[:, None]
+    mapped.setflags(write=False)
     return EmbeddingSet(
         model_id=mapping.target_model_id,
-        media_ids=kept_ids,
-        vectors=normalized,
+        media_ids=media_ids,
+        vectors=mapped,
         dropped=dropped,
     )
 

@@ -17,6 +17,13 @@ Manifest CSV has header ``media_id,subject_id,template_id,video_id``
 
 Vectors are serialized as 32-bit floats, little-endian. Everything
 downstream promotes to 64-bit before doing arithmetic.
+
+A load reads the records in one pass and copies the vector payload once,
+into the array the set keeps. Sets do not copy an array that is already
+read-only and that nothing writable can reach (``_frozen_array``), so the
+library's producers (load, restrict, map application, templates) mark
+their fresh arrays read-only and hand them over. ``row_norms`` is the one
+row-norm routine; it works in row chunks, with no full-size temporary.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import csv
 import struct
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +56,45 @@ UNIT_NORM_TOL = 1e-6
 DEGENERATE_NORM = 1e-12
 
 
+# rows per chunk of row_norms, so its temporaries stay chunk x dim
+_NORM_CHUNK = 4096
+
+
 def _frozen_array(values, dtype=None) -> np.ndarray:
-    """Copy into a read-only array so dataclass instances stay immutable."""
+    """``values`` as a read-only array that nothing writable can reach, so
+    dataclass instances stay immutable.
+
+    A read-only ndarray of ``dtype`` that owns its data, or whose chain of
+    bases ends in immutable ``bytes``, is adopted as it is: a producer
+    that marks its fresh array read-only hands it over. Any other value,
+    a read-only view of a writable array included, is copied.
+    """
+    if type(values) is np.ndarray and not values.flags.writeable:
+        base = values.base
+        while isinstance(base, np.ndarray):
+            base = base.base
+        if (dtype is None or values.dtype == dtype) and (
+            values.flags.owndata or type(base) is bytes
+        ):
+            return values
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """The float64 L2 norm of each row of a 2-D array.
+
+    Computed as sqrt(add.reduce(c * c, axis=1)) over float64 chunks of
+    _NORM_CHUNK rows: bit for bit what ``np.linalg.norm(rows, axis=1)``
+    gives on the rows as float64, without its two full-size temporaries.
+    """
+    norms = np.empty(rows.shape[0])
+    for lo in range(0, rows.shape[0], _NORM_CHUNK):
+        chunk = rows[lo : lo + _NORM_CHUNK].astype(np.float64)
+        chunk *= chunk
+        np.add.reduce(chunk, axis=1, out=norms[lo : lo + _NORM_CHUNK])
+    return np.sqrt(norms, out=norms)
 
 
 @dataclass(frozen=True)
@@ -96,7 +138,7 @@ class EmbeddingSet:
         """True when every row has unit L2 norm within 1e-6."""
         if len(self) == 0:
             return True
-        norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
+        norms = row_norms(self.vectors)
         return bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
 
     def __len__(self) -> int:
@@ -112,12 +154,15 @@ class EmbeddingSet:
 
     def restrict(self, media_ids) -> "EmbeddingSet":
         """Row subset over the given ids, preserving this set's row order."""
-        wanted = set(media_ids)
-        keep = [i for i, mid in enumerate(self.media_ids) if mid in wanted]
+        keep = np.fromiter(
+            map(set(media_ids).__contains__, self.media_ids), bool, len(self)
+        )
+        vectors = self.vectors[keep]
+        vectors.setflags(write=False)
         return EmbeddingSet(
             model_id=self.model_id,
-            media_ids=tuple(self.media_ids[i] for i in keep),
-            vectors=self.vectors[keep],
+            media_ids=tuple(compress(self.media_ids, keep.tolist())),
+            vectors=vectors,
         )
 
 
@@ -219,7 +264,8 @@ class BinaryReader:
 
     def __init__(self, path, magic: bytes, what: str):
         self.path = path
-        self.buf = memoryview(Path(path).read_bytes())
+        self.data = Path(path).read_bytes()
+        self.buf = memoryview(self.data)
         if self.buf[:4] != magic:
             raise FileFormatError(f"{path}: not {what} (bad magic)")
         self.pos = 4
@@ -294,20 +340,31 @@ def load_embeddings(path) -> EmbeddingSet:
             f"more than the {reader.remaining} bytes that follow"
         )
     row_bytes = 4 * dim
-    vectors = bytearray(count * row_bytes)
+    vectors = np.empty((count, dim), dtype="<f4")
+    rows = memoryview(vectors.reshape(-1).view(np.uint8))
     media_ids = []
-    for i in range(count):
-        media_ids.append(reader.string(f"record {i} id"))
-        vectors[i * row_bytes : (i + 1) * row_bytes] = reader.take(
-            row_bytes, f"record {i} vector"
-        )
+    data, buf, pos = reader.data, reader.buf, reader.pos
+    try:
+        for i in range(count):
+            start = pos + 2 + (data[pos] | data[pos + 1] << 8)
+            stop = start + row_bytes
+            if stop > len(data):
+                raise IndexError  # the record runs past the end of the file
+            media_ids.append(data[pos + 2 : start].decode("utf-8"))
+            rows[i * row_bytes : (i + 1) * row_bytes] = buf[start:stop]
+            pos = stop
+    except (IndexError, UnicodeDecodeError):
+        # the reader reads the failing record again and raises the error
+        # that names its field
+        reader.pos = pos
+        reader.string(f"record {i} id")
+        reader.take(row_bytes, f"record {i} vector")
+        raise
+    reader.pos = pos
     model_id = reader.string("model id")
     reader.end("model id")
-    return EmbeddingSet(
-        model_id=model_id,
-        media_ids=tuple(media_ids),
-        vectors=np.frombuffer(vectors, dtype="<f4").reshape(count, dim),
-    )
+    vectors.setflags(write=False)
+    return EmbeddingSet(model_id=model_id, media_ids=tuple(media_ids), vectors=vectors)
 
 
 _MANIFEST_HEADER = ["media_id", "subject_id", "template_id", "video_id"]

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import UnknownIdError
 from .mapping import LINEAR, MappingMatrix, ROTATION
 from .rng import Purpose, stream
-from .store import EmbeddingSet, MediaEntry, MediaManifest
+from .store import EmbeddingSet, MediaEntry, MediaManifest, row_norms
 
 PLANTED_ROTATION = "rotation"
 PLANTED_LINEAR = "linear"
@@ -75,7 +75,9 @@ class SynthSpec:
 
 
 def _unit(rows: np.ndarray) -> np.ndarray:
-    return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+    """The float64 ``rows`` scaled in place to unit length."""
+    rows /= row_norms(rows)[:, None]
+    return rows
 
 
 def _haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -145,7 +147,7 @@ def _clustered(seed, mean_purpose, noise_purpose, blocks, shape, level) -> np.nd
     rows = np.empty(shape)
     scale = _noise_scale(level, shape[1])
     for i, block in enumerate(blocks):
-        mean = _unit(stream(seed, mean_purpose, i).standard_normal(shape[1]))
+        mean = _unit(stream(seed, mean_purpose, i).standard_normal((1, shape[1])))
         noise = stream(seed, noise_purpose, i).standard_normal(rows[block].shape)
         rows[block] = mean + scale * noise
     return rows

@@ -20,6 +20,11 @@ over the rows, and pairs are scored in fixed-size chunks, so scoring
 memory is bounded in the number of pairs. build_templates and
 score_pairs compile a plan for one call.
 
+Templates take one float64 copy of the media rows: the rows are
+normalized and summed in it when every template is one image in media
+order, and otherwise each summing step gathers its rows. The template
+set adopts the result, marked read-only, without copying it again.
+
 Pairs are scored by the plain inner product, which equals cosine
 similarity because templates are unit length. ROC analysis uses exact
 counting with "score >= threshold accepts": for a FAR target f the
@@ -44,6 +49,7 @@ from .store import (
     MediaManifest,
     PairList,
     _frozen_array,
+    row_norms,
 )
 
 # pairs gathered per scoring step: memory is 2 x chunk x dim floats
@@ -81,7 +87,7 @@ class TemplateSet:
         if len(set(self.template_ids)) != n:
             raise DataError("duplicate template ids")
         if n:
-            norms = np.linalg.norm(self.vectors, axis=1)
+            norms = row_norms(self.vectors)
             if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
                 raise DataError("template vectors must be unit length within 1e-6")
 
@@ -171,7 +177,7 @@ def _normalized(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float64 copy of the rows scaled to unit length, and which rows are
     usable; a row with norm below DEGENERATE_NORM becomes zero."""
     rows = vectors.astype(np.float64)
-    norms = np.linalg.norm(rows, axis=1)
+    norms = row_norms(rows)
     ok = norms >= DEGENERATE_NORM
     rows[~ok] = 0.0
     rows /= np.where(ok, norms, 1.0)[:, None]
@@ -181,16 +187,28 @@ def _normalized(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ordered_sums(values: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Row g is the left-to-right sum of values[members[starts[g]:starts[g + 1]]].
 
-    One vectorised pass per position within a group, so every group adds
-    its rows in order onto +0.0, as ``np.sum(axis=0)`` does over the
-    stacked rows (a lone -0.0 sums to +0.0). Positions every group has
+    Every sum has the bits of adding the group's rows in order onto +0.0,
+    as ``np.sum(axis=0)`` does over the stacked rows (a lone -0.0 sums to
+    +0.0). When every group has a row, each starts from its first row,
+    and adding +0.0 in place maps -0.0 as the zero start does; if those
+    first rows are all of ``values`` in order, every group holds one row
+    and the sums are made in ``values`` itself, with no gather. The other
+    positions add in one vectorised pass each; positions every group has
     add onto the whole accumulator, with no index over the groups.
     """
     first = starts[:-1]
     sizes = np.diff(starts)
-    acc = np.zeros((len(first), values.shape[1]))
     shared = int(sizes.min()) if sizes.size else 0
-    for j in range(shared):
+    if shared:
+        heads = members[first]
+        if heads.size == len(values) and np.array_equal(heads, np.arange(heads.size)):
+            acc = values
+        else:
+            acc = values[heads]
+        acc += 0.0
+    else:
+        acc = np.zeros((sizes.size, values.shape[1]))
+    for j in range(1, shared):
         acc += values[members[first + j]]
     for j in range(shared, int(sizes.max(initial=0))):
         live = np.flatnonzero(sizes > j)
@@ -241,7 +259,9 @@ class _Grouping:
     def sums(self, normalized: np.ndarray) -> np.ndarray:
         """Per template, the sum of its features in order; zero when it has
         none. A feature is the mean of its frames: an image is a one-frame
-        feature, and x / 1 is x."""
+        feature, and x / 1 is x. ``normalized`` is scratch: when every
+        feature and template holds one row in order, the sums are made in
+        it."""
         features = _ordered_sums(normalized, self.rows, self.feature_starts)
         features /= np.diff(self.feature_starts)[:, None]
         return _ordered_sums(features, np.arange(len(features)), self.template_starts)
@@ -287,13 +307,14 @@ class EvalPlan:
         if embeddings.media_ids != self._media_ids or not usable.all():
             grouping = _Grouping(embeddings.media_ids, self._manifest, usable)
         totals = grouping.sums(normalized)
-        del normalized  # frees the rows x dim copy before the output is built
+        del normalized  # frees the rows x dim copy, unless the sums are in it
         # one np.dot per row is what np.linalg.norm computes for one vector,
         # so each norm matches it bit for bit; a vectorised row norm does not
         norms = np.sqrt(np.fromiter(map(np.dot, totals, totals), float, len(totals)))
         keep = norms >= DEGENERATE_NORM
         vectors = totals if keep.all() else totals[keep]
         vectors /= norms[keep, None]
+        vectors.setflags(write=False)
         return TemplateSet(
             model_id=embeddings.model_id,
             template_ids=tuple(compress(grouping.template_ids, keep.tolist())),
@@ -389,6 +410,18 @@ def scores_to_csv(scored: ScoredPairs, path) -> None:
             writer.writerow([ta, tb, repr(float(s)), str(bool(g)).lower()])
 
 
+def check_fars(far_targets) -> list[float]:
+    """The FAR targets as floats; ValueError unless there is at least one
+    and each lies in (0, 1]."""
+    fars = [float(f) for f in far_targets]
+    if not fars:
+        raise ValueError("far_targets must be non-empty")
+    for f in fars:
+        if not 0.0 < f <= 1.0:
+            raise ValueError(f"FAR target {f} outside (0, 1]")
+    return fars
+
+
 def roc(scored: ScoredPairs, far_targets) -> RocReport:
     """TAR at each FAR target by exact counting, no interpolation.
 
@@ -398,12 +431,7 @@ def roc(scored: ScoredPairs, far_targets) -> RocReport:
     it, giving a realized FAR of zero. TAR is the fraction of genuine
     scores >= t.
     """
-    fars = [float(f) for f in far_targets]
-    if not fars:
-        raise ValueError("far_targets must be non-empty")
-    for f in fars:
-        if not 0.0 < f <= 1.0:
-            raise ValueError(f"FAR target {f} outside (0, 1]")
+    fars = check_fars(far_targets)
     gen = np.sort(scored.scores[scored.genuine])
     imp = np.sort(scored.scores[~scored.genuine])
     if imp.size == 0:

@@ -365,6 +365,12 @@ class TestVerify:
         )
         assert code == 2
 
+    def test_far_out_of_range_refused_before_loading(self, tmp_path, capsys):
+        missing = [str(tmp_path / name) for name in ("a.cfeb", "b.cfeb", "m.csv", "p.csv")]
+        code, stdout, stderr = run_cli(capsys, "verify", *missing, "--far", "0.1,0")
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: --far: FAR target 0.0 outside (0, 1]\n"
+
 
 class TestExperimentCommands:
     def grid_config(self, world, kinds=("linear", "rotation", "identity")):
@@ -898,6 +904,27 @@ class TestConfigSchema:
         code, stdout, stderr = run_cli(capsys, command, str(config), "--out", str(out))
         assert_refused(code, stdout, stderr, out)
         assert stderr.startswith(f"error: {config}: {message}")
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("sweep", "far", 1e30, "far: FAR target 1e+30 outside (0, 1]"),
+        ("grid", "fars", [0.1, 0.0], "fars: FAR target 0.0 outside (0, 1]"),
+        ("grid", "fars", [], "fars: far_targets must be non-empty"),
+    ], ids=["sweep far", "grid fars", "grid no fars"])
+    def test_far_out_of_range_refused_before_loading(
+        self, world, tmp_path, capsys, command, key, value, message
+    ):
+        values = command_configs(world)[command]
+        set_key(values, key, value)
+        # inputs that do not exist: reading any of them would exit 1
+        values["manifest"] = str(tmp_path / "missing.csv")
+        for model in values.get("models", [values.get("source"), values.get("target")]):
+            model["embeddings"] = str(tmp_path / "missing.cfeb")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, command, str(config), "--out", str(out))
+        assert_refused(code, stdout, stderr, out)
+        assert stderr == f"error: {config}: {message}\n"
 
     @pytest.mark.parametrize("content, message", [
         (b"{not json", "invalid JSON"),

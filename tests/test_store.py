@@ -1,3 +1,4 @@
+import inspect
 import re
 import struct
 from pathlib import Path
@@ -32,6 +33,7 @@ from embalign import (
     save_pairs,
 )
 from embalign.mapping import MappingMatrix
+from embalign.store import _NORM_CHUNK, row_norms
 
 
 def make_set(ids, vectors, model_id="m", dtype=np.float32):
@@ -78,6 +80,70 @@ class TestEmbeddingSet:
         assert sub.media_ids == ("c", "b")
         assert np.array_equal(sub.vectors, s.vectors[[0, 2]])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_restrict_matches_row_by_row_selection(self, dtype):
+        rng = np.random.default_rng(4)
+        ids = [f"m{i:03d}" for i in rng.permutation(300)]
+        s = make_set(ids, rng.standard_normal((300, 5)), dtype=dtype)
+        wanted = set(rng.choice(ids, 120).tolist()) | {"not-in-set"}
+        sub = s.restrict(wanted)
+        keep = [i for i, mid in enumerate(ids) if mid in wanted]
+        assert sub.media_ids == tuple(ids[i] for i in keep)
+        assert sub.vectors.dtype == dtype
+        assert sub.vectors.tobytes() == s.vectors[keep].tobytes()
+        assert not sub.vectors.flags.writeable
+        assert not np.shares_memory(sub.vectors, s.vectors)
+
+    def test_caller_writable_array_copied(self):
+        vectors = np.array([[1.0, 0.0], [0.0, 1.0]], dtype=np.float32)
+        s = make_set(["a", "b"], vectors)
+        vectors[0, 0] = 5.0
+        assert s.vectors[0, 0] == 1.0
+
+    def test_read_only_view_of_writable_base_copied(self):
+        base = np.array([[1.0, 0.0], [0.0, 1.0]])
+        view = base[:]
+        view.setflags(write=False)
+        s = make_set(["a", "b"], view, dtype=np.float64)
+        base[0, 0] = 5.0
+        assert s.vectors[0, 0] == 1.0
+        assert not np.shares_memory(s.vectors, base)
+
+    def test_read_only_owned_arrays_adopted(self):
+        owned = np.array([[1.0, 0.0], [0.0, 1.0]])
+        owned.setflags(write=False)
+        assert make_set(["a", "b"], owned, dtype=np.float64).vectors is owned
+        from_bytes = np.frombuffer(np.ones(4, "<f4").tobytes(), "<f4").reshape(2, 2)
+        assert make_set(["a", "b"], from_bytes).vectors is from_bytes
+        # a dtype the set does not keep is converted, so copied
+        assert make_set(["a", "b"], owned).vectors.dtype == np.float32
+
+
+class TestRowNorms:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 3])
+    def test_bits_of_linalg_norm_across_chunks(self, dtype, extra):
+        n = 2 * _NORM_CHUNK + extra
+        rng = np.random.default_rng(n)
+        rows = (rng.standard_normal((n, 67)) * 10.0 ** rng.integers(-3, 4, (n, 1)))
+        rows = rows.astype(dtype)
+        want = np.linalg.norm(rows.astype(np.float64), axis=1)
+        assert row_norms(rows).tobytes() == want.tobytes()
+
+    def test_empty(self):
+        assert row_norms(np.zeros((0, 3))).shape == (0,)
+
+    def test_linalg_norm_only_in_row_norms(self):
+        # a row norm over a whole n x d array allocates two more n x d
+        # arrays, so the library's row norms all go through row_norms
+        package = Path(embalign.__file__).parent
+        allowed = inspect.getsource(row_norms)
+        for path in package.glob("*.py"):
+            text = path.read_text()
+            if path.name == "store.py":
+                text = text.replace(allowed, "")
+            assert "np.linalg.norm(" not in text, path.name
+
 
 class TestEmbeddingFile:
     def test_single_row_round_trip(self, tmp_path):
@@ -101,6 +167,14 @@ class TestEmbeddingFile:
         loaded = load_embeddings(path)
         assert loaded.media_ids == s.media_ids
         assert loaded.vectors.tobytes() == s.vectors.tobytes()
+
+    def test_loaded_vectors_read_only(self, tmp_path):
+        path = tmp_path / "e.cfeb"
+        save_embeddings(make_set(["a", "b"], [[1.0, 0.0], [0.0, 1.0]]), path)
+        loaded = load_embeddings(path)
+        assert not loaded.vectors.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.vectors[0, 0] = 5.0
 
     def test_empty_set(self, tmp_path):
         path = tmp_path / "empty.cfeb"

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +348,71 @@ def unknown_id_message(fn, *args):
     return None
 
 
+class TestOrderedSums:
+    """_ordered_sums against np.sum over each group's stacked rows."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 4), max_size=8), st.integers(0, 2**32 - 1))
+    def test_bits_of_np_sum(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        n = sum(sizes) + int(rng.integers(0, 3))
+        values = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], size=(n, 3))
+        members = rng.permutation(n)[: sum(sizes)]
+        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+        want = [
+            np.sum(values[members[lo:hi]], axis=0) if hi > lo else np.zeros(3)
+            for lo, hi in zip(starts, starts[1:])
+        ]
+        got = verification._ordered_sums(values.copy(), members, starts)
+        assert got.tobytes() == np.array(want).reshape(len(sizes), 3).tobytes()
+
+    def test_one_row_groups_in_order_summed_in_place(self):
+        values = np.array([[-0.0, 1.0], [2.0, -0.0]])
+        starts = np.arange(3)
+        got = verification._ordered_sums(values, np.arange(2), starts)
+        assert got is values
+        assert got.tobytes() == np.array([[0.0, 1.0], [2.0, 0.0]]).tobytes()
+
+
+# Both sides' templates and their scores for a 30,000-medium single-image
+# world (dim 256) under an RLIMIT_AS of the VmSize after loading it, plus
+# two rows x dim float64 arrays (the two template sets) and 64 MiB.
+# Measured at one BLAS thread: this passes with no slack beyond the two
+# template sets and fails 8 MiB below them; building templates through
+# full-size temporaries (a gathered copy per summing step and a second
+# copy of each set) needed 160 to 176 MiB of slack.
+TEMPLATE_MEMORY_GATE = """
+import json, resource, tempfile
+from pathlib import Path
+import numpy as np
+from embalign import (EvalPlan, PairList, SynthSpec, generate_world, load_embeddings,
+                      save_embeddings)
+
+set_a, set_b, manifest, _ = generate_world(
+    SynthSpec(dim=256, num_subjects=3000, media_per_subject=10, seed=3))
+with tempfile.TemporaryDirectory() as tmp:
+    save_embeddings(set_a, Path(tmp) / "a.cfeb")
+    save_embeddings(set_b, Path(tmp) / "b.cfeb")
+    del set_a, set_b
+    a = load_embeddings(Path(tmp) / "a.cfeb")
+    b = load_embeddings(Path(tmp) / "b.cfeb")
+tids = sorted(manifest.template_subject)
+picks = np.random.default_rng(0).integers(0, len(tids), size=(40_000, 2))
+pairs = PairList(tuple((tids[i], tids[j]) for i, j in picks if i != j)
+                 + tuple((tids[i], tids[i + 1]) for i in range(0, len(tids), 10)))
+
+with open("/proc/self/status") as status:
+    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = vm_size * 1024 + 2 * a.vectors.size * 8 + (64 << 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+plan = EvalPlan(manifest, a.media_ids, pairs)
+scored = plan.score(plan.templates(a), plan.templates(b))
+print(json.dumps({"media": len(a), "pairs": len(scored),
+                  "genuine": int(scored.genuine.sum())}))
+"""
+
+
 class TestEvalPlanOracle:
     """The compiled plan against the reference loops, compared bit for bit."""
 
@@ -376,6 +446,20 @@ class TestEvalPlanOracle:
         want = reference.score_pairs(want_a, want_b, pairs, manifest)
         reference.assert_same_scores(score_pairs(want_a, want_b, pairs, manifest), want)
         reference.assert_same_scores(plan.score(want_a, want_b), want)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_template_memory_bounded(self):
+        src = Path(verification.__file__).resolve().parents[1]
+        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", TEMPLATE_MEMORY_GATE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        result = json.loads(done.stdout)
+        assert result["media"] == 30_000
+        assert result["pairs"] > 40_000
+        assert result["genuine"] >= 3_000
 
     def test_scores_span_many_chunks(self):
         # more pairs than one scoring chunk, on sides in different row orders
