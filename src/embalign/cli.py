@@ -258,7 +258,9 @@ def cmd_verify(args) -> int:
         fitted = mapping.load_map(args.map)
         side_a = mapping.apply_map(fitted, side_a)
     plan = verification.EvalPlan(manifest, side_a.media_ids, pairs)
-    scored = plan.score(plan.templates(side_a), plan.templates(side_b))
+    templates_a = plan.templates(side_a)
+    del side_a  # only its templates are scored; free it before side b's
+    scored = plan.score(templates_a, plan.templates(side_b))
     report = verification.roc(scored, fars)
     if args.scores_out:
         verification.scores_to_csv(scored, args.scores_out)

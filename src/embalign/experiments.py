@@ -1,20 +1,23 @@
 """Experiment orchestration: cross-model grids, sample-count sweeps, and
 the gallery re-identification attack.
 
-All experiments enforce fit/eval hygiene structurally: enrollment media
-(used to fit maps) and verification media (used to build evaluated
-templates) must be disjoint, and the attack's paired enrollment must be
-disjoint from its probes.
+All experiments enforce fit/eval hygiene structurally. Grid and sweep
+share one split check (enrollment media, used to fit maps, and
+verification media, used to build evaluated templates, are disjoint and
+the same for every model) and one map-evaluation step (fit, map,
+templates, score, ROC) through one EvalPlan. The attack's paired
+enrollment must be disjoint from its probes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations, product
 
 import numpy as np
 
 from .errors import ProtocolError, UnknownIdError
-from .mapping import MAP_KINDS, apply_map, fit
+from .mapping import apply_map, check_kinds, fit
 from .rng import Purpose, stream
 from .store import EmbeddingSet, MediaEntry, MediaManifest, PairList
 from .verification import EvalPlan, TemplateSet, build_templates, roc
@@ -219,16 +222,39 @@ def sample_eval_pairs(
     return PairList(pairs=tuple(pairs))
 
 
-def _check_model_pair(enroll: EmbeddingSet, verify: EmbeddingSet) -> None:
-    if enroll.model_id != verify.model_id:
-        raise ValueError(
-            f"split model ids differ: {enroll.model_id!r} vs {verify.model_id!r}"
-        )
-    overlap = set(enroll.media_ids) & set(verify.media_ids)
+def _check_splits(models) -> None:
+    """Each (enrollment, verification) pair comes from one model, every
+    model has the same two media sets, and the two sets are disjoint."""
+    enroll_ids = set(models[0][0].media_ids)
+    verify_ids = set(models[0][1].media_ids)
+    for enroll, verify in models:
+        if enroll.model_id != verify.model_id:
+            raise ValueError(
+                f"split model ids differ: {enroll.model_id!r} vs {verify.model_id!r}"
+            )
+        if set(enroll.media_ids) != enroll_ids or set(verify.media_ids) != verify_ids:
+            raise ProtocolError("models must share enrollment and verification splits")
+    overlap = enroll_ids & verify_ids
     if overlap:
         raise ProtocolError(
             f"enrollment and verification splits overlap on {len(overlap)} media"
         )
+
+
+def _tars(plan: EvalPlan, source: TemplateSet, target: TemplateSet, fars):
+    """TAR at each FAR target of ``source`` scored against ``target``."""
+    return roc(plan.score(source, target), fars).tar_at_far
+
+
+def _mapped_tars(plan: EvalPlan, kind: str, enroll_source: EmbeddingSet,
+                 enroll_target: EmbeddingSet, verify_source: EmbeddingSet,
+                 target: TemplateSet, fars):
+    """One map evaluation: fit a ``kind`` map on the paired enrollment,
+    map the source's verification media, and score their templates
+    against ``target``. Returns the fit's sample count and the TARs."""
+    fitted, _ = fit(kind, enroll_source, enroll_target)
+    mapped = plan.templates(apply_map(fitted, verify_source))
+    return fitted.fit_sample_count, _tars(plan, mapped, target, fars)
 
 
 def run_grid(
@@ -251,53 +277,25 @@ def run_grid(
     models = list(models)
     if not models:
         raise ValueError("run_grid needs at least one model")
-    kinds = list(kinds)
-    for kind in kinds:
-        if kind not in MAP_KINDS:
-            raise ValueError(f"unknown map kind {kind!r}")
+    kinds = check_kinds(kinds)
     fars = tuple(float(f) for f in fars)
-    for enroll, verify in models:
-        _check_model_pair(enroll, verify)
+    _check_splits(models)
     ids = [enroll.model_id for enroll, _ in models]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate model ids in grid: {ids}")
-    enroll_ids = set(models[0][0].media_ids)
-    verify_ids = set(models[0][1].media_ids)
-    for enroll, verify in models[1:]:
-        if set(enroll.media_ids) != enroll_ids or set(verify.media_ids) != verify_ids:
-            raise ProtocolError("models must share enrollment and verification splits")
 
     plan = EvalPlan(manifest, models[0][1].media_ids, pairs)
     templates = [plan.templates(verify) for _, verify in models]
-    cells: list[GridCell] = []
-    for i in range(len(models)):
-        report = roc(plan.score(templates[i], templates[i]), fars)
-        cells.append(
-            GridCell(
-                source_model_id=ids[i],
-                target_model_id=ids[i],
-                map_kind=DIAGONAL_KIND,
-                fit_sample_count=0,
-                tars=tuple(report.tar_at_far),
+    cells = [
+        GridCell(ids[i], ids[i], DIAGONAL_KIND, 0, _tars(plan, t, t, fars))
+        for i, t in enumerate(templates)
+    ]
+    for (i, (enroll_i, verify_i)), (j, (enroll_j, _)) in permutations(enumerate(models), 2):
+        for kind in kinds:
+            count, tars = _mapped_tars(
+                plan, kind, enroll_i, enroll_j, verify_i, templates[j], fars
             )
-        )
-    for i, (enroll_i, verify_i) in enumerate(models):
-        for j, (enroll_j, _) in enumerate(models):
-            if i == j:
-                continue
-            for kind in kinds:
-                mapping, _ = fit(kind, enroll_i, enroll_j)
-                mapped = plan.templates(apply_map(mapping, verify_i))
-                report = roc(plan.score(mapped, templates[j]), fars)
-                cells.append(
-                    GridCell(
-                        source_model_id=ids[i],
-                        target_model_id=ids[j],
-                        map_kind=kind,
-                        fit_sample_count=mapping.fit_sample_count,
-                        tars=tuple(report.tar_at_far),
-                    )
-                )
+            cells.append(GridCell(ids[i], ids[j], kind, count, tars))
     return GridResult(far_targets=fars, cells=tuple(cells))
 
 
@@ -322,18 +320,10 @@ def run_sweep(
     """
     enroll_a, verify_a = model_a
     enroll_b, verify_b = model_b
-    _check_model_pair(enroll_a, verify_a)
-    _check_model_pair(enroll_b, verify_b)
-    if set(enroll_a.media_ids) != set(enroll_b.media_ids):
-        raise ProtocolError("models must share the enrollment split")
-    if set(verify_a.media_ids) != set(verify_b.media_ids):
-        raise ProtocolError("models must share the verification split")
+    _check_splits([model_a, model_b])
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    kinds = list(kinds)
-    for kind in kinds:
-        if kind not in MAP_KINDS:
-            raise ValueError(f"unknown map kind {kind!r}")
+    kinds = check_kinds(kinds)
     counts = [int(c) for c in sample_counts]
     enroll_ids = sorted(enroll_a.media_ids)
     for c in counts:
@@ -343,27 +333,15 @@ def run_sweep(
             )
 
     plan = EvalPlan(manifest, verify_a.media_ids, pairs)
-    target_templates = plan.templates(verify_b)
+    target = plan.templates(verify_b)
     points: list[SweepPoint] = []
-    for kind in kinds:
-        for count in counts:
-            for rep in range(repetitions):
-                rng = stream(seed, Purpose.SWEEP, (rep << 32) | count)
-                picked = rng.choice(len(enroll_ids), size=count, replace=False)
-                subset = [enroll_ids[i] for i in picked]
-                sub_a = enroll_a.restrict(subset)
-                sub_b = enroll_b.restrict(subset)
-                mapping, _ = fit(kind, sub_a, sub_b)
-                mapped = plan.templates(apply_map(mapping, verify_a))
-                report = roc(plan.score(mapped, target_templates), [far])
-                points.append(
-                    SweepPoint(
-                        map_kind=kind,
-                        sample_count=count,
-                        repetition=rep,
-                        tar=report.tar_at_far[0],
-                    )
-                )
+    for kind, count, rep in product(kinds, counts, range(repetitions)):
+        rng = stream(seed, Purpose.SWEEP, (rep << 32) | count)
+        picked = rng.choice(len(enroll_ids), size=count, replace=False)
+        subset = [enroll_ids[i] for i in picked]
+        _, tars = _mapped_tars(plan, kind, enroll_a.restrict(subset),
+                               enroll_b.restrict(subset), verify_a, target, [far])
+        points.append(SweepPoint(kind, count, rep, tars[0]))
     return SweepResult(
         far_target=float(far), repetitions=repetitions, points=tuple(points)
     )

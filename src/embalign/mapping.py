@@ -46,6 +46,7 @@ from .store import (
     align_pairs,
     binary_header,
     binary_string,
+    row_chunks,
     row_norms,
 )
 
@@ -60,8 +61,6 @@ SVD_RCOND = 1e-10
 # smallest Gram eigenvalue, relative to the largest, for which a linear fit
 # is solved from the Gram: cond(X) < 1 / sqrt(GRAM_RCOND), about 316
 GRAM_RCOND = 1e-5
-# rows per residual chunk, so a fit's working set stays O(chunk x d + d^2)
-_RESIDUAL_CHUNK = 4096
 
 _MAP_MAGIC = b"CFEM"
 _KIND_CODES = {LINEAR: 0, ROTATION: 1, IDENTITY: 2}
@@ -77,7 +76,6 @@ class MappingMatrix:
     target_model_id: str
     matrix: np.ndarray
     fit_sample_count: int
-    fit_seed: int | None = None
 
     def __post_init__(self):
         if self.kind not in MAP_KINDS:
@@ -163,20 +161,16 @@ def _fit_inputs(source_rows, target_rows) -> tuple[np.ndarray, np.ndarray]:
 def _residual_rms(x: np.ndarray, matrix: np.ndarray, y: np.ndarray) -> float:
     """sqrt of the mean over rows of ||x_i M - y_i||^2.
 
-    Rows go through in chunks of near-equal size, at most _RESIDUAL_CHUNK:
-    a chunk of a few rows can take a BLAS small-matrix kernel, whose
-    products differ in the last bit from the same rows inside a large
-    GEMM, and equal chunks never leave one.
+    Rows go through in the near-equal chunks of ``row_chunks``, so a
+    fit's working set stays O(chunk x d + d^2) and every chunk's product
+    has the bits of its rows inside one GEMM.
     """
-    m = x.shape[0]
-    count = -(-m // _RESIDUAL_CHUNK)
-    bounds = [m * k // count for k in range(count + 1)]
-    squared = np.empty(m)
-    for lo, hi in zip(bounds, bounds[1:]):
-        diff = x[lo:hi] @ matrix
-        diff -= y[lo:hi]
+    squared = np.empty(x.shape[0])
+    for rows in row_chunks(x.shape[0]):
+        diff = x[rows] @ matrix
+        diff -= y[rows]
         diff *= diff
-        squared[lo:hi] = np.sum(diff, axis=1)
+        squared[rows] = np.sum(diff, axis=1)
     return float(np.sqrt(np.mean(squared)))
 
 
@@ -300,6 +294,16 @@ def identity_map(
     )
 
 
+def check_kinds(kinds) -> list[str]:
+    """``kinds`` as a list; ValueError naming the first that is not one of
+    MAP_KINDS."""
+    kinds = list(kinds)
+    for kind in kinds:
+        if kind not in MAP_KINDS:
+            raise ValueError(f"unknown map kind {kind!r}")
+    return kinds
+
+
 def fit(
     kind: str, source: EmbeddingSet, target: EmbeddingSet
 ) -> tuple[MappingMatrix, FitReport]:
@@ -309,8 +313,7 @@ def fit(
     sets share (``align_pairs``); the identity needs equal dimensions and
     no samples.
     """
-    if kind not in MAP_KINDS:
-        raise ValueError(f"unknown map kind {kind!r}")
+    check_kinds([kind])
     ids = {"source_model_id": source.model_id, "target_model_id": target.model_id}
     if kind == IDENTITY:
         if source.dim != target.dim:
@@ -369,8 +372,7 @@ def load_map(path) -> MappingMatrix:
 
     A rotation map that fails the orthogonality or determinant check (or
     an identity map whose matrix is not the identity) raises
-    CorruptMapError. The fit seed is not part of the file format, so
-    loaded maps carry ``fit_seed=None``.
+    CorruptMapError.
     """
     reader = BinaryReader(path, _MAP_MAGIC, "a map file")
     (code,) = reader.unpack("<B", "kind")

@@ -22,8 +22,9 @@ A load reads the records in one pass and copies the vector payload once,
 into the array the set keeps. Sets do not copy an array that is already
 read-only and that nothing writable can reach (``_frozen_array``), so the
 library's producers (load, restrict, map application, templates) mark
-their fresh arrays read-only and hand them over. ``row_norms`` is the one
-row-norm routine; it works in row chunks, with no full-size temporary.
+their fresh arrays read-only and hand them over. ``row_chunks`` gives the
+row slices of every chunked loop, so none makes a full-size temporary: row
+norms (``row_norms``), ``align_pairs``, fit residuals and pair scoring.
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ UNIT_NORM_TOL = 1e-6
 # a vector with norm below this has no direction: it is excluded rather
 # than normalized
 DEGENERATE_NORM = 1e-12
-
-
-# rows per chunk of row_norms, so its temporaries stay chunk x dim
-_NORM_CHUNK = 4096
+# most rows in a chunk of row_chunks
+_ROW_CHUNK = 4096
 
 
 def _frozen_array(values, dtype=None) -> np.ndarray:
@@ -82,18 +81,28 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
+def row_chunks(n: int) -> list[slice]:
+    """Near-equal consecutive slices of at most _ROW_CHUNK rows covering n
+    rows, so no chunk is a short remainder: a few rows can take a BLAS
+    small-matrix kernel, whose products differ in the last bit from GEMM's."""
+    count = -(-n // _ROW_CHUNK)
+    return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """The float64 L2 norm of each row of a 2-D array.
 
-    Computed as sqrt(add.reduce(c * c, axis=1)) over float64 chunks of
-    _NORM_CHUNK rows: bit for bit what ``np.linalg.norm(rows, axis=1)``
+    Computed as sqrt(add.reduce(c * c, axis=1)) over float64 row chunks
+    in one reused buffer: bit for bit what ``np.linalg.norm(rows, axis=1)``
     gives on the rows as float64, without its two full-size temporaries.
     """
     norms = np.empty(rows.shape[0])
-    for lo in range(0, rows.shape[0], _NORM_CHUNK):
-        chunk = rows[lo : lo + _NORM_CHUNK].astype(np.float64)
+    buffer = np.empty((min(rows.shape[0], _ROW_CHUNK), rows.shape[1]))
+    for chunk_rows in row_chunks(rows.shape[0]):
+        chunk = buffer[: chunk_rows.stop - chunk_rows.start]
+        chunk[...] = rows[chunk_rows]
         chunk *= chunk
-        np.add.reduce(chunk, axis=1, out=norms[lo : lo + _NORM_CHUNK])
+        np.add.reduce(chunk, axis=1, out=norms[chunk_rows])
     return np.sqrt(norms, out=norms)
 
 
@@ -440,16 +449,20 @@ def align_pairs(a: EmbeddingSet, b: EmbeddingSet) -> tuple[np.ndarray, np.ndarra
     """Row-aligned float64 matrices over the media-id intersection.
 
     Rows are ordered lexicographically by media id so the result is
-    independent of either set's on-disk order. Raises AlignmentError when
-    the sets share no media.
+    independent of either set's on-disk order, and are gathered straight
+    into float64 a row chunk at a time. Raises AlignmentError when the
+    sets share no media.
     """
     common = sorted(set(a.media_ids) & set(b.media_ids))
     if not common:
         raise AlignmentError(
             f"no shared media ids between {a.model_id!r} and {b.model_id!r}"
         )
-    ia = [a.index_of(m) for m in common]
-    ib = [b.index_of(m) for m in common]
-    mat_a = a.vectors[ia].astype(np.float64)
-    mat_b = b.vectors[ib].astype(np.float64)
-    return mat_a, mat_b
+    matrices = []
+    for s in (a, b):
+        index = np.fromiter(map(s.index_of, common), np.intp, len(common))
+        matrix = np.empty((len(common), s.dim))
+        for rows in row_chunks(len(common)):
+            matrix[rows] = s.vectors[index[rows]]
+        matrices.append(matrix)
+    return matrices[0], matrices[1]

@@ -92,11 +92,11 @@ def _haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _bounded_linear(dim: int, rng: np.random.Generator, max_cond: float = 10.0) -> np.ndarray:
-    """Full-rank matrix with condition number bounded by max_cond."""
+def _bounded_linear(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Full-rank matrix with condition number bounded by 10."""
     gauss = rng.standard_normal((dim, dim))
     u, _, vt = np.linalg.svd(gauss)
-    singular = np.sort(rng.uniform(1.0, max_cond, size=dim))[::-1]
+    singular = np.sort(rng.uniform(1.0, 10.0, size=dim))[::-1]
     return u @ (singular[:, None] * vt)
 
 
@@ -111,7 +111,6 @@ def random_rotation(dim: int, seed: int) -> MappingMatrix:
         target_model_id="",
         matrix=matrix,
         fit_sample_count=0,
-        fit_seed=seed,
     )
 
 
@@ -141,13 +140,13 @@ def _noise_scale(level: float, dim: int) -> float:
     return level / np.sqrt(dim)
 
 
-def _clustered(seed, mean_purpose, noise_purpose, blocks, shape, level) -> np.ndarray:
-    """Unnormalized rows mean + noise. Subject block i takes its unit mean
-    and its media's noise from the streams of the two purposes keyed by i."""
-    rows = np.empty(shape)
-    scale = _noise_scale(level, shape[1])
+def _clustered(seed, mean_purpose, noise_purpose, blocks, rows, level) -> np.ndarray:
+    """``rows`` filled with unnormalized mean + noise. Subject block i takes
+    its unit mean and its media's noise from the streams of the two
+    purposes keyed by i."""
+    scale = _noise_scale(level, rows.shape[1])
     for i, block in enumerate(blocks):
-        mean = _unit(stream(seed, mean_purpose, i).standard_normal((1, shape[1])))
+        mean = _unit(stream(seed, mean_purpose, i).standard_normal((1, rows.shape[1])))
         noise = stream(seed, noise_purpose, i).standard_normal(rows[block].shape)
         rows[block] = mean + scale * noise
     return rows
@@ -162,8 +161,8 @@ def _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
     dim = grid.shape[1]
     ground_truth = None
     if planted_kind == PLANTED_INDEPENDENT:
-        rows = _clustered(seed, Purpose.MEAN_B, Purpose.NOISE_B, blocks, grid.shape,
-                          within_class_noise)
+        rows = _clustered(seed, Purpose.MEAN_B, Purpose.NOISE_B, blocks,
+                          np.empty(grid.shape), within_class_noise)
     else:
         rng = stream(seed, Purpose.PLANTED)
         if planted_kind == PLANTED_ROTATION:
@@ -182,7 +181,6 @@ def _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
             target_model_id=model_id,
             matrix=planted,
             fit_sample_count=0,
-            fit_seed=seed,
         )
     derived = EmbeddingSet(model_id=model_id, media_ids=base.media_ids,
                            vectors=_unit(rows[take]))
@@ -190,26 +188,30 @@ def _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
 
 
 def generate_world(
-    spec: SynthSpec, *, model_a_id: str = "A", model_b_id: str = "B"
+    spec: SynthSpec,
 ) -> tuple[EmbeddingSet, EmbeddingSet, MediaManifest, MappingMatrix | None]:
-    """Two embedding sets over shared media, their manifest, and the
-    planted ground-truth map (None for independent worlds).
+    """Two embedding sets over shared media, models "A" and "B", their
+    manifest, and the planted ground-truth map (None for independent
+    worlds).
 
     Deterministic for a fixed spec: repeated calls are bit-identical.
     Model B is ``derive_model(model_a, manifest, ...)`` with the spec's
     kind, noise levels and seed, as long as the media ids sort in
     generation order (at most 100,000 subjects and 1,000 media each).
+    The model-A array is allocated before any per-medium or per-subject
+    Python object, so a world too big to hold fails at once.
     """
+    per = spec.media_per_subject
+    vectors_a = np.empty((spec.num_subjects * per, spec.dim))
     entries = _manifest_entries(spec)
     media_ids = tuple(e.media_id for e in entries)
-    per = spec.media_per_subject
     blocks = [slice(s * per, (s + 1) * per) for s in range(spec.num_subjects)]
     vectors_a = _unit(_clustered(spec.seed, Purpose.MEAN_A, Purpose.NOISE_A, blocks,
-                                 (len(media_ids), spec.dim), spec.within_class_noise))
-    set_a = EmbeddingSet(model_id=model_a_id, media_ids=media_ids, vectors=vectors_a)
+                                 vectors_a, spec.within_class_noise))
+    set_a = EmbeddingSet(model_id="A", media_ids=media_ids, vectors=vectors_a)
     set_b, ground_truth = _derive(
         vectors_a, blocks, slice(None), set_a, spec.planted_kind,
-        spec.cross_model_noise, spec.within_class_noise, spec.seed, model_b_id,
+        spec.cross_model_noise, spec.within_class_noise, spec.seed, "B",
     )
     return set_a, set_b, MediaManifest(entries), ground_truth
 

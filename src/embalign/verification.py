@@ -16,8 +16,8 @@ list) at many points that differ only in the map. EvalPlan compiles that
 protocol once: the media-to-video-to-template grouping as integer row
 arrays, and the pair list resolved to template indices with genuine
 labels and manifest checks. A point then costs a few vectorised passes
-over the rows, and pairs are scored in fixed-size chunks, so scoring
-memory is bounded in the number of pairs. build_templates and
+over the rows, and pairs are scored in the chunks of ``store.row_chunks``,
+so scoring memory is bounded in the number of pairs. build_templates and
 score_pairs compile a plan for one call.
 
 Templates take one float64 copy of the media rows: the rows are
@@ -49,11 +49,10 @@ from .store import (
     MediaManifest,
     PairList,
     _frozen_array,
+    row_chunks,
     row_norms,
 )
 
-# pairs gathered per scoring step: memory is 2 x chunk x dim floats
-_PAIR_CHUNK = 4096
 # row codes of a pair template that is not a row of the scored side
 _UNKNOWN = -1
 _DROPPED = -2
@@ -341,7 +340,8 @@ class EvalPlan:
 
     def score(self, a: TemplateSet, b: TemplateSet) -> ScoredPairs:
         """``score_pairs(a, b, pairs, manifest)`` over the compiled pairs,
-        gathered and scored in chunks of _PAIR_CHUNK pairs."""
+        gathered and scored in the chunks of ``row_chunks``: memory is
+        2 x chunk x dim floats."""
         if a.dim != b.dim:
             raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
         row_a = self._rows_in(a)[self._side_a]
@@ -353,10 +353,9 @@ class EvalPlan:
         kept = np.flatnonzero(keep)
         row_a, row_b = row_a[kept], row_b[kept]
         scores = np.empty(kept.size)
-        for start in range(0, kept.size, _PAIR_CHUNK):
-            stop = start + _PAIR_CHUNK
-            scores[start:stop] = np.einsum(
-                "ij,ij->i", a.vectors[row_a[start:stop]], b.vectors[row_b[start:stop]]
+        for rows in row_chunks(kept.size):
+            scores[rows] = np.einsum(
+                "ij,ij->i", a.vectors[row_a[rows]], b.vectors[row_b[rows]]
             )
         ids_a, ids_b = self._ids_a, self._ids_b
         if kept.size < len(ids_a):

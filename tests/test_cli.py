@@ -15,9 +15,13 @@ from hypothesis import strategies as st
 
 from embalign import (
     EmbeddingSet,
+    MediaEntry,
+    MediaManifest,
+    PairList,
     SynthSpec,
     build_templates,
     generate_world,
+    identity_map,
     load_embeddings,
     load_manifest,
     load_map,
@@ -27,6 +31,7 @@ from embalign import (
     save_embeddings,
     save_manifest,
     save_map,
+    save_pairs,
     score_pairs,
     split_attack,
     subject_gallery,
@@ -284,6 +289,42 @@ class TestApplyAndIngest:
 
 
 class TestVerify:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_memory_bounded(self, tmp_path, mapped):
+        # 15,000 single-image media at dim 1024; a set is n x dim float32
+        # (58.6 MiB) and a template set twice that. The cap is side b's set
+        # and both template sets (5 sets), or with --map the two loaded sets,
+        # the float64 copy apply_map multiplies and its product (6 sets),
+        # plus 112 MiB for the manifest, a row-norm chunk and the scoring
+        # gathers. Measured at one BLAS thread: 55 MiB (plain) and 45 MiB
+        # (--map) to spare; keeping side a alive through side b's templates
+        # goes 44 and 92 MiB over.
+        n, dim = 15_000, 1024
+        rng = np.random.default_rng(4)
+        ids = [f"m{i:05d}" for i in range(n)]
+        for name in ("a", "b"):
+            rows = rng.standard_normal((n, dim), dtype=np.float32)
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            save_embeddings(EmbeddingSet(name.upper(), ids, rows), tmp_path / f"{name}.cfeb")
+        manifest = MediaManifest(
+            [MediaEntry(m, f"s{i // 10:04d}", f"T{m}") for i, m in enumerate(ids)]
+        )
+        save_manifest(manifest, tmp_path / "manifest.csv")
+        pairs = [(f"T{ids[i]}", f"T{ids[i + k]}") for i in range(0, 2000, 2) for k in (1, 10)]
+        save_pairs(PairList(tuple(pairs)), tmp_path / "pairs.csv")
+        argv = ["verify", *(tmp_path / f for f in ("a.cfeb", "b.cfeb", "manifest.csv",
+                                                   "pairs.csv")), "--far", "0.1"]
+        if mapped:
+            save_map(identity_map(dim), tmp_path / "map.cfem")
+            argv += ["--map", tmp_path / "map.cfem"]
+        sets = 6 if mapped else 5
+        done = run_memory_limited(tmp_path, sets * n * dim * 4 + (112 << 20), *argv)
+        assert done.returncode == 0, done.stderr[-2000:]
+        report = json.loads(done.stdout)
+        assert (report["genuine_count"], report["impostor_count"]) == (1000, 1000)
+
     def test_single_model_matches_library_byte_for_byte(self, world, capsys):
         code, stdout, _ = run_cli(
             capsys, "verify", str(world["a"]), str(world["a"]),
@@ -737,31 +778,69 @@ class TestHostileInput:
         config.write_text(json.dumps({"dim": 10**12, "num_subjects": 1,
                                       "media_per_subject": 1}))
         out = tmp_path / "world"
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        done = subprocess.run(
-            [sys.executable, "-c", MEMORY_LIMITED_MAIN, "synth", str(config),
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        done = run_memory_limited(tmp_path, 256 << 20, "synth", config, "--out", out)
         assert done.returncode == 1, done.stderr[-2000:]
         assert done.stdout == ""
         assert done.stderr.startswith("error: out of memory: ")
         assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
         assert not out.exists()
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_oversize_world_fails_before_building_it(self, tmp_path):
+        # 10**10 media: the model-A array is refused before a Python object
+        # is built per medium; built first, the manifest entries fill the
+        # cap and the run ends in a MemoryError traceback after seconds
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"num_subjects": 10**9}))
+        out = tmp_path / "world"
+        done = run_memory_limited(tmp_path, 256 << 20, "synth", config, "--out", out)
+        assert done.returncode == 1, done.stderr[-2000:]
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: out of memory: ")
+        assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+        assert not out.exists()
+        rss = json.loads((tmp_path / "rss.json").read_text())
+        assert rss["peak_kib"] - rss["after_imports_kib"] < 8 << 10
 
-# main() under RLIMIT_AS = VmSize + 256 MiB, taken after the imports
+
+# main() under RLIMIT_AS = VmSize + headroom (argv[1], in bytes), taken
+# after the imports; the resident set then and the peak resident set at
+# exit, in KiB, are written as JSON to the file argv[2]
 MEMORY_LIMITED_MAIN = """
-import resource, sys
+import json, resource, sys
 from embalign.cli import main
-with open("/proc/self/status") as status:
-    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+
+def status(field):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
+
+headroom, report, *argv = sys.argv[1:]
+after_imports = status("VmRSS")
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (256 << 20), hard))
-sys.exit(main(sys.argv[1:]))
+resource.setrlimit(resource.RLIMIT_AS, (status("VmSize") * 1024 + int(headroom), hard))
+try:
+    sys.exit(main(argv))
+finally:
+    with open(report, "w") as f:
+        json.dump({"after_imports_kib": after_imports, "peak_kib": status("VmHWM")}, f)
 """
+
+
+def run_memory_limited(tmp_path, headroom: int, *argv):
+    """MEMORY_LIMITED_MAIN in a child with one BLAS thread, reporting to
+    ``tmp_path / "rss.json"``: the finished process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    report = tmp_path / "rss.json"
+    done = subprocess.run(
+        [sys.executable, "-c", MEMORY_LIMITED_MAIN, str(headroom), str(report),
+         *map(str, argv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return done
+
 
 # Configs that broke the exit contract before the typed reader: a
 # traceback at exit 1, a value silently coerced or a key ignored at

@@ -265,6 +265,45 @@ class TestRunSweep:
                 models[0], models[1], manifest, pairs, ["linear"], [4], 0, 1e-2, 0
             )
 
+    def test_overlapping_splits_rejected(self):
+        _, a, b, manifest, _ = make_world()
+        _, pairs = split_world(a, b, manifest)
+        with pytest.raises(ProtocolError, match="splits overlap"):
+            run_sweep((a, a), (b, b), manifest, pairs, ["rotation"], [4], 1, 1e-1)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_mismatched_splits_rejected(self, side):
+        _, a, b, manifest, _ = make_world()
+        models, pairs = split_world(a, b, manifest)
+        other = split_by_template(manifest, 0.5, seed=99)[side]
+        bad = list(models[1])
+        bad[side] = b.restrict(other)
+        with pytest.raises(ProtocolError, match="must share enrollment and verification"):
+            run_sweep(models[0], tuple(bad), manifest, pairs, ["rotation"], [4], 1, 1e-1)
+
+
+class TestMapKinds:
+    @pytest.mark.parametrize("experiment", ["grid", "sweep"])
+    def test_unknown_kind_refused_before_any_plan_or_fit(self, monkeypatch, experiment):
+        _, a, b, manifest, _ = make_world()
+        models, pairs = split_world(a, b, manifest)
+        calls = []
+        monkeypatch.setattr(experiments, "EvalPlan", lambda *args: calls.append("EvalPlan"))
+        monkeypatch.setattr(experiments, "fit", lambda *args: calls.append("fit"))
+        kinds = ["linear", "affine"]
+        with pytest.raises(ValueError, match="unknown map kind 'affine'"):
+            if experiment == "grid":
+                run_grid(models, manifest, pairs, kinds, [1e-1])
+            else:
+                run_sweep(models[0], models[1], manifest, pairs, kinds, [4], 1, 1e-1)
+        assert calls == []
+
+    def test_unknown_kind_raised_only_in_mapping(self):
+        package = Path(experiments.__file__).parent
+        users = sorted(p.name for p in package.glob("*.py")
+                       if "unknown map kind" in p.read_text())
+        assert users == ["mapping.py"]
+
 
 class ReferencePlan:
     """EvalPlan's interface over the reference loops: every call

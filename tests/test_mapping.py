@@ -560,7 +560,6 @@ class TestMapFiles:
         loaded = load_map(path)
         assert loaded.kind == ROTATION
         assert loaded.matrix.tobytes() == rotation.matrix.tobytes()
-        assert loaded.fit_seed is None
 
     def test_rectangular_linear_round_trip(self, tmp_path):
         rng = np.random.default_rng(18)

@@ -74,7 +74,7 @@ class TestOneHome:
             assert planted is None and ground_truth is None
         else:
             assert planted.matrix.tobytes() == ground_truth.matrix.tobytes()
-            fields = ("kind", "source_model_id", "target_model_id", "fit_seed")
+            fields = ("kind", "source_model_id", "target_model_id")
             assert [getattr(planted, f) for f in fields] == [
                 getattr(ground_truth, f) for f in fields
             ]

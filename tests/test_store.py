@@ -1,6 +1,10 @@
 import inspect
+import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +37,7 @@ from embalign import (
     save_pairs,
 )
 from embalign.mapping import MappingMatrix
-from embalign.store import _NORM_CHUNK, row_norms
+from embalign.store import _ROW_CHUNK, row_chunks, row_norms
 
 
 def make_set(ids, vectors, model_id="m", dtype=np.float32):
@@ -123,7 +127,7 @@ class TestRowNorms:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("extra", [-1, 0, 1, 3])
     def test_bits_of_linalg_norm_across_chunks(self, dtype, extra):
-        n = 2 * _NORM_CHUNK + extra
+        n = 2 * _ROW_CHUNK + extra
         rng = np.random.default_rng(n)
         rows = (rng.standard_normal((n, 67)) * 10.0 ** rng.integers(-3, 4, (n, 1)))
         rows = rows.astype(dtype)
@@ -132,6 +136,22 @@ class TestRowNorms:
 
     def test_empty(self):
         assert row_norms(np.zeros((0, 3))).shape == (0,)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _ROW_CHUNK - 1, _ROW_CHUNK, _ROW_CHUNK + 1,
+                                   2 * _ROW_CHUNK + 1, 3 * _ROW_CHUNK + 2, 50_000])
+    def test_row_chunks_near_equal(self, n):
+        chunks = row_chunks(n)
+        if n == 0:
+            assert chunks == []
+            return
+        count = -(-n // _ROW_CHUNK)
+        # the bounds fit residuals were taken at before the helper held them
+        bounds = [n * k // count for k in range(count + 1)]
+        assert [c.start for c in chunks] + [chunks[-1].stop] == bounds
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        sizes = [c.stop - c.start for c in chunks]
+        assert all(0 < size <= _ROW_CHUNK for size in sizes)
+        assert max(sizes) - min(sizes) <= 1
 
     def test_linalg_norm_only_in_row_norms(self):
         # a row norm over a whole n x d array allocates two more n x d
@@ -438,6 +458,30 @@ class TestAlignPairs:
         assert np.array_equal(ma, ma2)
         assert np.array_equal(mb, mb2)
 
+    def test_chunked_gather_matches_row_by_row(self):
+        n = 2 * _ROW_CHUNK + 3
+        rng = np.random.default_rng(5)
+        ids = [f"r{i:05d}" for i in range(n)]
+        a = make_set(ids, rng.standard_normal((n, 5)).astype(np.float32))
+        order = rng.permutation(n)
+        b = make_set([ids[i] for i in order], rng.standard_normal((n, 3)))
+        ma, mb = align_pairs(a, b)
+        common = sorted(ids)
+        want_a = np.array([a.vectors[a.index_of(m)] for m in common], dtype=np.float64)
+        want_b = np.array([b.vectors[b.index_of(m)] for m in common], dtype=np.float64)
+        assert ma.tobytes() == want_a.tobytes() and mb.tobytes() == want_b.tobytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_memory_bounded(self):
+        src = Path(embalign.__file__).resolve().parents[1]
+        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", ALIGN_MEMORY_GATE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert json.loads(done.stdout) == {"rows": [30_000, 30_000]}
+
     def test_deterministic_order(self):
         rng = np.random.default_rng(4)
         ids = [f"r{i}" for i in range(20)]
@@ -447,6 +491,31 @@ class TestAlignPairs:
         second = align_pairs(a, b)
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
+
+
+# align_pairs on two 30,000 x 512 float32 sets under an RLIMIT_AS of the
+# child's VmSize plus the two float64 design matrices (234 MiB) and 32 MiB.
+# Measured at one BLAS thread: the chunked gather peaks 2 MiB above the
+# designs; gathering each side's float32 rows whole before converting them
+# peaks 61 MiB above.
+ALIGN_MEMORY_GATE = """
+import json, resource
+import numpy as np
+from embalign import EmbeddingSet, align_pairs
+
+m, dim = 30_000, 512
+rng = np.random.default_rng(0)
+ids = [f"m{i:05d}" for i in range(m)]
+a = EmbeddingSet("A", ids, rng.standard_normal((m, dim), dtype=np.float32))
+b = EmbeddingSet("B", ids[::-1], rng.standard_normal((m, dim), dtype=np.float32))
+
+with open("/proc/self/status") as status:
+    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + 2 * m * dim * 8 + (32 << 20), hard))
+x, y = align_pairs(a, b)
+print(json.dumps({"rows": [x.shape[0], y.shape[0]]}))
+"""
 
 
 # Every UTF-8 byte of these characters, and every byte of the vectors and

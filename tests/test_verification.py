@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_eval as reference
-from embalign import verification
+from embalign import store, verification
 from embalign import (
     DataError,
     DimensionError,
@@ -480,7 +480,7 @@ class TestEvalPlanOracle:
         pairs = PairList(
             pairs=tuple((tids[i], tids[j]) for i, j in picks if i != j)
         )
-        assert len(pairs) > 4 * verification._PAIR_CHUNK
+        assert len(pairs) > 4 * store._ROW_CHUNK
         plan = EvalPlan(manifest, a.media_ids, pairs)
         want_a = reference.build_templates(a, manifest)
         want_b = reference.build_templates(b, manifest)
