@@ -23,6 +23,16 @@ Neither fit carries a bias term; point sets are deliberately left in
 their original translation because embeddings live on the unit
 hypersphere around the origin.
 
+Both fits read their rows once, in the chunks of ``row_chunks``, summing
+the sufficient statistics X^T Y, ||X||^2, ||Y||^2 and, for linear fits,
+X^T X. ``fit`` gathers each chunk of the two sets' shared rows into a
+reused float64 buffer, so on the Gram and rotation routes it holds the
+two sets plus O(chunk x d + d^2) and builds no m x d design matrix; only
+the SVD route does. The residual comes from the same statistics in
+closed form unless that has lost its digits to cancellation (below
+CLOSED_FORM_FLOOR of ||Y||^2), when an explicit pass over the rows
+recomputes it.
+
 Map file (.cfem), in the header and string codec of ``store``:
     magic "CFEM" | version u16=1 | kind u8 (0=linear,1=rotation,2=identity) |
     d_a u32 | d_b u32 | d_a*d_b float64 LE row-major |
@@ -44,6 +54,7 @@ from .store import (
     BinaryReader,
     EmbeddingSet,
     align_pairs,
+    aligned_rows,
     binary_header,
     binary_string,
     row_chunks,
@@ -61,6 +72,12 @@ SVD_RCOND = 1e-10
 # smallest Gram eigenvalue, relative to the largest, for which a linear fit
 # is solved from the Gram: cond(X) < 1 / sqrt(GRAM_RCOND), about 316
 GRAM_RCOND = 1e-5
+# least closed-form residual sum of squares, relative to ||Y||^2, that a
+# fit reports; a smaller one is recomputed by the explicit pass
+CLOSED_FORM_FLOOR = 1e-4
+
+# rows per fancy-indexed copy when a set's rows are gathered into float64
+_GATHER_BLOCK = 512
 
 _MAP_MAGIC = b"CFEM"
 _KIND_CODES = {LINEAR: 0, ROTATION: 1, IDENTITY: 2}
@@ -158,7 +175,61 @@ def _fit_inputs(source_rows, target_rows) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _residual_rms(x: np.ndarray, matrix: np.ndarray, y: np.ndarray) -> float:
+class _GatheredRows:
+    """The float64 rows ``vectors[index]`` of a set, a design matrix that is
+    never built: ``rows[s]`` for a slice ``s`` of ``row_chunks`` gathers
+    those rows into one reused buffer and returns it, valid until the next
+    slice is taken. The chunked loops below take it in place of an array."""
+
+    def __init__(self, vectors: np.ndarray, index: np.ndarray):
+        self.shape = (index.size, vectors.shape[1])
+        self._vectors, self._index = vectors, index
+        longest = max(r.stop - r.start for r in row_chunks(index.size))
+        self._buffer = np.empty((longest, vectors.shape[1]))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        chunk = self._buffer[: rows.stop - rows.start]
+        index = self._index[rows]
+        # in blocks, so the fancy-indexed copy before the cast stays small
+        for start in range(0, index.size, _GATHER_BLOCK):
+            block = slice(start, start + _GATHER_BLOCK)
+            chunk[block] = self._vectors[index[block]]
+        return chunk
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """The sufficient statistics of m paired rows: X^T Y, ||X||^2, ||Y||^2
+    and, for linear fits, the Gram X^T X."""
+
+    m: int
+    xty: np.ndarray
+    xx: float
+    yy: float
+    xtx: np.ndarray | None
+
+
+def _moments(x, y, gram: bool) -> _Moments:
+    """The sums of ``_Moments`` over the chunks of ``row_chunks``, each
+    started from the first chunk's products: at m <= 4096 there is one
+    chunk, with the bits of the same products on the whole design. ``x``
+    and ``y`` are 2-D arrays or ``_GatheredRows``."""
+    sums = None
+    for rows in row_chunks(x.shape[0]):
+        xc, yc = x[rows], y[rows]
+        terms = [xc.T @ yc, np.array([np.vdot(xc, xc), np.vdot(yc, yc)])]
+        if gram:
+            terms.append(xc.T @ xc)
+        if sums is None:
+            sums = terms
+        else:
+            for total, term in zip(sums, terms):
+                total += term
+    xty, (xx, yy), *xtx = sums
+    return _Moments(x.shape[0], xty, float(xx), float(yy), xtx[0] if gram else None)
+
+
+def _residual_rms(x, matrix: np.ndarray, y) -> float:
     """sqrt of the mean over rows of ||x_i M - y_i||^2.
 
     Rows go through in the near-equal chunks of ``row_chunks``, so a
@@ -174,17 +245,23 @@ def _residual_rms(x: np.ndarray, matrix: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.mean(squared)))
 
 
-def _gram_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float] | None:
+def _normal_solve(moments: _Moments) -> tuple[np.ndarray, float] | None:
     """The least-squares map from the eigendecomposition X^T X = V W V^T,
     M = V W^-1 V^T X^T Y, with the condition sqrt(w_max / w_min); None
     when m < d or w_min is not above GRAM_RCOND * w_max."""
-    if x.shape[0] < x.shape[1]:
+    if moments.m < moments.xtx.shape[0]:
         return None
-    w, v = np.linalg.eigh(x.T @ x)
+    w, v = np.linalg.eigh(moments.xtx)
     if not w[0] > GRAM_RCOND * w[-1]:
         return None
-    matrix = v @ ((v.T @ (x.T @ y)) / w[:, None])
+    matrix = v @ ((v.T @ moments.xty) / w[:, None])
     return matrix, float(np.sqrt(w[-1] / w[0]))
+
+
+def _gram_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """``fit_linear``'s Gram route on row arrays: its map and condition, or
+    None where the fit takes the SVD."""
+    return _normal_solve(_moments(x, y, gram=True))
 
 
 def _svd_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -203,6 +280,58 @@ def _svd_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
     return matrix, cond
 
 
+def _rotation_solve(xty: np.ndarray) -> np.ndarray:
+    """U I' Vh from the SVD X^T Y = U S Vh, with I' = diag(1, ..., 1,
+    det(U) * det(Vh)) so the result is a proper rotation."""
+    u, _, vt = np.linalg.svd(xty)
+    sign = 1.0 if float(np.linalg.det(u)) * float(np.linalg.det(vt)) >= 0 else -1.0
+    u_corrected = u.copy()
+    u_corrected[:, -1] *= sign
+    return u_corrected @ vt
+
+
+def _fit(kind: str, pairs, design, ids: dict) -> tuple[MappingMatrix, FitReport]:
+    """A linear or rotation fit from one pass of ``_moments``. ``pairs()``
+    returns the row pairs as arrays or ``_GatheredRows``, made anew for
+    each pass so no gather buffer is held through the solve; ``design()``
+    returns them as float64 arrays, for the SVD route alone.
+
+    The residual's sum of squares is taken in closed form from the
+    moments, ||Y||^2 - 2 <M, X^T Y> + <M, X^T X M> (linear) or ||X||^2 +
+    ||Y||^2 - 2 <R, X^T Y> (rotation), when it is at least
+    CLOSED_FORM_FLOOR * ||Y||^2; a smaller one has lost too many digits
+    to cancellation, and the explicit ``_residual_rms`` pass runs instead,
+    as it does on the SVD route.
+    """
+    x, y = pairs()
+    if kind == ROTATION and x.shape[1] != y.shape[1]:
+        raise DimensionError(
+            f"rotation requires equal dimensions, got {x.shape[1]} and {y.shape[1]}"
+        )
+    moments = _moments(x, y, gram=kind == LINEAR)
+    del x, y
+    cond = closed = rows = None
+    if kind == ROTATION:
+        matrix = _rotation_solve(moments.xty)
+        closed = moments.xx + moments.yy - 2.0 * np.vdot(matrix, moments.xty)
+    elif (solved := _normal_solve(moments)) is not None:
+        matrix, cond = solved
+        closed = (moments.yy - 2.0 * np.vdot(matrix, moments.xty)
+                  + np.vdot(matrix, moments.xtx @ matrix))
+    else:
+        rows = design()
+        matrix, cond = _svd_solve(*rows)
+    if closed is not None and closed >= CLOSED_FORM_FLOOR * moments.yy:
+        residual = float(np.sqrt(closed / moments.m))
+    else:
+        x, y = rows or pairs()
+        residual = _residual_rms(x, matrix, y)
+    mapping = MappingMatrix(
+        kind=kind, matrix=matrix, fit_sample_count=moments.m, **ids
+    )
+    return mapping, FitReport(kind, moments.m, residual, cond)
+
+
 def fit_linear(
     source_rows,
     target_rows,
@@ -212,31 +341,20 @@ def fit_linear(
 ) -> tuple[MappingMatrix, FitReport]:
     """Least-squares map M minimizing sum_i ||x_i M - y_i||^2.
 
-    With m >= d samples and a well-conditioned Gram (smallest eigenvalue
-    of X^T X above GRAM_RCOND times the largest), M is solved from the
-    d x d Gram's eigendecomposition, in O(m d^2) time and O(d^2) memory
+    X^T X and X^T Y are summed over row chunks. With m >= d samples and a
+    well-conditioned Gram (smallest eigenvalue of X^T X above GRAM_RCOND
+    times the largest), M is solved from the d x d Gram's
+    eigendecomposition, in O(m d^2) time and O(chunk x d + d^2) memory
     beyond the inputs; it agrees with the SVD solution to a few
     cond(X)^2 * eps relative, under 1e-9. Every other fit goes through the
     SVD of the design matrix with singular values below 1e-10 * sigma_max
     truncated, which yields the minimum-norm solution on rank-deficient
-    inputs. Rectangular maps are permitted.
+    inputs. Rectangular maps are permitted. The residual is guarded as
+    in ``_fit``.
     """
     x, y = _fit_inputs(source_rows, target_rows)
-    matrix, cond = _gram_solve(x, y) or _svd_solve(x, y)
-    mapping = MappingMatrix(
-        kind=LINEAR,
-        source_model_id=source_model_id,
-        target_model_id=target_model_id,
-        matrix=matrix,
-        fit_sample_count=x.shape[0],
-    )
-    report = FitReport(
-        kind=LINEAR,
-        m=x.shape[0],
-        residual_rms=_residual_rms(x, matrix, y),
-        condition_diagnostic=cond,
-    )
-    return mapping, report
+    ids = {"source_model_id": source_model_id, "target_model_id": target_model_id}
+    return _fit(LINEAR, lambda: (x, y), lambda: (x, y), ids)
 
 
 def fit_rotation(
@@ -248,35 +366,15 @@ def fit_rotation(
 ) -> tuple[MappingMatrix, FitReport]:
     """Optimal rotation about the origin between paired point sets.
 
-    Computes the SVD of the uncentered cross-covariance X^T Y and
-    recomposes with unit singular values, flipping the sign of the last
-    one when det(U) * det(Vh) = -1 so the result is always a proper
-    rotation (det +1), never a reflection.
+    Sums the uncentered cross-covariance X^T Y over row chunks, takes its
+    SVD and recomposes with unit singular values, flipping the sign of the
+    last one when det(U) * det(Vh) = -1 so the result is always a proper
+    rotation (det +1), never a reflection. Memory beyond the inputs is
+    O(chunk x d + d^2); the residual is guarded as in ``_fit``.
     """
     x, y = _fit_inputs(source_rows, target_rows)
-    if x.shape[1] != y.shape[1]:
-        raise DimensionError(
-            f"rotation requires equal dimensions, got {x.shape[1]} and {y.shape[1]}"
-        )
-    cross = x.T @ y
-    u, _, vt = np.linalg.svd(cross)
-    sign = 1.0 if float(np.linalg.det(u)) * float(np.linalg.det(vt)) >= 0 else -1.0
-    u_corrected = u.copy()
-    u_corrected[:, -1] *= sign
-    matrix = u_corrected @ vt
-    mapping = MappingMatrix(
-        kind=ROTATION,
-        source_model_id=source_model_id,
-        target_model_id=target_model_id,
-        matrix=matrix,
-        fit_sample_count=x.shape[0],
-    )
-    report = FitReport(
-        kind=ROTATION,
-        m=x.shape[0],
-        residual_rms=_residual_rms(x, matrix, y),
-    )
-    return mapping, report
+    ids = {"source_model_id": source_model_id, "target_model_id": target_model_id}
+    return _fit(ROTATION, lambda: (x, y), lambda: (x, y), ids)
 
 
 def identity_map(
@@ -310,8 +408,11 @@ def fit(
     """Fit a map of ``kind`` from ``source``'s space into ``target``'s.
 
     Linear and rotation maps are fit on the rows of the media the two
-    sets share (``align_pairs``); the identity needs equal dimensions and
-    no samples.
+    sets share, in the order of ``aligned_rows``; the identity needs equal
+    dimensions and no samples. The Gram and rotation routes gather those
+    rows from the sets a chunk at a time, so a fit holds the two sets plus
+    O(chunk x d + d^2); only the SVD route builds the float64 design
+    matrices, through ``align_pairs``.
     """
     check_kinds([kind])
     ids = {"source_model_id": source.model_id, "target_model_id": target.model_id}
@@ -321,14 +422,20 @@ def fit(
                 f"identity map needs equal dimensions, got {source.dim} and {target.dim}"
             )
         return identity_map(source.dim, **ids), FitReport(IDENTITY, 0, None)
-    x, y = align_pairs(source, target)
-    if kind == ROTATION:
-        return fit_rotation(x, y, **ids)
-    return fit_linear(x, y, **ids)
+    rows_a, rows_b = aligned_rows(source, target)
+
+    def pairs():
+        return _GatheredRows(source.vectors, rows_a), _GatheredRows(target.vectors, rows_b)
+
+    return _fit(kind, pairs, lambda: align_pairs(source, target), ids)
 
 
 def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
     """Map every vector and L2-normalize the result.
+
+    The product is taken row chunk by row chunk (``row_chunks``) into one
+    float64 output, with the bits of the whole product, and normalized in
+    place: no float64 copy of the input is made.
 
     The output is tagged with the map's target model id and keeps media
     ids and row order. Rows whose mapped norm falls below 1e-12 have no
@@ -339,7 +446,11 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
         raise DimensionError(
             f"set dimension {embeddings.dim} does not match map input {mapping.d_a}"
         )
-    mapped = embeddings.vectors.astype(np.float64) @ mapping.matrix
+    vectors = embeddings.vectors
+    mapped = np.empty((len(vectors), mapping.d_b))
+    for rows in row_chunks(len(vectors)):
+        np.matmul(vectors[rows].astype(np.float64, copy=False), mapping.matrix,
+                  out=mapped[rows])
     norms = row_norms(mapped)
     keep = norms >= DEGENERATE_NORM
     media_ids = embeddings.media_ids

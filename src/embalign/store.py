@@ -24,7 +24,9 @@ read-only and that nothing writable can reach (``_frozen_array``), so the
 library's producers (load, restrict, map application, templates) mark
 their fresh arrays read-only and hand them over. ``row_chunks`` gives the
 row slices of every chunked loop, so none makes a full-size temporary: row
-norms (``row_norms``), ``align_pairs``, fit residuals and pair scoring.
+norms (``row_norms``), ``align_pairs``, the fit's statistics and residuals,
+map application and pair scoring. ``aligned_rows`` gives the one row order
+of two sets' shared media, sorted by media id, that every fit takes.
 """
 
 from __future__ import annotations
@@ -445,24 +447,30 @@ def save_pairs(pairs: PairList, path) -> None:
         writer.writerows(pairs.pairs)
 
 
-def align_pairs(a: EmbeddingSet, b: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:
-    """Row-aligned float64 matrices over the media-id intersection.
-
-    Rows are ordered lexicographically by media id so the result is
-    independent of either set's on-disk order, and are gathered straight
-    into float64 a row chunk at a time. Raises AlignmentError when the
-    sets share no media.
-    """
+def aligned_rows(a: EmbeddingSet, b: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices into ``a`` and into ``b`` of the media the two sets
+    share, ordered lexicographically by media id, so every alignment is
+    independent of either set's on-disk order. Raises AlignmentError when
+    the sets share no media."""
     common = sorted(set(a.media_ids) & set(b.media_ids))
     if not common:
         raise AlignmentError(
             f"no shared media ids between {a.model_id!r} and {b.model_id!r}"
         )
+    return tuple(
+        np.fromiter(map(s.index_of, common), np.intp, len(common)) for s in (a, b)
+    )
+
+
+def align_pairs(a: EmbeddingSet, b: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:
+    """Row-aligned float64 matrices over the media-id intersection, in the
+    order of ``aligned_rows``, gathered straight into float64 a row chunk
+    at a time. Raises AlignmentError when the sets share no media.
+    """
     matrices = []
-    for s in (a, b):
-        index = np.fromiter(map(s.index_of, common), np.intp, len(common))
-        matrix = np.empty((len(common), s.dim))
-        for rows in row_chunks(len(common)):
+    for s, index in zip((a, b), aligned_rows(a, b)):
+        matrix = np.empty((index.size, s.dim))
+        for rows in row_chunks(index.size):
             matrix[rows] = s.vectors[index[rows]]
         matrices.append(matrix)
     return matrices[0], matrices[1]

@@ -295,12 +295,14 @@ class TestVerify:
     def test_memory_bounded(self, tmp_path, mapped):
         # 15,000 single-image media at dim 1024; a set is n x dim float32
         # (58.6 MiB) and a template set twice that. The cap is side b's set
-        # and both template sets (5 sets), or with --map the two loaded sets,
-        # the float64 copy apply_map multiplies and its product (6 sets),
-        # plus 112 MiB for the manifest, a row-norm chunk and the scoring
-        # gathers. Measured at one BLAS thread: 55 MiB (plain) and 45 MiB
-        # (--map) to spare; keeping side a alive through side b's templates
-        # goes 44 and 92 MiB over.
+        # and both template sets (5 sets); with --map, side b's set, the
+        # float64 mapped set and side a's template set (5 sets), the most
+        # held at once now that apply_map makes no float64 copy of its
+        # input; plus 112 MiB for the manifest, a row-norm chunk and the
+        # scoring gathers. Measured at one BLAS thread: 64 MiB (plain) and
+        # 16 MiB (--map) to spare; keeping side a alive through side b's
+        # templates goes 44 and 92 MiB over, and a whole float64 copy of
+        # the input in apply_map 8 MiB over.
         n, dim = 15_000, 1024
         rng = np.random.default_rng(4)
         ids = [f"m{i:05d}" for i in range(n)]
@@ -319,8 +321,7 @@ class TestVerify:
         if mapped:
             save_map(identity_map(dim), tmp_path / "map.cfem")
             argv += ["--map", tmp_path / "map.cfem"]
-        sets = 6 if mapped else 5
-        done = run_memory_limited(tmp_path, sets * n * dim * 4 + (112 << 20), *argv)
+        done = run_memory_limited(tmp_path, 5 * n * dim * 4 + (112 << 20), *argv)
         assert done.returncode == 0, done.stderr[-2000:]
         report = json.loads(done.stdout)
         assert (report["genuine_count"], report["impostor_count"]) == (1000, 1000)

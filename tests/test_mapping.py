@@ -27,9 +27,12 @@ from embalign import (
     fit_rotation,
     identity_map,
     load_map,
+    SynthSpec,
+    generate_world,
     random_rotation,
     save_map,
 )
+from embalign.store import row_norms
 
 
 def objective(matrix, x, y):
@@ -152,6 +155,34 @@ OVER_BOUND = st.one_of(
 
 def relative_gap(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def paired_sets(m, dim, seed, noise=0.1):
+    """Float32 sets "A" and "B" that share m media, each with one medium
+    of its own, in two unrelated row orders; B's rows are A's times a
+    planted rotation plus Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    ids = [f"m{i:05d}" for i in range(m + 2)]
+    x = rng.standard_normal((m + 2, dim))
+    y = x @ random_rotation(dim, seed=seed).matrix + noise * rng.standard_normal((m + 2, dim))
+    sets = []
+    for name, rows, part in (("A", x, slice(0, m + 1)), ("B", y, slice(1, m + 2))):
+        order = rng.permutation(np.arange(m + 2)[part])
+        sets.append(EmbeddingSet(name, [ids[i] for i in order], rows[order].astype(np.float32)))
+    return sets[0], sets[1]
+
+
+def reordered(embeddings, seed):
+    order = np.random.default_rng(seed).permutation(len(embeddings))
+    return EmbeddingSet(embeddings.model_id, [embeddings.media_ids[i] for i in order],
+                        embeddings.vectors[order])
+
+
+def direct_rotation(x, y):
+    """The rotation from one SVD of the whole X^T Y, with the determinant fix."""
+    u, _, vt = np.linalg.svd(x.T @ y)
+    u[:, -1] *= 1.0 if np.linalg.det(u) * np.linalg.det(vt) >= 0 else -1.0
+    return u @ vt
 
 
 class TestGramRoute:
@@ -406,6 +437,26 @@ class TestFitDispatch:
             kind, "A", "B")
         assert report == expected_report and report.m == 3
 
+    @pytest.mark.parametrize("dim", [8, 512])
+    @pytest.mark.parametrize("kind", [LINEAR, ROTATION])
+    def test_one_chunk_fit_keeps_the_bytes_of_one_product(self, kind, dim):
+        # 4096 shared media, the most one chunk of row_chunks holds: the
+        # fit has the bytes of the fitter on the aligned design, and of the
+        # products X^T X and X^T Y taken over that whole design
+        a, b = paired_sets(4096, dim, seed=dim)
+        mapping, report = fit(kind, a, b)
+        x, y = align_pairs(a, b)
+        fitter = fit_linear if kind == LINEAR else fit_rotation
+        expected, expected_report = fitter(x, y, source_model_id="A", target_model_id="B")
+        assert reference.same_bits(mapping.matrix, expected.matrix)
+        assert report == expected_report and report.m == 4096
+        if kind == LINEAR:
+            w, v = np.linalg.eigh(x.T @ x)
+            whole = v @ ((v.T @ (x.T @ y)) / w[:, None])
+        else:
+            whole = direct_rotation(x, y)
+        assert reference.same_bits(mapping.matrix, whole)
+
     def test_identity_fits_nothing(self):
         a, b = self.sets()
         mapping, report = fit(IDENTITY, a, b)
@@ -423,6 +474,158 @@ class TestFitDispatch:
         a, b = self.sets()
         with pytest.raises(ValueError, match="unknown map kind 'affine'"):
             fit("affine", a, b)
+
+
+class TestStatisticsRoute:
+    """fit sums X^T Y (and X^T X) over row chunks gathered from the two
+    sets, to within 1e-9 of the oracles on the whole design, with bytes
+    that depend on neither set's row order, and without building the
+    design matrices outside the SVD route."""
+
+    @pytest.mark.parametrize("dim", [8, 512])
+    @pytest.mark.parametrize("m", [4095, 4096, 4097, 4098, 8194, 12291])
+    @pytest.mark.parametrize("kind", [LINEAR, ROTATION])
+    def test_maps_match_the_oracles(self, kind, m, dim):
+        a, b = paired_sets(m, dim, seed=m)
+        mapping, report = fit(kind, a, b)
+        x, y = align_pairs(a, b)
+        if kind == LINEAR:
+            want = reference.fit_linear_svd(x, y)[0].matrix
+        else:
+            want = direct_rotation(x, y)
+        assert relative_gap(mapping.matrix, want) <= 1e-9
+        # the row-array fitters run the same pass over the aligned rows
+        fitter = fit_linear if kind == LINEAR else fit_rotation
+        rows_mapping, rows_report = fitter(x, y, source_model_id="A", target_model_id="B")
+        assert reference.same_bits(mapping.matrix, rows_mapping.matrix)
+        assert report == rows_report and report.m == m
+
+    @pytest.mark.parametrize("kind", [LINEAR, ROTATION])
+    def test_bytes_do_not_depend_on_row_order(self, kind):
+        a, b = paired_sets(8194, 64, seed=6)
+        mapping, report = fit(kind, a, b)
+        for seed in (1, 2):
+            again, again_report = fit(kind, reordered(a, seed), reordered(b, seed + 10))
+            assert reference.same_bits(again.matrix, mapping.matrix)
+            assert again_report == report
+
+    @pytest.fixture
+    def designs_built(self, monkeypatch):
+        calls = []
+
+        def spy(a, b):
+            calls.append((a.model_id, b.model_id))
+            return align_pairs(a, b)
+
+        monkeypatch.setattr(mapping_module, "align_pairs", spy)
+        return calls
+
+    @pytest.mark.parametrize("kind", [LINEAR, ROTATION])
+    def test_gram_and_rotation_routes_build_no_design(self, kind, designs_built):
+        a, b = paired_sets(5000, 16, seed=7)
+        fit(kind, a, b)
+        assert designs_built == []
+
+    def test_svd_route_builds_the_design(self, designs_built):
+        a, b = paired_sets(10, 16, seed=8)  # fewer samples than dimensions
+        mapping, report = fit(LINEAR, a, b)
+        assert designs_built == [("A", "B")]
+        expected, expected_report = reference.fit_linear_svd(*align_pairs(a, b))
+        assert reference.same_bits(mapping.matrix, expected.matrix)
+        assert report == expected_report
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_fit_from_sets_memory_bounded(self):
+        src = Path(mapping_module.__file__).resolve().parents[1]
+        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        done = subprocess.run([sys.executable, "-c", FIT_SETS_MEMORY_GATE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert json.loads(done.stdout) == {"m": [30_000, 30_000]}
+
+
+# fit on two 30,000 x 512 float32 sets (58.6 MiB each) under an RLIMIT_AS of
+# the child's VmSize after loading them, plus 32 MiB. A first fit on 1,000
+# of the rows sets up the BLAS and LAPACK buffers before VmSize is read.
+# Measured at one BLAS thread: both fits pass at 22 MiB above VmSize and
+# fail at 20; gathering the two float64 design matrices (234 MiB) needs
+# 290 MiB.
+FIT_SETS_MEMORY_GATE = """
+import json, resource
+import numpy as np
+from embalign import EmbeddingSet, fit
+
+m, dim = 30_000, 512
+rng = np.random.default_rng(0)
+ids = [f"m{i:05d}" for i in range(m)]
+a = EmbeddingSet("A", ids, rng.standard_normal((m, dim), dtype=np.float32))
+b = EmbeddingSet("B", ids[::-1], rng.standard_normal((m, dim), dtype=np.float32))
+warm = EmbeddingSet("W", ids[:1000], a.vectors[:1000])
+fit("linear", warm, warm), fit("rotation", warm, warm)
+
+with open("/proc/self/status") as status:
+    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (32 << 20), hard))
+_, linear = fit("linear", a, b)
+_, rotation = fit("rotation", a, b)
+print(json.dumps({"m": [linear.m, rotation.m]}))
+"""
+
+
+class TestGuardedResidual:
+    """The residual comes from the fit's statistics in closed form when
+    that reads at least CLOSED_FORM_FLOOR of ||Y||^2, within 1e-9 of the
+    explicit pass; otherwise it is the explicit pass's value."""
+
+    @pytest.fixture
+    def explicit_passes(self, monkeypatch):
+        calls = []
+        explicit = mapping_module._residual_rms
+
+        def spy(x, matrix, y):
+            calls.append(x.shape[0])
+            return explicit(x, matrix, y)
+
+        monkeypatch.setattr(mapping_module, "_residual_rms", spy)
+        return calls
+
+    @staticmethod
+    def world(dim, planted_kind, cross_model_noise, within_class_noise=0.15):
+        set_a, set_b, _, _ = generate_world(SynthSpec(
+            seed=3, dim=dim, num_subjects=500, media_per_subject=10,
+            within_class_noise=within_class_noise, cross_model_noise=cross_model_noise,
+            planted_kind=planted_kind))
+        return set_a, set_b
+
+    @pytest.mark.parametrize("kind", [LINEAR, ROTATION])
+    @pytest.mark.parametrize("dim, planted_kind, cross_model_noise, within_class_noise", [
+        (512, ROTATION, 0.5, 2.0),  # the benchmark pipeline's noise
+        (64, LINEAR, 1e-3, 0.15),
+    ])
+    def test_closed_form_within_1e9_of_the_explicit_pass(
+            self, explicit_passes, kind, dim, planted_kind, cross_model_noise,
+            within_class_noise):
+        a, b = self.world(dim, planted_kind, cross_model_noise, within_class_noise)
+        mapping, report = fit(kind, a, b)
+        assert explicit_passes == []
+        x, y = align_pairs(a, b)
+        explicit = mapping_module._residual_rms(x, mapping.matrix, y)
+        assert report.residual_rms == pytest.approx(explicit, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("kind", [LINEAR, ROTATION])
+    @pytest.mark.parametrize("cross_model_noise", [0.0, 1e-3])
+    def test_refused_closed_form_takes_the_explicit_pass(
+            self, explicit_passes, kind, cross_model_noise):
+        # a planted rotation, fit exactly at noise 0 and to about 1e-6 of
+        # ||Y||^2 at noise 1e-3: below the floor
+        a, b = self.world(64, ROTATION, cross_model_noise)
+        mapping, report = fit(kind, a, b)
+        assert explicit_passes == [5000]
+        x, y = align_pairs(a, b)
+        assert report.residual_rms == mapping_module._residual_rms(x, mapping.matrix, y)
 
 
 class TestIdentityAndApply:
@@ -518,6 +721,20 @@ class TestIdentityAndApply:
         )
         with pytest.raises(DimensionError):
             apply_map(mapping, embeddings)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(50000, 512), (15000, 1024), (9000, 64), (5000, 128),
+                                       (4099, 256), (4097, 128), (3, 128)])
+    def test_chunked_product_has_the_bits_of_one_product(self, shape, dtype):
+        rng = np.random.default_rng(shape[0])
+        vectors = rng.standard_normal(shape).astype(dtype)
+        vectors.setflags(write=False)
+        mapping = MappingMatrix(LINEAR, "A", "B", rng.standard_normal((shape[1], shape[1])), 1)
+        want = vectors.astype(np.float64) @ mapping.matrix
+        want /= row_norms(want)[:, None]
+        got = apply_map(mapping, EmbeddingSet("A", [f"m{i}" for i in range(shape[0])], vectors))
+        assert reference.same_bits(got.vectors, want)
 
 
 class TestMappingMatrixInvariants:

@@ -37,7 +37,7 @@ from embalign import (
     save_pairs,
 )
 from embalign.mapping import MappingMatrix
-from embalign.store import _ROW_CHUNK, row_chunks, row_norms
+from embalign.store import _ROW_CHUNK, aligned_rows, row_chunks, row_norms
 
 
 def make_set(ids, vectors, model_id="m", dtype=np.float32):
@@ -448,6 +448,16 @@ class TestAlignPairs:
         b = make_set(["b"], [[1, 0]])
         with pytest.raises(AlignmentError):
             align_pairs(a, b)
+
+    def test_aligned_rows_index_the_sorted_shared_ids(self):
+        a = make_set(["q", "b", "z", "a"], np.zeros((4, 2)))
+        b = make_set(["a", "c", "q", "b"], np.zeros((4, 2)))
+        rows_a, rows_b = aligned_rows(a, b)
+        assert rows_a.dtype == rows_b.dtype == np.intp
+        assert [a.media_ids[i] for i in rows_a] == ["a", "b", "q"]
+        assert [b.media_ids[i] for i in rows_b] == ["a", "b", "q"]
+        with pytest.raises(AlignmentError, match="no shared media ids between 'm' and 'n'"):
+            aligned_rows(a, make_set(["x"], [[1, 0]], model_id="n"))
 
     def test_symmetric_in_content(self):
         rng = np.random.default_rng(3)
