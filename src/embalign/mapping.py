@@ -23,15 +23,18 @@ Neither fit carries a bias term; point sets are deliberately left in
 their original translation because embeddings live on the unit
 hypersphere around the origin.
 
-Both fits read their rows once, in the chunks of ``row_chunks``, summing
-the sufficient statistics X^T Y, ||X||^2, ||Y||^2 and, for linear fits,
-X^T X. ``fit`` gathers each chunk of the two sets' shared rows into a
-reused float64 buffer, so on the Gram and rotation routes it holds the
-two sets plus O(chunk x d + d^2) and builds no m x d design matrix; only
-the SVD route does. The residual comes from the same statistics in
-closed form unless that has lost its digits to cancellation (below
-CLOSED_FORM_FLOOR of ||Y||^2), when an explicit pass over the rows
-recomputes it.
+Every loop over rows here reads them through ``store.float_chunks``, the
+one chunked float64 row reader: rows are ``(vectors, index)`` pairs, the
+two sets' vectors with the row indices of their shared media in ``fit``
+and the input arrays with no index in ``fit_linear`` and ``fit_rotation``.
+Both fits read their rows once, summing the sufficient statistics X^T Y,
+||X||^2, ||Y||^2 and, for linear fits, X^T X, so on the Gram and rotation
+routes a fit holds its inputs plus O(chunk x d + d^2) and builds no m x d
+design matrix; only the SVD route does, through ``store.float_rows``. The
+residual comes from the same statistics in closed form unless that has
+lost its digits to cancellation (below CLOSED_FORM_FLOOR of ||Y||^2),
+when an explicit pass over the rows recomputes it. ``apply_map`` takes
+its product chunk by chunk from the same reader.
 
 Map file (.cfem), in the header and string codec of ``store``:
     magic "CFEM" | version u16=1 | kind u8 (0=linear,1=rotation,2=identity) |
@@ -53,11 +56,11 @@ from .store import (
     DEGENERATE_NORM,
     BinaryReader,
     EmbeddingSet,
-    align_pairs,
     aligned_rows,
     binary_header,
     binary_string,
-    row_chunks,
+    float_chunks,
+    float_rows,
     row_norms,
 )
 
@@ -75,9 +78,6 @@ GRAM_RCOND = 1e-5
 # least closed-form residual sum of squares, relative to ||Y||^2, that a
 # fit reports; a smaller one is recomputed by the explicit pass
 CLOSED_FORM_FLOOR = 1e-4
-
-# rows per fancy-indexed copy when a set's rows are gathered into float64
-_GATHER_BLOCK = 512
 
 _MAP_MAGIC = b"CFEM"
 _KIND_CODES = {LINEAR: 0, ROTATION: 1, IDENTITY: 2}
@@ -175,28 +175,6 @@ def _fit_inputs(source_rows, target_rows) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-class _GatheredRows:
-    """The float64 rows ``vectors[index]`` of a set, a design matrix that is
-    never built: ``rows[s]`` for a slice ``s`` of ``row_chunks`` gathers
-    those rows into one reused buffer and returns it, valid until the next
-    slice is taken. The chunked loops below take it in place of an array."""
-
-    def __init__(self, vectors: np.ndarray, index: np.ndarray):
-        self.shape = (index.size, vectors.shape[1])
-        self._vectors, self._index = vectors, index
-        longest = max(r.stop - r.start for r in row_chunks(index.size))
-        self._buffer = np.empty((longest, vectors.shape[1]))
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        chunk = self._buffer[: rows.stop - rows.start]
-        index = self._index[rows]
-        # in blocks, so the fancy-indexed copy before the cast stays small
-        for start in range(0, index.size, _GATHER_BLOCK):
-            block = slice(start, start + _GATHER_BLOCK)
-            chunk[block] = self._vectors[index[block]]
-        return chunk
-
-
 @dataclass(frozen=True)
 class _Moments:
     """The sufficient statistics of m paired rows: X^T Y, ||X||^2, ||Y||^2
@@ -210,13 +188,12 @@ class _Moments:
 
 
 def _moments(x, y, gram: bool) -> _Moments:
-    """The sums of ``_Moments`` over the chunks of ``row_chunks``, each
-    started from the first chunk's products: at m <= 4096 there is one
-    chunk, with the bits of the same products on the whole design. ``x``
-    and ``y`` are 2-D arrays or ``_GatheredRows``."""
+    """The sums of ``_Moments`` over the chunks of ``float_chunks`` of the
+    ``(vectors, index)`` pairs ``x`` and ``y``, each started from the first
+    chunk's products: at m <= 4096 there is one chunk, with the bits of the
+    same products on the whole design."""
     sums = None
-    for rows in row_chunks(x.shape[0]):
-        xc, yc = x[rows], y[rows]
+    for (rows, xc), (_, yc) in zip(float_chunks(*x), float_chunks(*y)):
         terms = [xc.T @ yc, np.array([np.vdot(xc, xc), np.vdot(yc, yc)])]
         if gram:
             terms.append(xc.T @ xc)
@@ -226,23 +203,24 @@ def _moments(x, y, gram: bool) -> _Moments:
             for total, term in zip(sums, terms):
                 total += term
     xty, (xx, yy), *xtx = sums
-    return _Moments(x.shape[0], xty, float(xx), float(yy), xtx[0] if gram else None)
+    return _Moments(rows.stop, xty, float(xx), float(yy), xtx[0] if gram else None)
 
 
 def _residual_rms(x, matrix: np.ndarray, y) -> float:
-    """sqrt of the mean over rows of ||x_i M - y_i||^2.
+    """sqrt of the mean over rows of ||x_i M - y_i||^2, for the
+    ``(vectors, index)`` pairs ``x`` and ``y``.
 
-    Rows go through in the near-equal chunks of ``row_chunks``, so a
+    Rows go through in the near-equal chunks of ``float_chunks``, so a
     fit's working set stays O(chunk x d + d^2) and every chunk's product
     has the bits of its rows inside one GEMM.
     """
-    squared = np.empty(x.shape[0])
-    for rows in row_chunks(x.shape[0]):
-        diff = x[rows] @ matrix
-        diff -= y[rows]
+    squared = []
+    for (_, xc), (_, yc) in zip(float_chunks(*x), float_chunks(*y)):
+        diff = xc @ matrix
+        diff -= yc
         diff *= diff
-        squared[rows] = np.sum(diff, axis=1)
-    return float(np.sqrt(np.mean(squared)))
+        squared.append(np.sum(diff, axis=1))
+    return float(np.sqrt(np.mean(np.concatenate(squared))))
 
 
 def _normal_solve(moments: _Moments) -> tuple[np.ndarray, float] | None:
@@ -256,12 +234,6 @@ def _normal_solve(moments: _Moments) -> tuple[np.ndarray, float] | None:
         return None
     matrix = v @ ((v.T @ moments.xty) / w[:, None])
     return matrix, float(np.sqrt(w[-1] / w[0]))
-
-
-def _gram_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """``fit_linear``'s Gram route on row arrays: its map and condition, or
-    None where the fit takes the SVD."""
-    return _normal_solve(_moments(x, y, gram=True))
 
 
 def _svd_solve(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -290,11 +262,10 @@ def _rotation_solve(xty: np.ndarray) -> np.ndarray:
     return u_corrected @ vt
 
 
-def _fit(kind: str, pairs, design, ids: dict) -> tuple[MappingMatrix, FitReport]:
-    """A linear or rotation fit from one pass of ``_moments``. ``pairs()``
-    returns the row pairs as arrays or ``_GatheredRows``, made anew for
-    each pass so no gather buffer is held through the solve; ``design()``
-    returns them as float64 arrays, for the SVD route alone.
+def _fit(kind: str, x, y, ids: dict) -> tuple[MappingMatrix, FitReport]:
+    """A linear or rotation fit from one pass of ``_moments`` over the
+    ``(vectors, index)`` pairs ``x`` and ``y``; only the SVD route gathers
+    them into float64 design matrices, through ``float_rows``.
 
     The residual's sum of squares is taken in closed form from the
     moments, ||Y||^2 - 2 <M, X^T Y> + <M, X^T X M> (linear) or ||X||^2 +
@@ -303,14 +274,11 @@ def _fit(kind: str, pairs, design, ids: dict) -> tuple[MappingMatrix, FitReport]
     to cancellation, and the explicit ``_residual_rms`` pass runs instead,
     as it does on the SVD route.
     """
-    x, y = pairs()
-    if kind == ROTATION and x.shape[1] != y.shape[1]:
-        raise DimensionError(
-            f"rotation requires equal dimensions, got {x.shape[1]} and {y.shape[1]}"
-        )
+    d_x, d_y = x[0].shape[1], y[0].shape[1]
+    if kind == ROTATION and d_x != d_y:
+        raise DimensionError(f"rotation requires equal dimensions, got {d_x} and {d_y}")
     moments = _moments(x, y, gram=kind == LINEAR)
-    del x, y
-    cond = closed = rows = None
+    cond = closed = None
     if kind == ROTATION:
         matrix = _rotation_solve(moments.xty)
         closed = moments.xx + moments.yy - 2.0 * np.vdot(matrix, moments.xty)
@@ -319,12 +287,10 @@ def _fit(kind: str, pairs, design, ids: dict) -> tuple[MappingMatrix, FitReport]
         closed = (moments.yy - 2.0 * np.vdot(matrix, moments.xty)
                   + np.vdot(matrix, moments.xtx @ matrix))
     else:
-        rows = design()
-        matrix, cond = _svd_solve(*rows)
+        matrix, cond = _svd_solve(float_rows(*x), float_rows(*y))
     if closed is not None and closed >= CLOSED_FORM_FLOOR * moments.yy:
         residual = float(np.sqrt(closed / moments.m))
     else:
-        x, y = rows or pairs()
         residual = _residual_rms(x, matrix, y)
     mapping = MappingMatrix(
         kind=kind, matrix=matrix, fit_sample_count=moments.m, **ids
@@ -354,7 +320,7 @@ def fit_linear(
     """
     x, y = _fit_inputs(source_rows, target_rows)
     ids = {"source_model_id": source_model_id, "target_model_id": target_model_id}
-    return _fit(LINEAR, lambda: (x, y), lambda: (x, y), ids)
+    return _fit(LINEAR, (x, None), (y, None), ids)
 
 
 def fit_rotation(
@@ -374,7 +340,7 @@ def fit_rotation(
     """
     x, y = _fit_inputs(source_rows, target_rows)
     ids = {"source_model_id": source_model_id, "target_model_id": target_model_id}
-    return _fit(ROTATION, lambda: (x, y), lambda: (x, y), ids)
+    return _fit(ROTATION, (x, None), (y, None), ids)
 
 
 def identity_map(
@@ -409,10 +375,10 @@ def fit(
 
     Linear and rotation maps are fit on the rows of the media the two
     sets share, in the order of ``aligned_rows``; the identity needs equal
-    dimensions and no samples. The Gram and rotation routes gather those
-    rows from the sets a chunk at a time, so a fit holds the two sets plus
-    O(chunk x d + d^2); only the SVD route builds the float64 design
-    matrices, through ``align_pairs``.
+    dimensions and no samples. The Gram and rotation routes read those
+    rows from the sets through ``float_chunks``, so a fit holds the two
+    sets plus O(chunk x d + d^2); only the SVD route builds the float64
+    design matrices, through ``float_rows``.
     """
     check_kinds([kind])
     ids = {"source_model_id": source.model_id, "target_model_id": target.model_id}
@@ -423,19 +389,15 @@ def fit(
             )
         return identity_map(source.dim, **ids), FitReport(IDENTITY, 0, None)
     rows_a, rows_b = aligned_rows(source, target)
-
-    def pairs():
-        return _GatheredRows(source.vectors, rows_a), _GatheredRows(target.vectors, rows_b)
-
-    return _fit(kind, pairs, lambda: align_pairs(source, target), ids)
+    return _fit(kind, (source.vectors, rows_a), (target.vectors, rows_b), ids)
 
 
 def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
     """Map every vector and L2-normalize the result.
 
-    The product is taken row chunk by row chunk (``row_chunks``) into one
+    The product is taken chunk by chunk from ``float_chunks`` into one
     float64 output, with the bits of the whole product, and normalized in
-    place: no float64 copy of the input is made.
+    place: no float64 copy of the whole input is made.
 
     The output is tagged with the map's target model id and keeps media
     ids and row order. Rows whose mapped norm falls below 1e-12 have no
@@ -446,11 +408,9 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
         raise DimensionError(
             f"set dimension {embeddings.dim} does not match map input {mapping.d_a}"
         )
-    vectors = embeddings.vectors
-    mapped = np.empty((len(vectors), mapping.d_b))
-    for rows in row_chunks(len(vectors)):
-        np.matmul(vectors[rows].astype(np.float64, copy=False), mapping.matrix,
-                  out=mapped[rows])
+    mapped = np.empty((len(embeddings), mapping.d_b))
+    for rows, chunk in float_chunks(embeddings.vectors):
+        np.matmul(chunk, mapping.matrix, out=mapped[rows])
     norms = row_norms(mapped)
     keep = norms >= DEGENERATE_NORM
     media_ids = embeddings.media_ids

@@ -22,11 +22,15 @@ A load reads the records in one pass and copies the vector payload once,
 into the array the set keeps. Sets do not copy an array that is already
 read-only and that nothing writable can reach (``_frozen_array``), so the
 library's producers (load, restrict, map application, templates) mark
-their fresh arrays read-only and hand them over. ``row_chunks`` gives the
-row slices of every chunked loop, so none makes a full-size temporary: row
-norms (``row_norms``), ``align_pairs``, the fit's statistics and residuals,
-map application and pair scoring. ``aligned_rows`` gives the one row order
-of two sets' shared media, sorted by media id, that every fit takes.
+their fresh arrays read-only and hand them over. ``float_chunks`` is the
+one chunked float64 row reader: over the row slices of ``row_chunks`` it
+yields an array's rows, or the rows an index picks, as float64 in one
+reused buffer, so no row loop makes a full-size temporary. Row norms
+(``row_norms``), ``align_pairs`` (through ``float_rows``), the fit's
+statistics and residuals, map application and pair scoring all read
+through it; a save writes its records a ``row_chunks`` chunk at a time.
+``aligned_rows`` gives the one row order of two sets' shared media, sorted
+by media id, that every fit takes.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ UNIT_NORM_TOL = 1e-6
 DEGENERATE_NORM = 1e-12
 # most rows in a chunk of row_chunks
 _ROW_CHUNK = 4096
+# rows per fancy-indexed copy when float_chunks gathers rows into float64
+_GATHER_BLOCK = 512
 
 
 def _frozen_array(values, dtype=None) -> np.ndarray:
@@ -91,18 +97,45 @@ def row_chunks(n: int) -> list[slice]:
     return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
 
 
+def float_chunks(vectors: np.ndarray, index: np.ndarray | None = None):
+    """For each slice ``rows`` of ``row_chunks``, ``(rows, chunk)``: the
+    float64 rows ``vectors[index[rows]]``, or ``vectors[rows]`` without an
+    index, in one buffer reused for every chunk, so a chunk is valid only
+    until the next is taken. The buffer holds the longest chunk; indexed
+    rows are gathered _GATHER_BLOCK at a time, so the fancy-indexed copy
+    before the cast stays small."""
+    chunks = row_chunks(len(vectors) if index is None else index.size)
+    longest = max((rows.stop - rows.start for rows in chunks), default=0)
+    buffer = np.empty((longest, vectors.shape[1]))
+    for rows in chunks:
+        chunk = buffer[: rows.stop - rows.start]
+        if index is None:
+            chunk[...] = vectors[rows]
+        else:
+            part = index[rows]
+            for start in range(0, part.size, _GATHER_BLOCK):
+                block = slice(start, start + _GATHER_BLOCK)
+                chunk[block] = vectors[part[block]]
+        yield rows, chunk
+
+
+def float_rows(vectors: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """The rows of ``float_chunks`` as one new float64 array."""
+    rows = np.empty((len(vectors) if index is None else index.size, vectors.shape[1]))
+    for chunk_rows, chunk in float_chunks(vectors, index):
+        rows[chunk_rows] = chunk
+    return rows
+
+
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """The float64 L2 norm of each row of a 2-D array.
 
-    Computed as sqrt(add.reduce(c * c, axis=1)) over float64 row chunks
-    in one reused buffer: bit for bit what ``np.linalg.norm(rows, axis=1)``
+    Computed as sqrt(add.reduce(c * c, axis=1)) over the chunks of
+    ``float_chunks``: bit for bit what ``np.linalg.norm(rows, axis=1)``
     gives on the rows as float64, without its two full-size temporaries.
     """
     norms = np.empty(rows.shape[0])
-    buffer = np.empty((min(rows.shape[0], _ROW_CHUNK), rows.shape[1]))
-    for chunk_rows in row_chunks(rows.shape[0]):
-        chunk = buffer[: chunk_rows.stop - chunk_rows.start]
-        chunk[...] = rows[chunk_rows]
+    for chunk_rows, chunk in float_chunks(rows):
         chunk *= chunk
         np.add.reduce(chunk, axis=1, out=norms[chunk_rows])
     return np.sqrt(norms, out=norms)
@@ -323,14 +356,24 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
 
     A set whose vectors are already float32 round-trips bit-exactly
     through save/load; float64 vectors are rounded to float32 on disk.
+    The records go to the open file a ``row_chunks`` chunk at a time, so
+    a save holds one chunk's records, not the file. A save refused for an
+    id too long to serialize leaves no file behind.
     """
-    out = binary_header(_MAGIC, "<IQ", embeddings.dim, len(embeddings))
-    payload = np.ascontiguousarray(embeddings.vectors, dtype="<f4")
-    for media_id, row in zip(embeddings.media_ids, payload):
-        out += binary_string(media_id, "media id")
-        out += row.tobytes()
-    out += binary_string(embeddings.model_id, "model id")
-    Path(path).write_bytes(out)
+    try:
+        with open(path, "wb") as f:
+            f.write(binary_header(_MAGIC, "<IQ", embeddings.dim, len(embeddings)))
+            for rows in row_chunks(len(embeddings)):
+                payload = np.ascontiguousarray(embeddings.vectors[rows], dtype="<f4")
+                out = bytearray()
+                for media_id, row in zip(embeddings.media_ids[rows], payload):
+                    out += binary_string(media_id, "media id")
+                    out += row.tobytes()
+                f.write(out)
+            f.write(binary_string(embeddings.model_id, "model id"))
+    except DataError:
+        Path(path).unlink()
+        raise
 
 
 def load_embeddings(path) -> EmbeddingSet:
@@ -464,13 +507,8 @@ def aligned_rows(a: EmbeddingSet, b: EmbeddingSet) -> tuple[np.ndarray, np.ndarr
 
 def align_pairs(a: EmbeddingSet, b: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:
     """Row-aligned float64 matrices over the media-id intersection, in the
-    order of ``aligned_rows``, gathered straight into float64 a row chunk
-    at a time. Raises AlignmentError when the sets share no media.
+    order of ``aligned_rows``, gathered through ``float_rows``. Raises
+    AlignmentError when the sets share no media.
     """
-    matrices = []
-    for s, index in zip((a, b), aligned_rows(a, b)):
-        matrix = np.empty((index.size, s.dim))
-        for rows in row_chunks(index.size):
-            matrix[rows] = s.vectors[index[rows]]
-        matrices.append(matrix)
-    return matrices[0], matrices[1]
+    rows_a, rows_b = aligned_rows(a, b)
+    return float_rows(a.vectors, rows_a), float_rows(b.vectors, rows_b)

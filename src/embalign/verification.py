@@ -16,8 +16,9 @@ list) at many points that differ only in the map. EvalPlan compiles that
 protocol once: the media-to-video-to-template grouping as integer row
 arrays, and the pair list resolved to template indices with genuine
 labels and manifest checks. A point then costs a few vectorised passes
-over the rows, and pairs are scored in the chunks of ``store.row_chunks``,
-so scoring memory is bounded in the number of pairs. build_templates and
+over the rows, and each side's pair rows are read through
+``store.float_chunks``, the one chunked float64 row reader, so scoring
+memory is bounded in the number of pairs. build_templates and
 score_pairs compile a plan for one call.
 
 Templates take one float64 copy of the media rows: the rows are
@@ -49,7 +50,7 @@ from .store import (
     MediaManifest,
     PairList,
     _frozen_array,
-    row_chunks,
+    float_chunks,
     row_norms,
 )
 
@@ -340,7 +341,7 @@ class EvalPlan:
 
     def score(self, a: TemplateSet, b: TemplateSet) -> ScoredPairs:
         """``score_pairs(a, b, pairs, manifest)`` over the compiled pairs,
-        gathered and scored in the chunks of ``row_chunks``: memory is
+        gathered and scored in the chunks of ``float_chunks``: memory is
         2 x chunk x dim floats."""
         if a.dim != b.dim:
             raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
@@ -353,10 +354,9 @@ class EvalPlan:
         kept = np.flatnonzero(keep)
         row_a, row_b = row_a[kept], row_b[kept]
         scores = np.empty(kept.size)
-        for rows in row_chunks(kept.size):
-            scores[rows] = np.einsum(
-                "ij,ij->i", a.vectors[row_a[rows]], b.vectors[row_b[rows]]
-            )
+        chunks = zip(float_chunks(a.vectors, row_a), float_chunks(b.vectors, row_b))
+        for (rows, chunk_a), (_, chunk_b) in chunks:
+            scores[rows] = np.einsum("ij,ij->i", chunk_a, chunk_b)
         ids_a, ids_b = self._ids_a, self._ids_b
         if kept.size < len(ids_a):
             mask = keep.tolist()

@@ -32,7 +32,7 @@ from embalign import (
     random_rotation,
     save_map,
 )
-from embalign.store import row_norms
+from embalign.store import float_rows, row_norms
 
 
 def objective(matrix, x, y):
@@ -185,6 +185,13 @@ def direct_rotation(x, y):
     return u @ vt
 
 
+def gram_solve(x, y):
+    """fit_linear's Gram route on row arrays: its map and condition, or None
+    where the fit takes the SVD."""
+    moments = mapping_module._moments((x, None), (y, None), gram=True)
+    return mapping_module._normal_solve(moments)
+
+
 class TestGramRoute:
     """fit_linear solves well-conditioned fits with m >= d from the Gram,
     to 1e-9 of the SVD oracle, and every other fit through the SVD, to the
@@ -194,7 +201,7 @@ class TestGramRoute:
     @given(designs(UNDER_BOUND))
     def test_gram_route_matches_svd_oracle(self, design):
         x, y = design
-        assert mapping_module._gram_solve(x, y) is not None
+        assert gram_solve(x, y) is not None
         got, report = fit_linear(x, y)
         want, want_report = reference.fit_linear_svd(x, y)
         assert relative_gap(got.matrix, want.matrix) <= 1e-9
@@ -209,7 +216,7 @@ class TestGramRoute:
     @given(designs(OVER_BOUND))
     def test_ill_conditioned_fits_take_the_svd(self, design):
         x, y = design
-        assert mapping_module._gram_solve(x, y) is None
+        assert gram_solve(x, y) is None
         self.assert_same_as_oracle(x, y)
 
     @settings(max_examples=150, deadline=None)
@@ -219,7 +226,7 @@ class TestGramRoute:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((m, m + extra))
         y = rng.standard_normal((m, d_b))
-        assert mapping_module._gram_solve(x, y) is None
+        assert gram_solve(x, y) is None
         self.assert_same_as_oracle(x, y)
 
     @settings(max_examples=150, deadline=None)
@@ -231,7 +238,7 @@ class TestGramRoute:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, d_a))
         y = rng.standard_normal((m, d_b))
-        assert mapping_module._gram_solve(x, y) is None
+        assert gram_solve(x, y) is None
         self.assert_same_as_oracle(x, y)
 
     def assert_same_as_oracle(self, x, y):
@@ -243,7 +250,7 @@ class TestGramRoute:
     @pytest.mark.parametrize("factor, gram", [(0.99, True), (1.01, False)])
     def test_route_switches_at_the_bound(self, factor, gram):
         x, y = planted_design(3, 64, 16, 8, factor * GRAM_BOUND, 1, 0.1)
-        solved = mapping_module._gram_solve(x, y)
+        solved = gram_solve(x, y)
         assert (solved is not None) == gram
         _, report = fit_linear(x, y)
         assert report.condition_diagnostic == pytest.approx(factor * GRAM_BOUND,
@@ -261,10 +268,10 @@ class TestGramRoute:
         product = x @ matrix
         diff = product - y
         want = float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
-        assert mapping_module._residual_rms(x, matrix, y) == want
+        assert mapping_module._residual_rms((x, None), matrix, (y, None)) == want
         # exactly 0 only if every chunk's product has the bytes of its rows
         # in the one product
-        assert mapping_module._residual_rms(x, matrix, product) == 0.0
+        assert mapping_module._residual_rms((x, None), matrix, (product, None)) == 0.0
 
     def test_fit_memory_bounded(self):
         src = Path(mapping_module.__file__).resolve().parents[1]
@@ -513,11 +520,11 @@ class TestStatisticsRoute:
     def designs_built(self, monkeypatch):
         calls = []
 
-        def spy(a, b):
-            calls.append((a.model_id, b.model_id))
-            return align_pairs(a, b)
+        def spy(vectors, index=None):
+            calls.append(id(vectors))
+            return float_rows(vectors, index)
 
-        monkeypatch.setattr(mapping_module, "align_pairs", spy)
+        monkeypatch.setattr(mapping_module, "float_rows", spy)
         return calls
 
     @pytest.mark.parametrize("kind", [LINEAR, ROTATION])
@@ -529,7 +536,7 @@ class TestStatisticsRoute:
     def test_svd_route_builds_the_design(self, designs_built):
         a, b = paired_sets(10, 16, seed=8)  # fewer samples than dimensions
         mapping, report = fit(LINEAR, a, b)
-        assert designs_built == [("A", "B")]
+        assert designs_built == [id(a.vectors), id(b.vectors)]
         expected, expected_report = reference.fit_linear_svd(*align_pairs(a, b))
         assert reference.same_bits(mapping.matrix, expected.matrix)
         assert report == expected_report
@@ -586,7 +593,8 @@ class TestGuardedResidual:
         explicit = mapping_module._residual_rms
 
         def spy(x, matrix, y):
-            calls.append(x.shape[0])
+            vectors, index = x
+            calls.append(len(vectors) if index is None else index.size)
             return explicit(x, matrix, y)
 
         monkeypatch.setattr(mapping_module, "_residual_rms", spy)
@@ -612,7 +620,7 @@ class TestGuardedResidual:
         mapping, report = fit(kind, a, b)
         assert explicit_passes == []
         x, y = align_pairs(a, b)
-        explicit = mapping_module._residual_rms(x, mapping.matrix, y)
+        explicit = mapping_module._residual_rms((x, None), mapping.matrix, (y, None))
         assert report.residual_rms == pytest.approx(explicit, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("kind", [LINEAR, ROTATION])
@@ -625,7 +633,8 @@ class TestGuardedResidual:
         mapping, report = fit(kind, a, b)
         assert explicit_passes == [5000]
         x, y = align_pairs(a, b)
-        assert report.residual_rms == mapping_module._residual_rms(x, mapping.matrix, y)
+        assert report.residual_rms == mapping_module._residual_rms(
+            (x, None), mapping.matrix, (y, None))
 
 
 class TestIdentityAndApply:

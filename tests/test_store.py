@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,23 @@ from embalign import (
     save_pairs,
 )
 from embalign.mapping import MappingMatrix
-from embalign.store import _ROW_CHUNK, aligned_rows, row_chunks, row_norms
+from embalign.store import (
+    _ROW_CHUNK,
+    aligned_rows,
+    float_chunks,
+    row_chunks,
+    row_norms,
+)
+
+
+def traced_peak(call) -> int:
+    """The peak bytes ``tracemalloc`` sees allocated while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_set(ids, vectors, model_id="m", dtype=np.float32):
@@ -164,6 +181,43 @@ class TestRowNorms:
                 text = text.replace(allowed, "")
             assert "np.linalg.norm(" not in text, path.name
 
+    @pytest.mark.parametrize("n", [4097, 5000])
+    def test_memory_within_the_longest_chunk(self, n):
+        dim = 512
+        rows = np.random.default_rng(n).standard_normal((n, dim), dtype=np.float32)
+        longest = max(c.stop - c.start for c in row_chunks(n))
+        peak = traced_peak(lambda: row_norms(rows))
+        assert peak <= longest * dim * 8 + n * 8 + (1 << 20)
+
+
+class TestFloatChunks:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("order", [None, "permuted", "repeated"])
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193, 12291])
+    def test_gathers_the_rows_as_float64(self, n, order, dtype):
+        rng = np.random.default_rng(n)
+        vectors = rng.standard_normal((n, 5)).astype(dtype)
+        index = {None: None, "permuted": rng.permutation(n),
+                 "repeated": rng.integers(0, max(n, 1), size=n)}[order]
+        want = (vectors if index is None else vectors[index]).astype(np.float64)
+        slices, parts, first = [], [], None
+        for rows, chunk in float_chunks(vectors, index):
+            first = chunk if first is None else first
+            assert chunk.dtype == np.float64
+            assert np.shares_memory(chunk, first)
+            slices.append(rows)
+            parts.append(chunk.copy())
+        assert slices == row_chunks(n)
+        got = np.concatenate(parts) if parts else np.empty((0, 5))
+        assert got.tobytes() == want.tobytes()
+
+    def test_row_chunks_only_in_store(self):
+        # every other module reads its rows through float_chunks
+        package = Path(embalign.__file__).parent
+        for path in package.glob("*.py"):
+            if path.name != "store.py":
+                assert "row_chunks(" not in path.read_text(), path.name
+
 
 class TestEmbeddingFile:
     def test_single_row_round_trip(self, tmp_path):
@@ -187,6 +241,41 @@ class TestEmbeddingFile:
         loaded = load_embeddings(path)
         assert loaded.media_ids == s.media_ids
         assert loaded.vectors.tobytes() == s.vectors.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_save_has_the_bytes_of_the_format(self, tmp_path, dtype):
+        n, dim = 2 * _ROW_CHUNK + 1, 3
+        ids = [f"r{i}" for i in range(n)]
+        vectors = np.random.default_rng(1).standard_normal((n, dim)).astype(dtype)
+        path = tmp_path / "many.cfeb"
+        save_embeddings(make_set(ids, vectors, model_id="mod", dtype=dtype), path)
+        want = b"CFEB" + struct.pack("<HIQ", 1, dim, n)
+        for media_id, row in zip(ids, vectors.astype("<f4")):
+            want += struct.pack("<H", len(media_id)) + media_id.encode() + row.tobytes()
+        want += struct.pack("<H", 3) + b"mod"
+        assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("long_id", ["media", "model"])
+    def test_refused_save_leaves_no_file(self, tmp_path, long_id):
+        n = _ROW_CHUNK + 1
+        ids = [f"r{i}" for i in range(n)]
+        if long_id == "media":
+            ids[-1] = "x" * 0x10000  # in the second chunk
+        model_id = "x" * 0x10000 if long_id == "model" else "m"
+        path = tmp_path / "refused.cfeb"
+        with pytest.raises(DataError, match=f"{long_id} id too long"):
+            save_embeddings(make_set(ids, np.ones((n, 2)), model_id=model_id), path)
+        assert not path.exists()
+
+    def test_save_memory_does_not_grow_with_the_set(self, tmp_path):
+        peaks = []
+        for chunks in (3, 12):
+            n = chunks * _ROW_CHUNK
+            s = make_set([f"media{i:06d}" for i in range(n)],
+                         np.random.default_rng(n).standard_normal((n, 64)))
+            peaks.append(traced_peak(lambda: save_embeddings(s, tmp_path / "big.cfeb")))
+        # one chunk's records are about 1.1 MB; the whole 12-chunk file is 13 MB
+        assert peaks[1] <= peaks[0] + (64 << 10), peaks
 
     def test_loaded_vectors_read_only(self, tmp_path):
         path = tmp_path / "e.cfeb"
