@@ -258,9 +258,12 @@ def cmd_verify(args) -> int:
         fitted = mapping.load_map(args.map)
         side_a = mapping.apply_map(fitted, side_a)
     plan = verification.EvalPlan(manifest, side_a.media_ids, pairs)
+    del pairs  # the plan holds its codes
     templates_a = plan.templates(side_a)
     del side_a  # only its templates are scored; free it before side b's
-    scored = plan.score(templates_a, plan.templates(side_b))
+    templates_b = plan.templates(side_b)
+    del side_b  # and side b before scoring
+    scored = plan.score(templates_a, templates_b)
     report = verification.roc(scored, fars)
     if args.scores_out:
         verification.scores_to_csv(scored, args.scores_out)
@@ -283,9 +286,10 @@ def _split_and_pair(config, refs):
     ]
     if config.pairs is not None:
         return manifest, split, store.load_pairs(config.pairs, manifest)
-    verify_templates = sorted({manifest.by_media[mid].template_id for mid in verify_media})
-    subjects = [manifest.template_subject[tid] for tid in verify_templates]
-    if len(set(subjects)) == len(subjects):
+    codes = np.unique(manifest.template_codes[manifest.rows_of(verify_media)])
+    verify_templates = sorted(manifest.template_ids[c] for c in codes)
+    subjects = manifest.template_subjects[codes]
+    if np.unique(subjects).size == subjects.size:
         raise ProtocolError(
             "no genuine pair to sample: no subject keeps two verification "
             f"templates at enroll_fraction {config.enroll_fraction}"
@@ -357,7 +361,7 @@ def cmd_synth(args) -> int:
         summary["ground_truth"] = None
     if args.pairs_out:
         pairs = experiments.sample_eval_pairs(
-            manifest, manifest.template_subject.keys(), args.impostor_pairs, spec.seed
+            manifest, manifest.template_ids, args.impostor_pairs, spec.seed
         )
         store.save_pairs(pairs, args.pairs_out)
         summary["pairs"] = str(args.pairs_out)

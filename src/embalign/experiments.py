@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
+from math import isqrt
 
 import numpy as np
 
-from .errors import ProtocolError, UnknownIdError
+from .errors import DataError, ProtocolError, UnknownIdError
 from .mapping import apply_map, check_kinds, fit
 from .rng import Purpose, stream
-from .store import EmbeddingSet, MediaEntry, MediaManifest, PairList
+from .store import EmbeddingSet, MediaManifest, PairList
 from .verification import EvalPlan, TemplateSet, build_templates, roc
 
 DEFAULT_FARS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -193,6 +194,30 @@ def split_by_template(
     return frozenset(enroll_media), frozenset(verify_media)
 
 
+def _genuine_pairs(subjects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position pair (i, j), i < j, with equal ``subjects`` codes,
+    listed subject by subject."""
+    order = np.argsort(subjects, kind="stable")
+    grouped = subjects[order]
+    starts = np.flatnonzero(np.r_[True, grouped[1:] != grouped[:-1]])
+    sizes = np.diff(np.append(starts, grouped.size))
+    # each position's partners are the later positions of its subject
+    partners = np.repeat(starts + sizes, sizes) - 1 - np.arange(grouped.size)
+    first = np.repeat(np.arange(grouped.size) + 1, partners)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(partners) - partners, partners)
+    return np.repeat(order, partners), order[first + offset]
+
+
+def _triangle_pair(index: int, n: int) -> tuple[int, int]:
+    """The (i, j), i < j < n, at row-major ``index`` of the strict upper
+    triangle of an n x n matrix, exactly, through ``isqrt``."""
+    # rows counted from the last: row u from the end holds u + 1 pairs
+    back = n * (n - 1) // 2 - 1 - index
+    u = (isqrt(8 * back + 1) - 1) // 2
+    i = n - 2 - u
+    return i, i + 1 + u - (back - u * (u + 1) // 2)
+
+
 def sample_eval_pairs(
     manifest: MediaManifest,
     template_ids,
@@ -200,26 +225,45 @@ def sample_eval_pairs(
     seed: int,
 ) -> PairList:
     """All genuine pairs among the given templates plus a uniform sample
-    of impostor pairs without replacement."""
+    of impostor pairs without replacement.
+
+    Candidate pairs (i, j), i < j, of the sorted templates are ranked in
+    row-major order of the upper triangle; genuine pairs come first, in
+    that order, then the sampled impostors in that order. The impostor
+    sample draws ranks among the non-genuine candidates and maps each to
+    its triangle index between the genuine ones, so no array over all
+    candidates is built.
+    """
     templates = sorted(template_ids)
+    known = manifest.template_code
     for tid in templates:
-        if tid not in manifest.template_subject:
+        if tid not in known:
             raise UnknownIdError(f"template {tid!r} not in manifest")
-    subjects = np.array([manifest.template_subject[t] for t in templates])
+    for tid, following in zip(templates, templates[1:]):
+        if tid == following:
+            raise DataError(f"self-pair {tid!r}")
     n = len(templates)
-    ia, ib = np.triu_indices(n, k=1)
-    same = subjects[ia] == subjects[ib]
-    pairs = [(templates[i], templates[j]) for i, j in zip(ia[same], ib[same])]
-    imp_a, imp_b = ia[~same], ib[~same]
-    if n_impostor > 0 and imp_a.size:
-        take = min(n_impostor, imp_a.size)
+    subjects = manifest.template_subjects[np.fromiter(map(known.__getitem__, templates),
+                                                      np.intp, n)]
+    gen_a, gen_b = _genuine_pairs(subjects)
+    # row-major triangle index of each genuine pair
+    triangle = gen_a * n - gen_a * (gen_a + 1) // 2 + gen_b - gen_a - 1
+    order = np.argsort(triangle)
+    side_a, side_b, triangle = [gen_a[order]], [gen_b[order]], triangle[order]
+    candidates = n * (n - 1) // 2 - triangle.size
+    if n_impostor > 0 and candidates:
+        take = min(n_impostor, candidates)
         rng = stream(seed, Purpose.PAIRS)
-        chosen = rng.choice(imp_a.size, size=take, replace=False)
+        chosen = rng.choice(candidates, size=take, replace=False)
         chosen.sort()
-        pairs.extend(
-            (templates[i], templates[j]) for i, j in zip(imp_a[chosen], imp_b[chosen])
-        )
-    return PairList(pairs=tuple(pairs))
+        # rank k's index is k plus the genuine indices below it: those with
+        # at most k non-genuine indices before them
+        chosen += np.searchsorted(triangle - np.arange(triangle.size), chosen, "right")
+        impostors = [_triangle_pair(t, n) for t in chosen.tolist()]
+        impostors = np.array(impostors, dtype=np.intp).reshape(-1, 2)
+        side_a.append(impostors[:, 0])
+        side_b.append(impostors[:, 1])
+    return PairList.coded(templates, np.concatenate(side_a), np.concatenate(side_b))
 
 
 def _check_splits(models) -> None:
@@ -401,20 +445,13 @@ def subject_gallery(embeddings: EmbeddingSet, manifest: MediaManifest) -> Templa
     Builds a synthetic manifest whose template ids are the subject ids
     and runs the standard template pipeline over it.
     """
-    entries = []
-    for mid in embeddings.media_ids:
-        entry = manifest.by_media.get(mid)
-        if entry is None:
-            raise UnknownIdError(f"media id {mid!r} not in manifest")
-        entries.append(
-            MediaEntry(
-                media_id=mid,
-                subject_id=entry.subject_id,
-                template_id=entry.subject_id,
-                video_id=None,
-            )
-        )
-    return build_templates(embeddings, MediaManifest(entries))
+    subjects = manifest.subject_ids
+    codes = manifest.subject_codes[manifest.rows_of(embeddings.media_ids)]
+    by_subject = MediaManifest(
+        (mid, subjects[s], subjects[s], None)
+        for mid, s in zip(embeddings.media_ids, codes.tolist())
+    )
+    return build_templates(embeddings, by_subject)
 
 
 def _probe_chunks(n: int) -> list[slice]:

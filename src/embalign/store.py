@@ -15,6 +15,14 @@ Manifest CSV has header ``media_id,subject_id,template_id,video_id``
 (video_id may be empty). Pair CSV has header
 ``template_id_a,template_id_b``.
 
+Manifests and pair lists are held as columns of integer codes, not as a
+Python object per row: a ``MediaManifest`` keeps int32 template, subject
+and video codes per medium into tables of the distinct ids, and a
+``PairList`` two int32 code arrays into one table of template ids, filled
+from the CSV through one dict. Per-row objects (the manifest's
+``entries`` and ``by_media``, the ``pairs`` tuples) are views built only
+when read.
+
 Vectors are serialized as 32-bit floats, little-endian. Everything
 downstream promotes to 64-bit before doing arithmetic.
 
@@ -37,9 +45,13 @@ from __future__ import annotations
 
 import csv
 import struct
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,78 +222,211 @@ class EmbeddingSet:
         )
 
 
-@dataclass(frozen=True)
-class MediaEntry:
+class MediaEntry(NamedTuple):
+    """One manifest row; ``video_id`` is None for an image."""
+
     media_id: str
     subject_id: str
     template_id: str
     video_id: str | None = None
 
 
-class MediaManifest:
-    """Per-media metadata: subject, template, and optional video grouping.
+def _frozen_codes(codes: array) -> np.ndarray:
+    """An ``array("i")`` of codes as a read-only int32 array."""
+    return _frozen_array(np.frombuffer(codes, dtype=np.intc), dtype=np.int32)
 
-    Validates on construction that media ids are unique, that each
-    template id maps to exactly one subject, and that all media sharing a
+
+def _sorted_rank(table: tuple[str, ...]) -> np.ndarray:
+    """Per entry of ``table``, its position in ``sorted(table)``."""
+    rank = np.empty(len(table), dtype=np.intp)
+    rank[sorted(range(len(table)), key=table.__getitem__)] = np.arange(len(table))
+    return rank
+
+
+def _decoded(table: tuple, codes: np.ndarray):
+    """The entries of ``table`` that ``codes`` name, in order."""
+    return map(table.__getitem__, codes.tolist())
+
+
+class MediaManifest:
+    """Per-media metadata: subject, template, and optional video grouping,
+    held as integer codes.
+
+    ``media_ids`` lists the media in manifest order and ``media_row`` maps
+    each to its row. Per row, ``template_codes``, ``subject_codes`` and
+    ``video_codes`` (-1 for an image) are int32 codes into the tables
+    ``template_ids``, ``subject_ids`` and ``video_ids``, each in order of
+    first appearance; ``template_code`` maps a template id to its code and
+    ``template_subjects`` holds each template's subject code. One pass
+    over the rows builds and checks them all: media ids are unique, each
+    template id maps to exactly one subject, and all media sharing a
     video id share a template id.
+
+    ``entries``, ``by_media``, ``template_subject`` and ``template_media``
+    are read-only views, derived from the codes on first use.
     """
 
     def __init__(self, entries):
-        entries = tuple(entries)
-        by_media: dict[str, MediaEntry] = {}
-        template_subject: dict[str, str] = {}
-        template_media: dict[str, list[str]] = {}
-        video_template: dict[str, str] = {}
-        for e in entries:
-            if e.media_id in by_media:
-                raise DataError(f"duplicate media id {e.media_id!r} in manifest")
-            by_media[e.media_id] = e
-            prior = template_subject.get(e.template_id)
-            if prior is not None and prior != e.subject_id:
+        media_ids: list[str] = []
+        media_row: dict[str, int] = {}
+        template_code: dict[str, int] = {}
+        subject_code: dict[str, int] = {}
+        video_code: dict[str, int] = {}
+        template_subjects, video_templates = array("i"), array("i")
+        templates, subjects, videos = array("i"), array("i"), array("i")
+        for media_id, subject_id, template_id, video_id in entries:
+            if media_id in media_row:
+                raise DataError(f"duplicate media id {media_id!r} in manifest")
+            media_row[media_id] = len(media_ids)
+            media_ids.append(media_id)
+            s = subject_code.setdefault(subject_id, len(subject_code))
+            t = template_code.setdefault(template_id, len(template_code))
+            if t == len(template_subjects):
+                template_subjects.append(s)
+            elif template_subjects[t] != s:
+                prior = list(subject_code)[template_subjects[t]]
                 raise ConsistencyError(
-                    f"template {e.template_id!r} mapped to subjects "
-                    f"{prior!r} and {e.subject_id!r}"
+                    f"template {template_id!r} mapped to subjects "
+                    f"{prior!r} and {subject_id!r}"
                 )
-            template_subject[e.template_id] = e.subject_id
-            template_media.setdefault(e.template_id, []).append(e.media_id)
-            if e.video_id is not None:
-                vt = video_template.get(e.video_id)
-                if vt is not None and vt != e.template_id:
+            v = -1
+            if video_id is not None:
+                v = video_code.setdefault(video_id, len(video_code))
+                if v == len(video_templates):
+                    video_templates.append(t)
+                elif video_templates[v] != t:
+                    prior = list(template_code)[video_templates[v]]
                     raise ConsistencyError(
-                        f"video {e.video_id!r} spans templates {vt!r} "
-                        f"and {e.template_id!r}"
+                        f"video {video_id!r} spans templates {prior!r} "
+                        f"and {template_id!r}"
                     )
-                video_template[e.video_id] = e.template_id
-        self.entries = entries
-        self.by_media = by_media
-        self.template_subject = template_subject
-        self.template_media = {t: tuple(m) for t, m in template_media.items()}
+            templates.append(t)
+            subjects.append(s)
+            videos.append(v)
+        self.media_ids = tuple(media_ids)
+        self.media_row = media_row
+        self.template_code = template_code
+        self.template_ids = tuple(template_code)
+        self.subject_ids = tuple(subject_code)
+        self.video_ids = tuple(video_code)
+        self.template_codes = _frozen_codes(templates)
+        self.subject_codes = _frozen_codes(subjects)
+        self.video_codes = _frozen_codes(videos)
+        self.template_subjects = _frozen_codes(template_subjects)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.media_ids)
+
+    def rows_of(self, media_ids) -> np.ndarray:
+        """The manifest row of each of ``media_ids``; UnknownIdError names
+        the first that is not in the manifest."""
+        try:
+            return np.fromiter(map(self.media_row.__getitem__, media_ids), np.intp)
+        except KeyError as exc:
+            raise UnknownIdError(f"media id {exc.args[0]!r} not in manifest") from None
 
     def subject_of_media(self, media_id: str) -> str:
-        entry = self.by_media.get(media_id)
-        if entry is None:
+        row = self.media_row.get(media_id)
+        if row is None:
             raise UnknownIdError(f"media id {media_id!r} not in manifest")
-        return entry.subject_id
+        return self.subject_ids[self.subject_codes[row]]
+
+    @cached_property
+    def media_rank(self) -> np.ndarray:
+        """Per row, the position of its media id in sorted order."""
+        return _sorted_rank(self.media_ids)
+
+    @cached_property
+    def template_rank(self) -> np.ndarray:
+        """Per template code, the position of its id in sorted order."""
+        return _sorted_rank(self.template_ids)
+
+    @cached_property
+    def video_rank(self) -> np.ndarray:
+        """Per video code, the position of its id in sorted order."""
+        return _sorted_rank(self.video_ids)
+
+    @cached_property
+    def entries(self) -> tuple[MediaEntry, ...]:
+        return tuple(map(
+            MediaEntry,
+            self.media_ids,
+            _decoded(self.subject_ids, self.subject_codes),
+            _decoded(self.template_ids, self.template_codes),
+            _decoded(self.video_ids + (None,), self.video_codes),
+        ))
+
+    @cached_property
+    def by_media(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self.media_ids, self.entries)))
+
+    @cached_property
+    def template_subject(self) -> MappingProxyType:
+        subjects = _decoded(self.subject_ids, self.template_subjects)
+        return MappingProxyType(dict(zip(self.template_ids, subjects)))
+
+    @cached_property
+    def template_media(self) -> MappingProxyType:
+        media: list[list[str]] = [[] for _ in self.template_ids]
+        for media_id, t in zip(self.media_ids, self.template_codes.tolist()):
+            media[t].append(media_id)
+        return MappingProxyType(dict(zip(self.template_ids, map(tuple, media))))
 
 
-@dataclass(frozen=True)
+def encode_pairs(pairs) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """The ids of (a, b) ``pairs`` as str, in one table in order of first
+    appearance, and each side's int32 codes into it."""
+    index: dict[str, int] = {}
+    codes_a, codes_b = array("i"), array("i")
+    for a, b in pairs:
+        codes_a.append(index.setdefault(str(a), len(index)))
+        codes_b.append(index.setdefault(str(b), len(index)))
+    return tuple(index), _frozen_codes(codes_a), _frozen_codes(codes_b)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class PairList:
-    """Template pairs for 1:1 verification scoring."""
+    """Template pairs for 1:1 verification scoring, held as integer codes.
 
-    pairs: tuple[tuple[str, str], ...]
+    ``codes_a`` and ``codes_b`` are int32 codes into the one table of
+    distinct ids ``template_ids``. Iterating gives the (a, b) id pairs;
+    ``pairs`` is them as a tuple, built when it is read.
+    """
 
-    def __post_init__(self):
-        pairs = tuple((str(a), str(b)) for a, b in self.pairs)
-        object.__setattr__(self, "pairs", pairs)
-        for a, b in pairs:
-            if a == b:
-                raise DataError(f"self-pair {a!r}")
+    template_ids: tuple[str, ...]
+    codes_a: np.ndarray
+    codes_b: np.ndarray
+
+    def __init__(self, pairs=()):
+        self._adopt(*encode_pairs(pairs))
+
+    @classmethod
+    def coded(cls, template_ids, codes_a, codes_b) -> "PairList":
+        """The pairs ``template_ids[codes_a[i]], template_ids[codes_b[i]]``;
+        the ids must be distinct."""
+        pairs = cls.__new__(cls)
+        pairs._adopt(tuple(template_ids), _frozen_array(codes_a, np.int32),
+                     _frozen_array(codes_b, np.int32))
+        return pairs
+
+    def _adopt(self, template_ids, codes_a, codes_b) -> None:
+        same = codes_a == codes_b
+        if same.any():
+            raise DataError(f"self-pair {template_ids[codes_a[np.argmax(same)]]!r}")
+        object.__setattr__(self, "template_ids", template_ids)
+        object.__setattr__(self, "codes_a", codes_a)
+        object.__setattr__(self, "codes_b", codes_b)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.codes_a.size
+
+    def __iter__(self):
+        return zip(_decoded(self.template_ids, self.codes_a),
+                   _decoded(self.template_ids, self.codes_b))
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        return tuple(self)
 
 
 def binary_header(magic: bytes, fmt: str, *fields) -> bytearray:
@@ -455,8 +600,9 @@ def _csv_table(path, header: list[str], what: str):
 
 
 def load_manifest(path) -> MediaManifest:
+    """Read a manifest CSV; an empty video_id is an image."""
     return MediaManifest(
-        MediaEntry(media_id, subject_id, template_id, video_id or None)
+        (media_id, subject_id, template_id, video_id or None)
         for media_id, subject_id, template_id, video_id in _csv_table(
             path, _MANIFEST_HEADER, "manifest"
         )
@@ -467,27 +613,31 @@ def save_manifest(manifest: MediaManifest, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(_MANIFEST_HEADER)
-        for e in manifest.entries:
-            writer.writerow([e.media_id, e.subject_id, e.template_id, e.video_id or ""])
+        writer.writerows(zip(
+            manifest.media_ids,
+            _decoded(manifest.subject_ids, manifest.subject_codes),
+            _decoded(manifest.template_ids, manifest.template_codes),
+            _decoded(manifest.video_ids + ("",), manifest.video_codes),
+        ))
 
 
 def load_pairs(path, manifest: MediaManifest | None = None) -> PairList:
-    """Read a pair CSV; with a manifest, every id must resolve to a template."""
-    pairs = [(a, b) for a, b in _csv_table(path, _PAIRS_HEADER, "pair")]
+    """Read a pair CSV into codes; with a manifest, every id must resolve
+    to a template. The ids are checked in the order they first appear,
+    row by row and side a before side b."""
+    template_ids, codes_a, codes_b = encode_pairs(_csv_table(path, _PAIRS_HEADER, "pair"))
     if manifest is not None:
-        known = manifest.template_subject
-        for a, b in pairs:
-            for tid in (a, b):
-                if tid not in known:
-                    raise UnknownIdError(f"pair references unknown template {tid!r}")
-    return PairList(pairs=tuple(pairs))
+        for tid in template_ids:
+            if tid not in manifest.template_code:
+                raise UnknownIdError(f"pair references unknown template {tid!r}")
+    return PairList.coded(template_ids, codes_a, codes_b)
 
 
 def save_pairs(pairs: PairList, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(_PAIRS_HEADER)
-        writer.writerows(pairs.pairs)
+        writer.writerows(pairs)
 
 
 def aligned_rows(a: EmbeddingSet, b: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:

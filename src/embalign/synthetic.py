@@ -114,25 +114,23 @@ def random_rotation(dim: int, seed: int) -> MappingMatrix:
     )
 
 
-def _manifest_entries(spec: SynthSpec) -> list[MediaEntry]:
-    """Entries in media order: subject by subject, media by index."""
-    entries = []
+def _manifest_entries(spec: SynthSpec):
+    """The entries in media order: subject by subject, media by index."""
     for s in range(spec.num_subjects):
         sid = f"s{s:05d}"
         media = [f"{sid}_m{m:03d}" for m in range(spec.media_per_subject)]
         if spec.frames_per_video is None:
             for mid in media:
-                entries.append(MediaEntry(mid, sid, f"T_{mid}", None))
+                yield MediaEntry(mid, sid, f"T_{mid}", None)
         else:
             k = spec.frames_per_video
             n_videos = len(media) // k
             for v in range(n_videos):
                 vid = f"{sid}_v{v:03d}"
                 for mid in media[v * k : (v + 1) * k]:
-                    entries.append(MediaEntry(mid, sid, f"T_{vid}", vid))
+                    yield MediaEntry(mid, sid, f"T_{vid}", vid)
             for mid in media[n_videos * k :]:
-                entries.append(MediaEntry(mid, sid, f"T_{mid}", None))
-    return entries
+                yield MediaEntry(mid, sid, f"T_{mid}", None)
 
 
 def _noise_scale(level: float, dim: int) -> float:
@@ -203,17 +201,16 @@ def generate_world(
     """
     per = spec.media_per_subject
     vectors_a = np.empty((spec.num_subjects * per, spec.dim))
-    entries = _manifest_entries(spec)
-    media_ids = tuple(e.media_id for e in entries)
+    manifest = MediaManifest(_manifest_entries(spec))
     blocks = [slice(s * per, (s + 1) * per) for s in range(spec.num_subjects)]
     vectors_a = _unit(_clustered(spec.seed, Purpose.MEAN_A, Purpose.NOISE_A, blocks,
                                  vectors_a, spec.within_class_noise))
-    set_a = EmbeddingSet(model_id="A", media_ids=media_ids, vectors=vectors_a)
+    set_a = EmbeddingSet(model_id="A", media_ids=manifest.media_ids, vectors=vectors_a)
     set_b, ground_truth = _derive(
         vectors_a, blocks, slice(None), set_a, spec.planted_kind,
         spec.cross_model_noise, spec.within_class_noise, spec.seed, "B",
     )
-    return set_a, set_b, MediaManifest(entries), ground_truth
+    return set_a, set_b, manifest, ground_truth
 
 
 def derive_model(
@@ -238,14 +235,14 @@ def derive_model(
     """
     if planted_kind not in PLANTED_KINDS:
         raise ValueError(f"unknown planted kind {planted_kind!r}")
-    by_subject: dict[str, list[str]] = {}
-    for mid, entry in manifest.by_media.items():
-        by_subject.setdefault(entry.subject_id, []).append(mid)
+    by_subject: dict[int, list[str]] = {}
+    for mid, s in zip(manifest.media_ids, manifest.subject_codes.tolist()):
+        by_subject.setdefault(s, []).append(mid)
     order: list[str] = []
     blocks = []
-    for sid in sorted(by_subject):
-        blocks.append(slice(len(order), len(order) + len(by_subject[sid])))
-        order += sorted(by_subject[sid])
+    for s in sorted(by_subject, key=manifest.subject_ids.__getitem__):
+        blocks.append(slice(len(order), len(order) + len(by_subject[s])))
+        order += sorted(by_subject[s])
     row_of = {mid: r for r, mid in enumerate(order)}
     try:
         take = [row_of[mid] for mid in base.media_ids]

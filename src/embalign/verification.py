@@ -13,12 +13,14 @@ templates are bit-identical under any input row order.
 
 An experiment evaluates one protocol (manifest, verification media, pair
 list) at many points that differ only in the map. EvalPlan compiles that
-protocol once: the media-to-video-to-template grouping as integer row
-arrays, and the pair list resolved to template indices with genuine
-labels and manifest checks. A point then costs a few vectorised passes
-over the rows, and each side's pair rows are read through
-``store.float_chunks``, the one chunked float64 row reader, so scoring
-memory is bounded in the number of pairs. build_templates and
+protocol once, on the manifest's integer codes: one lexsort groups the
+media rows into features and templates, and each pair side becomes a
+template code with a genuine label from the codes' subjects. A point
+then costs a few vectorised passes over the rows, and each side's pair
+rows are read through ``store.float_chunks``, the one chunked float64
+row reader, so scoring memory is bounded in the number of pairs. No
+Python object is made per pair: scored pairs keep the plan's codes and
+build their template-id tuples only when read. build_templates and
 score_pairs compile a plan for one call.
 
 Templates take one float64 copy of the media rows: the rows are
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -49,7 +50,9 @@ from .store import (
     EmbeddingSet,
     MediaManifest,
     PairList,
+    _decoded,
     _frozen_array,
+    encode_pairs,
     float_chunks,
     row_norms,
 )
@@ -107,28 +110,62 @@ class TemplateSet:
             return index[template_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ScoredPairs:
-    """Per-pair inner-product scores with genuine/impostor labels."""
+    """Per-pair inner-product scores with genuine/impostor labels.
 
-    template_ids_a: tuple[str, ...]
-    template_ids_b: tuple[str, ...]
+    The pairs are held as int32 codes into one table of template ids;
+    ``template_ids_a`` and ``template_ids_b`` build each side's id tuple
+    when they are read.
+    """
+
+    template_ids: tuple[str, ...]
+    codes_a: np.ndarray
+    codes_b: np.ndarray
     scores: np.ndarray
     genuine: np.ndarray
     dropped_pairs: int = 0
 
-    def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        genuine = np.asarray(self.genuine, dtype=bool)
-        object.__setattr__(self, "scores", _frozen_array(scores))
-        object.__setattr__(self, "genuine", _frozen_array(genuine))
-        object.__setattr__(self, "template_ids_a", tuple(self.template_ids_a))
-        object.__setattr__(self, "template_ids_b", tuple(self.template_ids_b))
+    def __init__(self, template_ids_a, template_ids_b, scores, genuine, dropped_pairs=0):
+        ids_a, ids_b = tuple(template_ids_a), tuple(template_ids_b)
+        if len(ids_a) != len(ids_b):
+            raise DataError("scored pair fields must have equal length")
+        self._adopt(*encode_pairs(zip(ids_a, ids_b)), scores, genuine, dropped_pairs)
+
+    @classmethod
+    def coded(cls, template_ids, codes_a, codes_b, scores, genuine,
+              dropped_pairs=0) -> "ScoredPairs":
+        """Scored pairs ``template_ids[codes_a[i]], template_ids[codes_b[i]]``."""
+        scored = cls.__new__(cls)
+        scored._adopt(tuple(template_ids), codes_a, codes_b, scores, genuine, dropped_pairs)
+        return scored
+
+    def _adopt(self, template_ids, codes_a, codes_b, scores, genuine, dropped_pairs):
+        scores = np.asarray(scores, dtype=np.float64)
+        genuine = np.asarray(genuine, dtype=bool)
+        fields = {
+            "template_ids": template_ids,
+            "codes_a": _frozen_array(codes_a, np.int32),
+            "codes_b": _frozen_array(codes_b, np.int32),
+            "scores": _frozen_array(scores),
+            "genuine": _frozen_array(genuine),
+            "dropped_pairs": dropped_pairs,
+        }
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
         n = scores.shape[0]
-        if genuine.shape[0] != n or len(self.template_ids_a) != n or len(self.template_ids_b) != n:
+        if genuine.shape[0] != n or self.codes_a.size != n:
             raise DataError("scored pair fields must have equal length")
         if n and not np.all(np.isfinite(scores)):
             raise DataError("scores contain non-finite values")
+
+    @property
+    def template_ids_a(self) -> tuple[str, ...]:
+        return tuple(_decoded(self.template_ids, self.codes_a))
+
+    @property
+    def template_ids_b(self) -> tuple[str, ...]:
+        return tuple(_decoded(self.template_ids, self.codes_b))
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -171,6 +208,12 @@ class RocReport:
             "impostor_count": self.impostor_count,
             "dropped_pairs": self.dropped_pairs,
         }
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A fresh array marked read-only, so a frozen result adopts it."""
+    values.setflags(write=False)
+    return values
 
 
 def _normalized(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -221,40 +264,36 @@ class _Grouping:
 
     Templates are in sorted id order. Within a template, its features
     are its images by media id, then its videos by video id; a video's
-    frames are listed by media id. Rows that ``usable`` marks False take
-    no part; a template left without features keeps its place.
+    frames are listed by media id. One lexsort on the manifest's sorted
+    ranks of those ids gives that order. Rows that ``usable`` marks False
+    take no part; a template left without features keeps its place.
     """
 
     def __init__(self, media_ids, manifest: MediaManifest, usable=None):
-        by_template: dict[str, list[tuple[str, int]]] = {}
-        for row, mid in enumerate(media_ids):
-            entry = manifest.by_media.get(mid)
-            if entry is None:
-                raise UnknownIdError(f"media id {mid!r} not in manifest")
-            by_template.setdefault(entry.template_id, []).append((mid, row))
-        self.template_ids = tuple(sorted(by_template))
-        self.subject_ids = tuple(manifest.template_subject[t] for t in self.template_ids)
-        rows: list[int] = []
-        feature_starts = [0]
-        template_starts = [0]
-        for tid in self.template_ids:
-            images: list[list[int]] = []
-            videos: dict[str, list[int]] = {}
-            for mid, row in sorted(by_template[tid]):
-                if usable is not None and not usable[row]:
-                    continue
-                vid = manifest.by_media[mid].video_id
-                if vid is None:
-                    images.append([row])
-                else:
-                    videos.setdefault(vid, []).append(row)
-            for frames in images + [videos[vid] for vid in sorted(videos)]:
-                rows.extend(frames)
-                feature_starts.append(len(rows))
-            template_starts.append(len(feature_starts) - 1)
-        self.rows = np.array(rows, dtype=np.intp)
-        self.feature_starts = np.array(feature_starts, dtype=np.intp)
-        self.template_starts = np.array(template_starts, dtype=np.intp)
+        media = manifest.rows_of(media_ids)
+        template_rank = manifest.template_rank[manifest.template_codes[media]]
+        ranks = np.unique(template_rank)
+        self.template_codes = np.argsort(manifest.template_rank)[ranks]
+        live = np.arange(media.size) if usable is None else np.flatnonzero(usable)
+        media, template_rank = media[live], template_rank[live]
+        video = manifest.video_codes[media]
+        is_video = video >= 0
+        media_rank = manifest.media_rank[media]
+        # a -1 video code reads the appended 0, which np.where then discards
+        video_rank = np.append(manifest.video_rank, 0)[video]
+        feature_key = np.where(is_video, video_rank, media_rank)
+        order = np.lexsort((media_rank, feature_key, is_video, template_rank))
+        self.rows = live[order]
+        keys = (template_rank[order], is_video[order], feature_key[order])
+        first = np.zeros(order.size, dtype=bool)
+        first[:1] = True
+        for key in keys:
+            first[1:] |= key[1:] != key[:-1]
+        self.feature_starts = np.append(np.flatnonzero(first), order.size)
+        feature_template = np.searchsorted(ranks, keys[0][first])
+        self.template_starts = np.searchsorted(
+            feature_template, np.arange(ranks.size + 1)
+        )
 
     def sums(self, normalized: np.ndarray) -> np.ndarray:
         """Per template, the sum of its features in order; zero when it has
@@ -272,31 +311,32 @@ class EvalPlan:
 
     Compiled for a manifest, the media order of the verification set and
     a pair list: it holds the media-to-video-to-template grouping as row
-    arrays, and the pairs resolved to indices into their distinct template
-    ids with manifest checks and genuine labels. Experiments evaluate
-    every point, which differ only in the map, through one plan.
+    arrays, and each pair side as an int32 template code: the manifest's
+    code, or a code past the manifest's templates for an id it lacks.
+    Genuine labels come from the codes' subjects. Experiments evaluate
+    every point, which differ only in the map, through one plan; each
+    template set's row per code is resolved once and cached on the set.
     """
 
     def __init__(self, manifest: MediaManifest, media_ids, pairs: PairList):
         self._manifest = manifest
         self._media_ids = tuple(media_ids)
         self._grouping = _Grouping(self._media_ids, manifest)
-        index: dict[str, int] = {}
-        side_a = [index.setdefault(ta, len(index)) for ta, _ in pairs.pairs]
-        side_b = [index.setdefault(tb, len(index)) for _, tb in pairs.pairs]
-        subjects = [manifest.template_subject.get(tid) for tid in index]
-        codes: dict[str | None, int] = {}
-        subject_code = np.array(
-            [codes.setdefault(s, len(codes)) for s in subjects], dtype=np.intp
-        )
-        self._index = index
-        self._known = np.array([s is not None for s in subjects], dtype=bool)
-        self._ids_a = tuple(ta for ta, _ in pairs.pairs)
-        self._ids_b = tuple(tb for _, tb in pairs.pairs)
-        self._side_a = np.array(side_a, dtype=np.intp)
-        self._side_b = np.array(side_b, dtype=np.intp)
-        self._in_manifest = self._known[self._side_a] & self._known[self._side_b]
-        self._genuine = subject_code[self._side_a] == subject_code[self._side_b]
+        known = manifest.template_code
+        extra = [tid for tid in pairs.template_ids if tid not in known]
+        self._extra = {tid: len(known) + k for k, tid in enumerate(extra)}
+        self._template_ids = manifest.template_ids + tuple(extra)
+        table = self._codes_of(pairs.template_ids)
+        self._side_a = _read_only(table[pairs.codes_a])
+        self._side_b = _read_only(table[pairs.codes_b])
+        subjects = np.append(manifest.template_subjects, np.full(len(extra), -1))
+        self._genuine = _read_only(subjects[self._side_a] == subjects[self._side_b])
+
+    def _codes_of(self, template_ids) -> np.ndarray:
+        """The plan's code of each id, or -1 for an id it does not know."""
+        known, extra = self._manifest.template_code, self._extra
+        codes = (known.get(tid, extra.get(tid, -1)) for tid in template_ids)
+        return np.fromiter(codes, np.int32, len(template_ids))
 
     def templates(self, embeddings: EmbeddingSet) -> TemplateSet:
         """``build_templates(embeddings, manifest)``. The compiled grouping
@@ -315,58 +355,67 @@ class EvalPlan:
         vectors = totals if keep.all() else totals[keep]
         vectors /= norms[keep, None]
         vectors.setflags(write=False)
+        manifest = self._manifest
+        codes = grouping.template_codes
         return TemplateSet(
             model_id=embeddings.model_id,
-            template_ids=tuple(compress(grouping.template_ids, keep.tolist())),
-            subject_ids=tuple(compress(grouping.subject_ids, keep.tolist())),
+            template_ids=_decoded(manifest.template_ids, codes[keep]),
+            subject_ids=_decoded(manifest.subject_ids,
+                                 manifest.template_subjects[codes[keep]]),
             vectors=vectors,
-            dropped=tuple(compress(grouping.template_ids, (~keep).tolist())),
+            dropped=_decoded(manifest.template_ids, codes[~keep]),
         )
 
     def _rows_in(self, side: TemplateSet) -> np.ndarray:
-        """Per distinct pair template: its row in ``side``, else _DROPPED
-        or _UNKNOWN."""
-        pos = {tid: i for i, tid in enumerate(side.template_ids)}
-        pos.update(dict.fromkeys(side.dropped, _DROPPED))
-        return np.array([pos.get(tid, _UNKNOWN) for tid in self._index], dtype=np.intp)
+        """Per plan code: its row in ``side``, else _DROPPED or _UNKNOWN.
+        Cached on ``side`` for this plan."""
+        cached = side.__dict__.get("_plan_rows")
+        if cached is not None and cached[0] is self:
+            return cached[1]
+        rows = np.full(len(self._template_ids), _UNKNOWN, dtype=np.int32)
+        codes = self._codes_of(side.template_ids)
+        rows[codes[codes >= 0]] = np.flatnonzero(codes >= 0)
+        codes = self._codes_of(side.dropped)
+        rows[codes[codes >= 0]] = _DROPPED
+        object.__setattr__(side, "_plan_rows", (self, rows))
+        return rows
 
     def _raise_unknown(self, p: int, row_a: np.ndarray, row_b: np.ndarray):
-        ta, tb = self._ids_a[p], self._ids_b[p]
+        ta, tb = self._template_ids[self._side_a[p]], self._template_ids[self._side_b[p]]
         if row_a[p] == _UNKNOWN:
             raise UnknownIdError(f"template {ta!r} not in side-a set")
         if row_b[p] == _UNKNOWN:
             raise UnknownIdError(f"template {tb!r} not in side-b set")
-        missing = tb if self._known[self._side_a[p]] else ta
+        missing = tb if ta in self._manifest.template_code else ta
         raise UnknownIdError(f"template {missing!r} not in manifest")
 
     def score(self, a: TemplateSet, b: TemplateSet) -> ScoredPairs:
         """``score_pairs(a, b, pairs, manifest)`` over the compiled pairs,
         gathered and scored in the chunks of ``float_chunks``: memory is
-        2 x chunk x dim floats."""
+        2 x chunk x dim floats. No per-pair Python object is made: the
+        result holds the plan's codes."""
         if a.dim != b.dim:
             raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
-        row_a = self._rows_in(a)[self._side_a]
-        row_b = self._rows_in(b)[self._side_b]
+        side_a, side_b = self._side_a, self._side_b
+        row_a = self._rows_in(a)[side_a]
+        row_b = self._rows_in(b)[side_b]
         keep = (row_a != _DROPPED) & (row_b != _DROPPED)
-        bad = keep & ((row_a < 0) | (row_b < 0) | ~self._in_manifest)
+        in_manifest = np.maximum(side_a, side_b) < len(self._manifest.template_ids)
+        bad = keep & ((row_a < 0) | (row_b < 0) | ~in_manifest)
         if bad.any():
             self._raise_unknown(int(np.argmax(bad)), row_a, row_b)
-        kept = np.flatnonzero(keep)
-        row_a, row_b = row_a[kept], row_b[kept]
-        scores = np.empty(kept.size)
+        genuine = self._genuine
+        if not keep.all():
+            kept = np.flatnonzero(keep)
+            row_a, row_b = row_a[kept], row_b[kept]
+            side_a, side_b, genuine = (_read_only(x[kept]) for x in (side_a, side_b, genuine))
+        scores = np.empty(row_a.size)
         chunks = zip(float_chunks(a.vectors, row_a), float_chunks(b.vectors, row_b))
         for (rows, chunk_a), (_, chunk_b) in chunks:
             scores[rows] = np.einsum("ij,ij->i", chunk_a, chunk_b)
-        ids_a, ids_b = self._ids_a, self._ids_b
-        if kept.size < len(ids_a):
-            mask = keep.tolist()
-            ids_a, ids_b = tuple(compress(ids_a, mask)), tuple(compress(ids_b, mask))
-        return ScoredPairs(
-            template_ids_a=ids_a,
-            template_ids_b=ids_b,
-            scores=scores,
-            genuine=self._genuine[kept],
-            dropped_pairs=len(self._ids_a) - kept.size,
+        return ScoredPairs.coded(
+            self._template_ids, side_a, side_b, _read_only(scores), genuine,
+            dropped_pairs=self._side_a.size - row_a.size,
         )
 
 
@@ -379,7 +428,7 @@ def build_templates(embeddings: EmbeddingSet, manifest: MediaManifest) -> Templa
     the input row order. A template whose feature sum is all-zero is
     excluded and reported via ``dropped``.
     """
-    plan = EvalPlan(manifest, embeddings.media_ids, PairList(pairs=()))
+    plan = EvalPlan(manifest, embeddings.media_ids, PairList())
     return plan.templates(embeddings)
 
 
@@ -403,10 +452,11 @@ def scores_to_csv(scored: ScoredPairs, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["template_id_a", "template_id_b", "score", "genuine"])
-        for ta, tb, s, g in zip(
-            scored.template_ids_a, scored.template_ids_b, scored.scores, scored.genuine
+        ids = scored.template_ids
+        for a, b, s, g in zip(
+            scored.codes_a.tolist(), scored.codes_b.tolist(), scored.scores, scored.genuine
         ):
-            writer.writerow([ta, tb, repr(float(s)), str(bool(g)).lower()])
+            writer.writerow([ids[a], ids[b], repr(float(s)), str(bool(g)).lower()])
 
 
 def check_fars(far_targets) -> list[float]:

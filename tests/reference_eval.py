@@ -1,4 +1,11 @@
-"""Reference template aggregation and pair scoring: one template and one
+"""Reference manifest, pair list and pair sampler: dicts of per-media
+entries, tuples of id pairs, and the sampler over np.triu_indices of every
+candidate pair. The oracle for the integer codes of `embalign.store` and
+`embalign.experiments.sample_eval_pairs`: the same tables, pairs and
+sampled pair lists, and the same error type and message on the same
+input, whichever check fails first.
+
+Reference template aggregation and pair scoring: one template and one
 pair at a time, in plain loops. Reference attack ranking: a full stable
 argsort of every probe's scores against the whole gallery.
 
@@ -17,18 +24,115 @@ import numpy as np
 
 from embalign import (
     LINEAR,
+    ConsistencyError,
+    DataError,
     DimensionError,
     EmbeddingSet,
     FitReport,
     MappingMatrix,
+    MediaEntry,
     MediaManifest,
-    PairList,
     ScoredPairs,
     TemplateSet,
     UnknownIdError,
 )
 from embalign.mapping import SVD_RCOND
-from embalign.store import DEGENERATE_NORM
+from embalign.rng import Purpose, stream
+from embalign.store import _MANIFEST_HEADER, _PAIRS_HEADER, DEGENERATE_NORM, _csv_table
+
+
+class Manifest:
+    """Per-media entries in dicts, checked entry by entry: media ids are
+    unique, a template has one subject, and a video one template."""
+
+    def __init__(self, entries):
+        entries = tuple(entries)
+        by_media: dict[str, MediaEntry] = {}
+        template_subject: dict[str, str] = {}
+        template_media: dict[str, list[str]] = {}
+        video_template: dict[str, str] = {}
+        for e in entries:
+            if e.media_id in by_media:
+                raise DataError(f"duplicate media id {e.media_id!r} in manifest")
+            by_media[e.media_id] = e
+            prior = template_subject.get(e.template_id)
+            if prior is not None and prior != e.subject_id:
+                raise ConsistencyError(
+                    f"template {e.template_id!r} mapped to subjects "
+                    f"{prior!r} and {e.subject_id!r}"
+                )
+            template_subject[e.template_id] = e.subject_id
+            template_media.setdefault(e.template_id, []).append(e.media_id)
+            if e.video_id is not None:
+                vt = video_template.get(e.video_id)
+                if vt is not None and vt != e.template_id:
+                    raise ConsistencyError(
+                        f"video {e.video_id!r} spans templates {vt!r} "
+                        f"and {e.template_id!r}"
+                    )
+                video_template[e.video_id] = e.template_id
+        self.entries = entries
+        self.by_media = by_media
+        self.template_subject = template_subject
+        self.template_media = {t: tuple(m) for t, m in template_media.items()}
+
+    def subject_of_media(self, media_id: str) -> str:
+        entry = self.by_media.get(media_id)
+        if entry is None:
+            raise UnknownIdError(f"media id {media_id!r} not in manifest")
+        return entry.subject_id
+
+
+def load_manifest(path) -> Manifest:
+    return Manifest(
+        MediaEntry(media_id, subject_id, template_id, video_id or None)
+        for media_id, subject_id, template_id, video_id in _csv_table(
+            path, _MANIFEST_HEADER, "manifest"
+        )
+    )
+
+
+def pair_tuple(pairs) -> tuple[tuple[str, str], ...]:
+    """The pairs as str tuples; DataError on the first self-pair."""
+    pairs = tuple((str(a), str(b)) for a, b in pairs)
+    for a, b in pairs:
+        if a == b:
+            raise DataError(f"self-pair {a!r}")
+    return pairs
+
+
+def load_pairs(path, manifest=None) -> tuple[tuple[str, str], ...]:
+    pairs = [(a, b) for a, b in _csv_table(path, _PAIRS_HEADER, "pair")]
+    if manifest is not None:
+        for a, b in pairs:
+            for tid in (a, b):
+                if tid not in manifest.template_subject:
+                    raise UnknownIdError(f"pair references unknown template {tid!r}")
+    return pair_tuple(pairs)
+
+
+def sample_eval_pairs(manifest, template_ids, n_impostor: int, seed: int):
+    """Every genuine pair of the sorted templates and a uniform sample of
+    the impostor pairs, both in np.triu_indices order."""
+    templates = sorted(template_ids)
+    for tid in templates:
+        if tid not in manifest.template_subject:
+            raise UnknownIdError(f"template {tid!r} not in manifest")
+    subjects = np.array([manifest.template_subject[t] for t in templates])
+    n = len(templates)
+    ia, ib = np.triu_indices(n, k=1)
+    same = subjects[ia] == subjects[ib]
+    pairs = [(templates[i], templates[j]) for i, j in zip(ia[same], ib[same])]
+    imp_a, imp_b = ia[~same], ib[~same]
+    if n_impostor > 0 and imp_a.size:
+        take = min(n_impostor, imp_a.size)
+        rng = stream(seed, Purpose.PAIRS)
+        chosen = rng.choice(imp_a.size, size=take, replace=False)
+        chosen.sort()
+        pairs.extend(
+            (templates[i], templates[j]) for i, j in zip(imp_a[chosen], imp_b[chosen])
+        )
+    return pair_tuple(pairs)
 
 
 def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,9 +202,11 @@ def build_templates(embeddings: EmbeddingSet, manifest: MediaManifest) -> Templa
 def score_pairs(
     a: TemplateSet,
     b: TemplateSet,
-    pairs: PairList,
-    manifest: MediaManifest,
+    pairs,
+    manifest,
 ) -> ScoredPairs:
+    """``pairs`` is any iterable of (a, b) template ids; ``manifest`` a
+    MediaManifest or a Manifest."""
     if a.dim != b.dim:
         raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
     dropped_a = set(a.dropped)
@@ -111,7 +217,7 @@ def score_pairs(
     idx_b: list[int] = []
     genuine: list[bool] = []
     dropped_pairs = 0
-    for ta, tb in pairs.pairs:
+    for ta, tb in pairs:
         if ta in dropped_a or tb in dropped_b:
             dropped_pairs += 1
             continue

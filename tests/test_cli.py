@@ -413,6 +413,63 @@ class TestVerify:
         assert (code, stdout) == (2, "")
         assert stderr == "error: --far: FAR target 0.0 outside (0, 1]\n"
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_pair_memory_bounded(self, tmp_path):
+        # 4M pairs over 3,000 one-image templates at dim 8, so the pairs
+        # are all of the memory: the cap is 17 B a pair (two int32 codes,
+        # a float64 score and a bool label) plus 256 MiB. Measured at one
+        # BLAS thread: the peak is 262 MiB over the imports, 59 MiB under
+        # the cap; a tuple of ids per pair peaked 1.36 GiB over them.
+        n, n_pairs = 3000, 4_000_000
+        rng = np.random.default_rng(6)
+        ids = [f"m{i:04d}" for i in range(n)]
+        for name in ("a", "b"):
+            rows = rng.standard_normal((n, 8), dtype=np.float32)
+            save_embeddings(EmbeddingSet(name.upper(), ids, rows), tmp_path / f"{name}.cfeb")
+        save_manifest(
+            MediaManifest(MediaEntry(m, f"s{i // 10:03d}", f"T{m}") for i, m in enumerate(ids)),
+            tmp_path / "manifest.csv",
+        )
+        with open(tmp_path / "pairs.csv", "w", encoding="utf-8") as f:
+            f.write("template_id_a,template_id_b\n")
+            for start in range(0, n_pairs, 1 << 18):
+                a = rng.integers(0, n, size=min(1 << 18, n_pairs - start))
+                b = (a + rng.integers(1, n, size=a.size)) % n
+                f.write("".join(f"Tm{x:04d},Tm{y:04d}\n" for x, y in zip(a.tolist(), b.tolist())))
+        argv = ["verify", *(tmp_path / f for f in ("a.cfeb", "b.cfeb", "manifest.csv",
+                                                   "pairs.csv")), "--far", "0.1"]
+        done = run_memory_limited(tmp_path, 17 * n_pairs + (256 << 20), *argv)
+        assert done.returncode == 0, done.stderr[-2000:]
+        report = json.loads(done.stdout)
+        assert report["genuine_count"] + report["impostor_count"] == n_pairs
+        assert report["genuine_count"] > 0
+
+
+class TestSynthPairs:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize and VmPeak from /proc")
+    def test_pairs_out_memory_bounded(self, tmp_path):
+        # the pipeline world's 50,000 one-image templates (5,000 subjects
+        # of 10), at dim 8 since the sampler's work does not depend on it:
+        # --pairs-out may add at most 256 MiB to synth's own peak VmSize.
+        # Measured at one BLAS thread: it adds 24 MiB; a triu_indices over
+        # every candidate pair asked for about 20 GB.
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"dim": 8, "num_subjects": 5000,
+                                      "media_per_subject": 10, "seed": 2}))
+        done = run_memory_limited(tmp_path, 1 << 30, "synth", config,
+                                  "--out", tmp_path / "plain")
+        assert done.returncode == 0, done.stderr[-2000:]
+        rss = json.loads((tmp_path / "rss.json").read_text())
+        headroom = (rss["vm_peak_kib"] - rss["vm_size_kib"]) * 1024 + (256 << 20)
+        pairs = tmp_path / "pairs.csv"
+        done = run_memory_limited(tmp_path, headroom, "synth", config, "--out",
+                                  tmp_path / "paired", "--pairs-out", pairs)
+        assert done.returncode == 0, done.stderr[-2000:]
+        with open(pairs, encoding="utf-8") as f:
+            assert sum(1 for _ in f) == 1 + 5000 * 45 + 20000
+
 
 class TestExperimentCommands:
     def grid_config(self, world, kinds=("linear", "rotation", "identity")):
@@ -695,6 +752,50 @@ class TestSeedRange:
 
 
 class TestHostileInput:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mutated_protocol_csv_exits_2(self, world, tmp_path_factory, data):
+        """A manifest or pair list broken in one place (a field over the
+        csv limit, a byte that is not UTF-8, a row of the wrong width, a
+        repeated medium, a self-pair, an unknown template) exits 2 with
+        one line naming ``path:line`` or the offending id."""
+        which = data.draw(st.sampled_from(["manifest", "pairs"]))
+        lines = world[which].read_bytes().splitlines(keepends=True)
+        line = data.draw(st.integers(2, len(lines)))
+        row = lines[line - 1].rstrip(b"\r\n")
+        fields, ending = row.split(b","), lines[line - 1][len(row):]
+        mutations = ["long field", "not utf-8", "wide row", "narrow row"]
+        mutations += ["duplicate media"] if which == "manifest" else ["self-pair", "unknown"]
+        mutation = data.draw(st.sampled_from(mutations))
+        where = f"{{path}}:{line}:"
+        if mutation == "long field":
+            fields[0] = b"x" * 200_000
+        elif mutation == "not utf-8":
+            fields[0] = b"\xff" + fields[0]
+        elif mutation == "wide row":
+            fields.append(b"extra")
+        elif mutation == "narrow row":
+            fields.pop()
+        elif mutation == "duplicate media":
+            lines.append(lines[line - 1])
+            where = repr(fields[0].decode())
+        elif mutation == "self-pair":
+            fields[1] = fields[0]
+            where = f"self-pair {fields[0].decode()!r}"
+        else:
+            fields[data.draw(st.integers(0, 1))] = b"T_unknown"
+            where = "'T_unknown'"
+        lines[line - 1] = b",".join(fields) + ending
+        path = tmp_path_factory.mktemp("mutated") / f"{which}.csv"
+        path.write_bytes(b"".join(lines))
+        files = {"manifest": world["manifest"], "pairs": world["pairs"], which: path}
+        code, stdout, stderr = run_quiet("verify", world["a"], world["b"], files["manifest"],
+                                         files["pairs"], "--far", "0.1")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
+        assert where.format(path=path) in stderr
+
     @pytest.mark.parametrize("damage", ["truncated header", "bad utf-8 string"])
     @pytest.mark.parametrize("suffix", [".cfeb", ".cfem"])
     def test_damaged_binary_file_exits_2(self, world, tmp_path, capsys, suffix, damage):
@@ -806,8 +907,9 @@ class TestHostileInput:
 
 
 # main() under RLIMIT_AS = VmSize + headroom (argv[1], in bytes), taken
-# after the imports; the resident set then and the peak resident set at
-# exit, in KiB, are written as JSON to the file argv[2]
+# after the imports; the resident set and the VmSize then, and the peak
+# resident set and peak VmSize at exit, in KiB, are written as JSON to the
+# file argv[2]
 MEMORY_LIMITED_MAIN = """
 import json, resource, sys
 from embalign.cli import main
@@ -817,14 +919,15 @@ def status(field):
         return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
 
 headroom, report, *argv = sys.argv[1:]
-after_imports = status("VmRSS")
+after_imports, vm_size = status("VmRSS"), status("VmSize")
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (status("VmSize") * 1024 + int(headroom), hard))
+resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + int(headroom), hard))
 try:
     sys.exit(main(argv))
 finally:
     with open(report, "w") as f:
-        json.dump({"after_imports_kib": after_imports, "peak_kib": status("VmHWM")}, f)
+        json.dump({"after_imports_kib": after_imports, "peak_kib": status("VmHWM"),
+                   "vm_size_kib": vm_size, "vm_peak_kib": status("VmPeak")}, f)
 """
 
 
