@@ -342,6 +342,10 @@ def cmd_attack(args) -> int:
 def cmd_synth(args) -> int:
     spec = _read_config(args, synthetic.SynthSpec)
     set_a, set_b, manifest, ground_truth = synthetic.generate_world(spec)
+    if args.pairs_out:
+        pairs = experiments.sample_eval_pairs(
+            manifest, manifest.template_ids, args.impostor_pairs, spec.seed
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -360,9 +364,6 @@ def cmd_synth(args) -> int:
     else:
         summary["ground_truth"] = None
     if args.pairs_out:
-        pairs = experiments.sample_eval_pairs(
-            manifest, manifest.template_ids, args.impostor_pairs, spec.seed
-        )
         store.save_pairs(pairs, args.pairs_out)
         summary["pairs"] = str(args.pairs_out)
     summary["media_count"] = len(set_a)

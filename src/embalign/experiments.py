@@ -232,8 +232,10 @@ def sample_eval_pairs(
     that order, then the sampled impostors in that order. The impostor
     sample draws ranks among the non-genuine candidates and maps each to
     its triangle index between the genuine ones, so no array over all
-    candidates is built.
+    candidates is built. ValueError for a negative ``n_impostor``.
     """
+    if n_impostor < 0:
+        raise ValueError(f"impostor pair count must be >= 0, got {n_impostor}")
     templates = sorted(template_ids)
     known = manifest.template_code
     for tid in templates:
@@ -467,18 +469,20 @@ def _probe_chunks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
-def _first_hits(
-    scores: np.ndarray, probe_codes: np.ndarray, gallery_codes: np.ndarray
-) -> np.ndarray:
+def _first_hits(scores: np.ndarray, probe_codes: np.ndarray, gallery_codes: np.ndarray,
+                work: np.ndarray) -> np.ndarray:
     """Each probe's 0-based rank of its first true-subject gallery entry,
     in the order a stable sort of -scores gives (+0.0 and -0.0 tie).
-    Scores must be finite and every probe code must be in the gallery."""
-    match = gallery_codes == probe_codes[:, None]
-    best = np.where(match, scores, -np.inf).argmax(axis=1)
+    Scores must be finite and every probe code must be in the gallery.
+    ``work`` is scratch of the shape of ``scores``."""
+    work.fill(-np.inf)
+    np.copyto(work, scores, where=gallery_codes == probe_codes[:, None])
+    best = work.argmax(axis=1)
     best_score = scores[np.arange(len(best)), best][:, None]
-    ahead = (scores > best_score) | (
-        (scores == best_score) & (np.arange(scores.shape[1]) < best[:, None])
-    )
+    # ahead: tied at a lower gallery index, or scoring higher
+    ahead = scores == best_score
+    ahead &= np.arange(scores.shape[1]) < best[:, None]
+    ahead |= scores > best_score
     return np.count_nonzero(ahead, axis=1)
 
 
@@ -535,9 +539,15 @@ def run_attack(
         probe_codes[i] = code[sid]
 
     first_hit = np.empty(len(mapped), dtype=np.int64)
-    for rows in _probe_chunks(len(mapped)):
-        scores = mapped.vectors[rows] @ gallery.vectors.T
-        first_hit[rows] = _first_hits(scores, probe_codes[rows], gallery_codes)
+    chunks = _probe_chunks(len(mapped))
+    # two float buffers serve every chunk, so the peak does not depend on
+    # where the allocator places per-chunk chunk x gallery arrays
+    scores = np.empty((max(rows.stop - rows.start for rows in chunks), len(gallery)))
+    work = np.empty_like(scores)
+    for rows in chunks:
+        k = rows.stop - rows.start
+        np.matmul(mapped.vectors[rows], gallery.vectors.T, out=scores[:k])
+        first_hit[rows] = _first_hits(scores[:k], probe_codes[rows], gallery_codes, work[:k])
     accuracy = {
         k: float(np.mean(first_hit < k)) for k in ks
     }

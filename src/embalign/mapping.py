@@ -45,7 +45,7 @@ Map file (.cfem), in the header and string codec of ``store``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import compress
 from pathlib import Path
 
@@ -151,12 +151,7 @@ class FitReport:
             raise DataError("residual RMS cannot be negative")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m": self.m,
-            "residual_rms": self.residual_rms,
-            "condition_diagnostic": self.condition_diagnostic,
-        }
+        return asdict(self)
 
 
 def _fit_inputs(source_rows, target_rows) -> tuple[np.ndarray, np.ndarray]:

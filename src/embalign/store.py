@@ -389,8 +389,10 @@ class PairList:
     """Template pairs for 1:1 verification scoring, held as integer codes.
 
     ``codes_a`` and ``codes_b`` are int32 codes into the one table of
-    distinct ids ``template_ids``. Iterating gives the (a, b) id pairs;
-    ``pairs`` is them as a tuple, built when it is read.
+    distinct ids ``template_ids``; no pair is a self-pair. Iterating gives
+    the (a, b) id pairs; ``pairs`` is them as a tuple, and
+    ``template_ids_a`` and ``template_ids_b`` each side's ids, built when
+    they are read.
     """
 
     template_ids: tuple[str, ...]
@@ -401,21 +403,37 @@ class PairList:
         self._adopt(*encode_pairs(pairs))
 
     @classmethod
-    def coded(cls, template_ids, codes_a, codes_b) -> "PairList":
-        """The pairs ``template_ids[codes_a[i]], template_ids[codes_b[i]]``;
-        the ids must be distinct."""
+    def coded(cls, template_ids, codes_a, codes_b, **fields) -> "PairList":
+        """The pairs ``template_ids[codes_a[i]], template_ids[codes_b[i]]``,
+        with a subclass's further ``fields`` as keywords: the one checked
+        way to build coded pairs. DataError for a repeated id, sides of
+        unequal length or a code outside ``[0, len(template_ids))``."""
+        template_ids = tuple(template_ids)
+        if len(set(template_ids)) != len(template_ids):
+            raise DataError("pair table repeats a template id")
+        codes = [np.asarray(side) for side in (codes_a, codes_b)]
+        if codes[0].shape != codes[1].shape or codes[0].ndim != 1:
+            raise DataError("pair sides must be 1-D and of equal length")
+        n = len(template_ids)
+        for side in codes:
+            if side.size and not 0 <= side.min() <= side.max() < n:
+                bad = side[(side < 0) | (side >= n)][0]
+                raise DataError(f"pair code {bad} outside [0, {n})")
         pairs = cls.__new__(cls)
-        pairs._adopt(tuple(template_ids), _frozen_array(codes_a, np.int32),
-                     _frozen_array(codes_b, np.int32))
+        pairs._adopt(template_ids, *(_frozen_array(side, np.int32) for side in codes), **fields)
         return pairs
 
-    def _adopt(self, template_ids, codes_a, codes_b) -> None:
+    def _adopt(self, template_ids, codes_a, codes_b, **fields) -> None:
         same = codes_a == codes_b
         if same.any():
             raise DataError(f"self-pair {template_ids[codes_a[np.argmax(same)]]!r}")
         object.__setattr__(self, "template_ids", template_ids)
         object.__setattr__(self, "codes_a", codes_a)
         object.__setattr__(self, "codes_b", codes_b)
+        self._adopt_fields(**fields)
+
+    def _adopt_fields(self) -> None:
+        """Adopt a subclass's per-pair fields; a plain pair list has none."""
 
     def __len__(self) -> int:
         return self.codes_a.size
@@ -427,6 +445,14 @@ class PairList:
     @property
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(self)
+
+    @property
+    def template_ids_a(self) -> tuple[str, ...]:
+        return tuple(_decoded(self.template_ids, self.codes_a))
+
+    @property
+    def template_ids_b(self) -> tuple[str, ...]:
+        return tuple(_decoded(self.template_ids, self.codes_b))
 
 
 def binary_header(magic: bytes, fmt: str, *fields) -> bytearray:

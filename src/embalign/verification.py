@@ -19,9 +19,10 @@ template code with a genuine label from the codes' subjects. A point
 then costs a few vectorised passes over the rows, and each side's pair
 rows are read through ``store.float_chunks``, the one chunked float64
 row reader, so scoring memory is bounded in the number of pairs. No
-Python object is made per pair: scored pairs keep the plan's codes and
-build their template-id tuples only when read. build_templates and
-score_pairs compile a plan for one call.
+Python object is made per pair: ScoredPairs is a store.PairList over the
+plan's codes, with one score and one genuine label per pair, so its
+template ids are decoded only when read. build_templates and score_pairs
+compile a plan for one call.
 
 Templates take one float64 copy of the media rows: the rows are
 normalized and summed in it when every template is one image in media
@@ -39,7 +40,7 @@ realized FAR never exceeds the target.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .store import (
     PairList,
     _decoded,
     _frozen_array,
-    encode_pairs,
     float_chunks,
     row_norms,
 )
@@ -111,17 +111,16 @@ class TemplateSet:
 
 
 @dataclass(frozen=True, init=False, eq=False)
-class ScoredPairs:
-    """Per-pair inner-product scores with genuine/impostor labels.
+class ScoredPairs(PairList):
+    """A ``PairList`` with one inner-product score and one genuine/impostor
+    label per pair, and the count of pairs dropped before scoring.
 
-    The pairs are held as int32 codes into one table of template ids;
-    ``template_ids_a`` and ``template_ids_b`` build each side's id tuple
-    when they are read.
+    The coding of the pairs, ``coded`` (which takes ``scores``,
+    ``genuine`` and ``dropped_pairs`` as keywords), iteration and the
+    self-pair check are the pair list's; the constructor takes each
+    side's template ids.
     """
 
-    template_ids: tuple[str, ...]
-    codes_a: np.ndarray
-    codes_b: np.ndarray
     scores: np.ndarray
     genuine: np.ndarray
     dropped_pairs: int = 0
@@ -130,45 +129,18 @@ class ScoredPairs:
         ids_a, ids_b = tuple(template_ids_a), tuple(template_ids_b)
         if len(ids_a) != len(ids_b):
             raise DataError("scored pair fields must have equal length")
-        self._adopt(*encode_pairs(zip(ids_a, ids_b)), scores, genuine, dropped_pairs)
+        pairs = PairList(zip(ids_a, ids_b))
+        self._adopt(pairs.template_ids, pairs.codes_a, pairs.codes_b,
+                    scores=scores, genuine=genuine, dropped_pairs=dropped_pairs)
 
-    @classmethod
-    def coded(cls, template_ids, codes_a, codes_b, scores, genuine,
-              dropped_pairs=0) -> "ScoredPairs":
-        """Scored pairs ``template_ids[codes_a[i]], template_ids[codes_b[i]]``."""
-        scored = cls.__new__(cls)
-        scored._adopt(tuple(template_ids), codes_a, codes_b, scores, genuine, dropped_pairs)
-        return scored
-
-    def _adopt(self, template_ids, codes_a, codes_b, scores, genuine, dropped_pairs):
-        scores = np.asarray(scores, dtype=np.float64)
-        genuine = np.asarray(genuine, dtype=bool)
-        fields = {
-            "template_ids": template_ids,
-            "codes_a": _frozen_array(codes_a, np.int32),
-            "codes_b": _frozen_array(codes_b, np.int32),
-            "scores": _frozen_array(scores),
-            "genuine": _frozen_array(genuine),
-            "dropped_pairs": dropped_pairs,
-        }
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
-        n = scores.shape[0]
-        if genuine.shape[0] != n or self.codes_a.size != n:
+    def _adopt_fields(self, scores, genuine, dropped_pairs=0) -> None:
+        object.__setattr__(self, "scores", _frozen_array(scores, np.float64))
+        object.__setattr__(self, "genuine", _frozen_array(genuine, bool))
+        object.__setattr__(self, "dropped_pairs", dropped_pairs)
+        if not len(self) == self.scores.shape[0] == self.genuine.shape[0]:
             raise DataError("scored pair fields must have equal length")
-        if n and not np.all(np.isfinite(scores)):
+        if not np.all(np.isfinite(self.scores)):
             raise DataError("scores contain non-finite values")
-
-    @property
-    def template_ids_a(self) -> tuple[str, ...]:
-        return tuple(_decoded(self.template_ids, self.codes_a))
-
-    @property
-    def template_ids_b(self) -> tuple[str, ...]:
-        return tuple(_decoded(self.template_ids, self.codes_b))
-
-    def __len__(self) -> int:
-        return len(self.scores)
 
 
 @dataclass(frozen=True)
@@ -200,14 +172,7 @@ class RocReport:
         return self.tar_at_far[self.far_targets.index(float(far_target))]
 
     def to_dict(self) -> dict:
-        return {
-            "far_targets": list(self.far_targets),
-            "tar_at_far": list(self.tar_at_far),
-            "thresholds": list(self.thresholds),
-            "genuine_count": self.genuine_count,
-            "impostor_count": self.impostor_count,
-            "dropped_pairs": self.dropped_pairs,
-        }
+        return asdict(self)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -414,7 +379,7 @@ class EvalPlan:
         for (rows, chunk_a), (_, chunk_b) in chunks:
             scores[rows] = np.einsum("ij,ij->i", chunk_a, chunk_b)
         return ScoredPairs.coded(
-            self._template_ids, side_a, side_b, _read_only(scores), genuine,
+            self._template_ids, side_a, side_b, scores=_read_only(scores), genuine=genuine,
             dropped_pairs=self._side_a.size - row_a.size,
         )
 
@@ -452,11 +417,8 @@ def scores_to_csv(scored: ScoredPairs, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["template_id_a", "template_id_b", "score", "genuine"])
-        ids = scored.template_ids
-        for a, b, s, g in zip(
-            scored.codes_a.tolist(), scored.codes_b.tolist(), scored.scores, scored.genuine
-        ):
-            writer.writerow([ids[a], ids[b], repr(float(s)), str(bool(g)).lower()])
+        for (a, b), s, g in zip(scored, scored.scores, scored.genuine):
+            writer.writerow([a, b, repr(float(s)), str(bool(g)).lower()])
 
 
 def check_fars(far_targets) -> list[float]:
@@ -487,7 +449,9 @@ def roc(scored: ScoredPairs, far_targets) -> RocReport:
         raise ProtocolError("ROC analysis needs at least one impostor pair")
     if gen.size == 0:
         raise ProtocolError("ROC analysis needs at least one genuine pair")
-    values, first = np.unique(imp, return_index=True)
+    # the distinct impostor scores are the starts of the sorted runs
+    first = np.flatnonzero(np.r_[True, imp[1:] != imp[:-1]])
+    values = imp[first]
     realized_far = (imp.size - first) / imp.size
     thresholds: list[float] = []
     tars: list[float] = []

@@ -724,6 +724,34 @@ def set_key(values: dict, key: str, value) -> None:
     values[last] = value
 
 
+class TestImpostorCount:
+    @pytest.mark.parametrize("command", ["grid", "sweep", "synth"])
+    def test_negative_count_exits_2(self, world, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        values = command_configs(world)[command]
+        out, pairs = tmp_path / "out", tmp_path / "pairs.csv"
+        argv = [command, str(config), "--out", str(out)]
+        if command == "synth":
+            argv += ["--impostor-pairs", "-5", "--pairs-out", str(pairs)]
+        else:
+            values["impostor_pairs"] = -1
+        config.write_text(json.dumps(values))
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert_refused(code, stdout, stderr, out)
+        assert "impostor pair count must be >= 0" in stderr
+        assert not pairs.exists()
+
+    def test_zero_count_lists_the_genuine_pairs(self, world, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(command_configs(world)["synth"]))
+        pairs = tmp_path / "pairs.csv"
+        code, _, _ = run_cli(capsys, "synth", str(config), "--out", str(tmp_path / "out"),
+                             "--impostor-pairs", "0", "--pairs-out", str(pairs))
+        assert code == 0
+        # 3 subjects of 2 one-image templates: one genuine pair each
+        assert len(load_pairs(pairs)) == 3
+
+
 class TestSeedRange:
     @pytest.mark.parametrize("command", ["grid", "sweep", "attack", "synth"])
     @pytest.mark.parametrize(

@@ -564,7 +564,8 @@ class TestAttackRanking:
     @given(score_cases())
     def test_counting_matches_stable_argsort(self, case):
         scores, probe_codes, gallery_codes = case
-        got = experiments._first_hits(scores, probe_codes, gallery_codes)
+        got = experiments._first_hits(scores, probe_codes, gallery_codes,
+                                      np.empty_like(scores))
         want = reference.first_hits(scores, probe_codes, gallery_codes)
         assert np.array_equal(got, want)
 
@@ -574,7 +575,8 @@ class TestAttackRanking:
         scores = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -1.0]])
         gallery_codes = np.array([1, 0, 0])
         probe_codes = np.array([0, 1])
-        got = experiments._first_hits(scores, probe_codes, gallery_codes)
+        got = experiments._first_hits(scores, probe_codes, gallery_codes,
+                                      np.empty_like(scores))
         assert got.tolist() == [1, 0]
         assert np.array_equal(got, reference.first_hits(scores, probe_codes, gallery_codes))
 

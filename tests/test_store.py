@@ -512,6 +512,35 @@ class TestPairList:
         save_pairs(pairs, path)
         assert load_pairs(path).pairs == pairs.pairs
 
+    def test_coded_builds_the_named_pairs(self):
+        pairs = PairList.coded(("a", "b", "c"), [0, 2], [1, 0])
+        assert pairs.pairs == (("a", "b"), ("c", "a"))
+        assert pairs.template_ids_a == ("a", "c")
+        assert pairs.template_ids_b == ("b", "a")
+
+    @pytest.mark.parametrize("codes_a, codes_b, message", [
+        ([0], [-1], "pair code -1 outside"),
+        ([3], [0], "pair code 3 outside"),
+        ([0, 1], [7, 2], "pair code 7 outside"),
+        ([0, 1], [2], "equal length"),
+        ([1], [1], "self-pair 'b'"),
+    ])
+    def test_coded_refuses_bad_codes(self, codes_a, codes_b, message):
+        with pytest.raises(DataError, match=message):
+            PairList.coded(("a", "b", "c"), codes_a, codes_b)
+
+    def test_coded_refuses_repeated_id(self):
+        with pytest.raises(DataError, match="repeats a template id"):
+            PairList.coded(("a", "b", "a"), [0], [1])
+
+    def test_only_store_encodes_pairs(self):
+        # PairList.coded is the one checked way to build coded pairs;
+        # encode_pairs is the pair list's own id coder
+        package = Path(embalign.__file__).parent
+        users = sorted(p.name for p in package.glob("*.py")
+                       if "encode_pairs(" in p.read_text())
+        assert users == ["store.py"]
+
 
 class TestAlignPairs:
     def test_intersection_semantics(self):

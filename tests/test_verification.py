@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +271,36 @@ class TestScorePairs:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "template_id_a,template_id_b,score,genuine"
         assert lines[1].startswith("t1,t3,1.0,false")
+
+
+class TestScoredPairs:
+    """A scored pair list is a PairList with a score and a label per pair."""
+
+    def test_is_a_pair_list(self):
+        assert issubclass(ScoredPairs, PairList)
+        scored = scored_from([0.9], [0.1])
+        assert isinstance(scored, PairList)
+        assert list(scored) == [("a0", "b0"), ("a1", "b1")]
+        assert [f.name for f in fields(ScoredPairs)] == [
+            "template_ids", "codes_a", "codes_b", "scores", "genuine", "dropped_pairs",
+        ]
+        own = set(vars(ScoredPairs))
+        assert not own & {"coded", "_adopt", "__len__", "__iter__",
+                          "template_ids_a", "template_ids_b"}
+
+    def test_self_pair_refused(self):
+        with pytest.raises(DataError, match="self-pair 't1'"):
+            ScoredPairs(("t0", "t1"), ("t2", "t1"), [0.5, 0.5], [False, True])
+        with pytest.raises(DataError, match="self-pair 't1'"):
+            ScoredPairs.coded(("t0", "t1"), [1], [1], scores=[0.5], genuine=[True])
+
+    def test_coded_checks_codes_and_fields(self):
+        with pytest.raises(DataError, match="pair code 2 outside"):
+            ScoredPairs.coded(("t0", "t1"), [0], [2], scores=[0.5], genuine=[True])
+        with pytest.raises(DataError, match="equal length"):
+            ScoredPairs.coded(("t0", "t1"), [0], [1], scores=[0.5, 0.1], genuine=[True])
+        with pytest.raises(DataError, match="non-finite"):
+            ScoredPairs.coded(("t0", "t1"), [0], [1], scores=[np.nan], genuine=[True])
 
 
 @st.composite
@@ -593,6 +625,26 @@ class TestRoc:
             "far_targets", "tar_at_far", "thresholds",
             "genuine_count", "impostor_count", "dropped_pairs",
         }
+
+
+    def test_roc_memory_one_sort(self):
+        # tie-heavy scores: a second sort of the impostors (np.unique)
+        # would add two sorted copies; the run starts of the one sorted
+        # copy need only a mask and an index over the distinct scores
+        n = 400_000
+        rng = np.random.default_rng(5)
+        scores = rng.integers(0, 1000, n) / 999.0
+        genuine = rng.random(n) < 0.05
+        ids = tuple(f"t{i}" for i in range(2 * n))
+        scored = ScoredPairs.coded(ids, np.arange(n), np.arange(n, 2 * n),
+                                   scores=scores, genuine=genuine)
+        tracemalloc.start()
+        try:
+            roc(scored, [1e-1, 1e-2, 1e-3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n + (1 << 20)
 
 
 class TestRocReportInvariants:
