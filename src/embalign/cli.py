@@ -174,11 +174,11 @@ def _parse_fars(text: str) -> list[float]:
         raise ValueError(f"cannot parse FAR list {text!r}") from None
 
 
-def _check_fars(fars, where: str) -> None:
-    """Refuse FAR targets out of range before any input is loaded, naming
-    ``where`` they came from."""
+def _check_early(check, value, where: str) -> None:
+    """Refuse ``value`` by the library's range ``check`` before any input
+    is loaded, naming ``where`` it came from."""
     try:
-        verification.check_fars(fars)
+        check(value)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from None
 
@@ -249,9 +249,8 @@ def cmd_apply(args) -> int:
 
 def cmd_verify(args) -> int:
     fars = _parse_fars(args.far)
-    _check_fars(fars, "--far")
+    _check_early(verification.check_fars, fars, "--far")
     side_a = store.load_embeddings(args.a)
-    side_b = store.load_embeddings(args.b)
     manifest = store.load_manifest(args.manifest)
     pairs = store.load_pairs(args.pairs, manifest)
     if args.map is not None:
@@ -260,10 +259,9 @@ def cmd_verify(args) -> int:
     plan = verification.EvalPlan(manifest, side_a.media_ids, pairs)
     del pairs  # the plan holds its codes
     templates_a = plan.templates(side_a)
-    del side_a  # only its templates are scored; free it before side b's
-    templates_b = plan.templates(side_b)
-    del side_b  # and side b before scoring
-    scored = plan.score(templates_a, templates_b)
+    del side_a  # only its templates are scored; free it before side b is read
+    # side b's templates are built and scored a chunk at a time
+    scored = plan.score(templates_a, store.load_embeddings(args.b))
     report = verification.roc(scored, fars)
     if args.scores_out:
         verification.scores_to_csv(scored, args.scores_out)
@@ -301,7 +299,9 @@ def _split_and_pair(config, refs):
 
 def cmd_grid(args) -> int:
     config = _read_config(args, GridConfig)
-    _check_fars(config.fars, f"{Path(args.config)}: fars")
+    _check_early(verification.check_fars, config.fars, f"{Path(args.config)}: fars")
+    _check_early(experiments.check_impostor_count, config.impostor_pairs,
+                 f"{Path(args.config)}: impostor_pairs")
     manifest, split, pairs = _split_and_pair(config, config.models)
     result = experiments.run_grid(split, manifest, pairs, config.kinds, config.fars)
     _write_outputs(args, "grid", result, {"cells": len(result.cells), "seed": config.seed})
@@ -310,7 +310,9 @@ def cmd_grid(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _read_config(args, SweepConfig)
-    _check_fars([config.far], f"{Path(args.config)}: far")
+    _check_early(verification.check_fars, [config.far], f"{Path(args.config)}: far")
+    _check_early(experiments.check_impostor_count, config.impostor_pairs,
+                 f"{Path(args.config)}: impostor_pairs")
     manifest, split, pairs = _split_and_pair(config, [config.source, config.target])
     counts = config.sample_counts
     if counts is None:

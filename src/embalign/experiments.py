@@ -218,6 +218,12 @@ def _triangle_pair(index: int, n: int) -> tuple[int, int]:
     return i, i + 1 + u - (back - u * (u + 1) // 2)
 
 
+def check_impostor_count(n_impostor: int) -> None:
+    """ValueError for a negative impostor pair count."""
+    if n_impostor < 0:
+        raise ValueError(f"impostor pair count must be >= 0, got {n_impostor}")
+
+
 def sample_eval_pairs(
     manifest: MediaManifest,
     template_ids,
@@ -234,8 +240,7 @@ def sample_eval_pairs(
     its triangle index between the genuine ones, so no array over all
     candidates is built. ValueError for a negative ``n_impostor``.
     """
-    if n_impostor < 0:
-        raise ValueError(f"impostor pair count must be >= 0, got {n_impostor}")
+    check_impostor_count(n_impostor)
     templates = sorted(template_ids)
     known = manifest.template_code
     for tid in templates:

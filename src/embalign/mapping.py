@@ -440,16 +440,16 @@ def load_map(path) -> MappingMatrix:
     an identity map whose matrix is not the identity) raises
     CorruptMapError.
     """
-    reader = BinaryReader(path, _MAP_MAGIC, "a map file")
-    (code,) = reader.unpack("<B", "kind")
-    if code not in _CODE_KINDS:
-        raise FileFormatError(f"{path}: unknown kind code {code}")
-    d_a, d_b = reader.unpack("<II", "dimensions")
-    raw = reader.take(d_a * d_b * 8, "matrix payload")
-    source_model_id = reader.string("source model id")
-    target_model_id = reader.string("target model id")
-    (fit_sample_count,) = reader.unpack("<Q", "fit sample count")
-    reader.end("fit sample count")
+    with BinaryReader(path, _MAP_MAGIC, "a map file") as reader:
+        (code,) = reader.unpack("<B", "kind")
+        if code not in _CODE_KINDS:
+            raise FileFormatError(f"{path}: unknown kind code {code}")
+        d_a, d_b = reader.unpack("<II", "dimensions")
+        raw = reader.take(d_a * d_b * 8, "matrix payload")
+        source_model_id = reader.string("source model id")
+        target_model_id = reader.string("target model id")
+        (fit_sample_count,) = reader.unpack("<Q", "fit sample count")
+        reader.end("fit sample count")
     try:
         return MappingMatrix(
             kind=_CODE_KINDS[code],

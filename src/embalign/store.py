@@ -26,8 +26,9 @@ when read.
 Vectors are serialized as 32-bit floats, little-endian. Everything
 downstream promotes to 64-bit before doing arithmetic.
 
-A load reads the records in one pass and copies the vector payload once,
-into the array the set keeps. Sets do not copy an array that is already
+A load reads the records through one bounded window of the open file
+and copies each vector once, into the array the set keeps; it never holds
+the whole file. Sets do not copy an array that is already
 read-only and that nothing writable can reach (``_frozen_array``), so the
 library's producers (load, restrict, map application, templates) mark
 their fresh arrays read-only and hand them over. ``float_chunks`` is the
@@ -37,6 +38,8 @@ reused buffer, so no row loop makes a full-size temporary. Row norms
 (``row_norms``), ``align_pairs`` (through ``float_rows``), the fit's
 statistics and residuals, map application and pair scoring all read
 through it; a save writes its records a ``row_chunks`` chunk at a time.
+``float_groups`` reads rows the same way in chunks of whole groups
+(``group_chunks``), the one template-chunk rule.
 ``aligned_rows`` gives the one row order of two sets' shared media, sorted
 by media id, that every fit takes.
 """
@@ -44,6 +47,7 @@ by media id, that every fit takes.
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from array import array
 from dataclasses import dataclass
@@ -77,6 +81,8 @@ DEGENERATE_NORM = 1e-12
 _ROW_CHUNK = 4096
 # rows per fancy-indexed copy when float_chunks gathers rows into float64
 _GATHER_BLOCK = 512
+# bytes of the window a .cfeb load reads its records through
+_READ_WINDOW = 1 << 20
 
 
 def _frozen_array(values, dtype=None) -> np.ndarray:
@@ -109,14 +115,30 @@ def row_chunks(n: int) -> list[slice]:
     return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
 
 
-def float_chunks(vectors: np.ndarray, index: np.ndarray | None = None):
-    """For each slice ``rows`` of ``row_chunks``, ``(rows, chunk)``: the
-    float64 rows ``vectors[index[rows]]``, or ``vectors[rows]`` without an
-    index, in one buffer reused for every chunk, so a chunk is valid only
-    until the next is taken. The buffer holds the longest chunk; indexed
+def group_chunks(starts: np.ndarray) -> list[slice]:
+    """Consecutive slices of the groups whose rows are ``starts[g]:starts[g +
+    1]``, each of whole groups covering at most as many rows as the longest
+    chunk of ``row_chunks`` over all of them (at most _ROW_CHUNK), or of one
+    group that has more on its own. So over one-row groups the longest
+    chunk is that of ``row_chunks``, and the heap block a row-norm pass
+    frees serves the gather buffer that follows it."""
+    rows = int(starts[-1] - starts[0]) if len(starts) else 0
+    limit = max((c.stop - c.start for c in row_chunks(rows)), default=0)
+    chunks, lo, groups = [], 0, len(starts) - 1
+    while lo < groups:
+        hi = int(np.searchsorted(starts, starts[lo] + limit, side="right")) - 1
+        hi = min(max(hi, lo + 1), groups)
+        chunks.append(slice(lo, hi))
+        lo = hi
+    return chunks
+
+
+def _gathered(vectors: np.ndarray, index: np.ndarray | None, chunks: list[slice]):
+    """For each slice ``rows`` of ``chunks``, the float64 rows
+    ``vectors[index[rows]]``, or ``vectors[rows]`` without an index, in one
+    buffer that holds the longest chunk, reused for every chunk. Indexed
     rows are gathered _GATHER_BLOCK at a time, so the fancy-indexed copy
     before the cast stays small."""
-    chunks = row_chunks(len(vectors) if index is None else index.size)
     longest = max((rows.stop - rows.start for rows in chunks), default=0)
     buffer = np.empty((longest, vectors.shape[1]))
     for rows in chunks:
@@ -128,7 +150,26 @@ def float_chunks(vectors: np.ndarray, index: np.ndarray | None = None):
             for start in range(0, part.size, _GATHER_BLOCK):
                 block = slice(start, start + _GATHER_BLOCK)
                 chunk[block] = vectors[part[block]]
-        yield rows, chunk
+        yield chunk
+
+
+def float_chunks(vectors: np.ndarray, index: np.ndarray | None = None):
+    """For each slice ``rows`` of ``row_chunks``, ``(rows, chunk)``: the
+    float64 rows ``vectors[index[rows]]``, or ``vectors[rows]`` without an
+    index, in one buffer reused for every chunk, so a chunk is valid only
+    until the next is taken."""
+    chunks = row_chunks(len(vectors) if index is None else index.size)
+    return zip(chunks, _gathered(vectors, index, chunks))
+
+
+def float_groups(vectors: np.ndarray, index: np.ndarray, starts: np.ndarray):
+    """For each slice ``groups`` of ``group_chunks(starts)``, ``(groups,
+    chunk)``: the float64 rows ``vectors[index[starts[groups.start]:
+    starts[groups.stop]]]``, in one buffer reused for every chunk, as
+    ``float_chunks`` gives them."""
+    groups = group_chunks(starts)
+    rows = [slice(int(starts[g.start]), int(starts[g.stop])) for g in groups]
+    return zip(groups, _gathered(vectors, index, rows))
 
 
 def float_rows(vectors: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
@@ -469,37 +510,59 @@ def binary_string(text: str, what: str) -> bytes:
 
 
 class BinaryReader:
-    """Sequential reads over one binary file, each bounded by its length.
+    """Sequential reads over one open binary file, each bounded by its length.
 
-    Opening reads the file and checks its magic and version. Every read
-    names its field, so a file that ends early raises TruncationError
-    saying inside which field, and a string that is not UTF-8 raises
-    FileFormatError naming it.
+    Opening checks the file's magic and version; the reader is a context
+    manager that closes the file. Every read names its field, so a file
+    that ends early raises TruncationError saying inside which field, and
+    a string that is not UTF-8 raises FileFormatError naming it.
     """
 
     def __init__(self, path, magic: bytes, what: str):
         self.path = path
-        self.data = Path(path).read_bytes()
-        self.buf = memoryview(self.data)
-        if self.buf[:4] != magic:
-            raise FileFormatError(f"{path}: not {what} (bad magic)")
-        self.pos = 4
-        (version,) = self.unpack("<H", "version")
-        if version != _VERSION:
-            raise FileFormatError(f"{path}: unsupported version {version}")
+        self.file = open(path, "rb")
+        try:
+            self.size = os.fstat(self.file.fileno()).st_size
+            if self.file.read(4) != magic:
+                raise FileFormatError(f"{path}: not {what} (bad magic)")
+            self.pos = 4
+            (version,) = self.unpack("<H", "version")
+            if version != _VERSION:
+                raise FileFormatError(f"{path}: unsupported version {version}")
+        except BaseException:
+            self.file.close()
+            raise
+
+    def __enter__(self) -> "BinaryReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.file.close()
 
     @property
     def remaining(self) -> int:
-        return len(self.buf) - self.pos
+        return self.size - self.pos
 
-    def take(self, n: int, what: str) -> memoryview:
-        if n > len(self.buf) - self.pos:
+    def take(self, n: int, what: str) -> bytes:
+        self.file.seek(self.pos)
+        data = self.file.read(n) if n <= self.remaining else b""
+        if len(data) < n:
             raise TruncationError(
                 f"{self.path}: file ends inside {what} "
                 f"(need {n} bytes at offset {self.pos})"
             )
         self.pos += n
-        return self.buf[self.pos - n : self.pos]
+        return data
+
+    def peek_into(self, window) -> int:
+        """Fill ``window`` with the bytes from the read position on, without
+        moving past them; the count read, short only at the end of the file."""
+        self.file.seek(self.pos)
+        return self.file.readinto(window)
+
+    def skip(self, n: int) -> None:
+        """Move the read position past ``n`` bytes that ``peek_into`` read."""
+        self.pos += n
 
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
@@ -550,44 +613,58 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
 def load_embeddings(path) -> EmbeddingSet:
     """Read a .cfeb file, validating structure and invariants.
 
+    The records are read through one window of at most _READ_WINDOW
+    bytes, allocated once: each vector is copied from it into the array
+    the set keeps, so a load holds the vectors, their ids and the window,
+    never the whole file. A record the window cannot hold whole, or one
+    that is cut short or not UTF-8, is read again through the reader's
+    checked fields.
+
     Raises FileFormatError on a bad magic/version or a string that is not
     UTF-8, TruncationError when the payload is shorter than the declared
     dimension and count, and DataError on non-finite values or duplicate
     media ids.
     """
-    reader = BinaryReader(path, _MAGIC, "an embedding file")
-    dim, count = reader.unpack("<IQ", "dimension and record count")
-    # each record is at least an id length and a vector; check before
-    # allocating so a forged count cannot ask for more memory than the file
-    if count * (2 + 4 * dim) > reader.remaining:
-        raise TruncationError(
-            f"{path}: header declares {count} records of dimension {dim}, "
-            f"more than the {reader.remaining} bytes that follow"
-        )
-    row_bytes = 4 * dim
-    vectors = np.empty((count, dim), dtype="<f4")
-    rows = memoryview(vectors.reshape(-1).view(np.uint8))
-    media_ids = []
-    data, buf, pos = reader.data, reader.buf, reader.pos
-    try:
-        for i in range(count):
-            start = pos + 2 + (data[pos] | data[pos + 1] << 8)
-            stop = start + row_bytes
-            if stop > len(data):
-                raise IndexError  # the record runs past the end of the file
-            media_ids.append(data[pos + 2 : start].decode("utf-8"))
-            rows[i * row_bytes : (i + 1) * row_bytes] = buf[start:stop]
-            pos = stop
-    except (IndexError, UnicodeDecodeError):
-        # the reader reads the failing record again and raises the error
-        # that names its field
-        reader.pos = pos
-        reader.string(f"record {i} id")
-        reader.take(row_bytes, f"record {i} vector")
-        raise
-    reader.pos = pos
-    model_id = reader.string("model id")
-    reader.end("model id")
+    with BinaryReader(path, _MAGIC, "an embedding file") as reader:
+        dim, count = reader.unpack("<IQ", "dimension and record count")
+        # each record is at least an id length and a vector; check before
+        # allocating so a forged count cannot ask for more memory than the file
+        if count * (2 + 4 * dim) > reader.remaining:
+            raise TruncationError(
+                f"{path}: header declares {count} records of dimension {dim}, "
+                f"more than the {reader.remaining} bytes that follow"
+            )
+        row_bytes = 4 * dim
+        vectors = np.empty((count, dim), dtype="<f4")
+        rows = memoryview(vectors.reshape(-1).view(np.uint8))
+        media_ids = []
+        window = bytearray(min(_READ_WINDOW, reader.remaining))
+        view = memoryview(window)
+        i = 0
+        while i < count:
+            filled, pos = reader.peek_into(view), 0
+            try:
+                while i < count and pos + 2 <= filled:
+                    start = pos + 2 + (window[pos] | window[pos + 1] << 8)
+                    stop = start + row_bytes
+                    if stop > filled:
+                        break
+                    media_ids.append(window[pos + 2 : start].decode("utf-8"))
+                    rows[i * row_bytes : (i + 1) * row_bytes] = view[start:stop]
+                    pos, i = stop, i + 1
+            except UnicodeDecodeError:
+                pass  # record i starts the next window, so is read below
+            reader.skip(pos)
+            if pos == 0:
+                # record i is longer than the window, or is cut short or not
+                # UTF-8: the checked fields read it or raise the error naming it
+                media_ids.append(reader.string(f"record {i} id"))
+                rows[i * row_bytes : (i + 1) * row_bytes] = reader.take(
+                    row_bytes, f"record {i} vector"
+                )
+                i += 1
+        model_id = reader.string("model id")
+        reader.end("model id")
     vectors.setflags(write=False)
     return EmbeddingSet(model_id=model_id, media_ids=tuple(media_ids), vectors=vectors)
 

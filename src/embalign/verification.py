@@ -24,10 +24,17 @@ plan's codes, with one score and one genuine label per pair, so its
 template ids are decoded only when read. build_templates and score_pairs
 compile a plan for one call.
 
-Templates take one float64 copy of the media rows: the rows are
-normalized and summed in it when every template is one image in media
-order, and otherwise each summing step gathers its rows. The template
-set adopts the result, marked read-only, without copying it again.
+Templates are built a chunk at a time: whole templates covering at most
+one row chunk of media (``store.float_groups``), or one larger template
+on its own. A chunk's rows are gathered as float64 into one buffer,
+divided by their norms from one pass over the set, and summed in it when
+every feature and template is one row, else each summing step gathers
+its rows. ``templates`` collects the chunks into one matrix, which the
+template set adopts without copying it again. ``score`` takes side b as a
+template set or as embeddings; for embeddings it scores each chunk's
+pairs as the chunk is built, so side b's templates are never held whole.
+Every template row and every pair's score is computed on its own, so
+each has the same bits however the rows are chunked.
 
 Pairs are scored by the plain inner product, which equals cosine
 similarity because templates are unit length. ROC analysis uses exact
@@ -40,6 +47,7 @@ realized FAR never exceeds the target.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -54,6 +62,7 @@ from .store import (
     _decoded,
     _frozen_array,
     float_chunks,
+    float_groups,
     row_norms,
 )
 
@@ -181,26 +190,14 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _normalized(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 copy of the rows scaled to unit length, and which rows are
-    usable; a row with norm below DEGENERATE_NORM becomes zero."""
-    rows = vectors.astype(np.float64)
-    norms = row_norms(rows)
-    ok = norms >= DEGENERATE_NORM
-    rows[~ok] = 0.0
-    rows /= np.where(ok, norms, 1.0)[:, None]
-    return rows, ok
-
-
-def _ordered_sums(values: np.ndarray, members: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Row g is the left-to-right sum of values[members[starts[g]:starts[g + 1]]].
+def _ordered_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Row g is the left-to-right sum of values[starts[g]:starts[g + 1]].
 
     Every sum has the bits of adding the group's rows in order onto +0.0,
-    as ``np.sum(axis=0)`` does over the stacked rows (a lone -0.0 sums to
-    +0.0). When every group has a row, each starts from its first row,
-    and adding +0.0 in place maps -0.0 as the zero start does; if those
-    first rows are all of ``values`` in order, every group holds one row
-    and the sums are made in ``values`` itself, with no gather. The other
+    as ``np.sum(axis=0)`` does over them (a lone -0.0 sums to +0.0). When
+    every group has a row, each starts from its first row, and adding +0.0
+    in place maps -0.0 as the zero start does; when every group holds one
+    row, the sums are made in ``values`` itself, with no gather. The other
     positions add in one vectorised pass each; positions every group has
     add onto the whole accumulator, with no index over the groups.
     """
@@ -208,19 +205,15 @@ def _ordered_sums(values: np.ndarray, members: np.ndarray, starts: np.ndarray) -
     sizes = np.diff(starts)
     shared = int(sizes.min()) if sizes.size else 0
     if shared:
-        heads = members[first]
-        if heads.size == len(values) and np.array_equal(heads, np.arange(heads.size)):
-            acc = values
-        else:
-            acc = values[heads]
+        acc = values if first.size == len(values) else values[first]
         acc += 0.0
     else:
         acc = np.zeros((sizes.size, values.shape[1]))
     for j in range(1, shared):
-        acc += values[members[first + j]]
+        acc += values[first + j]
     for j in range(shared, int(sizes.max(initial=0))):
         live = np.flatnonzero(sizes > j)
-        acc[live] += values[members[first[live] + j]]
+        acc[live] += values[first[live] + j]
     return acc
 
 
@@ -260,15 +253,30 @@ class _Grouping:
             feature_template, np.arange(ranks.size + 1)
         )
 
-    def sums(self, normalized: np.ndarray) -> np.ndarray:
-        """Per template, the sum of its features in order; zero when it has
-        none. A feature is the mean of its frames: an image is a one-frame
-        feature, and x / 1 is x. ``normalized`` is scratch: when every
-        feature and template holds one row in order, the sums are made in
-        it."""
-        features = _ordered_sums(normalized, self.rows, self.feature_starts)
-        features /= np.diff(self.feature_starts)[:, None]
-        return _ordered_sums(features, np.arange(len(features)), self.template_starts)
+    def chunks(self, vectors: np.ndarray, norms: np.ndarray):
+        """Per chunk of whole templates, as ``store.float_groups`` gathers
+        their rows: ``(templates, totals, keep)``, the slice of templates,
+        each one's sum of features, and which sums have a norm of at least
+        DEGENERATE_NORM; those are scaled to unit length. A feature is the
+        mean of its frames, each row divided by its norm in ``norms``: an
+        image is a one-frame feature, and x / 1 is x. ``totals`` is valid
+        until the next chunk is taken: when every feature and template
+        holds one row, the sums are made in the gather buffer."""
+        feature_starts, template_starts = self.feature_starts, self.template_starts
+        for templates, rows in float_groups(vectors, self.rows, feature_starts[template_starts]):
+            features = template_starts[templates.start : templates.stop + 1]
+            starts = feature_starts[features[0] : features[-1] + 1]
+            rows /= norms[self.rows[starts[0] : starts[-1]], None]
+            sums = _ordered_sums(rows, starts - starts[0])
+            sums /= np.diff(starts)[:, None]
+            totals = _ordered_sums(sums, features - features[0])
+            # one np.dot per row is what np.linalg.norm computes for one
+            # vector, so each norm matches it bit for bit; a vectorised row
+            # norm does not
+            lengths = np.sqrt(np.fromiter(map(np.dot, totals, totals), float, len(totals)))
+            keep = lengths >= DEGENERATE_NORM
+            totals /= np.where(keep, lengths, 1.0)[:, None]
+            yield templates, totals, keep
 
 
 class EvalPlan:
@@ -281,6 +289,8 @@ class EvalPlan:
     Genuine labels come from the codes' subjects. Experiments evaluate
     every point, which differ only in the map, through one plan; each
     template set's row per code is resolved once and cached on the set.
+    ``verify`` scores side b's embeddings through it without building
+    side b's template set.
     """
 
     def __init__(self, manifest: MediaManifest, media_ids, pairs: PairList):
@@ -303,25 +313,31 @@ class EvalPlan:
         codes = (known.get(tid, extra.get(tid, -1)) for tid in template_ids)
         return np.fromiter(codes, np.int32, len(template_ids))
 
-    def templates(self, embeddings: EmbeddingSet) -> TemplateSet:
-        """``build_templates(embeddings, manifest)``. The compiled grouping
-        serves a set with the compiled media order and no degenerate row;
-        any other set is grouped afresh."""
-        normalized, usable = _normalized(embeddings.vectors)
+    def _template_chunks(self, embeddings: EmbeddingSet):
+        """The grouping of ``embeddings``' rows, and its template chunks
+        (``_Grouping.chunks``). The compiled grouping serves a set with the
+        compiled media order and no degenerate row; any other set is grouped
+        afresh, without its degenerate rows."""
+        norms = row_norms(embeddings.vectors)
+        usable = norms >= DEGENERATE_NORM
         grouping = self._grouping
         if embeddings.media_ids != self._media_ids or not usable.all():
             grouping = _Grouping(embeddings.media_ids, self._manifest, usable)
-        totals = grouping.sums(normalized)
-        del normalized  # frees the rows x dim copy, unless the sums are in it
-        # one np.dot per row is what np.linalg.norm computes for one vector,
-        # so each norm matches it bit for bit; a vectorised row norm does not
-        norms = np.sqrt(np.fromiter(map(np.dot, totals, totals), float, len(totals)))
-        keep = norms >= DEGENERATE_NORM
+        return grouping, grouping.chunks(embeddings.vectors, norms)
+
+    def templates(self, embeddings: EmbeddingSet) -> TemplateSet:
+        """``build_templates(embeddings, manifest)``: the template chunks
+        collected into one matrix."""
+        grouping, chunks = self._template_chunks(embeddings)
+        codes = grouping.template_codes
+        totals = np.empty((codes.size, embeddings.dim))
+        keep = np.empty(codes.size, dtype=bool)
+        for templates, chunk, kept in chunks:
+            totals[templates], keep[templates] = chunk, kept
+            del chunk  # a view of the gather buffer, which goes with the chunks
         vectors = totals if keep.all() else totals[keep]
-        vectors /= norms[keep, None]
         vectors.setflags(write=False)
         manifest = self._manifest
-        codes = grouping.template_codes
         return TemplateSet(
             model_id=embeddings.model_id,
             template_ids=_decoded(manifest.template_ids, codes[keep]),
@@ -354,16 +370,42 @@ class EvalPlan:
         missing = tb if ta in self._manifest.template_code else ta
         raise UnknownIdError(f"template {missing!r} not in manifest")
 
-    def score(self, a: TemplateSet, b: TemplateSet) -> ScoredPairs:
-        """``score_pairs(a, b, pairs, manifest)`` over the compiled pairs,
-        gathered and scored in the chunks of ``float_chunks``: memory is
-        2 x chunk x dim floats. No per-pair Python object is made: the
-        result holds the plan's codes."""
+    def score(self, a: TemplateSet, b: TemplateSet | EmbeddingSet) -> ScoredPairs:
+        """``score_pairs(a, b, pairs, manifest)`` over the compiled pairs.
+
+        Side b is walked a chunk of templates at a time, and each chunk's
+        pairs are gathered and scored in the chunks of ``float_chunks``. A
+        template set is one chunk, as it is held whole; for an embedding
+        set, the chunks of ``templates`` are built one at a time, so its
+        templates are never held whole, and a pair to one found degenerate
+        is dropped once all are built. Memory past b's chunk is 2 x chunk x
+        dim floats. No per-pair Python object is made: the result holds the
+        plan's codes."""
+        if isinstance(b, TemplateSet):
+            rows_b = self._rows_in(b)
+            chunks = [(slice(0, len(b)), b.vectors, True)]
+            unit_b = np.ones(len(b), dtype=bool)
+        else:
+            grouping, chunks = self._template_chunks(b)
+            rows_b = np.full(len(self._template_ids), _UNKNOWN, dtype=np.int32)
+            rows_b[grouping.template_codes] = np.arange(grouping.template_codes.size)
+            unit_b = np.empty(grouping.template_codes.size, dtype=bool)
         if a.dim != b.dim:
             raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
         side_a, side_b = self._side_a, self._side_b
-        row_a = self._rows_in(a)[side_a]
-        row_b = self._rows_in(b)[side_b]
+        row_a, row_b = self._rows_in(a)[side_a], rows_b[side_b]
+        scorable = (row_a >= 0) & (row_b >= 0)
+        scores = np.empty(side_a.size)
+        for templates, vectors, unit in chunks:
+            in_chunk = (row_b >= templates.start) & (row_b < templates.stop)
+            pairs = np.flatnonzero(scorable & in_chunk)
+            gathered = zip(float_chunks(a.vectors, row_a[pairs]),
+                           float_chunks(vectors, row_b[pairs] - templates.start))
+            for (rows, chunk_a), (_, chunk_b) in gathered:
+                scores[pairs[rows]] = np.einsum("ij,ij->i", chunk_a, chunk_b)
+                del chunk_a, chunk_b  # views of the gather buffers, freed with them
+            unit_b[templates] = unit
+        row_b = np.where(np.isin(rows_b, np.flatnonzero(~unit_b)), _DROPPED, rows_b)[side_b]
         keep = (row_a != _DROPPED) & (row_b != _DROPPED)
         in_manifest = np.maximum(side_a, side_b) < len(self._manifest.template_ids)
         bad = keep & ((row_a < 0) | (row_b < 0) | ~in_manifest)
@@ -372,15 +414,11 @@ class EvalPlan:
         genuine = self._genuine
         if not keep.all():
             kept = np.flatnonzero(keep)
-            row_a, row_b = row_a[kept], row_b[kept]
+            scores = scores[kept]
             side_a, side_b, genuine = (_read_only(x[kept]) for x in (side_a, side_b, genuine))
-        scores = np.empty(row_a.size)
-        chunks = zip(float_chunks(a.vectors, row_a), float_chunks(b.vectors, row_b))
-        for (rows, chunk_a), (_, chunk_b) in chunks:
-            scores[rows] = np.einsum("ij,ij->i", chunk_a, chunk_b)
         return ScoredPairs.coded(
             self._template_ids, side_a, side_b, scores=_read_only(scores), genuine=genuine,
-            dropped_pairs=self._side_a.size - row_a.size,
+            dropped_pairs=self._side_a.size - scores.size,
         )
 
 
@@ -443,24 +481,24 @@ def roc(scored: ScoredPairs, far_targets) -> RocReport:
     scores >= t.
     """
     fars = check_fars(far_targets)
-    gen = np.sort(scored.scores[scored.genuine])
-    imp = np.sort(scored.scores[~scored.genuine])
+    gen, imp = scored.scores[scored.genuine], scored.scores[~scored.genuine]
+    gen.sort()
+    imp.sort()
     if imp.size == 0:
         raise ProtocolError("ROC analysis needs at least one impostor pair")
     if gen.size == 0:
         raise ProtocolError("ROC analysis needs at least one genuine pair")
-    # the distinct impostor scores are the starts of the sorted runs
-    first = np.flatnonzero(np.r_[True, imp[1:] != imp[:-1]])
-    values = imp[first]
-    realized_far = (imp.size - first) / imp.size
+    n = imp.size
     thresholds: list[float] = []
     tars: list[float] = []
     for f in fars:
-        admissible = realized_far <= f
-        if admissible.any():
-            t = float(values[int(np.argmax(admissible))])
-        else:
-            t = float(np.nextafter(values[-1], np.inf))
+        # the smallest i whose realized FAR (n - i) / n is within f; at n
+        # it is 0. Inside a run of ties the run's end is the first
+        # admissible threshold.
+        i = bisect_left(range(n + 1), True, key=lambda i: (n - i) / n <= f)
+        if 0 < i < n and imp[i] == imp[i - 1]:
+            i = int(np.searchsorted(imp, imp[i], side="right"))
+        t = float(imp[i]) if i < n else float(np.nextafter(imp[-1], np.inf))
         accepted = gen.size - int(np.searchsorted(gen, t, side="left"))
         thresholds.append(t)
         tars.append(accepted / gen.size)

@@ -294,15 +294,15 @@ class TestVerify:
     @pytest.mark.parametrize("mapped", [False, True])
     def test_memory_bounded(self, tmp_path, mapped):
         # 15,000 single-image media at dim 1024; a set is n x dim float32
-        # (58.6 MiB) and a template set twice that. The cap is side b's set
-        # and both template sets (5 sets); with --map, side b's set, the
-        # float64 mapped set and side a's template set (5 sets), the most
-        # held at once now that apply_map makes no float64 copy of its
-        # input; plus 112 MiB for the manifest, a row-norm chunk and the
-        # scoring gathers. Measured at one BLAS thread: 64 MiB (plain) and
-        # 16 MiB (--map) to spare; keeping side a alive through side b's
-        # templates goes 44 and 92 MiB over, and a whole float64 copy of
-        # the input in apply_map 8 MiB over.
+        # (58.6 MiB) and a template set twice that. The cap is side a's
+        # template set and side b's set (3 sets), as side b is read only
+        # after side a is freed and its templates are scored a chunk at a
+        # time; with --map, the float64 mapped set and side a's template set
+        # (4 sets), held while its templates are built; plus 112 MiB for the
+        # manifest, a template chunk and the scoring gathers. Measured at one
+        # BLAS thread: 39 MiB (plain) and 28 MiB (--map) to spare; building
+        # side b's templates whole goes 46 and 32 MiB over, and reading side
+        # b before side a's templates are built 32 MiB over with --map.
         n, dim = 15_000, 1024
         rng = np.random.default_rng(4)
         ids = [f"m{i:05d}" for i in range(n)]
@@ -321,7 +321,8 @@ class TestVerify:
         if mapped:
             save_map(identity_map(dim), tmp_path / "map.cfem")
             argv += ["--map", tmp_path / "map.cfem"]
-        done = run_memory_limited(tmp_path, 5 * n * dim * 4 + (112 << 20), *argv)
+        sets = 4 if mapped else 3
+        done = run_memory_limited(tmp_path, sets * n * dim * 4 + (112 << 20), *argv)
         assert done.returncode == 0, done.stderr[-2000:]
         report = json.loads(done.stdout)
         assert (report["genuine_count"], report["impostor_count"]) == (1000, 1000)
@@ -735,10 +736,17 @@ class TestImpostorCount:
             argv += ["--impostor-pairs", "-5", "--pairs-out", str(pairs)]
         else:
             values["impostor_pairs"] = -1
+            # inputs that do not exist: reading any of them would exit 1
+            values["manifest"] = str(tmp_path / "missing.csv")
+            for model in values.get("models", [values.get("source"), values.get("target")]):
+                model["embeddings"] = str(tmp_path / "missing.cfeb")
         config.write_text(json.dumps(values))
         code, stdout, stderr = run_cli(capsys, *argv)
         assert_refused(code, stdout, stderr, out)
         assert "impostor pair count must be >= 0" in stderr
+        if command != "synth":
+            assert stderr == (f"error: {config}: impostor_pairs: "
+                              "impostor pair count must be >= 0, got -1\n")
         assert not pairs.exists()
 
     def test_zero_count_lists_the_genuine_pairs(self, world, tmp_path, capsys):

@@ -38,10 +38,13 @@ from embalign import (
     save_pairs,
 )
 from embalign.mapping import MappingMatrix
+from embalign import store
 from embalign.store import (
     _ROW_CHUNK,
     aligned_rows,
     float_chunks,
+    float_groups,
+    group_chunks,
     row_chunks,
     row_norms,
 )
@@ -211,6 +214,41 @@ class TestFloatChunks:
         got = np.concatenate(parts) if parts else np.empty((0, 5))
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sizes", [
+        [1] * 10_000, [1] * 4096, [3] * 3000, [0, 2, 0] * 1500,
+        [5000, 1, 1, 4095, 2, 4096, 4097], [],
+    ], ids=["one-row", "one-chunk", "three-row", "empty groups", "large groups", "none"])
+    def test_group_chunks_hold_whole_groups(self, sizes):
+        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+        chunks = group_chunks(starts)
+        assert [g for c in chunks for g in range(c.start, c.stop)] == list(range(len(sizes)))
+        limit = max((c.stop - c.start for c in row_chunks(int(starts[-1]))), default=0)
+        assert limit <= _ROW_CHUNK
+        for c in chunks:
+            # within the limit or one longer group, and the next group
+            # would not have fitted
+            assert starts[c.stop] - starts[c.start] <= limit or c.stop - c.start == 1
+            if c.stop < len(sizes):
+                assert starts[c.stop + 1] - starts[c.start] > limit
+        if set(sizes) == {1}:
+            assert max(c.stop - c.start for c in chunks) == limit
+
+    def test_float_groups_gather_each_chunk(self):
+        rng = np.random.default_rng(3)
+        sizes = rng.integers(0, 7, 3000)
+        sizes[100] = 5000
+        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+        vectors = rng.standard_normal((500, 4)).astype(np.float32)
+        index = rng.integers(0, 500, starts[-1])
+        seen, first = [], None
+        for groups, chunk in float_groups(vectors, index, starts):
+            first = chunk if first is None else first
+            assert np.shares_memory(chunk, first)
+            rows = index[starts[groups.start]:starts[groups.stop]]
+            assert chunk.tobytes() == vectors[rows].astype(np.float64).tobytes()
+            seen.append(groups)
+        assert seen == group_chunks(starts)
+
     def test_row_chunks_only_in_store(self):
         # every other module reads its rows through float_chunks
         package = Path(embalign.__file__).parent
@@ -276,6 +314,47 @@ class TestEmbeddingFile:
             peaks.append(traced_peak(lambda: save_embeddings(s, tmp_path / "big.cfeb")))
         # one chunk's records are about 1.1 MB; the whole 12-chunk file is 13 MB
         assert peaks[1] <= peaks[0] + (64 << 10), peaks
+
+    def test_load_memory_within_the_vectors(self, tmp_path):
+        # a load holds the vectors, their ids, the isfinite mask and one
+        # read window, not the whole file beside the vectors (2.27x them)
+        n, dim = 15_000, 1024
+        rng = np.random.default_rng(2)
+        s = make_set([f"m{i:05d}" for i in range(n)],
+                     rng.standard_normal((n, dim), dtype=np.float32))
+        path = tmp_path / "big.cfeb"
+        save_embeddings(s, path)
+        del s
+        peak = traced_peak(lambda: load_embeddings(path))
+        assert peak <= 1.5 * n * dim * 4
+
+    @pytest.mark.parametrize("dim", [3, 70_000])
+    def test_window_size_changes_nothing(self, tmp_path, monkeypatch, dim):
+        # records across window ends, and (at dim 70,000) records longer
+        # than the window, read through the checked fields: every load,
+        # damaged or not, ends as it does with the whole file in one window
+        rng = np.random.default_rng(dim)
+        ids = [f"media-{i}" * (1 + i % 5) for i in range(6)]
+        path = tmp_path / "w.cfeb"
+        save_embeddings(make_set(ids, rng.standard_normal((6, dim))), path)
+        raw = path.read_bytes()
+        step = max(1, len(raw) // 200)
+        damaged = [raw[:cut] for cut in range(0, len(raw), step)]
+        damaged += [raw[:k] + b"\xff" + raw[k + 1:] for k in range(18, len(raw), step)]
+        damaged.append(raw)
+
+        def outcome(data):
+            path.write_bytes(data)
+            try:
+                loaded = load_embeddings(path)
+            except EmbAlignError as exc:
+                return type(exc), str(exc)
+            return loaded.model_id, loaded.media_ids, loaded.vectors.tobytes()
+
+        whole = [outcome(data) for data in damaged]
+        monkeypatch.setattr(store, "_READ_WINDOW", 97)
+        assert [outcome(data) for data in damaged] == whole
+        assert whole[-1][1] == tuple(ids)
 
     def test_loaded_vectors_read_only(self, tmp_path):
         path = tmp_path / "e.cfeb"

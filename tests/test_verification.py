@@ -395,13 +395,13 @@ class TestOrderedSums:
             np.sum(values[members[lo:hi]], axis=0) if hi > lo else np.zeros(3)
             for lo, hi in zip(starts, starts[1:])
         ]
-        got = verification._ordered_sums(values.copy(), members, starts)
+        got = verification._ordered_sums(values[members], starts)
         assert got.tobytes() == np.array(want).reshape(len(sizes), 3).tobytes()
 
     def test_one_row_groups_in_order_summed_in_place(self):
         values = np.array([[-0.0, 1.0], [2.0, -0.0]])
         starts = np.arange(3)
-        got = verification._ordered_sums(values, np.arange(2), starts)
+        got = verification._ordered_sums(values, starts)
         assert got is values
         assert got.tobytes() == np.array([[0.0, 1.0], [2.0, 0.0]]).tobytes()
 
@@ -474,10 +474,12 @@ class TestEvalPlanOracle:
         if error is not None:
             assert unknown_id_message(score_pairs, want_a, want_b, pairs, manifest) == error
             assert unknown_id_message(plan.score, want_a, want_b) == error
+            assert unknown_id_message(plan.score, want_a, emb_b) == error
             return
         want = reference.score_pairs(want_a, want_b, pairs, manifest)
         reference.assert_same_scores(score_pairs(want_a, want_b, pairs, manifest), want)
         reference.assert_same_scores(plan.score(want_a, want_b), want)
+        reference.assert_same_scores(plan.score(want_a, emb_b), want)
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
@@ -522,6 +524,84 @@ class TestEvalPlanOracle:
         reference.assert_same_scores(
             plan.score(got_a, got_b), reference.score_pairs(want_a, want_b, pairs, manifest)
         )
+
+
+def chunked_protocol(n_templates: int, seed: int):
+    """A manifest of ``n_templates`` templates, mostly one image each, with
+    3-frame videos, one template of 5,000 media (more than one template
+    chunk holds), and two embedding sets over it: side b in another row
+    order, with zero rows, two of them the only rows of the one-image
+    templates t00003 and t00004, which b drops. Pairs are random, with
+    genuine pairs and pairs through b's dropped templates."""
+    rng = np.random.default_rng(seed)
+    entries, big = [], 5000
+    for t in range(n_templates):
+        tid, sid = f"t{t:05d}", f"s{t // 3:05d}"
+        if t == 7:
+            entries += [MediaEntry(f"m{t:05d}_{k:04d}", sid, tid,
+                                   f"v{t}_{k // 40}" if k % 2 else None) for k in range(big)]
+        elif t % 5 == 0:
+            entries += [MediaEntry(f"m{t:05d}_{k}", sid, tid, f"v{t}") for k in range(3)]
+        else:
+            entries.append(MediaEntry(f"m{t:05d}", sid, tid))
+    manifest = MediaManifest(entries)
+    ids = [e.media_id for e in entries]
+    dim = 6
+    a = embset(ids, rng.standard_normal((len(ids), dim)), "A")
+    rows = rng.standard_normal((len(ids), dim))
+    rows[rng.choice(len(ids), 50, replace=False)] = 0.0
+    rows[[i for i, e in enumerate(entries) if e.template_id in ("t00003", "t00004")]] = 0.0
+    order = rng.permutation(len(ids))
+    b = embset([ids[i] for i in order], rows[order], "B")
+    tids = manifest.template_ids
+    picks = rng.integers(0, n_templates, size=(6000, 2))
+    pairs = [(tids[i], tids[j]) for i, j in picks if i != j]
+    pairs += [(tids[i], tids[i + 1]) for i in range(0, n_templates - 1, 3)]
+    pairs += [("t00007", tids[-1]), ("t00003", "t00007"), (tids[-1], "t00003")]
+    return manifest, a, b, PairList(tuple(pairs))
+
+
+class TestScoreEmbeddingSide:
+    """Side b as an embedding set, its templates built a chunk at a time,
+    against its whole template set and the reference loops, bit for bit."""
+
+    @pytest.mark.parametrize("n_templates", [4095, 4097, 8193, 12291])
+    def test_bits_of_whole_templates(self, n_templates):
+        manifest, a, b, pairs = chunked_protocol(n_templates, n_templates)
+        plan = EvalPlan(manifest, a.media_ids, pairs)
+        templates_a = plan.templates(a)
+        got = plan.score(templates_a, b)
+        assert got.dropped_pairs > 0
+        reference.assert_same_scores(
+            got, score_pairs(build_templates(a, manifest), build_templates(b, manifest),
+                             pairs, manifest))
+        want_a = reference.build_templates(a, manifest)
+        want_b = reference.build_templates(b, manifest)
+        reference.assert_same_templates(templates_a, want_a)
+        reference.assert_same_scores(got, reference.score_pairs(want_a, want_b, pairs, manifest))
+
+    @pytest.mark.parametrize("unknown", ["t_ghost", "t00003"])
+    def test_unknown_ids_same_message_and_pair(self, unknown):
+        # side a lacks t00003; a pair from it to b's dropped t00004 is
+        # dropped, not refused, though b's drops are known only once all
+        # of b's chunks are built; the next pair is refused
+        manifest, a, b, pairs = chunked_protocol(4097, 1)
+        a = a.restrict([m for m in a.media_ids if not m.startswith("m00003")])
+        pairs = PairList((("t00003", "t00004"), (unknown, "t00002")) + tuple(pairs))
+        plan = EvalPlan(manifest, a.media_ids, pairs)
+        error = unknown_id_message(plan.score, plan.templates(a), b)
+        assert error == f"template {unknown!r} not in side-a set"
+        want_a = reference.build_templates(a, manifest)
+        want_b = reference.build_templates(b, manifest)
+        assert unknown_id_message(reference.score_pairs, want_a, want_b, pairs,
+                                  manifest) == error
+        assert unknown_id_message(score_pairs, build_templates(a, manifest),
+                                  build_templates(b, manifest), pairs, manifest) == error
+
+    def test_pair_scores_computed_in_one_place(self):
+        # one einsum scores every pair, whichever side b is
+        source = Path(verification.__file__).read_text()
+        assert source.count("einsum(") == 1
 
 
 class TestRoc:
@@ -627,13 +707,15 @@ class TestRoc:
         }
 
 
-    def test_roc_memory_one_sort(self):
-        # tie-heavy scores: a second sort of the impostors (np.unique)
-        # would add two sorted copies; the run starts of the one sorted
-        # copy need only a mask and an index over the distinct scores
+    @pytest.mark.parametrize("distinct", [False, True], ids=["tie-heavy", "all-distinct"])
+    def test_roc_memory_one_sort(self, distinct):
+        # a second sort of the impostors (np.unique) would add two sorted
+        # copies, and an array per distinct impostor score (run starts,
+        # their values and realized FARs) about 24 B a pair on all-distinct
+        # scores; one sorted copy per side is 8 B a pair
         n = 400_000
         rng = np.random.default_rng(5)
-        scores = rng.integers(0, 1000, n) / 999.0
+        scores = rng.standard_normal(n) if distinct else rng.integers(0, 1000, n) / 999.0
         genuine = rng.random(n) < 0.05
         ids = tuple(f"t{i}" for i in range(2 * n))
         scored = ScoredPairs.coded(ids, np.arange(n), np.arange(n, 2 * n),
