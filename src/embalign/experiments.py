@@ -12,7 +12,7 @@ enrollment must be disjoint from its probes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import compress, permutations, product, repeat
 from math import isqrt
 
 import numpy as np
@@ -177,21 +177,18 @@ def split_by_template(
     """
     if not 0.0 < enroll_fraction < 1.0:
         raise ValueError("enroll_fraction must be in (0, 1)")
-    by_subject: dict[str, list[str]] = {}
-    for tid, sid in manifest.template_subject.items():
-        by_subject.setdefault(sid, []).append(tid)
-    enroll_media: set[str] = set()
-    verify_media: set[str] = set()
-    for i, sid in enumerate(sorted(by_subject)):
-        templates = sorted(by_subject[sid])
-        rng = stream(seed, Purpose.SPLIT, i)
-        order = rng.permutation(len(templates))
-        n_enroll = int(round(enroll_fraction * len(templates)))
-        n_enroll = min(max(n_enroll, 1), len(templates) - 1) if len(templates) > 1 else 0
-        for j, k in enumerate(order):
-            side = enroll_media if j < n_enroll else verify_media
-            side.update(manifest.template_media[templates[k]])
-    return frozenset(enroll_media), frozenset(verify_media)
+    owner = manifest.subject_rank[manifest.template_subjects]
+    # template codes subject by subject in sorted order, each by template id
+    order = np.lexsort((manifest.template_rank, owner))
+    sizes = np.bincount(owner, minlength=len(manifest.subject_ids))
+    enrolled = np.zeros(len(manifest.template_ids), dtype=bool)
+    for i, (start, n) in enumerate(zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist())):
+        picked = stream(seed, Purpose.SPLIT, i).permutation(n)
+        n_enroll = min(max(int(round(enroll_fraction * n)), 1), n - 1) if n > 1 else 0
+        enrolled[order[start + picked[:n_enroll]]] = True
+    side = enrolled[manifest.template_codes]
+    return (frozenset(compress(manifest.media_ids, side.tolist())),
+            frozenset(compress(manifest.media_ids, (~side).tolist())))
 
 
 def _genuine_pairs(subjects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -419,30 +416,26 @@ def split_attack(
         raise ValueError(
             f"enroll_pairs must be in [1, {len(media) - 1}] shared media"
         )
-    by_subject: dict[str, list[str]] = {}
-    for mid in media:
-        by_subject.setdefault(manifest.subject_of_media(mid), []).append(mid)
-    subjects = sorted(by_subject)
-    rng = stream(seed, Purpose.ATTACK)
-    subject_order = [subjects[i] for i in rng.permutation(len(subjects))]
-    enroll_ids: set[str] = set()
-    cut = 0
-    while cut < len(subject_order) and len(enroll_ids) < enroll_pairs:
-        enroll_ids.update(by_subject[subject_order[cut]])
-        cut += 1
-    if cut >= len(subject_order):
+    ranks = manifest.subject_rank[manifest.subject_codes[manifest.rows_of(media)]]
+    # owner: each medium's subject among those present, in sorted order
+    _, owner, sizes = np.unique(ranks, return_inverse=True, return_counts=True)
+    shuffled = stream(seed, Purpose.ATTACK).permutation(sizes.size)
+    # subjects fill the enrollment in shuffled order until it holds enroll_pairs
+    cut = int(np.searchsorted(np.cumsum(sizes[shuffled]), enroll_pairs)) + 1
+    if cut >= sizes.size:
         raise ValueError("enroll_pairs leaves no subjects for gallery and probes")
-    gallery_ids: set[str] = set()
-    probe_ids: set[str] = set()
-    for sid in subject_order[cut:]:
-        mids = by_subject[sid]
-        half = (len(mids) + 1) // 2
-        gallery_ids.update(mids[:half])
-        probe_ids.update(mids[half:])
+    place = np.empty_like(shuffled)
+    place[shuffled] = np.arange(sizes.size)
+    enrolled = place[owner] < cut
+    # each medium's position among its subject's media, which are in id order
+    by_owner = np.argsort(owner, kind="stable")
+    within = np.empty_like(owner)
+    within[by_owner] = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    in_gallery = within < (sizes[owner] + 1) // 2
     return (
-        frozenset(sorted(enroll_ids)[:enroll_pairs]),
-        frozenset(gallery_ids),
-        frozenset(probe_ids),
+        frozenset(list(compress(media, enrolled.tolist()))[:enroll_pairs]),
+        frozenset(compress(media, (~enrolled & in_gallery).tolist())),
+        frozenset(compress(media, (~enrolled & ~in_gallery).tolist())),
     )
 
 
@@ -534,14 +527,20 @@ def run_attack(
     mapped = apply_map(mapping, probes)
     if len(mapped) == 0:
         raise ValueError("no probes survived mapping")
-    code = {sid: i for i, sid in enumerate(sorted(set(gallery.subject_ids)))}
-    gallery_codes = np.array([code[sid] for sid in gallery.subject_ids])
-    probe_codes = np.empty(len(mapped), dtype=gallery_codes.dtype)
-    for i, mid in enumerate(mapped.media_ids):
-        sid = manifest.subject_of_media(mid)
-        if sid not in code:
-            raise ProtocolError(f"probe subject {sid!r} absent from gallery")
-        probe_codes[i] = code[sid]
+    code = {sid: i for i, sid in enumerate(manifest.subject_ids)}
+    # a gallery subject the manifest lacks takes a code no probe has
+    gallery_codes = np.array([code.get(sid, len(code)) for sid in gallery.subject_ids])
+    rows = np.fromiter(map(manifest.media_row.get, mapped.media_ids, repeat(-1)),
+                       np.intp, len(mapped))
+    # -1 for a probe the manifest lacks
+    probe_codes = np.append(manifest.subject_codes, -1)[rows]
+    failing = ~np.isin(probe_codes, gallery_codes)
+    if failing.any():
+        i = int(failing.argmax())
+        # the first failing probe decides: UnknownIdError if the manifest lacks it
+        manifest.rows_of(mapped.media_ids[i : i + 1])
+        sid = manifest.subject_ids[probe_codes[i]]
+        raise ProtocolError(f"probe subject {sid!r} absent from gallery")
 
     first_hit = np.empty(len(mapped), dtype=np.int64)
     chunks = _probe_chunks(len(mapped))

@@ -406,6 +406,7 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
     mapped = np.empty((len(embeddings), mapping.d_b))
     for rows, chunk in float_chunks(embeddings.vectors):
         np.matmul(chunk, mapping.matrix, out=mapped[rows])
+        del chunk  # a view of the gather buffer, which goes with the chunks
     norms = row_norms(mapped)
     keep = norms >= DEGENERATE_NORM
     media_ids = embeddings.media_ids

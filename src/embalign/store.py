@@ -19,9 +19,9 @@ Manifests and pair lists are held as columns of integer codes, not as a
 Python object per row: a ``MediaManifest`` keeps int32 template, subject
 and video codes per medium into tables of the distinct ids, and a
 ``PairList`` two int32 code arrays into one table of template ids, filled
-from the CSV through one dict. Per-row objects (the manifest's
-``entries`` and ``by_media``, the ``pairs`` tuples) are views built only
-when read.
+from the CSV through one dict. The protocol splits and derived models
+read the manifest's codes, and it has no view decoded per medium; a pair
+list's ``pairs`` tuples are a view built only when read.
 
 Vectors are serialized as 32-bit floats, little-endian. Everything
 downstream promotes to 64-bit before doing arithmetic.
@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
 from pathlib import Path
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -301,10 +300,9 @@ class MediaManifest:
     ``template_subjects`` holds each template's subject code. One pass
     over the rows builds and checks them all: media ids are unique, each
     template id maps to exactly one subject, and all media sharing a
-    video id share a template id.
-
-    ``entries``, ``by_media``, ``template_subject`` and ``template_media``
-    are read-only views, derived from the codes on first use.
+    video id share a template id. The ``*_rank`` arrays give each id's
+    position in sorted order, so a caller orders rows by id without
+    decoding them.
     """
 
     def __init__(self, entries):
@@ -366,16 +364,15 @@ class MediaManifest:
         except KeyError as exc:
             raise UnknownIdError(f"media id {exc.args[0]!r} not in manifest") from None
 
-    def subject_of_media(self, media_id: str) -> str:
-        row = self.media_row.get(media_id)
-        if row is None:
-            raise UnknownIdError(f"media id {media_id!r} not in manifest")
-        return self.subject_ids[self.subject_codes[row]]
-
     @cached_property
     def media_rank(self) -> np.ndarray:
         """Per row, the position of its media id in sorted order."""
         return _sorted_rank(self.media_ids)
+
+    @cached_property
+    def subject_rank(self) -> np.ndarray:
+        """Per subject code, the position of its id in sorted order."""
+        return _sorted_rank(self.subject_ids)
 
     @cached_property
     def template_rank(self) -> np.ndarray:
@@ -386,32 +383,6 @@ class MediaManifest:
     def video_rank(self) -> np.ndarray:
         """Per video code, the position of its id in sorted order."""
         return _sorted_rank(self.video_ids)
-
-    @cached_property
-    def entries(self) -> tuple[MediaEntry, ...]:
-        return tuple(map(
-            MediaEntry,
-            self.media_ids,
-            _decoded(self.subject_ids, self.subject_codes),
-            _decoded(self.template_ids, self.template_codes),
-            _decoded(self.video_ids + (None,), self.video_codes),
-        ))
-
-    @cached_property
-    def by_media(self) -> MappingProxyType:
-        return MappingProxyType(dict(zip(self.media_ids, self.entries)))
-
-    @cached_property
-    def template_subject(self) -> MappingProxyType:
-        subjects = _decoded(self.subject_ids, self.template_subjects)
-        return MappingProxyType(dict(zip(self.template_ids, subjects)))
-
-    @cached_property
-    def template_media(self) -> MappingProxyType:
-        media: list[list[str]] = [[] for _ in self.template_ids]
-        for media_id, t in zip(self.media_ids, self.template_codes.tolist()):
-            media[t].append(media_id)
-        return MappingProxyType(dict(zip(self.template_ids, map(tuple, media))))
 
 
 def encode_pairs(pairs) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:

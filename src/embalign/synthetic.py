@@ -32,7 +32,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import UnknownIdError
 from .mapping import LINEAR, MappingMatrix, ROTATION
 from .rng import Purpose, stream
 from .store import EmbeddingSet, MediaEntry, MediaManifest, row_norms
@@ -150,6 +149,20 @@ def _clustered(seed, mean_purpose, noise_purpose, blocks, rows, level) -> np.nda
     return rows
 
 
+def _canonical_rows(manifest: MediaManifest, media_ids) -> tuple[list[slice], np.ndarray]:
+    """The canonical order of the manifest's media is subject by subject in
+    sorted order, each subject's media by id. Its subject row slices, in
+    that order, and the canonical row of each of ``media_ids``;
+    UnknownIdError names the first that is not in the manifest."""
+    owner = manifest.subject_rank[manifest.subject_codes]
+    order = np.lexsort((manifest.media_rank, owner))
+    ends = np.cumsum(np.bincount(owner, minlength=len(manifest.subject_ids))).tolist()
+    canonical = np.empty_like(order)
+    canonical[order] = np.arange(order.size)
+    blocks = [slice(start, stop) for start, stop in zip([0] + ends, ends)]
+    return blocks, canonical[manifest.rows_of(media_ids)]
+
+
 def _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
             within_class_noise, seed, model_id):
     """Derive a model space over ``base``'s media from base rows laid out
@@ -235,20 +248,8 @@ def derive_model(
     """
     if planted_kind not in PLANTED_KINDS:
         raise ValueError(f"unknown planted kind {planted_kind!r}")
-    by_subject: dict[int, list[str]] = {}
-    for mid, s in zip(manifest.media_ids, manifest.subject_codes.tolist()):
-        by_subject.setdefault(s, []).append(mid)
-    order: list[str] = []
-    blocks = []
-    for s in sorted(by_subject, key=manifest.subject_ids.__getitem__):
-        blocks.append(slice(len(order), len(order) + len(by_subject[s])))
-        order += sorted(by_subject[s])
-    row_of = {mid: r for r, mid in enumerate(order)}
-    try:
-        take = [row_of[mid] for mid in base.media_ids]
-    except KeyError as exc:
-        raise UnknownIdError(f"media id {exc.args[0]!r} not in manifest") from None
-    grid = np.zeros((len(order), base.dim))
+    blocks, take = _canonical_rows(manifest, base.media_ids)
+    grid = np.zeros((len(manifest), base.dim))
     grid[take] = base.vectors
     return _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
                    within_class_noise, seed, model_id)

@@ -3,7 +3,15 @@ entries, tuples of id pairs, and the sampler over np.triu_indices of every
 candidate pair. The oracle for the integer codes of `embalign.store` and
 `embalign.experiments.sample_eval_pairs`: the same tables, pairs and
 sampled pair lists, and the same error type and message on the same
-input, whichever check fails first.
+input, whichever check fails first. `decoded` turns a `MediaManifest`'s
+columns into this manifest, so every reference below takes either.
+
+Reference protocol splits and canonical order: the enroll/verify split
+by template, the attack's subject split and the canonical row order of
+`derive_model`, each built from per-subject dicts of lists. The oracle
+for the code-based `split_by_template`, `split_attack` and
+`embalign.synthetic._canonical_rows`: the same sets, blocks and rows, and
+the same error type and message.
 
 Reference template aggregation and pair scoring: one template and one
 pair at a time, in plain loops. Reference attack ranking: a full stable
@@ -31,7 +39,6 @@ from embalign import (
     FitReport,
     MappingMatrix,
     MediaEntry,
-    MediaManifest,
     ScoredPairs,
     TemplateSet,
     UnknownIdError,
@@ -81,6 +88,98 @@ class Manifest:
         if entry is None:
             raise UnknownIdError(f"media id {media_id!r} not in manifest")
         return entry.subject_id
+
+
+def decoded(manifest) -> Manifest:
+    """The reference manifest of a ``MediaManifest``'s columns, row by row;
+    a reference manifest as it is."""
+    if isinstance(manifest, Manifest):
+        return manifest
+    return Manifest(map(
+        MediaEntry,
+        manifest.media_ids,
+        map(manifest.subject_ids.__getitem__, manifest.subject_codes.tolist()),
+        map(manifest.template_ids.__getitem__, manifest.template_codes.tolist()),
+        map((manifest.video_ids + (None,)).__getitem__, manifest.video_codes.tolist()),
+    ))
+
+
+def split_by_template(manifest, enroll_fraction: float, seed: int):
+    """Each subject's templates, sorted, shuffled by its own SPLIT stream
+    (subjects indexed in sorted order); the first share enroll."""
+    manifest = decoded(manifest)
+    if not 0.0 < enroll_fraction < 1.0:
+        raise ValueError("enroll_fraction must be in (0, 1)")
+    by_subject: dict[str, list[str]] = {}
+    for tid, sid in manifest.template_subject.items():
+        by_subject.setdefault(sid, []).append(tid)
+    enroll_media: set[str] = set()
+    verify_media: set[str] = set()
+    for i, sid in enumerate(sorted(by_subject)):
+        templates = sorted(by_subject[sid])
+        order = stream(seed, Purpose.SPLIT, i).permutation(len(templates))
+        n_enroll = int(round(enroll_fraction * len(templates)))
+        n_enroll = min(max(n_enroll, 1), len(templates) - 1) if len(templates) > 1 else 0
+        for j, k in enumerate(order):
+            side = enroll_media if j < n_enroll else verify_media
+            side.update(manifest.template_media[templates[k]])
+    return frozenset(enroll_media), frozenset(verify_media)
+
+
+def split_attack(unknown, attacker, manifest, enroll_pairs: int, seed: int):
+    """Shuffled subjects of the shared media fill the enrollment; each
+    other subject's sorted media split in halves, gallery then probes."""
+    manifest = decoded(manifest)
+    media = sorted(set(unknown.media_ids) & set(attacker.media_ids))
+    if enroll_pairs < 1 or enroll_pairs >= len(media):
+        raise ValueError(
+            f"enroll_pairs must be in [1, {len(media) - 1}] shared media"
+        )
+    by_subject: dict[str, list[str]] = {}
+    for mid in media:
+        by_subject.setdefault(manifest.subject_of_media(mid), []).append(mid)
+    subjects = sorted(by_subject)
+    rng = stream(seed, Purpose.ATTACK)
+    subject_order = [subjects[i] for i in rng.permutation(len(subjects))]
+    enroll_ids: set[str] = set()
+    cut = 0
+    while cut < len(subject_order) and len(enroll_ids) < enroll_pairs:
+        enroll_ids.update(by_subject[subject_order[cut]])
+        cut += 1
+    if cut >= len(subject_order):
+        raise ValueError("enroll_pairs leaves no subjects for gallery and probes")
+    gallery_ids: set[str] = set()
+    probe_ids: set[str] = set()
+    for sid in subject_order[cut:]:
+        mids = by_subject[sid]
+        half = (len(mids) + 1) // 2
+        gallery_ids.update(mids[:half])
+        probe_ids.update(mids[half:])
+    return (
+        frozenset(sorted(enroll_ids)[:enroll_pairs]),
+        frozenset(gallery_ids),
+        frozenset(probe_ids),
+    )
+
+
+def canonical_rows(manifest, media_ids) -> tuple[list[slice], list[int]]:
+    """The subject blocks of the manifest's media, subjects in sorted
+    order and each subject's media sorted, and the row of each of
+    ``media_ids`` in that order."""
+    manifest = decoded(manifest)
+    by_subject: dict[str, list[str]] = {}
+    for e in manifest.entries:
+        by_subject.setdefault(e.subject_id, []).append(e.media_id)
+    order: list[str] = []
+    blocks = []
+    for sid in sorted(by_subject):
+        blocks.append(slice(len(order), len(order) + len(by_subject[sid])))
+        order += sorted(by_subject[sid])
+    row_of = {mid: r for r, mid in enumerate(order)}
+    try:
+        return blocks, [row_of[mid] for mid in media_ids]
+    except KeyError as exc:
+        raise UnknownIdError(f"media id {exc.args[0]!r} not in manifest") from None
 
 
 def load_manifest(path) -> Manifest:
@@ -143,7 +242,8 @@ def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, ok
 
 
-def build_templates(embeddings: EmbeddingSet, manifest: MediaManifest) -> TemplateSet:
+def build_templates(embeddings: EmbeddingSet, manifest) -> TemplateSet:
+    manifest = decoded(manifest)
     for mid in embeddings.media_ids:
         if mid not in manifest.by_media:
             raise UnknownIdError(f"media id {mid!r} not in manifest")
@@ -207,6 +307,7 @@ def score_pairs(
 ) -> ScoredPairs:
     """``pairs`` is any iterable of (a, b) template ids; ``manifest`` a
     MediaManifest or a Manifest."""
+    manifest = decoded(manifest)
     if a.dim != b.dim:
         raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
     dropped_a = set(a.dropped)
@@ -260,11 +361,10 @@ def first_hits(scores: np.ndarray, probe_subjects, gallery_subjects) -> np.ndarr
     return ranked_match.argmax(axis=1)
 
 
-def rank_k_accuracy(
-    mapped: EmbeddingSet, gallery: TemplateSet, manifest: MediaManifest, ks
-) -> dict[int, float]:
+def rank_k_accuracy(mapped: EmbeddingSet, gallery: TemplateSet, manifest, ks) -> dict[int, float]:
     """Rank-k accuracy of mapped probes, scored against the whole gallery
     in one product."""
+    manifest = decoded(manifest)
     probe_subjects = [manifest.subject_of_media(mid) for mid in mapped.media_ids]
     hits = first_hits(mapped.vectors @ gallery.vectors.T, probe_subjects,
                       gallery.subject_ids)

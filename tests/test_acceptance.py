@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+import reference_eval as reference
 from embalign import (
     DIAGONAL_KIND,
     SynthSpec,
@@ -46,7 +47,8 @@ def report(num, name, ok, detail):
 def world_with_split(spec, seed, impostors=20000):
     a, b, manifest, gt = generate_world(spec)
     enroll, verify = split_by_template(manifest, 0.5, seed)
-    verify_templates = {manifest.by_media[m].template_id for m in verify}
+    by_media = reference.decoded(manifest).by_media
+    verify_templates = {by_media[m].template_id for m in verify}
     pairs = sample_eval_pairs(manifest, verify_templates, impostors, seed)
     models = [
         (a.restrict(enroll), a.restrict(verify)),
@@ -219,7 +221,7 @@ def test_c05_identity_baseline():
     mapped = apply_map(identity_map(spec.dim, target_model_id="B"), a)
     templates_a = build_templates(mapped, manifest)
     templates_b = build_templates(b, manifest)
-    pairs = sample_eval_pairs(manifest, manifest.template_subject.keys(), 20000, 55)
+    pairs = sample_eval_pairs(manifest, manifest.template_ids, 20000, 55)
     result = roc(score_pairs(templates_a, templates_b, pairs, manifest), [0.1])
     tar = result.tar_at_far[0]
     se = math.sqrt(0.1 * 0.9 / result.genuine_count)
@@ -281,17 +283,18 @@ def test_c07_sample_efficiency_ordering(default_world):
 def attack_world(planted_kind, seed):
     spec = SynthSpec(num_subjects=300, planted_kind=planted_kind, seed=seed)
     a, b, manifest, _ = generate_world(spec)
-    subjects = sorted({e.subject_id for e in manifest.entries})
+    subjects = sorted(manifest.subject_ids)
+    by_media = reference.decoded(manifest).by_media
     enroll_pool = set(subjects[:100])
     enroll_media = sorted(
-        m for m in a.media_ids if manifest.by_media[m].subject_id in enroll_pool
+        m for m in a.media_ids if by_media[m].subject_id in enroll_pool
     )
     rng = np.random.default_rng(seed)
     enroll = {enroll_media[i] for i in rng.permutation(len(enroll_media))[:500]}
     gallery_ids, probe_ids = set(), set()
     for sid in subjects[100:]:
         mids = sorted(
-            m for m in a.media_ids if manifest.by_media[m].subject_id == sid
+            m for m in a.media_ids if by_media[m].subject_id == sid
         )
         half = (len(mids) + 1) // 2
         gallery_ids.update(mids[:half])

@@ -1,5 +1,7 @@
 import contextlib
 import copy
+import importlib
+import importlib.util
 import io
 import json
 import os
@@ -36,6 +38,7 @@ from embalign import (
     split_attack,
     subject_gallery,
 )
+from embalign import cli
 from embalign.cli import main
 
 
@@ -672,7 +675,7 @@ class TestNoGenuinePairs:
         spec = SynthSpec(dim=24, num_subjects=40, media_per_subject=7,
                          frames_per_video=3, seed=11)
         a, b, manifest, _ = generate_world(spec)
-        assert len(manifest.template_subject) == 3 * 40
+        assert len(manifest.template_ids) == 3 * 40
         save_embeddings(a, tmp_path / "a.cfeb")
         save_embeddings(b, tmp_path / "b.cfeb")
         save_manifest(manifest, tmp_path / "manifest.csv")
@@ -1193,3 +1196,18 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main(["fit", "a", "b", "--kind", "affine", "--out", "m"])
         assert exc.value.code == 2
+
+
+class TestTracedNames:
+    def test_every_traced_name_resolves(self):
+        # perfbench/spans.py rebinds these names when it traces a run; one
+        # that no longer resolves fails every traced run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for module, attr, _ in spans.TRACED:
+            assert callable(getattr(importlib.import_module(f"embalign.{module}"), attr))
+        assert callable(EmbeddingSet.restrict)
+        for command in spans.CLI_COMMANDS:
+            assert callable(getattr(cli, f"cmd_{command}"))

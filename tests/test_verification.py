@@ -428,7 +428,7 @@ with tempfile.TemporaryDirectory() as tmp:
     del set_a, set_b
     a = load_embeddings(Path(tmp) / "a.cfeb")
     b = load_embeddings(Path(tmp) / "b.cfeb")
-tids = sorted(manifest.template_subject)
+tids = sorted(manifest.template_ids)
 picks = np.random.default_rng(0).integers(0, len(tids), size=(40_000, 2))
 pairs = PairList(tuple((tids[i], tids[j]) for i, j in picks if i != j)
                  + tuple((tids[i], tids[i + 1]) for i in range(0, len(tids), 10)))
@@ -509,7 +509,7 @@ class TestEvalPlanOracle:
         a = embset(ids, rng.standard_normal((n, dim)), "A")
         order = rng.permutation(n)
         b = embset([ids[i] for i in order], rng.standard_normal((n, dim)), "B")
-        tids = sorted(manifest.template_subject)
+        tids = sorted(manifest.template_ids)
         picks = rng.integers(0, len(tids), size=(20000, 2))
         pairs = PairList(
             pairs=tuple((tids[i], tids[j]) for i, j in picks if i != j)
