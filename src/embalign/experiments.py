@@ -234,8 +234,11 @@ def sample_eval_pairs(
     row-major order of the upper triangle; genuine pairs come first, in
     that order, then the sampled impostors in that order. The impostor
     sample draws ranks among the non-genuine candidates and maps each to
-    its triangle index between the genuine ones, so no array over all
-    candidates is built. ValueError for a negative ``n_impostor``.
+    its triangle index between the genuine ones, so no pair array over all
+    candidates is built. The draw itself, ``Generator.choice`` without
+    replacement, builds one int64 per candidate when more than 1/50 of
+    them are taken: at most 400 bytes per requested impostor. ValueError
+    for a negative ``n_impostor``.
     """
     check_impostor_count(n_impostor)
     templates = sorted(template_ids)
@@ -414,7 +417,8 @@ def split_attack(
     media = sorted(set(unknown.media_ids) & set(attacker.media_ids))
     if enroll_pairs < 1 or enroll_pairs >= len(media):
         raise ValueError(
-            f"enroll_pairs must be in [1, {len(media) - 1}] shared media"
+            f"enroll_pairs must be at least 1 and below the {len(media)} media "
+            "both models embed"
         )
     ranks = manifest.subject_rank[manifest.subject_codes[manifest.rows_of(media)]]
     # owner: each medium's subject among those present, in sorted order
@@ -468,19 +472,21 @@ def _probe_chunks(n: int) -> list[slice]:
 
 
 def _first_hits(scores: np.ndarray, probe_codes: np.ndarray, gallery_codes: np.ndarray,
-                work: np.ndarray) -> np.ndarray:
+                work: np.ndarray, ahead: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Each probe's 0-based rank of its first true-subject gallery entry,
     in the order a stable sort of -scores gives (+0.0 and -0.0 tie).
     Scores must be finite and every probe code must be in the gallery.
-    ``work`` is scratch of the shape of ``scores``."""
+    ``work`` is float scratch of the shape of ``scores``, and ``ahead``
+    and ``mask`` bool scratch of that shape."""
+    np.equal(gallery_codes, probe_codes[:, None], out=mask)
     work.fill(-np.inf)
-    np.copyto(work, scores, where=gallery_codes == probe_codes[:, None])
+    np.copyto(work, scores, where=mask)
     best = work.argmax(axis=1)
     best_score = scores[np.arange(len(best)), best][:, None]
     # ahead: tied at a lower gallery index, or scoring higher
-    ahead = scores == best_score
-    ahead &= np.arange(scores.shape[1]) < best[:, None]
-    ahead |= scores > best_score
+    np.equal(scores, best_score, out=ahead)
+    ahead &= np.less(np.arange(scores.shape[1]), best[:, None], out=mask)
+    ahead |= np.greater(scores, best_score, out=mask)
     return np.count_nonzero(ahead, axis=1)
 
 
@@ -544,14 +550,16 @@ def run_attack(
 
     first_hit = np.empty(len(mapped), dtype=np.int64)
     chunks = _probe_chunks(len(mapped))
-    # two float buffers serve every chunk, so the peak does not depend on
-    # where the allocator places per-chunk chunk x gallery arrays
+    # two float and two bool buffers serve every chunk, so the peak does not
+    # depend on where the allocator places per-chunk chunk x gallery arrays
     scores = np.empty((max(rows.stop - rows.start for rows in chunks), len(gallery)))
     work = np.empty_like(scores)
+    ahead, mask = np.empty((2, *scores.shape), dtype=bool)
     for rows in chunks:
         k = rows.stop - rows.start
         np.matmul(mapped.vectors[rows], gallery.vectors.T, out=scores[:k])
-        first_hit[rows] = _first_hits(scores[:k], probe_codes[rows], gallery_codes, work[:k])
+        first_hit[rows] = _first_hits(scores[:k], probe_codes[rows], gallery_codes,
+                                      work[:k], ahead[:k], mask[:k])
     accuracy = {
         k: float(np.mean(first_hit < k)) for k in ks
     }

@@ -84,9 +84,10 @@ _KIND_CODES = {LINEAR: 0, ROTATION: 1, IDENTITY: 2}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MappingMatrix:
-    """A d_a x d_b map between two embedding spaces plus fit metadata."""
+    """A d_a x d_b map between two embedding spaces plus fit metadata. A
+    map equals only itself."""
 
     kind: str
     source_model_id: str

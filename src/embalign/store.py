@@ -28,16 +28,17 @@ downstream promotes to 64-bit before doing arithmetic.
 
 A load reads the records through one bounded window of the open file
 and copies each vector once, into the array the set keeps; it never holds
-the whole file. Sets do not copy an array that is already
-read-only and that nothing writable can reach (``_frozen_array``), so the
-library's producers (load, restrict, map application, templates) mark
-their fresh arrays read-only and hand them over. ``float_chunks`` is the
-one chunked float64 row reader: over the row slices of ``row_chunks`` it
-yields an array's rows, or the rows an index picks, as float64 in one
-reused buffer, so no row loop makes a full-size temporary. Row norms
-(``row_norms``), ``align_pairs`` (through ``float_rows``), the fit's
-statistics and residuals, map application and pair scoring all read
-through it; a save writes its records a ``row_chunks`` chunk at a time.
+the whole file. Sets hold only their fields. They adopt a read-only array
+of the dtype they keep that owns its data, and copy any other
+(``_frozen_array``), so the library's producers (load, restrict, map
+application, templates, scoring) mark their fresh arrays read-only and
+hand them over. ``float_chunks`` is the one chunked float64 row reader:
+over the row slices of ``row_chunks`` it yields an array's rows, or the
+rows an index picks, as float64 in one reused buffer, so no row loop
+makes a full-size temporary. Row norms (``row_norms``), ``align_pairs``
+(through ``float_rows``), the fit's statistics and residuals, map
+application and pair scoring all read through it; a save writes its
+records a ``row_chunks`` chunk at a time.
 ``float_groups`` reads rows the same way in chunks of whole groups
 (``group_chunks``), the one template-chunk rule.
 ``aligned_rows`` gives the one row order of two sets' shared media, sorted
@@ -88,19 +89,13 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
     """``values`` as a read-only array that nothing writable can reach, so
     dataclass instances stay immutable.
 
-    A read-only ndarray of ``dtype`` that owns its data, or whose chain of
-    bases ends in immutable ``bytes``, is adopted as it is: a producer
-    that marks its fresh array read-only hands it over. Any other value,
-    a read-only view of a writable array included, is copied.
+    A read-only ndarray of ``dtype`` that owns its data is adopted as it
+    is: a producer that marks its fresh array read-only hands it over.
+    Any other value, any view included, is copied.
     """
-    if type(values) is np.ndarray and not values.flags.writeable:
-        base = values.base
-        while isinstance(base, np.ndarray):
-            base = base.base
-        if (dtype is None or values.dtype == dtype) and (
-            values.flags.owndata or type(base) is bytes
-        ):
-            return values
+    if (type(values) is np.ndarray and not values.flags.writeable
+            and values.flags.owndata and (dtype is None or values.dtype == dtype)):
+        return values
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
@@ -193,14 +188,14 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
     """A matrix of d-dimensional embedding vectors keyed by media id.
 
     ``vectors`` is an (n, dim) float32 or float64 array; row i belongs to
     ``media_ids[i]``. ``dropped`` records media excluded by an upstream
     step (e.g. degenerate rows removed by map application); it is derived
-    metadata and is not serialized.
+    metadata and is not serialized. A set equals only itself.
     """
 
     model_id: str
@@ -239,14 +234,6 @@ class EmbeddingSet:
 
     def __len__(self) -> int:
         return len(self.media_ids)
-
-    def index_of(self, media_id: str) -> int:
-        try:
-            return self._index[media_id]
-        except AttributeError:
-            index = {mid: i for i, mid in enumerate(self.media_ids)}
-            object.__setattr__(self, "_index", index)
-            return index[media_id]
 
     def restrict(self, media_ids) -> "EmbeddingSet":
         """Row subset over the given ids, preserving this set's row order."""
@@ -725,7 +712,9 @@ def aligned_rows(a: EmbeddingSet, b: EmbeddingSet) -> tuple[np.ndarray, np.ndarr
             f"no shared media ids between {a.model_id!r} and {b.model_id!r}"
         )
     return tuple(
-        np.fromiter(map(s.index_of, common), np.intp, len(common)) for s in (a, b)
+        np.fromiter(map(dict(zip(s.media_ids, range(len(s)))).__getitem__, common),
+                    np.intp, len(common))
+        for s in (a, b)
     )
 
 

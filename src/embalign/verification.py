@@ -71,12 +71,13 @@ _UNKNOWN = -1
 _DROPPED = -2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TemplateSet:
     """Unit-length aggregated template vectors keyed by template id.
 
     ``dropped`` lists template ids excluded because their feature sum was
     degenerate (all-zero); pairs referencing them are dropped downstream.
+    A set equals only itself.
     """
 
     model_id: str
@@ -109,14 +110,6 @@ class TemplateSet:
 
     def __len__(self) -> int:
         return len(self.template_ids)
-
-    def index_of(self, template_id: str) -> int:
-        try:
-            return self._index[template_id]
-        except AttributeError:
-            index = {tid: i for i, tid in enumerate(self.template_ids)}
-            object.__setattr__(self, "_index", index)
-            return index[template_id]
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -287,8 +280,7 @@ class EvalPlan:
     arrays, and each pair side as an int32 template code: the manifest's
     code, or a code past the manifest's templates for an id it lacks.
     Genuine labels come from the codes' subjects. Experiments evaluate
-    every point, which differ only in the map, through one plan; each
-    template set's row per code is resolved once and cached on the set.
+    every point, which differ only in the map, through one plan.
     ``verify`` scores side b's embeddings through it without building
     side b's template set.
     """
@@ -348,17 +340,12 @@ class EvalPlan:
         )
 
     def _rows_in(self, side: TemplateSet) -> np.ndarray:
-        """Per plan code: its row in ``side``, else _DROPPED or _UNKNOWN.
-        Cached on ``side`` for this plan."""
-        cached = side.__dict__.get("_plan_rows")
-        if cached is not None and cached[0] is self:
-            return cached[1]
+        """Per plan code: its row in ``side``, else _DROPPED or _UNKNOWN."""
         rows = np.full(len(self._template_ids), _UNKNOWN, dtype=np.int32)
         codes = self._codes_of(side.template_ids)
         rows[codes[codes >= 0]] = np.flatnonzero(codes >= 0)
         codes = self._codes_of(side.dropped)
         rows[codes[codes >= 0]] = _DROPPED
-        object.__setattr__(side, "_plan_rows", (self, rows))
         return rows
 
     def _raise_unknown(self, p: int, row_a: np.ndarray, row_b: np.ndarray):

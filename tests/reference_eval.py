@@ -133,7 +133,8 @@ def split_attack(unknown, attacker, manifest, enroll_pairs: int, seed: int):
     media = sorted(set(unknown.media_ids) & set(attacker.media_ids))
     if enroll_pairs < 1 or enroll_pairs >= len(media):
         raise ValueError(
-            f"enroll_pairs must be in [1, {len(media) - 1}] shared media"
+            f"enroll_pairs must be at least 1 and below the {len(media)} media "
+            "both models embed"
         )
     by_subject: dict[str, list[str]] = {}
     for mid in media:
@@ -255,6 +256,7 @@ def build_templates(embeddings: EmbeddingSet, manifest) -> TemplateSet:
     for mid in embeddings.media_ids:
         by_template.setdefault(manifest.by_media[mid].template_id, []).append(mid)
 
+    row = dict(zip(embeddings.media_ids, range(len(embeddings))))
     template_ids: list[str] = []
     subject_ids: list[str] = []
     rows: list[np.ndarray] = []
@@ -263,18 +265,17 @@ def build_templates(embeddings: EmbeddingSet, manifest) -> TemplateSet:
         videos: dict[str, list[str]] = {}
         images: list[str] = []
         for mid in sorted(by_template[tid]):
-            idx = embeddings.index_of(mid)
-            if not media_ok[idx]:
+            if not media_ok[row[mid]]:
                 continue
             vid = manifest.by_media[mid].video_id
             if vid is None:
                 images.append(mid)
             else:
                 videos.setdefault(vid, []).append(mid)
-        features = [normalized[embeddings.index_of(mid)] for mid in images]
+        features = [normalized[row[mid]] for mid in images]
         for vid in sorted(videos):
             frames = np.stack(
-                [normalized[embeddings.index_of(mid)] for mid in videos[vid]]
+                [normalized[row[mid]] for mid in videos[vid]]
             )
             features.append(frames.mean(axis=0))
         if not features:
@@ -312,6 +313,8 @@ def score_pairs(
         raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
     dropped_a = set(a.dropped)
     dropped_b = set(b.dropped)
+    row_a = dict(zip(a.template_ids, range(len(a))))
+    row_b = dict(zip(b.template_ids, range(len(b))))
     ids_a: list[str] = []
     ids_b: list[str] = []
     idx_a: list[int] = []
@@ -323,11 +326,11 @@ def score_pairs(
             dropped_pairs += 1
             continue
         try:
-            ia = a.index_of(ta)
+            ia = row_a[ta]
         except KeyError:
             raise UnknownIdError(f"template {ta!r} not in side-a set") from None
         try:
-            ib = b.index_of(tb)
+            ib = row_b[tb]
         except KeyError:
             raise UnknownIdError(f"template {tb!r} not in side-b set") from None
         for tid in (ta, tb):

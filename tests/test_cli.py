@@ -615,6 +615,24 @@ class TestExperimentCommands:
         assert result["rank_k_accuracy"]["1"] >= 0.9
         assert (out / "attack.csv").exists()
 
+    @pytest.mark.parametrize("shared", [0, 1])
+    def test_attack_fewer_than_two_shared_media_exits_2(self, world, tmp_path, capsys, shared):
+        attacker = load_embeddings(world["b"])
+        save_embeddings(attacker.restrict(attacker.media_ids[:shared]), tmp_path / "b.cfeb")
+        config = tmp_path / "attack.json"
+        config.write_text(json.dumps({
+            "unknown": {"embeddings": str(world["a"])},
+            "attacker": {"embeddings": str(tmp_path / "b.cfeb")},
+            "manifest": str(world["manifest"]),
+            "map_kind": "rotation",
+            "enroll_pairs": 1,
+            "k_values": [1],
+        }))
+        code, _, stderr = run_cli(capsys, "attack", str(config), "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert stderr == (f"error: enroll_pairs must be at least 1 and below the {shared} "
+                          "media both models embed\n")
+
     def test_attack_matches_library_byte_for_byte(self, tmp_path, capsys):
         # a noisy world, so the accuracies depend on which media the split picks
         spec = SynthSpec(dim=16, num_subjects=60, media_per_subject=6,

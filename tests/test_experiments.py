@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -338,7 +339,7 @@ def sharing_world(degenerate: bool):
         by_media = reference.decoded(manifest).by_media
         frame = min(m for m in verify_a.media_ids if by_media[m].video_id)
         vectors = verify_a.vectors.copy()
-        vectors[verify_a.index_of(frame)] = 0.0
+        vectors[verify_a.media_ids.index(frame)] = 0.0
         models[0] = (models[0][0], dataclasses.replace(verify_a, vectors=vectors))
     return models, pairs, manifest
 
@@ -483,7 +484,7 @@ class TestRunAttack:
         reduced = subject_gallery(
             b.restrict(m for m in b.media_ids if by_media[m].subject_id in kept), manifest
         )
-        row = a.vectors[a.index_of(absent)]
+        row = a.vectors[a.media_ids.index(absent)]
         ids = ["ghost", absent] if ghost_first else [absent, "ghost"]
         ordered = EmbeddingSet("A", ids, np.stack([row, row]))
         error, message = (
@@ -601,6 +602,11 @@ print(json.dumps(result.to_dict()))
 """
 
 
+def hit_buffers(scores):
+    """The float and two bool scratch buffers ``_first_hits`` takes."""
+    return (np.empty_like(scores), *np.empty((2, *scores.shape), dtype=bool))
+
+
 class TestAttackRanking:
     """run_attack ranks by counting, in probe chunks; the reference ranks
     by a full stable argsort of every probe's scores."""
@@ -610,7 +616,7 @@ class TestAttackRanking:
     def test_counting_matches_stable_argsort(self, case):
         scores, probe_codes, gallery_codes = case
         got = experiments._first_hits(scores, probe_codes, gallery_codes,
-                                      np.empty_like(scores))
+                                      *hit_buffers(scores))
         want = reference.first_hits(scores, probe_codes, gallery_codes)
         assert np.array_equal(got, want)
 
@@ -621,8 +627,26 @@ class TestAttackRanking:
         gallery_codes = np.array([1, 0, 0])
         probe_codes = np.array([0, 1])
         got = experiments._first_hits(scores, probe_codes, gallery_codes,
-                                      np.empty_like(scores))
+                                      *hit_buffers(scores))
         assert got.tolist() == [1, 0]
+        assert np.array_equal(got, reference.first_hits(scores, probe_codes, gallery_codes))
+
+    def test_masks_written_into_buffers(self):
+        # a full chunk against the attack benchmark's gallery size: the
+        # subject, tie and lower-index masks go into the caller's buffers
+        k, size = experiments._PROBE_CHUNK, 2800
+        rng = np.random.default_rng(6)
+        scores = rng.standard_normal((k, size))
+        gallery_codes = rng.integers(0, 700, size)
+        probe_codes = gallery_codes[rng.integers(0, size, k)]
+        buffers = hit_buffers(scores)
+        tracemalloc.start()
+        try:
+            got = experiments._first_hits(scores, probe_codes, gallery_codes, *buffers)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < k * size
         assert np.array_equal(got, reference.first_hits(scores, probe_codes, gallery_codes))
 
     @settings(max_examples=150, deadline=None)
@@ -713,9 +737,18 @@ class TestSplitAttack:
     @pytest.mark.parametrize("enroll_pairs", [0, 150])
     def test_enroll_pairs_out_of_range(self, enroll_pairs):
         a, b, manifest = self.world()
-        message = r"enroll_pairs must be in \[1, 149\] shared media"
+        message = r"^enroll_pairs must be at least 1 and below the 150 media both models embed$"
         with pytest.raises(ValueError, match=message):
             split_attack(a, b, manifest, enroll_pairs, seed=3)
+
+    @pytest.mark.parametrize("shared", [0, 1])
+    def test_fewer_than_two_shared_media(self, shared):
+        a, b, manifest = self.world()
+        b = b.restrict(b.media_ids[:shared])
+        message = (rf"^enroll_pairs must be at least 1 and below the {shared} media "
+                   "both models embed$")
+        with pytest.raises(ValueError, match=message):
+            split_attack(a, b, manifest, 1, seed=3)
 
     def test_shared_medium_not_in_manifest_named(self):
         a, b, manifest = self.world()

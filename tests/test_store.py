@@ -1,3 +1,5 @@
+import ast
+import dataclasses
 import inspect
 import json
 import os
@@ -21,13 +23,18 @@ from embalign import (
     DataError,
     EmbAlignError,
     EmbeddingSet,
+    EvalPlan,
     FileFormatError,
     MediaEntry,
     MediaManifest,
     PairList,
+    TemplateSet,
     TruncationError,
     UnknownIdError,
     align_pairs,
+    apply_map,
+    fit,
+    identity_map,
     load_embeddings,
     load_manifest,
     load_map,
@@ -138,8 +145,11 @@ class TestEmbeddingSet:
         owned = np.array([[1.0, 0.0], [0.0, 1.0]])
         owned.setflags(write=False)
         assert make_set(["a", "b"], owned, dtype=np.float64).vectors is owned
+        # an array over bytes does not own its data, so it is copied
         from_bytes = np.frombuffer(np.ones(4, "<f4").tobytes(), "<f4").reshape(2, 2)
-        assert make_set(["a", "b"], from_bytes).vectors is from_bytes
+        copied = make_set(["a", "b"], from_bytes).vectors
+        assert copied is not from_bytes and not np.shares_memory(copied, from_bytes)
+        assert np.array_equal(copied, from_bytes)
         # a dtype the set does not keep is converted, so copied
         assert make_set(["a", "b"], owned).vectors.dtype == np.float32
 
@@ -675,8 +685,10 @@ class TestAlignPairs:
         b = make_set([ids[i] for i in order], rng.standard_normal((n, 3)))
         ma, mb = align_pairs(a, b)
         common = sorted(ids)
-        want_a = np.array([a.vectors[a.index_of(m)] for m in common], dtype=np.float64)
-        want_b = np.array([b.vectors[b.index_of(m)] for m in common], dtype=np.float64)
+        row_a = dict(zip(a.media_ids, range(n)))
+        row_b = dict(zip(b.media_ids, range(n)))
+        want_a = np.array([a.vectors[row_a[m]] for m in common], dtype=np.float64)
+        want_b = np.array([b.vectors[row_b[m]] for m in common], dtype=np.float64)
         assert ma.tobytes() == want_a.tobytes() and mb.tobytes() == want_b.tobytes()
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
@@ -854,3 +866,59 @@ class TestBinaryCodec:
             # meets too (a rotation is also a linear map); nothing else loads
             assert offset == 6 and loaded.kind != mapping.kind
             assert loaded.matrix.tobytes() == mapping.matrix.tobytes()
+
+
+def setattr_calls(node, func=None):
+    """For each ``object.__setattr__`` call under ``node``: the name of its
+    innermost enclosing function (None at module level) and its first
+    argument as source text."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__setattr__":
+            yield func, ast.unparse(child.args[0]) if child.args else None
+        yield from setattr_calls(child, inner)
+
+
+class TestSetsHoldOnlyFields:
+    """Embedding sets, template sets and maps hold only their dataclass
+    fields: nothing writes into one once it is constructed."""
+
+    def test_setattr_only_on_self_while_constructing(self):
+        package = Path(embalign.__file__).parent
+        writes = []
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            calls = list(setattr_calls(tree))
+            # every use of object.__setattr__ is a call the walk sees
+            uses = [n for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and ast.unparse(n) == "object.__setattr__"]
+            assert len(uses) == len(calls), path.name
+            writes += [(path.name, func, target) for func, target in calls]
+        assert writes
+        allowed = {"__post_init__", "_adopt", "_adopt_fields"}
+        assert [w for w in writes if w[1] not in allowed or w[2] != "self"] == []
+
+    def test_vars_hold_only_fields_after_use(self):
+        rng = np.random.default_rng(4)
+        entries = [MediaEntry(f"m{i:02d}", f"s{i // 4}", f"t{i // 2}") for i in range(24)]
+        manifest = MediaManifest(entries)
+        ids = [e.media_id for e in entries]
+        a = EmbeddingSet("A", ids, rng.standard_normal((24, 6)))
+        b = EmbeddingSet("B", ids[::-1], rng.standard_normal((24, 6)).astype(np.float32))
+        mapping, _ = fit("linear", a, b)
+        mapped = apply_map(mapping, a)
+        aligned_rows(mapped, b)
+        plan = EvalPlan(manifest, ids, PairList([("t0", "t1"), ("t0", "t2"), ("t3", "t5")]))
+        side_a, side_b = plan.templates(mapped), plan.templates(b)
+        for target in (side_b, b):
+            assert len(plan.score(side_a, target)) == 3
+        for held in (a, b, mapped, side_a, side_b, mapping):
+            assert set(vars(held)) == {f.name for f in dataclasses.fields(held)}
+
+    def test_equal_only_to_itself_and_hashable(self):
+        for make in (lambda: EmbeddingSet("A", ("m0", "m1"), np.eye(2)),
+                     lambda: TemplateSet("A", ("t0", "t1"), ("s0", "s1"), np.eye(2)),
+                     lambda: identity_map(2)):
+            first, second = make(), make()
+            assert first == first and first != second
+            assert len({first, second, first}) == 2
