@@ -270,18 +270,20 @@ def cmd_verify(args) -> int:
 
 
 def _split_and_pair(config, refs):
-    """Load the manifest and models, split the models by template, and load
-    or sample the evaluation pairs. Sampled pairs take every genuine pair
+    """Load the manifest, split it by template, load each model and keep
+    only its split (so one full model is held at a time), and load or
+    sample the evaluation pairs. Sampled pairs take every genuine pair
     among the verification templates, so a split leaving no subject two of
     them is refused here, where its cause is known."""
     manifest = store.load_manifest(config.manifest)
-    models = [ref.load() for ref in refs]
     enroll_media, verify_media = experiments.split_by_template(
         manifest, config.enroll_fraction, config.seed
     )
-    split = [
-        (full.restrict(enroll_media), full.restrict(verify_media)) for full in models
-    ]
+    split = []
+    for ref in refs:
+        full = ref.load()
+        split.append((full.restrict(enroll_media), full.restrict(verify_media)))
+        del full  # freed before the next model is read
     if config.pairs is not None:
         return manifest, split, store.load_pairs(config.pairs, manifest)
     codes = np.unique(manifest.template_codes[manifest.rows_of(verify_media)])

@@ -12,13 +12,13 @@ enrollment must be disjoint from its probes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, permutations, product, repeat
+from itertools import compress, product, repeat
 from math import isqrt
 
 import numpy as np
 
 from .errors import DataError, ProtocolError, UnknownIdError
-from .mapping import apply_map, check_kinds, fit
+from .mapping import MappingMatrix, _shared_fits, apply_map, check_kinds, fit
 from .rng import Purpose, stream
 from .store import EmbeddingSet, MediaManifest, PairList
 from .verification import EvalPlan, TemplateSet, build_templates, roc
@@ -297,15 +297,13 @@ def _tars(plan: EvalPlan, source: TemplateSet, target: TemplateSet, fars):
     return roc(plan.score(source, target), fars).tar_at_far
 
 
-def _mapped_tars(plan: EvalPlan, kind: str, enroll_source: EmbeddingSet,
-                 enroll_target: EmbeddingSet, verify_source: EmbeddingSet,
+def _mapped_tars(plan: EvalPlan, fitted: MappingMatrix, verify_source: EmbeddingSet,
                  target: TemplateSet, fars):
-    """One map evaluation: fit a ``kind`` map on the paired enrollment,
-    map the source's verification media, and score their templates
-    against ``target``. Returns the fit's sample count and the TARs."""
-    fitted, _ = fit(kind, enroll_source, enroll_target)
+    """One map evaluation: map the source's verification media with the
+    map ``fitted`` on the paired enrollment, and score their templates
+    against ``target``."""
     mapped = plan.templates(apply_map(fitted, verify_source))
-    return fitted.fit_sample_count, _tars(plan, mapped, target, fars)
+    return _tars(plan, mapped, target, fars)
 
 
 def run_grid(
@@ -323,7 +321,11 @@ def run_grid(
     the unmapped verification embeddings, computed once regardless of the
     requested kinds; off-diagonal cells fit on the enrollment split and
     evaluate source-mapped templates against target templates. Every
-    cell is evaluated through one EvalPlan.
+    cell is evaluated through one EvalPlan. A source's row of cells fits
+    from shared statistics (``mapping._shared_fits``): each ordered pair's
+    X^T Y, ||X||^2 and ||Y||^2 serve every kind, and the source's X^T X
+    and its eigendecomposition every target, held only while the row runs;
+    each map has the bits ``fit`` gives.
     """
     models = list(models)
     if not models:
@@ -341,12 +343,12 @@ def run_grid(
         GridCell(ids[i], ids[i], DIAGONAL_KIND, 0, _tars(plan, t, t, fars))
         for i, t in enumerate(templates)
     ]
-    for (i, (enroll_i, verify_i)), (j, (enroll_j, _)) in permutations(enumerate(models), 2):
-        for kind in kinds:
-            count, tars = _mapped_tars(
-                plan, kind, enroll_i, enroll_j, verify_i, templates[j], fars
-            )
-            cells.append(GridCell(ids[i], ids[j], kind, count, tars))
+    for i, (enroll_i, verify_i) in enumerate(models):
+        targets = [j for j in range(len(models)) if j != i]
+        fits = _shared_fits(kinds, enroll_i, [models[j][0] for j in targets])
+        for (j, kind), (fitted, _) in zip(product(targets, kinds), fits):
+            tars = _mapped_tars(plan, fitted, verify_i, templates[j], fars)
+            cells.append(GridCell(ids[i], ids[j], kind, fitted.fit_sample_count, tars))
     return GridResult(far_targets=fars, cells=tuple(cells))
 
 
@@ -390,8 +392,8 @@ def run_sweep(
         rng = stream(seed, Purpose.SWEEP, (rep << 32) | count)
         picked = rng.choice(len(enroll_ids), size=count, replace=False)
         subset = [enroll_ids[i] for i in picked]
-        _, tars = _mapped_tars(plan, kind, enroll_a.restrict(subset),
-                               enroll_b.restrict(subset), verify_a, target, [far])
+        fitted, _ = fit(kind, enroll_a.restrict(subset), enroll_b.restrict(subset))
+        tars = _mapped_tars(plan, fitted, verify_a, target, [far])
         points.append(SweepPoint(kind, count, rep, tars[0]))
     return SweepResult(
         far_target=float(far), repetitions=repetitions, points=tuple(points)

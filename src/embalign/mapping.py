@@ -33,8 +33,12 @@ routes a fit holds its inputs plus O(chunk x d + d^2) and builds no m x d
 design matrix; only the SVD route does, through ``store.float_rows``. The
 residual comes from the same statistics in closed form unless that has
 lost its digits to cancellation (below CLOSED_FORM_FLOOR of ||Y||^2),
-when an explicit pass over the rows recomputes it. ``apply_map`` takes
-its product chunk by chunk from the same reader.
+when an explicit pass over the rows recomputes it. A fit is its
+statistics (``_moments``) and a solve from them (``_solve``); the grid's
+fits of one source (``_shared_fits``) share them, one X^T Y pass per
+target for every kind and one X^T X and eigendecomposition per source,
+and call the same solve, so each map has the bits of ``fit``.
+``apply_map`` takes its product chunk by chunk from the same reader.
 
 Map file (.cfem), in the header and string codec of ``store``:
     magic "CFEM" | version u16=1 | kind u8 (0=linear,1=rotation,2=identity) |
@@ -45,7 +49,8 @@ Map file (.cfem), in the header and string codec of ``store``:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 
@@ -57,6 +62,7 @@ from .store import (
     BinaryReader,
     EmbeddingSet,
     aligned_rows,
+    all_finite,
     binary_header,
     binary_string,
     float_chunks,
@@ -160,7 +166,7 @@ def _fit_inputs(source_rows, target_rows) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(target_rows, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2:
         raise DataError("fit inputs must be 2-D row matrices")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (all_finite(x) and all_finite(y)):
         raise DataError("fit inputs contain non-finite values")
     if x.shape[0] != y.shape[0]:
         raise DimensionError(
@@ -171,23 +177,35 @@ def _fit_inputs(source_rows, target_rows) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+class _Gram:
+    """X^T X of a fit's source rows, and its eigendecomposition (w, V),
+    taken on first use, so sources that serve many fits take it once."""
+
+    def __init__(self, xtx: np.ndarray):
+        self.xtx = xtx
+
+    @cached_property
+    def eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.linalg.eigh(self.xtx)
+
+
 @dataclass(frozen=True)
 class _Moments:
     """The sufficient statistics of m paired rows: X^T Y, ||X||^2, ||Y||^2
-    and, for linear fits, the Gram X^T X."""
+    and, for linear fits, the Gram of X."""
 
     m: int
     xty: np.ndarray
     xx: float
     yy: float
-    xtx: np.ndarray | None
+    gram: _Gram | None
 
 
 def _moments(x, y, gram: bool) -> _Moments:
     """The sums of ``_Moments`` over the chunks of ``float_chunks`` of the
     ``(vectors, index)`` pairs ``x`` and ``y``, each started from the first
     chunk's products: at m <= 4096 there is one chunk, with the bits of the
-    same products on the whole design."""
+    same products on the whole design. X^T X is summed only with ``gram``."""
     sums = None
     for (rows, xc), (_, yc) in zip(float_chunks(*x), float_chunks(*y)):
         terms = [xc.T @ yc, np.array([np.vdot(xc, xc), np.vdot(yc, yc)])]
@@ -199,7 +217,7 @@ def _moments(x, y, gram: bool) -> _Moments:
             for total, term in zip(sums, terms):
                 total += term
     xty, (xx, yy), *xtx = sums
-    return _Moments(rows.stop, xty, float(xx), float(yy), xtx[0] if gram else None)
+    return _Moments(rows.stop, xty, float(xx), float(yy), _Gram(xtx[0]) if gram else None)
 
 
 def _residual_rms(x, matrix: np.ndarray, y) -> float:
@@ -223,9 +241,9 @@ def _normal_solve(moments: _Moments) -> tuple[np.ndarray, float] | None:
     """The least-squares map from the eigendecomposition X^T X = V W V^T,
     M = V W^-1 V^T X^T Y, with the condition sqrt(w_max / w_min); None
     when m < d or w_min is not above GRAM_RCOND * w_max."""
-    if moments.m < moments.xtx.shape[0]:
+    if moments.m < moments.gram.xtx.shape[0]:
         return None
-    w, v = np.linalg.eigh(moments.xtx)
+    w, v = moments.gram.eigen
     if not w[0] > GRAM_RCOND * w[-1]:
         return None
     matrix = v @ ((v.T @ moments.xty) / w[:, None])
@@ -258,10 +276,15 @@ def _rotation_solve(xty: np.ndarray) -> np.ndarray:
     return u_corrected @ vt
 
 
-def _fit(kind: str, x, y, ids: dict) -> tuple[MappingMatrix, FitReport]:
-    """A linear or rotation fit from one pass of ``_moments`` over the
-    ``(vectors, index)`` pairs ``x`` and ``y``; only the SVD route gathers
-    them into float64 design matrices, through ``float_rows``.
+def _check_dims(kind: str, d_x: int, d_y: int) -> None:
+    if kind == ROTATION and d_x != d_y:
+        raise DimensionError(f"rotation requires equal dimensions, got {d_x} and {d_y}")
+
+
+def _solve(kind: str, moments: _Moments, x, y, ids: dict) -> tuple[MappingMatrix, FitReport]:
+    """A linear or rotation fit from the ``moments`` of the ``(vectors,
+    index)`` pairs ``x`` and ``y``; only the SVD route gathers them into
+    float64 design matrices, through ``float_rows``.
 
     The residual's sum of squares is taken in closed form from the
     moments, ||Y||^2 - 2 <M, X^T Y> + <M, X^T X M> (linear) or ||X||^2 +
@@ -270,10 +293,6 @@ def _fit(kind: str, x, y, ids: dict) -> tuple[MappingMatrix, FitReport]:
     to cancellation, and the explicit ``_residual_rms`` pass runs instead,
     as it does on the SVD route.
     """
-    d_x, d_y = x[0].shape[1], y[0].shape[1]
-    if kind == ROTATION and d_x != d_y:
-        raise DimensionError(f"rotation requires equal dimensions, got {d_x} and {d_y}")
-    moments = _moments(x, y, gram=kind == LINEAR)
     cond = closed = None
     if kind == ROTATION:
         matrix = _rotation_solve(moments.xty)
@@ -281,7 +300,7 @@ def _fit(kind: str, x, y, ids: dict) -> tuple[MappingMatrix, FitReport]:
     elif (solved := _normal_solve(moments)) is not None:
         matrix, cond = solved
         closed = (moments.yy - 2.0 * np.vdot(matrix, moments.xty)
-                  + np.vdot(matrix, moments.xtx @ matrix))
+                  + np.vdot(matrix, moments.gram.xtx @ matrix))
     else:
         matrix, cond = _svd_solve(float_rows(*x), float_rows(*y))
     if closed is not None and closed >= CLOSED_FORM_FLOOR * moments.yy:
@@ -292,6 +311,12 @@ def _fit(kind: str, x, y, ids: dict) -> tuple[MappingMatrix, FitReport]:
         kind=kind, matrix=matrix, fit_sample_count=moments.m, **ids
     )
     return mapping, FitReport(kind, moments.m, residual, cond)
+
+
+def _fit(kind: str, x, y, ids: dict) -> tuple[MappingMatrix, FitReport]:
+    """``_solve`` from one pass of ``_moments`` over ``x`` and ``y``."""
+    _check_dims(kind, x[0].shape[1], y[0].shape[1])
+    return _solve(kind, _moments(x, y, gram=kind == LINEAR), x, y, ids)
 
 
 def fit_linear(
@@ -312,7 +337,7 @@ def fit_linear(
     SVD of the design matrix with singular values below 1e-10 * sigma_max
     truncated, which yields the minimum-norm solution on rank-deficient
     inputs. Rectangular maps are permitted. The residual is guarded as
-    in ``_fit``.
+    in ``_solve``.
     """
     x, y = _fit_inputs(source_rows, target_rows)
     ids = {"source_model_id": source_model_id, "target_model_id": target_model_id}
@@ -332,7 +357,7 @@ def fit_rotation(
     SVD and recomposes with unit singular values, flipping the sign of the
     last one when det(U) * det(Vh) = -1 so the result is always a proper
     rotation (det +1), never a reflection. Memory beyond the inputs is
-    O(chunk x d + d^2); the residual is guarded as in ``_fit``.
+    O(chunk x d + d^2); the residual is guarded as in ``_solve``.
     """
     x, y = _fit_inputs(source_rows, target_rows)
     ids = {"source_model_id": source_model_id, "target_model_id": target_model_id}
@@ -386,6 +411,40 @@ def fit(
         return identity_map(source.dim, **ids), FitReport(IDENTITY, 0, None)
     rows_a, rows_b = aligned_rows(source, target)
     return _fit(kind, (source.vectors, rows_a), (target.vectors, rows_b), ids)
+
+
+def _shared_fits(kinds, source: EmbeddingSet, targets):
+    """``fit(kind, source, target)`` for each of ``targets`` and each of
+    ``kinds`` in turn, from statistics the fits share: one pass per target
+    sums X^T Y, ||X||^2 and ||Y||^2 for all its kinds, and the first also
+    X^T X, which with its eigendecomposition serves every target. Each
+    (map, report) has the bits of ``fit``, whose ``_solve`` it calls.
+
+    Every target must hold the source's media, so that each alignment
+    gives the source the same rows; this is asserted before the source's
+    statistics are reused. Statistics are taken when a fit first needs
+    them, so a failing fit raises what ``fit`` would, in the same turn.
+    """
+    source_rows = gram = None
+    for target in targets:
+        ids = {"source_model_id": source.model_id, "target_model_id": target.model_id}
+        moments = None
+        for kind in kinds:
+            if kind == IDENTITY:
+                yield fit(kind, source, target)
+                continue
+            if moments is None:
+                rows, target_rows = aligned_rows(source, target)
+                x, y = (source.vectors, rows), (target.vectors, target_rows)
+                if source_rows is None:
+                    source_rows = rows
+                    moments = _moments(x, y, gram=LINEAR in kinds)
+                    gram = moments.gram
+                else:
+                    assert np.array_equal(rows, source_rows), "targets hold other media"
+                    moments = replace(_moments(x, y, gram=False), gram=gram)
+            _check_dims(kind, source.dim, target.dim)
+            yield _solve(kind, moments, x, y, ids)
 
 
 def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:

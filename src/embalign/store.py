@@ -36,9 +36,11 @@ hand them over. ``float_chunks`` is the one chunked float64 row reader:
 over the row slices of ``row_chunks`` it yields an array's rows, or the
 rows an index picks, as float64 in one reused buffer, so no row loop
 makes a full-size temporary. Row norms (``row_norms``), ``align_pairs``
-(through ``float_rows``), the fit's statistics and residuals, map
-application and pair scoring all read through it; a save writes its
-records a ``row_chunks`` chunk at a time.
+(through ``float_rows``), the fit's statistics and residuals and map
+application all read through it; a save writes its records, and
+``all_finite`` checks a set's values, a ``row_chunks`` chunk at a time.
+Pair scoring takes its rows a ``pair_chunks`` piece at a time, straight
+from the template matrices, as each pair is scored on its own.
 ``float_groups`` reads rows the same way in chunks of whole groups
 (``group_chunks``), the one template-chunk rule.
 ``aligned_rows`` gives the one row order of two sets' shared media, sorted
@@ -79,6 +81,8 @@ UNIT_NORM_TOL = 1e-6
 DEGENERATE_NORM = 1e-12
 # most rows in a chunk of row_chunks
 _ROW_CHUNK = 4096
+# most pairs in a piece of pair_chunks: two pieces' float64 rows stay in cache
+_PAIR_CHUNK = 128
 # rows per fancy-indexed copy when float_chunks gathers rows into float64
 _GATHER_BLOCK = 512
 # bytes of the window a .cfeb load reads its records through
@@ -107,6 +111,19 @@ def row_chunks(n: int) -> list[slice]:
     small-matrix kernel, whose products differ in the last bit from GEMM's."""
     count = -(-n // _ROW_CHUNK)
     return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
+def pair_chunks(n: int):
+    """Consecutive slices of _PAIR_CHUNK pairs covering n pairs, the last
+    one possibly shorter, for loops that score each pair on its own: a
+    piece's two sides of float64 rows stay in cache."""
+    return (slice(lo, min(lo + _PAIR_CHUNK, n)) for lo in range(0, n, _PAIR_CHUNK))
+
+
+def all_finite(rows: np.ndarray) -> bool:
+    """Whether every entry of a 2-D array is finite, checked one
+    ``row_chunks`` slice at a time, so no mask of the whole array is made."""
+    return all(np.isfinite(rows[chunk]).all() for chunk in row_chunks(len(rows)))
 
 
 def group_chunks(starts: np.ndarray) -> list[slice]:
@@ -215,7 +232,7 @@ class EmbeddingSet:
             raise DataError(
                 f"{len(self.media_ids)} media ids for {self.vectors.shape[0]} rows"
             )
-        if not np.all(np.isfinite(self.vectors)):
+        if not all_finite(self.vectors):
             raise DataError("embedding vectors contain non-finite values")
         if len(set(self.media_ids)) != len(self.media_ids):
             raise DataError("duplicate media ids in embedding set")

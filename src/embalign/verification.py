@@ -16,9 +16,10 @@ list) at many points that differ only in the map. EvalPlan compiles that
 protocol once, on the manifest's integer codes: one lexsort groups the
 media rows into features and templates, and each pair side becomes a
 template code with a genuine label from the codes' subjects. A point
-then costs a few vectorised passes over the rows, and each side's pair
-rows are read through ``store.float_chunks``, the one chunked float64
-row reader, so scoring memory is bounded in the number of pairs. No
+then costs a few vectorised passes over the rows, and pairs are scored a
+piece of ``store.pair_chunks`` at a time, each piece's rows taken
+straight from the two float64 template matrices, so scoring memory is
+bounded in the number of pairs and a piece's rows stay in cache. No
 Python object is made per pair: ScoredPairs is a store.PairList over the
 plan's codes, with one score and one genuine label per pair, so its
 template ids are decoded only when read. build_templates and score_pairs
@@ -61,8 +62,8 @@ from .store import (
     PairList,
     _decoded,
     _frozen_array,
-    float_chunks,
     float_groups,
+    pair_chunks,
     row_norms,
 )
 
@@ -263,10 +264,10 @@ class _Grouping:
             sums = _ordered_sums(rows, starts - starts[0])
             sums /= np.diff(starts)[:, None]
             totals = _ordered_sums(sums, features - features[0])
-            # one np.dot per row is what np.linalg.norm computes for one
-            # vector, so each norm matches it bit for bit; a vectorised row
-            # norm does not
-            lengths = np.sqrt(np.fromiter(map(np.dot, totals, totals), float, len(totals)))
+            # a stack of 1 x d @ d x 1 products runs one dot per row, which
+            # is what np.linalg.norm computes for one vector, so each norm
+            # matches it bit for bit; a vectorised row norm does not
+            lengths = np.sqrt(np.matmul(totals[:, None, :], totals[:, :, None]).ravel())
             keep = lengths >= DEGENERATE_NORM
             totals /= np.where(keep, lengths, 1.0)[:, None]
             yield templates, totals, keep
@@ -361,13 +362,15 @@ class EvalPlan:
         """``score_pairs(a, b, pairs, manifest)`` over the compiled pairs.
 
         Side b is walked a chunk of templates at a time, and each chunk's
-        pairs are gathered and scored in the chunks of ``float_chunks``. A
+        pairs are scored a piece of ``pair_chunks`` at a time, the piece's
+        rows taken straight from a's and the chunk's template matrices. A
         template set is one chunk, as it is held whole; for an embedding
         set, the chunks of ``templates`` are built one at a time, so its
         templates are never held whole, and a pair to one found degenerate
-        is dropped once all are built. Memory past b's chunk is 2 x chunk x
-        dim floats. No per-pair Python object is made: the result holds the
-        plan's codes."""
+        is dropped once all are built. Memory past b's chunk is one
+        piece's rows of each side, 2 x 128 x dim floats, and one float64
+        score per pair. No per-pair Python object is made: the result holds
+        the plan's codes."""
         if isinstance(b, TemplateSet):
             rows_b = self._rows_in(b)
             chunks = [(slice(0, len(b)), b.vectors, True)]
@@ -386,11 +389,10 @@ class EvalPlan:
         for templates, vectors, unit in chunks:
             in_chunk = (row_b >= templates.start) & (row_b < templates.stop)
             pairs = np.flatnonzero(scorable & in_chunk)
-            gathered = zip(float_chunks(a.vectors, row_a[pairs]),
-                           float_chunks(vectors, row_b[pairs] - templates.start))
-            for (rows, chunk_a), (_, chunk_b) in gathered:
-                scores[pairs[rows]] = np.einsum("ij,ij->i", chunk_a, chunk_b)
-                del chunk_a, chunk_b  # views of the gather buffers, freed with them
+            ia, ib = row_a[pairs], row_b[pairs] - templates.start
+            for piece in pair_chunks(pairs.size):
+                scores[pairs[piece]] = np.einsum(
+                    "ij,ij->i", a.vectors[ia[piece]], vectors[ib[piece]])
             unit_b[templates] = unit
         row_b = np.where(np.isin(rows_b, np.flatnonzero(~unit_b)), _DROPPED, rows_b)[side_b]
         keep = (row_a != _DROPPED) & (row_b != _DROPPED)

@@ -300,12 +300,14 @@ class TestVerify:
         # (58.6 MiB) and a template set twice that. The cap is side a's
         # template set and side b's set (3 sets), as side b is read only
         # after side a is freed and its templates are scored a chunk at a
-        # time; with --map, the float64 mapped set and side a's template set
-        # (4 sets), held while its templates are built; plus 112 MiB for the
-        # manifest, a template chunk and the scoring gathers. Measured at one
-        # BLAS thread: 39 MiB (plain) and 28 MiB (--map) to spare; building
-        # side b's templates whole goes 46 and 32 MiB over, and reading side
-        # b before side a's templates are built 32 MiB over with --map.
+        # time, plus 64 MiB for the manifest, a template chunk and the
+        # scoring pieces; with --map, the float64 mapped set and side a's
+        # template set (4 sets), held while its templates are built, plus
+        # 112 MiB. Measured at one BLAS thread: 24 MiB (plain) and 30 MiB
+        # (--map) to spare. Gathering the 2,000 pairs' rows into two whole
+        # float64 buffers (31 MiB) goes 8 MiB over the plain cap; with
+        # --map, building side b's templates whole goes 32 MiB over, and so
+        # does reading side b before side a's templates are built.
         n, dim = 15_000, 1024
         rng = np.random.default_rng(4)
         ids = [f"m{i:05d}" for i in range(n)]
@@ -324,8 +326,8 @@ class TestVerify:
         if mapped:
             save_map(identity_map(dim), tmp_path / "map.cfem")
             argv += ["--map", tmp_path / "map.cfem"]
-        sets = 4 if mapped else 3
-        done = run_memory_limited(tmp_path, sets * n * dim * 4 + (112 << 20), *argv)
+        sets, headroom = (4, 112 << 20) if mapped else (3, 64 << 20)
+        done = run_memory_limited(tmp_path, sets * n * dim * 4 + headroom, *argv)
         assert done.returncode == 0, done.stderr[-2000:]
         report = json.loads(done.stdout)
         assert (report["genuine_count"], report["impostor_count"]) == (1000, 1000)
@@ -681,6 +683,37 @@ class TestExperimentCommands:
         config.write_text("{not json")
         code, _, _ = run_cli(capsys, "grid", str(config), "--out", str(tmp_path / "g"))
         assert code == 2
+
+
+class TestGridSplitMemory:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_one_full_model_held_while_splitting(self, tmp_path):
+        # six models of 24,000 media at dim 256 (23.4 MiB each, one file
+        # under six ids), ten media a template, one rotation per cell. The
+        # cap is two sets per model: holding every full model beside its
+        # split needs all of it and the imports' and grid's working memory
+        # besides (it went 29 MiB over, refused inside the split), while
+        # keeping only each model's split as it is loaded needs about 250
+        # MiB (31 MiB to spare, at one BLAS thread).
+        n, dim, models = 24_000, 256, 6
+        ids = [f"m{i:05d}" for i in range(n)]
+        rows = np.random.default_rng(5).standard_normal((n, dim), dtype=np.float32)
+        save_embeddings(EmbeddingSet("M", ids, rows), tmp_path / "m.cfeb")
+        save_manifest(MediaManifest([MediaEntry(m, f"s{i // 40:04d}", f"t{i // 10:05d}")
+                                     for i, m in enumerate(ids)]), tmp_path / "manifest.csv")
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({
+            "models": [{"id": f"M{k}", "embeddings": "m.cfeb"} for k in range(models)],
+            "manifest": "manifest.csv", "kinds": ["rotation"], "fars": [0.1],
+            "impostor_pairs": 1000, "seed": 1,
+        }))
+        out = tmp_path / "grid"
+        done = run_memory_limited(tmp_path, 2 * models * n * dim * 4, "grid", config,
+                                  "--out", out)
+        assert done.returncode == 0, done.stderr[-2000:]
+        cells = json.loads((out / "grid.json").read_text())["cells"]
+        assert len(cells) == models * (models - 1) + models
 
 
 class TestNoGenuinePairs:

@@ -26,6 +26,7 @@ from embalign import (
     apply_map,
     build_templates,
     experiments,
+    fit,
     generate_world,
     identity_map,
     roc,
@@ -294,6 +295,7 @@ class TestMapKinds:
         calls = []
         monkeypatch.setattr(experiments, "EvalPlan", lambda *args: calls.append("EvalPlan"))
         monkeypatch.setattr(experiments, "fit", lambda *args: calls.append("fit"))
+        monkeypatch.setattr(experiments, "_shared_fits", lambda *args: calls.append("fit"))
         kinds = ["linear", "affine"]
         with pytest.raises(ValueError, match="unknown map kind 'affine'"):
             if experiment == "grid":
@@ -365,6 +367,20 @@ class TestPlanSharing:
                 [1e-1, 1e-2])
         shared = run_grid(*args)
         monkeypatch.setattr(experiments, "EvalPlan", ReferencePlan)
+        assert shared == run_grid(*args)
+
+    def test_grid_fits_equal_one_fit_per_cell(self, monkeypatch):
+        # run_grid fits each source's row from shared statistics; fitting
+        # every cell on its own with fit gives the same grid
+        models, pairs, manifest = sharing_world(degenerate=False)
+        models.append(tuple(dataclasses.replace(s, model_id="C") for s in models[0]))
+        args = (models, manifest, pairs, ["rotation", "identity", "linear"], [1e-1, 1e-2])
+        shared = run_grid(*args)
+
+        def one_fit_per_cell(kinds, source, targets):
+            return (fit(kind, source, target) for target in targets for kind in kinds)
+
+        monkeypatch.setattr(experiments, "_shared_fits", one_fit_per_cell)
         assert shared == run_grid(*args)
 
     def test_degenerate_world_changes_the_mapped_media(self):

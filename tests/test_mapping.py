@@ -546,8 +546,12 @@ class TestStatisticsRoute:
                         reason="reads the process's VmSize from /proc")
     def test_fit_from_sets_memory_bounded(self):
         src = Path(mapping_module.__file__).resolve().parents[1]
+        # a fixed glibc mmap threshold: every array of 128 KiB or more is
+        # mapped and unmapped on its own, so VmSize follows the live arrays
+        # and not which temporaries happened to raise the dynamic threshold
         env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
         done = subprocess.run([sys.executable, "-c", FIT_SETS_MEMORY_GATE], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]
@@ -555,11 +559,12 @@ class TestStatisticsRoute:
 
 
 # fit on two 30,000 x 512 float32 sets (58.6 MiB each) under an RLIMIT_AS of
-# the child's VmSize after loading them, plus 32 MiB. A first fit on 1,000
+# the child's VmSize after loading them, plus 48 MiB. A first fit on 1,000
 # of the rows sets up the BLAS and LAPACK buffers before VmSize is read.
-# Measured at one BLAS thread: both fits pass at 22 MiB above VmSize and
-# fail at 20; gathering the two float64 design matrices (234 MiB) needs
-# 290 MiB.
+# Measured at one BLAS thread with the fixed mmap threshold: both fits pass
+# at 42 MiB above VmSize and fail at 40 (two 3,750-row float64 gather
+# buffers, 29.3 MiB, and the d x d sums); gathering the two float64 design
+# matrices (234 MiB) needs 290 MiB.
 FIT_SETS_MEMORY_GATE = """
 import json, resource
 import numpy as np
@@ -576,7 +581,7 @@ fit("linear", warm, warm), fit("rotation", warm, warm)
 with open("/proc/self/status") as status:
     vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (32 << 20), hard))
+resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (48 << 20), hard))
 _, linear = fit("linear", a, b)
 _, rotation = fit("rotation", a, b)
 print(json.dumps({"m": [linear.m, rotation.m]}))
@@ -636,6 +641,107 @@ class TestGuardedResidual:
         x, y = align_pairs(a, b)
         assert report.residual_rms == mapping_module._residual_rms(
             (x, None), mapping.matrix, (y, None))
+
+
+class TestSharedFits:
+    """``_shared_fits``, through which run_grid fits each source's row of
+    cells, gives every (map, report) of ``fit`` on the same sets bit for
+    bit, from one X^T Y pass per target and one X^T X and eigh per source."""
+
+    @staticmethod
+    def models(m, dim, noise, count=4, seed=0):
+        """``count`` float32 sets over the same m media in unrelated row
+        orders, each later one the first times a planted rotation plus
+        ``noise``; the last of them is a linear map of the first."""
+        rng = np.random.default_rng(seed)
+        ids = [f"m{i:05d}" for i in range(m)]
+        x = rng.standard_normal((m, dim))
+        maps = [np.eye(dim)] + [random_rotation(dim, seed=seed + k).matrix
+                                for k in range(1, count)]
+        maps[-1] = maps[-1] * rng.uniform(0.5, 2.0, dim)
+        sets = []
+        for k, planted in enumerate(maps):
+            rows = x @ planted + noise * rng.standard_normal((m, dim))
+            order = rng.permutation(m)
+            sets.append(EmbeddingSet(f"M{k}", [ids[i] for i in order],
+                                     rows[order].astype(np.float32)))
+        return sets
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        """The calls each route makes, by name."""
+        calls = []
+        for name in ("_moments", "_residual_rms", "_svd_solve"):
+            original = getattr(mapping_module, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mapping_module, name, spy)
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append("eigh") or eigh(a))
+        return calls
+
+    @pytest.mark.parametrize("m, dim, noise, route", [
+        (5000, 16, 0.1, "closed form"),  # two row chunks
+        (300, 8, 0.0, "explicit"),  # exact maps: below CLOSED_FORM_FLOOR
+        (10, 16, 0.1, "svd"),  # fewer samples than dimensions
+    ])
+    def test_each_fit_has_the_bits_of_fit(self, routes, m, dim, noise, route):
+        kinds = [LINEAR, IDENTITY, ROTATION]
+        source, *targets = self.models(m, dim, noise)
+        shared = list(mapping_module._shared_fits(kinds, source, targets))
+        shared_routes = list(routes)
+        routes.clear()
+        want = [fit(kind, source, target) for target in targets for kind in kinds]
+        assert len(shared) == len(want) == 3 * len(targets)
+        for (got_map, got_report), (want_map, want_report) in zip(shared, want):
+            assert reference.same_bits(got_map.matrix, want_map.matrix)
+            assert (got_map.kind, got_map.source_model_id, got_map.target_model_id,
+                    got_map.fit_sample_count) == (want_map.kind, want_map.source_model_id,
+                                                  want_map.target_model_id,
+                                                  want_map.fit_sample_count)
+            assert got_report == want_report
+        # one moments pass per target, one eigh per source, and the route
+        # each fit takes is fit's
+        fits = 2 * len(targets)
+        assert routes.count("_moments") == fits
+        assert shared_routes.count("_moments") == len(targets)
+        assert routes.count("eigh") == (len(targets) if route != "svd" else 0)
+        assert shared_routes.count("eigh") == (1 if route != "svd" else 0)
+        # at noise 0 every fit is exact but the rotation onto the linear model
+        explicit = {"closed form": 0, "explicit": fits - 1, "svd": len(targets)}[route]
+        assert shared_routes.count("_residual_rms") == routes.count("_residual_rms") == explicit
+        svd = len(targets) if route == "svd" else 0
+        assert shared_routes.count("_svd_solve") == routes.count("_svd_solve") == svd
+
+    def test_rotation_only_takes_no_gram(self, routes):
+        source, *targets = self.models(500, 8, 0.1)
+        shared = list(mapping_module._shared_fits([ROTATION], source, targets))
+        assert [report for _, report in shared] == [
+            fit(ROTATION, source, target)[1] for target in targets]
+        assert "eigh" not in routes
+
+    def test_failing_fit_raises_what_fit_raises(self):
+        source, target = self.models(50, 4, 0.1, count=2)
+        wide = EmbeddingSet("W", target.media_ids, np.hstack([target.vectors] * 2))
+        fits = mapping_module._shared_fits([LINEAR, ROTATION], source, [target, wide])
+        assert next(fits)[0].target_model_id == "M1"
+        next(fits)
+        assert next(fits)[0].d_b == 8
+        with pytest.raises(DimensionError, match="rotation requires equal dimensions"):
+            next(fits)
+        with pytest.raises(DimensionError, match="identity map needs equal dimensions"):
+            list(mapping_module._shared_fits([IDENTITY], source, [wide]))
+
+    def test_targets_with_other_media_refused(self):
+        source, first, second = self.models(50, 4, 0.1, count=3)
+        fewer = second.restrict(second.media_ids[1:])
+        fits = mapping_module._shared_fits([LINEAR], source, [first, fewer])
+        next(fits)
+        with pytest.raises(AssertionError, match="targets hold other media"):
+            next(fits)
 
 
 class TestIdentityAndApply:

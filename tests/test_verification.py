@@ -166,6 +166,35 @@ class TestBuildTemplates:
         assert templates.dropped == ("t1",)
 
 
+class TestTemplateNorms:
+    """Each template's norm is the square root of one batched product per
+    row, which has the bits of ``np.linalg.norm`` on that row only while
+    numpy runs a stack of 1 x d @ d x 1 products as one dot per row: a
+    numpy that changes that dispatch fails here."""
+
+    @pytest.mark.parametrize("dim", [3, 64, 127, 128, 512, 1024])
+    def test_batched_products_have_the_bits_of_one_dot_per_row(self, dim):
+        rng = np.random.default_rng(dim)
+        rows = rng.standard_normal((4000, dim)) * 10.0 ** rng.integers(-3, 4, (4000, 1))
+        batched = np.matmul(rows[:, None, :], rows[:, :, None]).ravel()
+        per_row = np.fromiter(map(np.dot, rows, rows), float, len(rows))
+        assert batched.tobytes() == per_row.tobytes()
+        norms = np.array([np.linalg.norm(row) for row in rows])
+        assert np.sqrt(batched).tobytes() == norms.tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 64, 127, 128, 512, 1024])
+    def test_single_image_templates_divide_by_linalg_norm(self, dim):
+        rng = np.random.default_rng(dim)
+        n = 3000
+        rows = rng.standard_normal((n, dim)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+        ids = [f"m{i:05d}" for i in range(n)]
+        manifest = MediaManifest([MediaEntry(m, f"s{i // 3}", f"t{m}") for i, m in enumerate(ids)])
+        templates = build_templates(embset(ids, rows), manifest)
+        unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+        want = unit / np.array([np.linalg.norm(row) for row in unit])[:, None]
+        assert templates.vectors.tobytes() == want.tobytes()
+
+
 class TestScorePairs:
     def setup_sets(self):
         manifest = MediaManifest(
