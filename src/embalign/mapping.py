@@ -52,7 +52,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import compress
-from pathlib import Path
 
 import numpy as np
 
@@ -68,6 +67,7 @@ from .store import (
     float_chunks,
     float_rows,
     row_norms,
+    write_file,
 )
 
 LINEAR = "linear"
@@ -398,8 +398,9 @@ def fit(
     sets share, in the order of ``aligned_rows``; the identity needs equal
     dimensions and no samples. The Gram and rotation routes read those
     rows from the sets through ``float_chunks``, so a fit holds the two
-    sets plus O(chunk x d + d^2); only the SVD route builds the float64
-    design matrices, through ``float_rows``.
+    sets (for loaded sets, their ids; their rows are read from the files)
+    plus O(chunk x d + d^2); only the SVD route builds the float64 design
+    matrices, through ``float_rows``.
     """
     check_kinds([kind])
     ids = {"source_model_id": source.model_id, "target_model_id": target.model_id}
@@ -491,7 +492,7 @@ def save_map(mapping: MappingMatrix, path) -> None:
     out += binary_string(mapping.source_model_id, "source model id")
     out += binary_string(mapping.target_model_id, "target model id")
     out += int(mapping.fit_sample_count).to_bytes(8, "little")
-    Path(path).write_bytes(out)
+    write_file(path, [out])
 
 
 def load_map(path) -> MappingMatrix:

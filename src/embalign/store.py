@@ -26,19 +26,25 @@ list's ``pairs`` tuples are a view built only when read.
 Vectors are serialized as 32-bit floats, little-endian. Everything
 downstream promotes to 64-bit before doing arithmetic.
 
-A load reads the records through one bounded window of the open file
-and copies each vector once, into the array the set keeps; it never holds
-the whole file. Sets hold only their fields. They adopt a read-only array
-of the dtype they keep that owns its data, and copy any other
-(``_frozen_array``), so the library's producers (load, restrict, map
+A load scans the records once, through one bounded window of the open
+file, and keeps the media ids, the file offset of each vector and the
+open file, not the vectors: a loaded set's ``vectors`` are ``FileRows``,
+which read the rows asked for with positioned reads, so no row loop holds
+a loaded set's vectors whole. A binary file is saved through
+``write_file``, into a new file that replaces the old one only when it is
+whole. Sets hold only their fields. They adopt a read-only array of the
+dtype they keep that owns its data, and copy any other
+(``_frozen_array``), so the library's producers (restrict, map
 application, templates, scoring) mark their fresh arrays read-only and
 hand them over. ``float_chunks`` is the one chunked float64 row reader:
 over the row slices of ``row_chunks`` it yields an array's rows, or the
-rows an index picks, as float64 in one reused buffer, so no row loop
-makes a full-size temporary. Row norms (``row_norms``), ``align_pairs``
+rows an index picks, as float64 in one reused buffer, taking them from
+the array or the file _GATHER_BLOCK rows at a time, so no row loop makes
+a full-size temporary. Row norms (``row_norms``), ``align_pairs``
 (through ``float_rows``), the fit's statistics and residuals and map
-application all read through it; a save writes its records, and
-``all_finite`` checks a set's values, a ``row_chunks`` chunk at a time.
+application all read through it; a save writes its records _GATHER_BLOCK
+at a time, and ``all_finite`` checks a set's values a ``row_chunks``
+chunk at a time.
 Pair scoring takes its rows a ``pair_chunks`` piece at a time, straight
 from the template matrices, as each pair is scored on its own.
 ``float_groups`` reads rows the same way in chunks of whole groups
@@ -52,6 +58,7 @@ from __future__ import annotations
 import csv
 import os
 import struct
+import weakref
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -83,7 +90,8 @@ DEGENERATE_NORM = 1e-12
 _ROW_CHUNK = 4096
 # most pairs in a piece of pair_chunks: two pieces' float64 rows stay in cache
 _PAIR_CHUNK = 128
-# rows per fancy-indexed copy when float_chunks gathers rows into float64
+# rows per copy when a row loop takes a set's rows (a fancy-indexed gather,
+# or a read from a file) or a save writes them
 _GATHER_BLOCK = 512
 # bytes of the window a .cfeb load reads its records through
 _READ_WINDOW = 1 << 20
@@ -147,20 +155,20 @@ def group_chunks(starts: np.ndarray) -> list[slice]:
 def _gathered(vectors: np.ndarray, index: np.ndarray | None, chunks: list[slice]):
     """For each slice ``rows`` of ``chunks``, the float64 rows
     ``vectors[index[rows]]``, or ``vectors[rows]`` without an index, in one
-    buffer that holds the longest chunk, reused for every chunk. Indexed
-    rows are gathered _GATHER_BLOCK at a time, so the fancy-indexed copy
-    before the cast stays small."""
+    buffer that holds the longest chunk, reused for every chunk. Rows are
+    taken _GATHER_BLOCK at a time, so the copy before the cast (a
+    fancy-indexed copy, or the rows read from a file) stays small."""
     longest = max((rows.stop - rows.start for rows in chunks), default=0)
     buffer = np.empty((longest, vectors.shape[1]))
     for rows in chunks:
         chunk = buffer[: rows.stop - rows.start]
-        if index is None:
-            chunk[...] = vectors[rows]
-        else:
-            part = index[rows]
-            for start in range(0, part.size, _GATHER_BLOCK):
-                block = slice(start, start + _GATHER_BLOCK)
-                chunk[block] = vectors[part[block]]
+        for start in range(0, len(chunk), _GATHER_BLOCK):
+            block = slice(start, start + _GATHER_BLOCK)
+            if index is None:
+                lo = rows.start + start
+                chunk[block] = vectors[lo : min(lo + _GATHER_BLOCK, rows.stop)]
+            else:
+                chunk[block] = vectors[index[rows][block]]
         yield chunk
 
 
@@ -205,35 +213,151 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(norms, out=norms)
 
 
+class FileRows:
+    """The (count, dim) float32 vectors of a loaded .cfeb file, read from
+    the file when asked for: the set a load returns holds these, not an
+    array.
+
+    It offers ``shape``, ``dtype`` and ``len``; indexing by an integer, a
+    slice, or a 1-D integer or bool array, like an array's, gives the rows
+    as a new array, and ``np.asarray`` gives all of them (read-only).
+    Every request is read in ascending file order with positioned reads:
+    the asked records that lie within _READ_WINDOW bytes of the first are
+    read together into one buffer that the reader keeps, and a record
+    alone in its window is read straight into the result. A file cut short
+    since the load raises TruncationError naming the first record it cut;
+    a file unlinked since the load still reads. The descriptor, taken over
+    from the load, closes when the reader is collected.
+    """
+
+    def __init__(self, path, fd: int, offsets: np.ndarray, dim: int):
+        self.path = path
+        self.shape = (offsets.size, dim)
+        self.dtype = np.dtype("<f4")
+        self._fd = fd
+        # the file offset of each record's vector
+        self._offsets = offsets
+        self._window = bytearray()
+        weakref.finalize(self, os.close, fd)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        n = len(self)
+        if isinstance(key, slice):
+            return self._read(np.arange(*key.indices(n)))
+        if isinstance(key, (int, np.integer)):
+            return self[np.array([key])][0]
+        rows = np.asarray(key)
+        if rows.dtype == bool and rows.shape == (n,):
+            return self._read(np.flatnonzero(rows))
+        if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
+            raise IndexError(f"rows are read by an integer, a slice or a 1-D integer or "
+                             f"{n}-entry bool array, not {rows.dtype} of shape {rows.shape}")
+        rows = rows.astype(np.intp)
+        if rows.size and not -n <= rows.min() <= rows.max() < n:
+            raise IndexError(f"index out of bounds for {n} rows")
+        return self._read(np.where(rows < 0, rows + n, rows))
+
+    def __reduce__(self):
+        # a copy would keep the descriptor that this reader closes
+        raise TypeError(f"the rows of {self.path} are read from its open file "
+                        f"and cannot be copied; np.asarray gives them as an array")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("the rows of a file are read into a new array")
+        rows = self[:] if dtype is None else self[:].astype(dtype, copy=False)
+        rows.setflags(write=bool(copy))
+        return rows
+
+    def _read(self, rows: np.ndarray) -> np.ndarray:
+        """The vectors of ``rows``, an array of row numbers in [0, count)."""
+        out = np.empty((rows.size, self.shape[1]), dtype=self.dtype)
+        if not out.size:
+            return out
+        ascending = bool(np.all(rows[1:] >= rows[:-1]))
+        order = None if ascending else np.argsort(rows, kind="stable")
+        rows = rows if ascending else rows[order]
+        dest = out if ascending else np.empty_like(out)
+        raw = memoryview(dest).cast("B")
+        row_bytes = 4 * self.shape[1]
+        starts = self._offsets[rows]
+        ends = starts + row_bytes
+        i = 0
+        while i < rows.size:
+            j = max(int(np.searchsorted(ends, starts[i] + _READ_WINDOW, side="right")), i + 1)
+            lo = int(starts[i])
+            if j == i + 1:
+                self._fill(raw[i * row_bytes : j * row_bytes], lo, rows[i:j], ends[i:j])
+            else:
+                span = int(ends[j - 1]) - lo
+                if len(self._window) < span:
+                    self._window = bytearray(span)
+                window = memoryview(self._window)[:span]
+                self._fill(window, lo, rows[i:j], ends[i:j])
+                for k, start in enumerate((starts[i:j] - lo).tolist(), i):
+                    raw[k * row_bytes : (k + 1) * row_bytes] = window[start : start + row_bytes]
+            i = j
+        if order is not None:
+            out[order] = dest
+        return out
+
+    def _fill(self, target: memoryview, offset: int, rows: np.ndarray, ends: np.ndarray):
+        """Read ``target`` full from ``offset`` on; the file ending first
+        raises TruncationError naming the first of ``rows``, the records
+        whose vectors end at ``ends``, that it cuts."""
+        got = 0
+        while got < len(target):
+            count = os.preadv(self._fd, [target[got:]], offset + got)
+            if not count:
+                k = int(np.searchsorted(ends, offset + got, side="right"))
+                need = 4 * self.shape[1]
+                raise TruncationError(
+                    f"{self.path}: file ends inside record {rows[k]} vector "
+                    f"(need {need} bytes at offset {ends[k] - need})"
+                )
+            got += count
+
+
+_NON_FINITE = "embedding vectors contain non-finite values"
+
+
 @dataclass(frozen=True, eq=False)
 class EmbeddingSet:
     """A matrix of d-dimensional embedding vectors keyed by media id.
 
-    ``vectors`` is an (n, dim) float32 or float64 array; row i belongs to
-    ``media_ids[i]``. ``dropped`` records media excluded by an upstream
-    step (e.g. degenerate rows removed by map application); it is derived
-    metadata and is not serialized. A set equals only itself.
+    ``vectors`` is an (n, dim) float32 or float64 array, or the
+    ``FileRows`` of a loaded file, which reads its rows when they are
+    asked for; row i belongs to ``media_ids[i]``. ``dropped`` records media
+    excluded by an upstream step (e.g. degenerate rows removed by map
+    application); it is derived metadata and is not serialized. A set
+    equals only itself.
     """
 
     model_id: str
     media_ids: tuple[str, ...]
-    vectors: np.ndarray
+    vectors: np.ndarray | FileRows
     dropped: tuple[str, ...] = ()
 
     def __post_init__(self):
-        vecs = np.asarray(self.vectors)
-        if vecs.ndim != 2:
-            raise DataError(f"vectors must be 2-D, got shape {vecs.shape}")
-        dtype = np.float32 if vecs.dtype == np.float32 else np.float64
-        object.__setattr__(self, "vectors", _frozen_array(vecs, dtype=dtype))
+        # file rows were checked finite by the load that read them
+        on_file = isinstance(self.vectors, FileRows)
+        if not on_file:
+            vecs = np.asarray(self.vectors)
+            if vecs.ndim != 2:
+                raise DataError(f"vectors must be 2-D, got shape {vecs.shape}")
+            dtype = np.float32 if vecs.dtype == np.float32 else np.float64
+            object.__setattr__(self, "vectors", _frozen_array(vecs, dtype=dtype))
         object.__setattr__(self, "media_ids", tuple(self.media_ids))
         object.__setattr__(self, "dropped", tuple(self.dropped))
         if len(self.media_ids) != self.vectors.shape[0]:
             raise DataError(
                 f"{len(self.media_ids)} media ids for {self.vectors.shape[0]} rows"
             )
-        if not all_finite(self.vectors):
-            raise DataError("embedding vectors contain non-finite values")
+        if not (on_file or all_finite(self.vectors)):
+            raise DataError(_NON_FINITE)
         if len(set(self.media_ids)) != len(self.media_ids):
             raise DataError("duplicate media ids in embedding set")
 
@@ -560,45 +684,65 @@ class BinaryReader:
             )
 
 
+def write_file(path, parts) -> None:
+    """Write the byte strings ``parts`` to ``path``, the one way a binary
+    file is saved: they go to a new file beside it, which replaces
+    ``path`` only once every part is written. So a save that is refused or
+    fails part way leaves what ``path`` held, and a set still reading the
+    file that is replaced keeps reading the old one."""
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(temp, "xb") as f:
+            for part in parts:
+                f.write(part)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
+def _records(embeddings: EmbeddingSet):
+    """The bytes of the .cfeb file of ``embeddings``, _GATHER_BLOCK
+    records at a time."""
+    yield binary_header(_MAGIC, "<IQ", embeddings.dim, len(embeddings))
+    for lo in range(0, len(embeddings), _GATHER_BLOCK):
+        rows = slice(lo, lo + _GATHER_BLOCK)
+        payload = np.ascontiguousarray(embeddings.vectors[rows], dtype="<f4")
+        out = bytearray()
+        for media_id, row in zip(embeddings.media_ids[rows], payload):
+            out += binary_string(media_id, "media id")
+            out += row.tobytes()
+        yield out
+    yield binary_string(embeddings.model_id, "model id")
+
+
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     """Write the binary embedding format; float32 payload, little-endian.
 
     A set whose vectors are already float32 round-trips bit-exactly
     through save/load; float64 vectors are rounded to float32 on disk.
-    The records go to the open file a ``row_chunks`` chunk at a time, so
-    a save holds one chunk's records, not the file. A save refused for an
-    id too long to serialize leaves no file behind.
+    The records go to the file _GATHER_BLOCK at a time, through
+    ``write_file``, so a save holds that many records, not the file, and
+    one refused for an id too long to serialize leaves ``path`` as it was.
     """
-    try:
-        with open(path, "wb") as f:
-            f.write(binary_header(_MAGIC, "<IQ", embeddings.dim, len(embeddings)))
-            for rows in row_chunks(len(embeddings)):
-                payload = np.ascontiguousarray(embeddings.vectors[rows], dtype="<f4")
-                out = bytearray()
-                for media_id, row in zip(embeddings.media_ids[rows], payload):
-                    out += binary_string(media_id, "media id")
-                    out += row.tobytes()
-                f.write(out)
-            f.write(binary_string(embeddings.model_id, "model id"))
-    except DataError:
-        Path(path).unlink()
-        raise
+    write_file(path, _records(embeddings))
 
 
 def load_embeddings(path) -> EmbeddingSet:
     """Read a .cfeb file, validating structure and invariants.
 
-    The records are read through one window of at most _READ_WINDOW
-    bytes, allocated once: each vector is copied from it into the array
-    the set keeps, so a load holds the vectors, their ids and the window,
-    never the whole file. A record the window cannot hold whole, or one
-    that is cut short or not UTF-8, is read again through the reader's
-    checked fields.
+    The records are scanned once, through one window of at most
+    _READ_WINDOW bytes allocated once. The set keeps the media ids, the
+    file offset of each vector and the open file, as ``FileRows``, and no
+    vector: its rows are read from the file when they are asked for. A
+    record the window cannot hold whole, or one that is cut short or not
+    UTF-8, is read again through the reader's checked fields.
 
     Raises FileFormatError on a bad magic/version or a string that is not
     UTF-8, TruncationError when the payload is shorter than the declared
-    dimension and count, and DataError on non-finite values or duplicate
-    media ids.
+    dimension and count, and then DataError on non-finite values or
+    duplicate media ids.
     """
     with BinaryReader(path, _MAGIC, "an embedding file") as reader:
         dim, count = reader.unpack("<IQ", "dimension and record count")
@@ -610,14 +754,15 @@ def load_embeddings(path) -> EmbeddingSet:
                 f"more than the {reader.remaining} bytes that follow"
             )
         row_bytes = 4 * dim
-        vectors = np.empty((count, dim), dtype="<f4")
-        rows = memoryview(vectors.reshape(-1).view(np.uint8))
-        media_ids = []
+        media_ids, offsets, finite = [], array("q"), True
         window = bytearray(min(_READ_WINDOW, reader.remaining))
         view = memoryview(window)
+        # one window's vectors, copied into place for the finiteness check
+        staged = np.empty(len(window) // max(row_bytes, 1) * dim, dtype="<f4")
+        rows = memoryview(staged.view(np.uint8))
         i = 0
         while i < count:
-            filled, pos = reader.peek_into(view), 0
+            filled, pos, k = reader.peek_into(view), 0, 0
             try:
                 while i < count and pos + 2 <= filled:
                     start = pos + 2 + (window[pos] | window[pos + 1] << 8)
@@ -625,22 +770,27 @@ def load_embeddings(path) -> EmbeddingSet:
                     if stop > filled:
                         break
                     media_ids.append(window[pos + 2 : start].decode("utf-8"))
-                    rows[i * row_bytes : (i + 1) * row_bytes] = view[start:stop]
-                    pos, i = stop, i + 1
+                    offsets.append(reader.pos + start)
+                    rows[k * row_bytes : (k + 1) * row_bytes] = view[start:stop]
+                    pos, i, k = stop, i + 1, k + 1
             except UnicodeDecodeError:
                 pass  # record i starts the next window, so is read below
+            finite = finite and bool(np.isfinite(staged[: k * dim]).all())
             reader.skip(pos)
             if pos == 0:
                 # record i is longer than the window, or is cut short or not
                 # UTF-8: the checked fields read it or raise the error naming it
                 media_ids.append(reader.string(f"record {i} id"))
-                rows[i * row_bytes : (i + 1) * row_bytes] = reader.take(
-                    row_bytes, f"record {i} vector"
-                )
+                offsets.append(reader.pos)
+                vector = np.frombuffer(reader.take(row_bytes, f"record {i} vector"), "<f4")
+                finite = finite and bool(np.isfinite(vector).all())
                 i += 1
         model_id = reader.string("model id")
         reader.end("model id")
-    vectors.setflags(write=False)
+        if not finite:
+            raise DataError(_NON_FINITE)
+        vectors = FileRows(path, os.dup(reader.file.fileno()),
+                           np.frombuffer(offsets, dtype=np.int64), dim)
     return EmbeddingSet(model_id=model_id, media_ids=tuple(media_ids), vectors=vectors)
 
 

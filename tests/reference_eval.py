@@ -17,6 +17,12 @@ Reference template aggregation and pair scoring: one template and one
 pair at a time, in plain loops. Reference attack ranking: a full stable
 argsort of every probe's scores against the whole gallery.
 
+Reference embedding-file loader: the whole vector array read in one
+pass through a bounded window and copied into an array the set keeps.
+The oracle for `embalign.store.load_embeddings`, whose set reads its rows
+from the file when asked: every read must give these bytes, and every
+refusal the same error type and message.
+
 The oracle for `embalign.verification`. Its compiled plan must return
 exactly what these loops return, bit for bit: the same template ids,
 dropped ids, vectors, scores, genuine labels and dropped-pair counts, and
@@ -41,11 +47,19 @@ from embalign import (
     MediaEntry,
     ScoredPairs,
     TemplateSet,
+    TruncationError,
     UnknownIdError,
 )
 from embalign.mapping import SVD_RCOND
 from embalign.rng import Purpose, stream
-from embalign.store import _MANIFEST_HEADER, _PAIRS_HEADER, DEGENERATE_NORM, _csv_table
+from embalign import store
+from embalign.store import (
+    _MANIFEST_HEADER,
+    _PAIRS_HEADER,
+    DEGENERATE_NORM,
+    BinaryReader,
+    _csv_table,
+)
 
 
 class Manifest:
@@ -181,6 +195,51 @@ def canonical_rows(manifest, media_ids) -> tuple[list[slice], list[int]]:
         return blocks, [row_of[mid] for mid in media_ids]
     except KeyError as exc:
         raise UnknownIdError(f"media id {exc.args[0]!r} not in manifest") from None
+
+
+def load_embeddings(path) -> EmbeddingSet:
+    """The set of a .cfeb file with its vectors in one array, read through
+    a window of store._READ_WINDOW bytes; a record the window cannot hold
+    whole, or one cut short or not UTF-8, is read through the checked
+    fields."""
+    with BinaryReader(path, store._MAGIC, "an embedding file") as reader:
+        dim, count = reader.unpack("<IQ", "dimension and record count")
+        if count * (2 + 4 * dim) > reader.remaining:
+            raise TruncationError(
+                f"{path}: header declares {count} records of dimension {dim}, "
+                f"more than the {reader.remaining} bytes that follow"
+            )
+        row_bytes = 4 * dim
+        vectors = np.empty((count, dim), dtype="<f4")
+        rows = memoryview(vectors.reshape(-1).view(np.uint8))
+        media_ids = []
+        window = bytearray(min(store._READ_WINDOW, reader.remaining))
+        view = memoryview(window)
+        i = 0
+        while i < count:
+            filled, pos = reader.peek_into(view), 0
+            try:
+                while i < count and pos + 2 <= filled:
+                    start = pos + 2 + (window[pos] | window[pos + 1] << 8)
+                    stop = start + row_bytes
+                    if stop > filled:
+                        break
+                    media_ids.append(window[pos + 2 : start].decode("utf-8"))
+                    rows[i * row_bytes : (i + 1) * row_bytes] = view[start:stop]
+                    pos, i = stop, i + 1
+            except UnicodeDecodeError:
+                pass
+            reader.skip(pos)
+            if pos == 0:
+                media_ids.append(reader.string(f"record {i} id"))
+                rows[i * row_bytes : (i + 1) * row_bytes] = reader.take(
+                    row_bytes, f"record {i} vector"
+                )
+                i += 1
+        model_id = reader.string("model id")
+        reader.end("model id")
+    vectors.setflags(write=False)
+    return EmbeddingSet(model_id=model_id, media_ids=tuple(media_ids), vectors=vectors)
 
 
 def load_manifest(path) -> Manifest:

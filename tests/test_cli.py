@@ -28,6 +28,7 @@ from embalign import (
     load_manifest,
     load_map,
     load_pairs,
+    random_rotation,
     roc,
     run_attack,
     save_embeddings,
@@ -38,7 +39,7 @@ from embalign import (
     split_attack,
     subject_gallery,
 )
-from embalign import cli
+from embalign import cli, store
 from embalign.cli import main
 
 
@@ -168,7 +169,38 @@ class TestSynth:
         assert f"{config}: unknown key 'bogus'" in stderr
 
 
+@pytest.fixture(scope="module")
+def large_sets(tmp_path_factory):
+    """Two 120,000 x 256 float32 sets (117 MiB of vectors each) over the
+    same media in opposite row orders, and a rotation map between them."""
+    root = tmp_path_factory.mktemp("large")
+    n, dim = 120_000, 256
+    rng = np.random.default_rng(7)
+    ids = [f"m{i:06d}" for i in range(n)]
+    for name, order in (("a", ids), ("b", ids[::-1])):
+        rows = rng.standard_normal((n, dim), dtype=np.float32)
+        rows.setflags(write=False)
+        save_embeddings(EmbeddingSet(name.upper(), order, rows), root / f"{name}.cfeb")
+    save_map(random_rotation(dim, 3), root / "map.cfem")
+    return root, n, dim
+
+
 class TestFit:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_memory_bounded(self, large_sets, tmp_path):
+        # The cap is three quarters of one input set: a fit reads both sets
+        # from their files a chunk at a time, and holds their ids, their
+        # alignment and two float64 chunk buffers (16 MiB). Measured at one
+        # BLAS thread: 73 MiB over the VmSize after imports, 15 MiB to
+        # spare; holding both sets took 304 MiB.
+        root, n, dim = large_sets
+        done = run_memory_limited(tmp_path, 3 * n * dim, "fit", root / "a.cfeb",
+                                  root / "b.cfeb", "--kind", "linear",
+                                  "--out", tmp_path / "m.cfem")
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert json.loads(done.stdout)["m"] == n
+
     def test_rotation_fit_recovers_planted_map(self, world, tmp_path, capsys):
         out = tmp_path / "fitted.cfem"
         code, stdout, _ = run_cli(
@@ -244,6 +276,56 @@ class TestFit:
 
 
 class TestApplyAndIngest:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_memory_bounded(self, large_sets, tmp_path):
+        # The cap is the float64 output (234 MiB, two input sets) plus three
+        # quarters of one input set, which apply reads from its file a
+        # chunk at a time. Measured at one BLAS thread: 285 MiB over the
+        # VmSize after imports, 37 MiB to spare; holding the input beside
+        # the output took 404 MiB.
+        root, n, dim = large_sets
+        done = run_memory_limited(tmp_path, n * dim * 8 + 3 * n * dim, "apply",
+                                  root / "map.cfem", root / "a.cfeb",
+                                  "--out", tmp_path / "mapped.cfeb")
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert json.loads(done.stdout)["count"] == n
+
+    def test_apply_over_its_input_writes_what_a_new_path_gets(self, world, tmp_path, capsys):
+        fresh, same = tmp_path / "fresh.cfeb", tmp_path / "same.cfeb"
+        same.write_bytes(world["a"].read_bytes())
+        for source, out in ((world["a"], fresh), (same, same)):
+            code, _, stderr = run_cli(capsys, "apply", str(world["ground_truth"]),
+                                      str(source), "--out", str(out))
+            assert code == 0, stderr
+        assert same.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh.cfeb", "same.cfeb"]
+
+    @pytest.mark.parametrize("command", ["apply", "verify"])
+    def test_input_cut_after_the_load_exits_2(self, world, tmp_path, capsys,
+                                              monkeypatch, command):
+        # the set's rows are read from the file after the load: a file cut
+        # in between is refused with the record it cut, not read short
+        cut = tmp_path / "cut.cfeb"
+        cut.write_bytes(world["a"].read_bytes())
+        load = store.load_embeddings
+
+        def load_then_cut(path):
+            loaded = load(path)
+            if Path(path) == cut:
+                with open(cut, "r+b") as f:
+                    f.truncate(cut.stat().st_size // 2)
+            return loaded
+
+        monkeypatch.setattr(store, "load_embeddings", load_then_cut)
+        out = tmp_path / "out.cfeb"
+        argv = {"apply": ["apply", world["ground_truth"], cut, "--out", out],
+                "verify": ["verify", cut, world["b"], world["manifest"], world["pairs"],
+                           "--scores-out", out]}[command]
+        code, stdout, stderr = run_cli(capsys, *map(str, argv))
+        assert_refused(code, stdout, stderr, out)
+        assert stderr.startswith(f"error: {cut}: file ends inside record ")
+
     def test_apply_writes_mapped_set(self, world, tmp_path, capsys):
         mapped_path = tmp_path / "mapped.cfeb"
         code, stdout, _ = run_cli(
@@ -298,16 +380,16 @@ class TestVerify:
     def test_memory_bounded(self, tmp_path, mapped):
         # 15,000 single-image media at dim 1024; a set is n x dim float32
         # (58.6 MiB) and a template set twice that. The cap is side a's
-        # template set and side b's set (3 sets), as side b is read only
-        # after side a is freed and its templates are scored a chunk at a
-        # time, plus 64 MiB for the manifest, a template chunk and the
-        # scoring pieces; with --map, the float64 mapped set and side a's
-        # template set (4 sets), held while its templates are built, plus
-        # 112 MiB. Measured at one BLAS thread: 24 MiB (plain) and 30 MiB
-        # (--map) to spare. Gathering the 2,000 pairs' rows into two whole
-        # float64 buffers (31 MiB) goes 8 MiB over the plain cap; with
-        # --map, building side b's templates whole goes 32 MiB over, and so
-        # does reading side b before side a's templates are built.
+        # template set (2 sets), as neither side's vectors are held (both
+        # are read from their files a chunk at a time) and side b's
+        # templates are scored a chunk at a time, plus 64 MiB for the
+        # manifest, a template chunk and the scoring pieces; with --map,
+        # the float64 mapped set and side a's template set (4 sets), held
+        # while its templates are built, plus 112 MiB. Measured at one BLAS
+        # thread: 23 MiB (plain) to spare. Holding side b's whole set while
+        # scoring (3 sets) is refused under the plain cap; with --map,
+        # building side b's templates whole goes 32 MiB over, and so does
+        # reading side b before side a's templates are built.
         n, dim = 15_000, 1024
         rng = np.random.default_rng(4)
         ids = [f"m{i:05d}" for i in range(n)]
@@ -326,7 +408,7 @@ class TestVerify:
         if mapped:
             save_map(identity_map(dim), tmp_path / "map.cfem")
             argv += ["--map", tmp_path / "map.cfem"]
-        sets, headroom = (4, 112 << 20) if mapped else (3, 64 << 20)
+        sets, headroom = (4, 112 << 20) if mapped else (2, 64 << 20)
         done = run_memory_limited(tmp_path, sets * n * dim * 4 + headroom, *argv)
         assert done.returncode == 0, done.stderr[-2000:]
         report = json.loads(done.stdout)
@@ -1023,10 +1105,13 @@ finally:
 
 def run_memory_limited(tmp_path, headroom: int, *argv):
     """MEMORY_LIMITED_MAIN in a child with one BLAS thread, reporting to
-    ``tmp_path / "rss.json"``: the finished process."""
+    ``tmp_path / "rss.json"``: the finished process. glibc's mmap threshold
+    is pinned at its default 128 KiB, which turns off its dynamic rise, so
+    freed heap blocks do not decide how much of the cap a gate's code gets."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+                        "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
     report = tmp_path / "rss.json"
     done = subprocess.run(
         [sys.executable, "-c", MEMORY_LIMITED_MAIN, str(headroom), str(report),

@@ -715,7 +715,8 @@ class TestAttackRanking:
     def test_memory_bounded_in_probes(self):
         src = Path(experiments.__file__).resolve().parents[1]
         env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
         done = subprocess.run([sys.executable, "-c", MEMORY_GATE], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]

@@ -277,7 +277,8 @@ class TestGramRoute:
     def test_fit_memory_bounded(self):
         src = Path(mapping_module.__file__).resolve().parents[1]
         env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
         done = subprocess.run([sys.executable, "-c", FIT_MEMORY_GATE], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]

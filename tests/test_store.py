@@ -1,14 +1,17 @@
 import ast
+import copy
 import dataclasses
 import inspect
 import json
 import os
+import pickle
 import re
 import struct
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -295,6 +298,15 @@ class TestFloatChunks:
             if path.name != "store.py":
                 assert "row_chunks(" not in path.read_text(), path.name
 
+    def test_cfeb_parsing_and_positioned_reads_only_in_store(self):
+        # .cfeb records are parsed, and a loaded set's rows read, in store
+        package = Path(embalign.__file__).parent
+        names = ("CFEB", "_READ_WINDOW", "peek_into", "readinto", "pread", "FileRows(")
+        for path in package.glob("*.py"):
+            if path.name != "store.py":
+                text = path.read_text()
+                assert [name for name in names if name in text] == [], path.name
+
 
 class TestEmbeddingFile:
     def test_single_row_round_trip(self, tmp_path):
@@ -317,7 +329,7 @@ class TestEmbeddingFile:
         save_embeddings(s, path)
         loaded = load_embeddings(path)
         assert loaded.media_ids == s.media_ids
-        assert loaded.vectors.tobytes() == s.vectors.tobytes()
+        assert np.asarray(loaded.vectors).tobytes() == s.vectors.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_chunked_save_has_the_bytes_of_the_format(self, tmp_path, dtype):
@@ -337,12 +349,34 @@ class TestEmbeddingFile:
         n = _ROW_CHUNK + 1
         ids = [f"r{i}" for i in range(n)]
         if long_id == "media":
-            ids[-1] = "x" * 0x10000  # in the second chunk
+            ids[-1] = "x" * 0x10000  # past the first records written
         model_id = "x" * 0x10000 if long_id == "model" else "m"
         path = tmp_path / "refused.cfeb"
         with pytest.raises(DataError, match=f"{long_id} id too long"):
             save_embeddings(make_set(ids, np.ones((n, 2)), model_id=model_id), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("refused", ["media", "model", "map"])
+    def test_refused_save_keeps_the_previous_file(self, tmp_path, refused):
+        path = tmp_path / "kept"
+        if refused == "map":
+            save_map(identity_map(2), path)
+            mapping = MappingMatrix("identity", "x" * 0x10000, "B", np.eye(2), 0)
+            save = lambda: save_map(mapping, path)  # noqa: E731
+        else:
+            save_embeddings(make_set(["a"], [[1.0, 2.0]]), path)
+            n = _ROW_CHUNK + 1
+            ids = [f"r{i}" for i in range(n)]
+            if refused == "media":
+                ids[-1] = "x" * 0x10000  # past the first records written
+            model_id = "x" * 0x10000 if refused == "model" else "m"
+            refused_set = make_set(ids, np.ones((n, 2)), model_id=model_id)
+            save = lambda: save_embeddings(refused_set, path)  # noqa: E731
+        before = path.read_bytes()
+        with pytest.raises(DataError, match="id too long"):
+            save()
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["kept"]
 
     def test_save_memory_does_not_grow_with_the_set(self, tmp_path):
         peaks = []
@@ -355,9 +389,10 @@ class TestEmbeddingFile:
         assert peaks[1] <= peaks[0] + (64 << 10), peaks
 
     def test_load_memory_within_the_vectors(self, tmp_path):
-        # a load holds the vectors, their ids, one read window and one row
-        # chunk's isfinite mask (1.10x the vectors), not the whole file
-        # beside them (2.27x) nor a mask of the whole array (1.28x)
+        # a load holds the media ids and one int64 offset per record (twice
+        # while its array grows), beside one read window, that window's
+        # vectors staged for the finiteness check and their mask: 3.9 MB.
+        # Keeping the vectors (61 MB) took 1.10x them.
         n, dim = 15_000, 1024
         rng = np.random.default_rng(2)
         s = make_set([f"m{i:05d}" for i in range(n)],
@@ -366,7 +401,9 @@ class TestEmbeddingFile:
         save_embeddings(s, path)
         del s
         peak = traced_peak(lambda: load_embeddings(path))
-        assert peak <= 1.12 * n * dim * 4
+        ids = n * (sys.getsizeof("m00000") + 2 * 8)  # the strings, a list and a tuple
+        window = 2 * store._READ_WINDOW + store._READ_WINDOW // 4
+        assert peak <= ids + 2 * n * 8 + window + (1 << 20)
 
     @pytest.mark.parametrize("dim", [3, 70_000])
     def test_window_size_changes_nothing(self, tmp_path, monkeypatch, dim):
@@ -389,7 +426,7 @@ class TestEmbeddingFile:
                 loaded = load_embeddings(path)
             except EmbAlignError as exc:
                 return type(exc), str(exc)
-            return loaded.model_id, loaded.media_ids, loaded.vectors.tobytes()
+            return loaded.model_id, loaded.media_ids, np.asarray(loaded.vectors).tobytes()
 
         whole = [outcome(data) for data in damaged]
         monkeypatch.setattr(store, "_READ_WINDOW", 97)
@@ -399,10 +436,10 @@ class TestEmbeddingFile:
     def test_loaded_vectors_read_only(self, tmp_path):
         path = tmp_path / "e.cfeb"
         save_embeddings(make_set(["a", "b"], [[1.0, 0.0], [0.0, 1.0]]), path)
-        loaded = load_embeddings(path)
-        assert not loaded.vectors.flags.writeable
+        vectors = np.asarray(load_embeddings(path).vectors)
+        assert not vectors.flags.writeable
         with pytest.raises(ValueError):
-            loaded.vectors[0, 0] = 5.0
+            vectors[0, 0] = 5.0
 
     def test_empty_set(self, tmp_path):
         path = tmp_path / "empty.cfeb"
@@ -506,7 +543,7 @@ class TestEmbeddingFile:
         loaded = load_embeddings(path)
         assert loaded.model_id == s.model_id
         assert loaded.media_ids == s.media_ids
-        assert loaded.vectors.tobytes() == s.vectors.tobytes()
+        assert np.asarray(loaded.vectors).tobytes() == s.vectors.tobytes()
 
     def test_enrollment_scale_file(self, tmp_path):
         # 11,856 x 512 payload: the enrollment-set shape used for fitting
@@ -521,7 +558,169 @@ class TestEmbeddingFile:
         assert path.stat().st_size == expected
         loaded = load_embeddings(path)
         assert len(loaded) == n
-        assert loaded.vectors.tobytes() == vectors.tobytes()
+        assert np.asarray(loaded.vectors).tobytes() == vectors.tobytes()
+
+
+def cfeb_bytes(ids, vectors, model_id: str) -> bytes:
+    """The .cfeb file of ``ids`` and float32 ``vectors``, written by hand,
+    so that non-finite values and repeated ids can be stored."""
+    out = b"CFEB" + struct.pack("<HIQ", 1, vectors.shape[1], len(ids))
+    for media_id, row in zip(ids, vectors.astype("<f4")):
+        out += struct.pack("<H", len(media_id.encode())) + media_id.encode() + row.tobytes()
+    return out + struct.pack("<H", len(model_id.encode())) + model_id.encode()
+
+
+def load_outcome(load, path):
+    """The set ``load(path)`` gives, or the type and message it raises."""
+    try:
+        return load(path)
+    except EmbAlignError as exc:
+        return type(exc), str(exc)
+
+
+# variable-length ids of one- to four-byte UTF-8 characters, the empty id
+# (so ids repeat) included
+_utf8_id = st.text(alphabet="aZ9\u00e9\u540d\U0001F600", max_size=9)
+
+
+@st.composite
+def _cfeb_reads(draw):
+    """(file bytes, read window): a file of 0 to 7 records, possibly with a
+    non-finite value, cut short, with a byte flipped or with a byte added."""
+    dim = draw(st.integers(0, 9))
+    ids = draw(st.lists(_utf8_id, max_size=7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors = rng.standard_normal((len(ids), dim)).astype("<f4")
+    if vectors.size and draw(st.booleans()):
+        vectors.reshape(-1)[draw(st.integers(0, vectors.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    raw = cfeb_bytes(ids, vectors, draw(_utf8_id))
+    damage = draw(st.sampled_from(["none", "cut", "flip", "extra"]))
+    at = draw(st.integers(0, len(raw) - 1))
+    if damage == "cut":
+        raw = raw[:at]
+    elif damage == "flip":
+        raw = raw[:at] + bytes([raw[at] ^ draw(st.integers(1, 255))]) + raw[at + 1:]
+    elif damage == "extra":
+        raw += b"\x00"
+    # windows shorter than a record read it through the checked fields
+    return raw, draw(st.sampled_from([1, 7, 16, 40, 97, store._READ_WINDOW]))
+
+
+class TestFileRows:
+    """A loaded set reads its rows from the file; the eager loader of
+    reference_eval is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_cfeb_reads(), data=st.data())
+    def test_every_read_matches_the_eager_load(self, tmp_path_factory, case, data):
+        raw, window = case
+        path = tmp_path_factory.mktemp("rows") / "s.cfeb"
+        path.write_bytes(raw)
+        want = load_outcome(reference.load_embeddings, path)
+        with mock.patch.object(store, "_READ_WINDOW", window):
+            got = load_outcome(load_embeddings, path)
+            if isinstance(want, tuple):
+                assert got == want
+                return
+            assert (got.model_id, got.media_ids) == (want.model_id, want.media_ids)
+            rows, oracle = got.vectors, want.vectors
+            assert (rows.shape, rows.dtype, len(rows)) == (oracle.shape, oracle.dtype, len(oracle))
+            assert np.asarray(rows).tobytes() == oracle.tobytes()
+            n = len(rows)
+            for i in range(-n, n):
+                assert rows[i].tobytes() == oracle[i].tobytes()
+            keys = data.draw(st.lists(st.slices(n), max_size=4))
+            keys.append(np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                                 dtype=bool))
+            if n:
+                keys.append(np.array(data.draw(st.lists(st.integers(-n, n - 1), max_size=12)),
+                                     dtype=np.intp))
+            for key in keys:
+                assert rows[key].tobytes() == oracle[key].tobytes(), key
+
+    def test_ascending_reads_take_one_window_each(self, tmp_path):
+        # 3,000 records of 71 bytes (a 5-byte id and 16 floats): the vectors
+        # within a 4,096-byte window of a record's vector are 57 records, so
+        # reading every row takes ceil(3000 / 57) = 53 reads, in any order
+        # asked; the whole file fits one 1 MiB window
+        n = 3000
+        vectors = np.random.default_rng(3).standard_normal((n, 16), dtype=np.float32)
+        path = tmp_path / "w.cfeb"
+        save_embeddings(make_set([f"r{i:04d}" for i in range(n)], vectors), path)
+        rows = load_embeddings(path).vectors
+        with mock.patch.object(os, "preadv", wraps=os.preadv) as preadv:
+            every_third = np.arange(n) % 3 == 0
+            assert rows[every_third].tobytes() == vectors[every_third].tobytes()
+            assert preadv.call_count == 1
+            with mock.patch.object(store, "_READ_WINDOW", 4096):
+                for key in (slice(None), np.random.default_rng(4).permutation(n)):
+                    preadv.reset_mock()
+                    assert rows[key].tobytes() == vectors[key].tobytes()
+                    assert preadv.call_count == 53
+
+    def test_file_cut_after_the_load_names_the_record(self, tmp_path):
+        # records of 16 bytes after an 18-byte header; record 6's vector
+        # starts at 18 + 6 * 16 + 4 = 118, and the file is cut 5 bytes in
+        vectors = np.arange(30, dtype=np.float32).reshape(10, 3)
+        path = tmp_path / "cut.cfeb"
+        save_embeddings(make_set([f"r{i}" for i in range(10)], vectors), path)
+        rows = load_embeddings(path).vectors
+        with open(path, "r+b") as f:
+            f.truncate(123)
+        assert rows[:6].tobytes() == vectors[:6].tobytes()
+        message = re.escape(f"{path}: file ends inside record 6 vector "
+                            f"(need 12 bytes at offset 118)")
+        for key in (slice(None), [9, 6, 0], 6):
+            with pytest.raises(TruncationError, match=message):
+                rows[key]
+        with pytest.raises(TruncationError, match=message):
+            np.asarray(rows)
+
+    def test_unlinked_file_still_reads(self, tmp_path):
+        vectors = np.random.default_rng(5).standard_normal((40, 3), dtype=np.float32)
+        path = tmp_path / "gone.cfeb"
+        save_embeddings(make_set([f"r{i}" for i in range(40)], vectors), path)
+        loaded = load_embeddings(path)
+        path.unlink()
+        assert np.asarray(loaded.vectors).tobytes() == vectors.tobytes()
+        assert loaded.restrict({"r3", "r17"}).vectors.tobytes() == vectors[[3, 17]].tobytes()
+
+    def test_refuses_to_be_copied(self, tmp_path):
+        # a copy would keep the descriptor that the reader closes
+        path = tmp_path / "c.cfeb"
+        save_embeddings(make_set(["a"], [[1.0, 0.0]]), path)
+        loaded = load_embeddings(path)
+        for copier in (copy.deepcopy, pickle.dumps):
+            with pytest.raises(TypeError, match="np.asarray gives them as an array"):
+                copier(loaded)
+
+    def test_descriptor_closed_when_collected(self, tmp_path):
+        path = tmp_path / "fd.cfeb"
+        save_embeddings(make_set(["a", "b"], [[1.0, 0.0], [0.0, 1.0]]), path)
+        src = Path(embalign.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", DESCRIPTOR_GATE, str(path)],
+                              env=os.environ | {"PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == "500\n"
+
+
+# 500 loads, each set dropped after one read, with at most 64 descriptors
+DESCRIPTOR_GATE = """
+import resource, sys
+from embalign import load_embeddings
+
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+loads = 0
+for _ in range(500):
+    loaded = load_embeddings(sys.argv[1])
+    assert loaded.vectors[1].tolist() == [0.0, 1.0]
+    del loaded
+    loads += 1
+print(loads)
+"""
 
 
 class TestManifest:
@@ -725,7 +924,8 @@ class TestAlignPairs:
     def test_memory_bounded(self):
         src = Path(embalign.__file__).resolve().parents[1]
         env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
         done = subprocess.run([sys.executable, "-c", ALIGN_MEMORY_GATE], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]
@@ -863,7 +1063,7 @@ class TestBinaryCodec:
         path = tmp_path_factory.mktemp("cfeb") / "s.cfeb"
         save_embeddings(s, path)
         raw = path.read_bytes()
-        assert load_embeddings(path).vectors.tobytes() == s.vectors.tobytes()
+        assert np.asarray(load_embeddings(path).vectors).tobytes() == s.vectors.tobytes()
         for size in range(len(raw)):
             path.write_bytes(raw[:size])
             with pytest.raises(FileFormatError):

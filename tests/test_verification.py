@@ -465,7 +465,7 @@ pairs = PairList(tuple((tids[i], tids[j]) for i, j in picks if i != j)
 with open("/proc/self/status") as status:
     vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
 _, hard = resource.getrlimit(resource.RLIMIT_AS)
-limit = vm_size * 1024 + 2 * a.vectors.size * 8 + (64 << 20)
+limit = vm_size * 1024 + 2 * np.asarray(a.vectors).size * 8 + (64 << 20)
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 plan = EvalPlan(manifest, a.media_ids, pairs)
 scored = plan.score(plan.templates(a), plan.templates(b))
@@ -515,7 +515,8 @@ class TestEvalPlanOracle:
     def test_template_memory_bounded(self):
         src = Path(verification.__file__).resolve().parents[1]
         env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
         done = subprocess.run([sys.executable, "-c", TEMPLATE_MEMORY_GATE], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr[-2000:]
