@@ -25,8 +25,9 @@ hypersphere around the origin.
 
 Every loop over rows here reads them through ``store.float_chunks``, the
 one chunked float64 row reader: rows are ``(vectors, index)`` pairs, the
-two sets' vectors with the row indices of their shared media in ``fit``
-and the input arrays with no index in ``fit_linear`` and ``fit_rotation``.
+two sets' vectors with the row indices of their shared media in
+``_shared_fits`` and the input arrays with no index in ``fit_linear`` and
+``fit_rotation``.
 Both fits read their rows once, summing the sufficient statistics X^T Y,
 ||X||^2, ||Y||^2 and, for linear fits, X^T X, so on the Gram and rotation
 routes a fit holds its inputs plus O(chunk x d + d^2) and builds no m x d
@@ -34,10 +35,11 @@ design matrix; only the SVD route does, through ``store.float_rows``. The
 residual comes from the same statistics in closed form unless that has
 lost its digits to cancellation (below CLOSED_FORM_FLOOR of ||Y||^2),
 when an explicit pass over the rows recomputes it. A fit is its
-statistics (``_moments``) and a solve from them (``_solve``); the grid's
-fits of one source (``_shared_fits``) share them, one X^T Y pass per
-target for every kind and one X^T X and eigendecomposition per source,
-and call the same solve, so each map has the bits of ``fit``.
+statistics (``_moments``) and a solve from them (``_solve``). Every fit
+of two sets goes through ``_shared_fits``: ``fit`` is its one fit over
+one target, and the grid's fits of one source share the statistics, one
+X^T Y pass per target for every kind and one X^T X and eigendecomposition
+per source.
 ``apply_map`` takes its product chunk by chunk from the same reader.
 
 Map file (.cfem), in the header and string codec of ``store``:
@@ -314,7 +316,7 @@ def _solve(kind: str, moments: _Moments, x, y, ids: dict) -> tuple[MappingMatrix
 
 
 def _fit(kind: str, x, y, ids: dict) -> tuple[MappingMatrix, FitReport]:
-    """``_solve`` from one pass of ``_moments`` over ``x`` and ``y``."""
+    """``_solve`` from one ``_moments`` pass over ``fit_linear``'s or ``fit_rotation``'s arrays."""
     _check_dims(kind, x[0].shape[1], y[0].shape[1])
     return _solve(kind, _moments(x, y, gram=kind == LINEAR), x, y, ids)
 
@@ -392,51 +394,45 @@ def check_kinds(kinds) -> list[str]:
 def fit(
     kind: str, source: EmbeddingSet, target: EmbeddingSet
 ) -> tuple[MappingMatrix, FitReport]:
-    """Fit a map of ``kind`` from ``source``'s space into ``target``'s.
-
-    Linear and rotation maps are fit on the rows of the media the two
-    sets share, in the order of ``aligned_rows``; the identity needs equal
-    dimensions and no samples. The Gram and rotation routes read those
-    rows from the sets through ``float_chunks``, so a fit holds the two
-    sets (for loaded sets, their ids; their rows are read from the files)
-    plus O(chunk x d + d^2); only the SVD route builds the float64 design
-    matrices, through ``float_rows``.
-    """
-    check_kinds([kind])
-    ids = {"source_model_id": source.model_id, "target_model_id": target.model_id}
-    if kind == IDENTITY:
-        if source.dim != target.dim:
-            raise DimensionError(
-                f"identity map needs equal dimensions, got {source.dim} and {target.dim}"
-            )
-        return identity_map(source.dim, **ids), FitReport(IDENTITY, 0, None)
-    rows_a, rows_b = aligned_rows(source, target)
-    return _fit(kind, (source.vectors, rows_a), (target.vectors, rows_b), ids)
+    """Fit a map of ``kind`` from ``source``'s space into ``target``'s:
+    the one fit of ``_shared_fits`` over one target, so it refuses an
+    unknown kind, then what ``_shared_fits`` refuses, in its order."""
+    return next(_shared_fits(check_kinds([kind]), source, [target]))
 
 
 def _shared_fits(kinds, source: EmbeddingSet, targets):
-    """``fit(kind, source, target)`` for each of ``targets`` and each of
-    ``kinds`` in turn, from statistics the fits share: one pass per target
-    sums X^T Y, ||X||^2 and ||Y||^2 for all its kinds, and the first also
-    X^T X, which with its eigendecomposition serves every target. Each
-    (map, report) has the bits of ``fit``, whose ``_solve`` it calls.
+    """A (map, report) for each of ``targets`` and each of ``kinds`` in
+    turn, from statistics the fits share: one pass per target sums X^T Y,
+    ||X||^2 and ||Y||^2 for all its kinds, and the first also X^T X, which
+    with its eigendecomposition serves every target.
 
-    Every target must hold the source's media, so that each alignment
-    gives the source the same rows; this is asserted before the source's
-    statistics are reused. Statistics are taken when a fit first needs
-    them, so a failing fit raises what ``fit`` would, in the same turn.
+    The identity needs equal dimensions and no samples. A linear or
+    rotation fit takes the rows of the media the two sets share, in the
+    order of ``aligned_rows``, and checks the dimensions before it sums
+    any statistic. The Gram and rotation routes read those rows through
+    ``float_chunks``, so a fit holds the two sets (for loaded sets, their
+    ids) plus O(chunk x d + d^2); only the SVD route builds the float64
+    design matrices, through ``float_rows``. Every target must hold the
+    source's media, so that each alignment gives the source the same
+    rows; this is asserted before the source's statistics are reused.
     """
     source_rows = gram = None
     for target in targets:
         ids = {"source_model_id": source.model_id, "target_model_id": target.model_id}
-        moments = None
+        x = moments = None
         for kind in kinds:
             if kind == IDENTITY:
-                yield fit(kind, source, target)
+                if source.dim != target.dim:
+                    raise DimensionError(
+                        f"identity map needs equal dimensions, got {source.dim} and {target.dim}"
+                    )
+                yield identity_map(source.dim, **ids), FitReport(IDENTITY, 0, None)
                 continue
-            if moments is None:
+            if x is None:
                 rows, target_rows = aligned_rows(source, target)
                 x, y = (source.vectors, rows), (target.vectors, target_rows)
+            _check_dims(kind, source.dim, target.dim)
+            if moments is None:
                 if source_rows is None:
                     source_rows = rows
                     moments = _moments(x, y, gram=LINEAR in kinds)
@@ -444,7 +440,6 @@ def _shared_fits(kinds, source: EmbeddingSet, targets):
                 else:
                     assert np.array_equal(rows, source_rows), "targets hold other media"
                     moments = replace(_moments(x, y, gram=False), gram=gram)
-            _check_dims(kind, source.dim, target.dim)
             yield _solve(kind, moments, x, y, ids)
 
 

@@ -29,8 +29,9 @@ downstream promotes to 64-bit before doing arithmetic.
 A load scans the records once, through one bounded window of the open
 file, and keeps the media ids, the file offset of each vector and the
 open file, not the vectors: a loaded set's ``vectors`` are ``FileRows``,
-which read the rows asked for with positioned reads, so no row loop holds
-a loaded set's vectors whole. A binary file is saved through
+which pick the rows asked for by numpy's index rules over the records'
+offsets and read them with positioned reads through one window, so no row
+loop holds a loaded set's vectors whole. A binary file is saved through
 ``write_file``, into a new file that replaces the old one only when it is
 whole. Sets hold only their fields. They adopt a read-only array of the
 dtype they keep that owns its data, and copy any other
@@ -50,7 +51,7 @@ from the template matrices, as each pair is scored on its own.
 ``float_groups`` reads rows the same way in chunks of whole groups
 (``group_chunks``), the one template-chunk rule.
 ``aligned_rows`` gives the one row order of two sets' shared media, sorted
-by media id, that every fit takes.
+by media id, that every fit takes in ``mapping._shared_fits``.
 """
 
 from __future__ import annotations
@@ -218,16 +219,18 @@ class FileRows:
     the file when asked for: the set a load returns holds these, not an
     array.
 
-    It offers ``shape``, ``dtype`` and ``len``; indexing by an integer, a
-    slice, or a 1-D integer or bool array, like an array's, gives the rows
-    as a new array, and ``np.asarray`` gives all of them (read-only).
-    Every request is read in ascending file order with positioned reads:
-    the asked records that lie within _READ_WINDOW bytes of the first are
-    read together into one buffer that the reader keeps, and a record
-    alone in its window is read straight into the result. A file cut short
-    since the load raises TruncationError naming the first record it cut;
-    a file unlinked since the load still reads. The descriptor, taken over
-    from the load, closes when the reader is collected.
+    It offers ``shape``, ``dtype`` and ``len``; a key picks records by
+    numpy's index rules over the records' file offsets, numpy refusing
+    what it refuses: an integer gives one row, a slice, integer array or
+    bool mask the rows as a new array, and a key picking along two axes is
+    refused. ``np.asarray`` gives all of them (read-only). Every request is
+    read in ascending file order through one window that the reader
+    keeps: the asked records within _READ_WINDOW bytes of the first are
+    read into it together with positioned reads, and each row is copied
+    to its place in the result. A file cut short since the load raises
+    TruncationError naming the first record it cut; a file unlinked since
+    the load still reads. The descriptor, taken over from the load, closes
+    when the reader is collected.
     """
 
     def __init__(self, path, fd: int, offsets: np.ndarray, dim: int):
@@ -235,7 +238,7 @@ class FileRows:
         self.shape = (offsets.size, dim)
         self.dtype = np.dtype("<f4")
         self._fd = fd
-        # the file offset of each record's vector
+        # the file offset of each record's vector, strictly increasing
         self._offsets = offsets
         self._window = bytearray()
         weakref.finalize(self, os.close, fd)
@@ -244,21 +247,12 @@ class FileRows:
         return self.shape[0]
 
     def __getitem__(self, key) -> np.ndarray:
-        n = len(self)
-        if isinstance(key, slice):
-            return self._read(np.arange(*key.indices(n)))
-        if isinstance(key, (int, np.integer)):
-            return self[np.array([key])][0]
-        rows = np.asarray(key)
-        if rows.dtype == bool and rows.shape == (n,):
-            return self._read(np.flatnonzero(rows))
-        if rows.ndim != 1 or not (rows.size == 0 or np.issubdtype(rows.dtype, np.integer)):
-            raise IndexError(f"rows are read by an integer, a slice or a 1-D integer or "
-                             f"{n}-entry bool array, not {rows.dtype} of shape {rows.shape}")
-        rows = rows.astype(np.intp)
-        if rows.size and not -n <= rows.min() <= rows.max() < n:
-            raise IndexError(f"index out of bounds for {n} rows")
-        return self._read(np.where(rows < 0, rows + n, rows))
+        starts = np.asarray(self._offsets[key])
+        if starts.ndim > 1:
+            raise IndexError(f"rows are read by a key that picks them along one axis, "
+                             f"not one that picks shape {starts.shape}")
+        rows = self._read(starts.reshape(-1))
+        return rows if starts.ndim else rows[0]
 
     def __reduce__(self):
         # a copy would keep the descriptor that this reader closes
@@ -272,51 +266,44 @@ class FileRows:
         rows.setflags(write=bool(copy))
         return rows
 
-    def _read(self, rows: np.ndarray) -> np.ndarray:
-        """The vectors of ``rows``, an array of row numbers in [0, count)."""
-        out = np.empty((rows.size, self.shape[1]), dtype=self.dtype)
+    def _read(self, starts: np.ndarray) -> np.ndarray:
+        """The vectors at the file offsets ``starts``, each a record's."""
+        out = np.empty((starts.size, self.shape[1]), dtype=self.dtype)
         if not out.size:
             return out
-        ascending = bool(np.all(rows[1:] >= rows[:-1]))
-        order = None if ascending else np.argsort(rows, kind="stable")
-        rows = rows if ascending else rows[order]
-        dest = out if ascending else np.empty_like(out)
-        raw = memoryview(dest).cast("B")
+        raw = memoryview(out).cast("B")
         row_bytes = 4 * self.shape[1]
-        starts = self._offsets[rows]
+        order = np.argsort(starts, kind="stable")
+        starts = starts[order]
         ends = starts + row_bytes
         i = 0
-        while i < rows.size:
+        while i < starts.size:
             j = max(int(np.searchsorted(ends, starts[i] + _READ_WINDOW, side="right")), i + 1)
             lo = int(starts[i])
-            if j == i + 1:
-                self._fill(raw[i * row_bytes : j * row_bytes], lo, rows[i:j], ends[i:j])
-            else:
-                span = int(ends[j - 1]) - lo
-                if len(self._window) < span:
-                    self._window = bytearray(span)
-                window = memoryview(self._window)[:span]
-                self._fill(window, lo, rows[i:j], ends[i:j])
-                for k, start in enumerate((starts[i:j] - lo).tolist(), i):
-                    raw[k * row_bytes : (k + 1) * row_bytes] = window[start : start + row_bytes]
+            span = int(ends[j - 1]) - lo
+            if len(self._window) < span:
+                self._window = bytearray(span)
+            window = memoryview(self._window)[:span]
+            self._fill(window, lo, ends[i:j])
+            for k, start in zip(order[i:j].tolist(), (starts[i:j] - lo).tolist()):
+                raw[k * row_bytes : (k + 1) * row_bytes] = window[start : start + row_bytes]
             i = j
-        if order is not None:
-            out[order] = dest
         return out
 
-    def _fill(self, target: memoryview, offset: int, rows: np.ndarray, ends: np.ndarray):
+    def _fill(self, target: memoryview, offset: int, ends: np.ndarray):
         """Read ``target`` full from ``offset`` on; the file ending first
-        raises TruncationError naming the first of ``rows``, the records
-        whose vectors end at ``ends``, that it cuts."""
+        raises TruncationError naming the first record, of those whose
+        vectors end at ``ends``, that it cuts."""
         got = 0
         while got < len(target):
             count = os.preadv(self._fd, [target[got:]], offset + got)
             if not count:
-                k = int(np.searchsorted(ends, offset + got, side="right"))
                 need = 4 * self.shape[1]
+                start = int(ends[np.searchsorted(ends, offset + got, side="right")]) - need
                 raise TruncationError(
-                    f"{self.path}: file ends inside record {rows[k]} vector "
-                    f"(need {need} bytes at offset {ends[k] - need})"
+                    f"{self.path}: file ends inside record "
+                    f"{np.searchsorted(self._offsets, start)} vector "
+                    f"(need {need} bytes at offset {start})"
                 )
             got += count
 

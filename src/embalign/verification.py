@@ -441,11 +441,19 @@ def score_pairs(
 
 
 def scores_to_csv(scored: ScoredPairs, path) -> None:
+    """One CSV row per pair: its two template ids, the repr of its score
+    and its label as true or false, written a ``pair_chunks`` piece at a
+    time, so no list over every pair is built."""
+    ids = scored.template_ids
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["template_id_a", "template_id_b", "score", "genuine"])
-        for (a, b), s, g in zip(scored, scored.scores, scored.genuine):
-            writer.writerow([a, b, repr(float(s)), str(bool(g)).lower()])
+        for piece in pair_chunks(len(scored)):
+            writer.writerows(zip(
+                _decoded(ids, scored.codes_a[piece]), _decoded(ids, scored.codes_b[piece]),
+                map(repr, scored.scores[piece].tolist()),
+                map(("false", "true").__getitem__, scored.genuine[piece].tolist()),
+            ))
 
 
 def check_fars(far_targets) -> list[float]:

@@ -6,8 +6,6 @@ import io
 import json
 import os
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +39,7 @@ from embalign import (
 )
 from embalign import cli, store
 from embalign.cli import main
+from memory_gate import run_gate
 
 
 def run_cli(capsys, *argv):
@@ -1083,17 +1082,12 @@ class TestHostileInput:
 # resident set and peak VmSize at exit, in KiB, are written as JSON to the
 # file argv[2]
 MEMORY_LIMITED_MAIN = """
-import json, resource, sys
+import json, sys
 from embalign.cli import main
 
-def status(field):
-    with open("/proc/self/status") as f:
-        return next(int(line.split()[1]) for line in f if line.startswith(field + ":"))
-
 headroom, report, *argv = sys.argv[1:]
-after_imports, vm_size = status("VmRSS"), status("VmSize")
-_, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + int(headroom), hard))
+after_imports = status("VmRSS")
+vm_size = cap_address_space(int(headroom))
 try:
     sys.exit(main(argv))
 finally:
@@ -1104,21 +1098,9 @@ finally:
 
 
 def run_memory_limited(tmp_path, headroom: int, *argv):
-    """MEMORY_LIMITED_MAIN in a child with one BLAS thread, reporting to
-    ``tmp_path / "rss.json"``: the finished process. glibc's mmap threshold
-    is pinned at its default 128 KiB, which turns off its dynamic rise, so
-    freed heap blocks do not decide how much of the cap a gate's code gets."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                        "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-                        "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
-    report = tmp_path / "rss.json"
-    done = subprocess.run(
-        [sys.executable, "-c", MEMORY_LIMITED_MAIN, str(headroom), str(report),
-         *map(str, argv)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    return done
+    """MEMORY_LIMITED_MAIN through ``memory_gate.run_gate``, reporting to
+    ``tmp_path / "rss.json"``: the finished process."""
+    return run_gate(MEMORY_LIMITED_MAIN, headroom, tmp_path / "rss.json", *argv)
 
 
 # Configs that broke the exit contract before the typed reader: a

@@ -1,9 +1,6 @@
 import dataclasses
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import reference_eval as reference
+from memory_gate import run_gate
 from embalign import (
     DIAGONAL_KIND,
     EmbeddingSet,
@@ -586,7 +584,7 @@ def attack_cases(draw):
 # (720 MB) cannot fit, while ranking in chunks needs a few chunk x gallery
 # arrays (about 25 MB each).
 MEMORY_GATE = """
-import json, resource
+import json
 import numpy as np
 from embalign import EmbeddingSet, MediaEntry, MediaManifest, TemplateSet, run_attack
 
@@ -609,10 +607,7 @@ seed_row = unit(1)
 enroll_a = EmbeddingSet("A", ["e0"], seed_row)
 enroll_b = EmbeddingSet("B", ["e0"], seed_row)
 
-with open("/proc/self/status") as status:
-    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
-_, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (256 << 20), hard))
+cap_address_space(256 << 20)
 result = run_attack(enroll_a, enroll_b, probes, gallery, manifest, "identity", [1, 10])
 print(json.dumps(result.to_dict()))
 """
@@ -713,12 +708,7 @@ class TestAttackRanking:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
     def test_memory_bounded_in_probes(self):
-        src = Path(experiments.__file__).resolve().parents[1]
-        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
-        done = subprocess.run([sys.executable, "-c", MEMORY_GATE], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_gate(MEMORY_GATE)
         assert done.returncode == 0, done.stderr[-2000:]
         result = json.loads(done.stdout)
         assert result["probe_count"] == 30_000

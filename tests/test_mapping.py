@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_eval as reference
+from memory_gate import run_gate
 from embalign import mapping as mapping_module
 from embalign import (
+    AlignmentError,
     CorruptMapError,
     DataError,
     DimensionError,
@@ -275,12 +274,7 @@ class TestGramRoute:
         assert mapping_module._residual_rms((x, None), matrix, (product, None)) == 0.0
 
     def test_fit_memory_bounded(self):
-        src = Path(mapping_module.__file__).resolve().parents[1]
-        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
-        done = subprocess.run([sys.executable, "-c", FIT_MEMORY_GATE], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_gate(FIT_MEMORY_GATE)
         assert done.returncode == 0, done.stderr[-2000:]
         result = json.loads(done.stdout)
         assert result["m"] == [60_000, 60_000]
@@ -293,7 +287,7 @@ class TestGramRoute:
 # than 256 MiB, and a residual over the whole m x d product one 117 MiB
 # array.
 FIT_MEMORY_GATE = """
-import json, resource
+import json
 import numpy as np
 from embalign import fit_linear, fit_rotation
 
@@ -303,10 +297,7 @@ x = rng.standard_normal((m, dim))
 y = x @ rng.standard_normal((dim, dim))
 y += rng.standard_normal((m, dim))
 
-with open("/proc/self/status") as status:
-    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
-_, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (64 << 20), hard))
+cap_address_space(64 << 20)
 _, linear = fit_linear(x, y)
 _, rotation = fit_rotation(x, y)
 print(json.dumps({"m": [linear.m, rotation.m], "condition": linear.condition_diagnostic}))
@@ -484,6 +475,25 @@ class TestFitDispatch:
         with pytest.raises(ValueError, match="unknown map kind 'affine'"):
             fit("affine", a, b)
 
+    def test_error_order(self, monkeypatch):
+        # an unknown kind is refused first, then the identity's dimensions,
+        # then sets that share no media (a rotation's unequal dimensions
+        # too), then a rotation's dimensions, before any statistic is summed
+        a, b = self.sets(dim_b=5)
+        apart = EmbeddingSet("C", ("p", "q"), np.ones((2, 5)))
+        monkeypatch.setattr(mapping_module, "_moments", None)
+        with pytest.raises(ValueError, match="unknown map kind 'affine'"):
+            fit("affine", a, apart)
+        with pytest.raises(DimensionError, match="identity map needs equal dimensions"):
+            fit(IDENTITY, a, apart)
+        for kind in (LINEAR, ROTATION):
+            with pytest.raises(AlignmentError, match="no shared media ids between 'A' and 'C'"):
+                fit(kind, a, apart)
+        with pytest.raises(DimensionError, match="rotation requires equal dimensions, got 3 and 5"):
+            fit(ROTATION, a, b)
+        with pytest.raises(DimensionError, match="rotation requires equal dimensions"):
+            next(mapping_module._shared_fits([ROTATION, LINEAR], a, [b]))
+
 
 class TestStatisticsRoute:
     """fit sums X^T Y (and X^T X) over row chunks gathered from the two
@@ -546,15 +556,7 @@ class TestStatisticsRoute:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
     def test_fit_from_sets_memory_bounded(self):
-        src = Path(mapping_module.__file__).resolve().parents[1]
-        # a fixed glibc mmap threshold: every array of 128 KiB or more is
-        # mapped and unmapped on its own, so VmSize follows the live arrays
-        # and not which temporaries happened to raise the dynamic threshold
-        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
-        done = subprocess.run([sys.executable, "-c", FIT_SETS_MEMORY_GATE], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_gate(FIT_SETS_MEMORY_GATE)
         assert done.returncode == 0, done.stderr[-2000:]
         assert json.loads(done.stdout) == {"m": [30_000, 30_000]}
 
@@ -567,7 +569,7 @@ class TestStatisticsRoute:
 # buffers, 29.3 MiB, and the d x d sums); gathering the two float64 design
 # matrices (234 MiB) needs 290 MiB.
 FIT_SETS_MEMORY_GATE = """
-import json, resource
+import json
 import numpy as np
 from embalign import EmbeddingSet, fit
 
@@ -579,10 +581,7 @@ b = EmbeddingSet("B", ids[::-1], rng.standard_normal((m, dim), dtype=np.float32)
 warm = EmbeddingSet("W", ids[:1000], a.vectors[:1000])
 fit("linear", warm, warm), fit("rotation", warm, warm)
 
-with open("/proc/self/status") as status:
-    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
-_, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + (48 << 20), hard))
+cap_address_space(48 << 20)
 _, linear = fit("linear", a, b)
 _, rotation = fit("rotation", a, b)
 print(json.dumps({"m": [linear.m, rotation.m]}))

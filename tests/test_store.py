@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import embalign
 import reference_eval as reference
+from memory_gate import run_gate
 from embalign import (
     AlignmentError,
     ConsistencyError,
@@ -297,6 +298,19 @@ class TestFloatChunks:
         for path in package.glob("*.py"):
             if path.name != "store.py":
                 assert "row_chunks(" not in path.read_text(), path.name
+
+    def test_aligned_rows_only_in_store_and_shared_fits(self):
+        # every fit of two sets aligns them in mapping._shared_fits
+        package = Path(embalign.__file__).parent
+        for path in package.glob("*.py"):
+            text = path.read_text()
+            if path.name == "mapping.py":
+                shared = next(node for node in ast.parse(text).body
+                              if getattr(node, "name", None) == "_shared_fits")
+                assert text.count("aligned_rows(") == 1
+                assert "aligned_rows(" in ast.get_source_segment(text, shared)
+            elif path.name != "store.py":
+                assert "aligned_rows(" not in text, path.name
 
     def test_cfeb_parsing_and_positioned_reads_only_in_store(self):
         # .cfeb records are parsed, and a loaded set's rows read, in store
@@ -636,8 +650,30 @@ class TestFileRows:
             if n:
                 keys.append(np.array(data.draw(st.lists(st.integers(-n, n - 1), max_size=12)),
                                      dtype=np.intp))
+            # keys numpy refuses, and 2-D keys, which FileRows refuses
+            outside = st.one_of(st.integers(n, n + 3), st.integers(-n - 3, -n - 1))
+            keys += [
+                data.draw(outside),
+                data.draw(st.lists(st.one_of(st.integers(-n, n - 1), outside) if n else outside,
+                                   min_size=1, max_size=4)),
+                np.array(data.draw(st.lists(st.booleans(), max_size=n + 2).filter(
+                    lambda mask: len(mask) != n)), dtype=bool),
+                data.draw(st.floats(-n, n)),
+                np.array(data.draw(st.lists(st.floats(-n, n), max_size=3)), dtype=float),
+                np.zeros((data.draw(st.integers(0, 2)), 2), dtype=np.intp),
+            ]
             for key in keys:
-                assert rows[key].tobytes() == oracle[key].tobytes(), key
+                try:
+                    want = oracle[key]
+                except IndexError:
+                    with pytest.raises(IndexError):
+                        rows[key]
+                    continue
+                if want.ndim > 2:
+                    with pytest.raises(IndexError, match="picks them along one axis"):
+                        rows[key]
+                else:
+                    assert rows[key].tobytes() == want.tobytes(), key
 
     def test_ascending_reads_take_one_window_each(self, tmp_path):
         # 3,000 records of 71 bytes (a 5-byte id and 16 floats): the vectors
@@ -922,12 +958,7 @@ class TestAlignPairs:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
     def test_memory_bounded(self):
-        src = Path(embalign.__file__).resolve().parents[1]
-        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
-        done = subprocess.run([sys.executable, "-c", ALIGN_MEMORY_GATE], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_gate(ALIGN_MEMORY_GATE)
         assert done.returncode == 0, done.stderr[-2000:]
         assert json.loads(done.stdout) == {"rows": [30_000, 30_000]}
 
@@ -948,7 +979,7 @@ class TestAlignPairs:
 # designs; gathering each side's float32 rows whole before converting them
 # peaks 61 MiB above.
 ALIGN_MEMORY_GATE = """
-import json, resource
+import json
 import numpy as np
 from embalign import EmbeddingSet, align_pairs
 
@@ -958,10 +989,7 @@ ids = [f"m{i:05d}" for i in range(m)]
 a = EmbeddingSet("A", ids, rng.standard_normal((m, dim), dtype=np.float32))
 b = EmbeddingSet("B", ids[::-1], rng.standard_normal((m, dim), dtype=np.float32))
 
-with open("/proc/self/status") as status:
-    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
-_, hard = resource.getrlimit(resource.RLIMIT_AS)
-resource.setrlimit(resource.RLIMIT_AS, (vm_size * 1024 + 2 * m * dim * 8 + (32 << 20), hard))
+cap_address_space(2 * m * dim * 8 + (32 << 20))
 x, y = align_pairs(a, b)
 print(json.dumps({"rows": [x.shape[0], y.shape[0]]}))
 """

@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -13,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_eval as reference
+from memory_gate import run_gate
 from embalign import store, verification
 from embalign import (
     DataError,
@@ -301,6 +299,39 @@ class TestScorePairs:
         assert lines[0] == "template_id_a,template_id_b,score,genuine"
         assert lines[1].startswith("t1,t3,1.0,false")
 
+    def test_csv_pieces_write_each_pair(self, tmp_path):
+        # more pairs than one piece of pair_chunks; each row as the pair's
+        # ids, repr of its score and its label
+        rng = np.random.default_rng(8)
+        n = 1000
+        ids = tuple(f"t{i}" for i in range(50))
+        codes = rng.integers(0, 50, (2, n))
+        codes[1] = (codes[0] + 1 + codes[1] % 49) % 50
+        scored = ScoredPairs.coded(ids, *codes, scores=rng.standard_normal(n),
+                                   genuine=rng.random(n) < 0.3)
+        path = tmp_path / "scores.csv"
+        scores_to_csv(scored, path)
+        want = ["template_id_a,template_id_b,score,genuine"] + [
+            f"{a},{b},{float(s)!r},{str(bool(g)).lower()}"
+            for (a, b), s, g in zip(scored, scored.scores, scored.genuine)
+        ]
+        assert path.read_bytes() == ("\r\n".join(want) + "\r\n").encode()
+
+    def test_csv_memory_does_not_grow_with_pairs(self, tmp_path):
+        # decoding every pair's codes at once takes two lists of n ints
+        n = 400_000
+        ids = tuple(f"t{i}" for i in range(1000))
+        codes = np.arange(n) % 1000
+        scored = ScoredPairs.coded(ids, codes, (codes + 1) % 1000,
+                                   scores=np.linspace(-1, 1, n), genuine=codes < 10)
+        tracemalloc.start()
+        try:
+            scores_to_csv(scored, tmp_path / "scores.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestScoredPairs:
     """A scored pair list is a PairList with a score and a label per pair."""
@@ -443,7 +474,7 @@ class TestOrderedSums:
 # full-size temporaries (a gathered copy per summing step and a second
 # copy of each set) needed 160 to 176 MiB of slack.
 TEMPLATE_MEMORY_GATE = """
-import json, resource, tempfile
+import json, tempfile
 from pathlib import Path
 import numpy as np
 from embalign import (EvalPlan, PairList, SynthSpec, generate_world, load_embeddings,
@@ -462,11 +493,7 @@ picks = np.random.default_rng(0).integers(0, len(tids), size=(40_000, 2))
 pairs = PairList(tuple((tids[i], tids[j]) for i, j in picks if i != j)
                  + tuple((tids[i], tids[i + 1]) for i in range(0, len(tids), 10)))
 
-with open("/proc/self/status") as status:
-    vm_size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
-_, hard = resource.getrlimit(resource.RLIMIT_AS)
-limit = vm_size * 1024 + 2 * np.asarray(a.vectors).size * 8 + (64 << 20)
-resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+cap_address_space(2 * len(a) * a.dim * 8 + (64 << 20))
 plan = EvalPlan(manifest, a.media_ids, pairs)
 scored = plan.score(plan.templates(a), plan.templates(b))
 print(json.dumps({"media": len(a), "pairs": len(scored),
@@ -513,12 +540,7 @@ class TestEvalPlanOracle:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
     def test_template_memory_bounded(self):
-        src = Path(verification.__file__).resolve().parents[1]
-        env = os.environ | {"PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-                            "MALLOC_MMAP_THRESHOLD_": str(128 << 10)}
-        done = subprocess.run([sys.executable, "-c", TEMPLATE_MEMORY_GATE], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_gate(TEMPLATE_MEMORY_GATE)
         assert done.returncode == 0, done.stderr[-2000:]
         result = json.loads(done.stdout)
         assert result["media"] == 30_000
