@@ -227,7 +227,8 @@ def cmd_fit(args) -> int:
     fitted, report = mapping.fit(args.kind, source, target)
     mapping.save_map(fitted, args.out)
     log.info("wrote %s map to %s", fitted.kind, args.out)
-    _emit(report.to_dict())
+    cond = report.condition_diagnostic  # JSON has no Infinity: it prints as null
+    _emit(report.to_dict() | {"condition_diagnostic": cond if np.isfinite(cond or 0) else None})
     return 0
 
 
@@ -270,11 +271,11 @@ def cmd_verify(args) -> int:
 
 
 def _split_and_pair(config, refs):
-    """Load the manifest, split it by template, load each model and keep
-    only its split (so one full model is held at a time), and load or
-    sample the evaluation pairs. Sampled pairs take every genuine pair
-    among the verification templates, so a split leaving no subject two of
-    them is refused here, where its cause is known."""
+    """Load the manifest, split it by template, load each model and read
+    only its split's rows (a loaded model holds its ids and offsets), and
+    load or sample the evaluation pairs. Sampled pairs take every genuine
+    pair among the verification templates, so a split leaving no subject
+    two of them is refused here, where its cause is known."""
     manifest = store.load_manifest(config.manifest)
     enroll_media, verify_media = experiments.split_by_template(
         manifest, config.enroll_fraction, config.seed
@@ -283,7 +284,7 @@ def _split_and_pair(config, refs):
     for ref in refs:
         full = ref.load()
         split.append((full.restrict(enroll_media), full.restrict(verify_media)))
-        del full  # freed before the next model is read
+        del full  # its file closes before the next model is loaded
     if config.pairs is not None:
         return manifest, split, store.load_pairs(config.pairs, manifest)
     codes = np.unique(manifest.template_codes[manifest.rows_of(verify_media)])

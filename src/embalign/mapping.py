@@ -59,7 +59,6 @@ import numpy as np
 
 from .errors import CorruptMapError, DataError, DimensionError, FileFormatError
 from .store import (
-    DEGENERATE_NORM,
     BinaryReader,
     EmbeddingSet,
     aligned_rows,
@@ -68,7 +67,7 @@ from .store import (
     binary_string,
     float_chunks,
     float_rows,
-    row_norms,
+    unit_rows,
     write_file,
 )
 
@@ -279,6 +278,8 @@ def _rotation_solve(xty: np.ndarray) -> np.ndarray:
 
 
 def _check_dims(kind: str, d_x: int, d_y: int) -> None:
+    if min(d_x, d_y) < 1:
+        raise DimensionError(f"fitting needs dimensions of at least 1, got {d_x} and {d_y}")
     if kind == ROTATION and d_x != d_y:
         raise DimensionError(f"rotation requires equal dimensions, got {d_x} and {d_y}")
 
@@ -447,8 +448,9 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
     """Map every vector and L2-normalize the result.
 
     The product is taken chunk by chunk from ``float_chunks`` into one
-    float64 output, with the bits of the whole product, and normalized in
-    place: no float64 copy of the whole input is made.
+    float64 output, with the bits of the whole product, each chunk made
+    unit length in place by ``store.unit_rows``: no float64 copy of the
+    whole input is made.
 
     The output is tagged with the map's target model id and keeps media
     ids and row order. Rows whose mapped norm falls below 1e-12 have no
@@ -460,17 +462,16 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
             f"set dimension {embeddings.dim} does not match map input {mapping.d_a}"
         )
     mapped = np.empty((len(embeddings), mapping.d_b))
+    keep = np.empty(len(embeddings), dtype=bool)
     for rows, chunk in float_chunks(embeddings.vectors):
         np.matmul(chunk, mapping.matrix, out=mapped[rows])
+        keep[rows] = unit_rows(mapped[rows])
         del chunk  # a view of the gather buffer, which goes with the chunks
-    norms = row_norms(mapped)
-    keep = norms >= DEGENERATE_NORM
     media_ids = embeddings.media_ids
     dropped = tuple(media_ids[i] for i in np.flatnonzero(~keep))
     if dropped:
         media_ids = tuple(compress(media_ids, keep.tolist()))
-        mapped, norms = mapped[keep], norms[keep]
-    mapped /= norms[:, None]
+        mapped = mapped[keep]
     mapped.setflags(write=False)
     return EmbeddingSet(
         model_id=mapping.target_model_id,

@@ -41,11 +41,11 @@ hand them over. ``float_chunks`` is the one chunked float64 row reader:
 over the row slices of ``row_chunks`` it yields an array's rows, or the
 rows an index picks, as float64 in one reused buffer, taking them from
 the array or the file _GATHER_BLOCK rows at a time, so no row loop makes
-a full-size temporary. Row norms (``row_norms``), ``align_pairs``
-(through ``float_rows``), the fit's statistics and residuals and map
-application all read through it; a save writes its records _GATHER_BLOCK
-at a time, and ``all_finite`` checks a set's values a ``row_chunks``
-chunk at a time.
+a full-size temporary. ``align_pairs`` (through ``float_rows``), the
+fit's statistics and residuals and map application all read through it;
+``row_norms`` and a save take _GATHER_BLOCK rows at a time, and
+``all_finite`` checks a set's values a ``row_chunks`` chunk at a time.
+``unit_rows``, the one rule that normalizes rows, runs on each chunk read.
 Pair scoring takes its rows a ``pair_chunks`` piece at a time, straight
 from the template matrices, as each pair is scored on its own.
 ``float_groups`` reads rows the same way in chunks of whole groups
@@ -140,8 +140,7 @@ def group_chunks(starts: np.ndarray) -> list[slice]:
     1]``, each of whole groups covering at most as many rows as the longest
     chunk of ``row_chunks`` over all of them (at most _ROW_CHUNK), or of one
     group that has more on its own. So over one-row groups the longest
-    chunk is that of ``row_chunks``, and the heap block a row-norm pass
-    frees serves the gather buffer that follows it."""
+    chunk is that of ``row_chunks``."""
     rows = int(starts[-1] - starts[0]) if len(starts) else 0
     limit = max((c.stop - c.start for c in row_chunks(rows)), default=0)
     chunks, lo, groups = [], 0, len(starts) - 1
@@ -203,15 +202,28 @@ def float_rows(vectors: np.ndarray, index: np.ndarray | None = None) -> np.ndarr
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """The float64 L2 norm of each row of a 2-D array.
 
-    Computed as sqrt(add.reduce(c * c, axis=1)) over the chunks of
-    ``float_chunks``: bit for bit what ``np.linalg.norm(rows, axis=1)``
-    gives on the rows as float64, without its two full-size temporaries.
+    sqrt(add.reduce(c * c, axis=1)) over blocks ``c`` of _GATHER_BLOCK rows
+    from ``_gathered``, each row reduced on its own: bit for bit what
+    ``np.linalg.norm(rows, axis=1)`` gives on the rows as float64.
     """
-    norms = np.empty(rows.shape[0])
-    for chunk_rows, chunk in float_chunks(rows):
+    n = rows.shape[0]
+    norms = np.empty(n)
+    blocks = [slice(lo, min(lo + _GATHER_BLOCK, n)) for lo in range(0, n, _GATHER_BLOCK)]
+    for block, chunk in zip(blocks, _gathered(rows, None, blocks)):
         chunk *= chunk
-        np.add.reduce(chunk, axis=1, out=norms[chunk_rows])
+        np.add.reduce(chunk, axis=1, out=norms[block])
     return np.sqrt(norms, out=norms)
+
+
+def unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Divide each row of the float64 array ``rows`` by its ``row_norms``
+    norm in place, setting a row below DEGENERATE_NORM, which has no
+    direction, to +0.0; the mask of the rows kept."""
+    norms = row_norms(rows)
+    keep = norms >= DEGENERATE_NORM
+    rows /= np.where(keep, norms, 1.0)[:, None]
+    rows[~keep] = 0.0
+    return keep
 
 
 class FileRows:

@@ -27,15 +27,15 @@ compile a plan for one call.
 
 Templates are built a chunk at a time: whole templates covering at most
 one row chunk of media (``store.float_groups``), or one larger template
-on its own. A chunk's rows are gathered as float64 into one buffer,
-divided by their norms from one pass over the set, and summed in it when
-every feature and template is one row, else each summing step gathers
-its rows. ``templates`` collects the chunks into one matrix, which the
-template set adopts without copying it again. ``score`` takes side b as a
-template set or as embeddings; for embeddings it scores each chunk's
-pairs as the chunk is built, so side b's templates are never held whole.
-Every template row and every pair's score is computed on its own, so
-each has the same bits however the rows are chunked.
+on its own. A chunk's rows are gathered as float64 into one buffer, made
+unit length in it by ``store.unit_rows``, and summed in it when every
+feature and template is one row, else each summing step gathers its rows;
+so a set is read once. ``templates`` collects the chunks into one matrix,
+which the template set adopts without copying it again. ``score`` takes
+side b as a template set or as embeddings; for embeddings it scores each
+chunk's pairs as the chunk is built, so side b's templates are never held
+whole. Every template row and every pair's score is computed on its own,
+so each has the same bits however the rows are chunked.
 
 Pairs are scored by the plain inner product, which equals cosine
 similarity because templates are unit length. ROC analysis uses exact
@@ -65,6 +65,7 @@ from .store import (
     float_groups,
     pair_chunks,
     row_norms,
+    unit_rows,
 )
 
 # row codes of a pair template that is not a row of the scored side
@@ -217,25 +218,21 @@ class _Grouping:
     Templates are in sorted id order. Within a template, its features
     are its images by media id, then its videos by video id; a video's
     frames are listed by media id. One lexsort on the manifest's sorted
-    ranks of those ids gives that order. Rows that ``usable`` marks False
-    take no part; a template left without features keeps its place.
+    ranks of those ids gives that order.
     """
 
-    def __init__(self, media_ids, manifest: MediaManifest, usable=None):
+    def __init__(self, media_ids, manifest: MediaManifest):
         media = manifest.rows_of(media_ids)
         template_rank = manifest.template_rank[manifest.template_codes[media]]
         ranks = np.unique(template_rank)
         self.template_codes = np.argsort(manifest.template_rank)[ranks]
-        live = np.arange(media.size) if usable is None else np.flatnonzero(usable)
-        media, template_rank = media[live], template_rank[live]
         video = manifest.video_codes[media]
         is_video = video >= 0
         media_rank = manifest.media_rank[media]
         # a -1 video code reads the appended 0, which np.where then discards
         video_rank = np.append(manifest.video_rank, 0)[video]
         feature_key = np.where(is_video, video_rank, media_rank)
-        order = np.lexsort((media_rank, feature_key, is_video, template_rank))
-        self.rows = live[order]
+        self.rows = order = np.lexsort((media_rank, feature_key, is_video, template_rank))
         keys = (template_rank[order], is_video[order], feature_key[order])
         first = np.zeros(order.size, dtype=bool)
         first[:1] = True
@@ -247,22 +244,22 @@ class _Grouping:
             feature_template, np.arange(ranks.size + 1)
         )
 
-    def chunks(self, vectors: np.ndarray, norms: np.ndarray):
+    def chunks(self, vectors: np.ndarray):
         """Per chunk of whole templates, as ``store.float_groups`` gathers
         their rows: ``(templates, totals, keep)``, the slice of templates,
         each one's sum of features, and which sums have a norm of at least
         DEGENERATE_NORM; those are scaled to unit length. A feature is the
-        mean of its frames, each row divided by its norm in ``norms``: an
-        image is a one-frame feature, and x / 1 is x. ``totals`` is valid
-        until the next chunk is taken: when every feature and template
-        holds one row, the sums are made in the gather buffer."""
+        mean of its usable frames as ``unit_rows`` leaves them (a degenerate
+        row is +0.0 and adds nothing); an image is a one-frame feature.
+        ``totals`` is the gather buffer when every feature and template
+        holds one row, so it is valid until the next chunk is taken."""
         feature_starts, template_starts = self.feature_starts, self.template_starts
         for templates, rows in float_groups(vectors, self.rows, feature_starts[template_starts]):
             features = template_starts[templates.start : templates.stop + 1]
-            starts = feature_starts[features[0] : features[-1] + 1]
-            rows /= norms[self.rows[starts[0] : starts[-1]], None]
-            sums = _ordered_sums(rows, starts - starts[0])
-            sums /= np.diff(starts)[:, None]
+            starts = feature_starts[features[0] : features[-1] + 1] - feature_starts[features[0]]
+            usable = np.append(0, np.cumsum(unit_rows(rows)))[starts]
+            sums = _ordered_sums(rows, starts)
+            sums /= np.maximum(np.diff(usable), 1)[:, None]
             totals = _ordered_sums(sums, features - features[0])
             # a stack of 1 x d @ d x 1 products runs one dot per row, which
             # is what np.linalg.norm computes for one vector, so each norm
@@ -307,16 +304,11 @@ class EvalPlan:
         return np.fromiter(codes, np.int32, len(template_ids))
 
     def _template_chunks(self, embeddings: EmbeddingSet):
-        """The grouping of ``embeddings``' rows, and its template chunks
-        (``_Grouping.chunks``). The compiled grouping serves a set with the
-        compiled media order and no degenerate row; any other set is grouped
-        afresh, without its degenerate rows."""
-        norms = row_norms(embeddings.vectors)
-        usable = norms >= DEGENERATE_NORM
-        grouping = self._grouping
-        if embeddings.media_ids != self._media_ids or not usable.all():
-            grouping = _Grouping(embeddings.media_ids, self._manifest, usable)
-        return grouping, grouping.chunks(embeddings.vectors, norms)
+        """The compiled grouping, or for a set in another media order its
+        own, and its template chunks (``_Grouping.chunks``)."""
+        same = embeddings.media_ids == self._media_ids
+        grouping = self._grouping if same else _Grouping(embeddings.media_ids, self._manifest)
+        return grouping, grouping.chunks(embeddings.vectors)
 
     def templates(self, embeddings: EmbeddingSet) -> TemplateSet:
         """``build_templates(embeddings, manifest)``: the template chunks

@@ -265,6 +265,43 @@ class TestFit:
         assert code == 2
         assert "dimension" in stderr.lower()
 
+    @pytest.mark.parametrize("kind", ["linear", "rotation"])
+    def test_dimension_zero_exits_2(self, tmp_path, capsys, kind):
+        # the loader takes a file of dimension 0; a fit has nothing to solve
+        for name in ("a", "b"):
+            save_embeddings(EmbeddingSet(name.upper(), ("x", "y", "z"),
+                                         np.zeros((3, 0), dtype=np.float32)),
+                            tmp_path / f"{name}.cfeb")
+        out = tmp_path / "m.cfem"
+        code, stdout, stderr = run_cli(
+            capsys, "fit", str(tmp_path / "a.cfeb"), str(tmp_path / "b.cfeb"),
+            "--kind", kind, "--out", str(out),
+        )
+        assert_refused(code, stdout, stderr, out)
+        assert stderr == "error: fitting needs dimensions of at least 1, got 0 and 0\n"
+
+    def test_condition_not_finite_prints_null(self, tmp_path, capsys):
+        # a source of zero vectors retains no singular value, so its
+        # condition is infinite, which JSON cannot hold
+        rng = np.random.default_rng(1)
+        ids = tuple(f"m{i}" for i in range(6))
+        save_embeddings(EmbeddingSet("A", ids, np.zeros((6, 3), dtype=np.float32)),
+                        tmp_path / "a.cfeb")
+        save_embeddings(EmbeddingSet("B", ids, rng.standard_normal((6, 3), dtype=np.float32)),
+                        tmp_path / "b.cfeb")
+        code, stdout, _ = run_cli(
+            capsys, "fit", str(tmp_path / "a.cfeb"), str(tmp_path / "b.cfeb"),
+            "--kind", "linear", "--out", str(tmp_path / "m.cfem"),
+        )
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        report = json.loads(stdout, parse_constant=refuse)
+        assert report["condition_diagnostic"] is None
+        assert report["m"] == 6 and report["residual_rms"] > 0
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "fit", str(tmp_path / "no.cfeb"), str(tmp_path / "no2.cfeb"),
@@ -412,6 +449,35 @@ class TestVerify:
         assert done.returncode == 0, done.stderr[-2000:]
         report = json.loads(done.stdout)
         assert (report["genuine_count"], report["impostor_count"]) == (1000, 1000)
+
+    def test_reads_each_file_once(self, tmp_path, capsys, monkeypatch):
+        # side a's templates and side b's scored chunks each read their
+        # file's vectors once; a row-norm pass before them read each twice.
+        # Template ids sort in file order, as a window read takes every
+        # record between the first and the last it is asked for
+        rng = np.random.default_rng(6)
+        n, dim = 6000, 32
+        ids = [f"m{i:04d}" for i in range(n)]
+        rows = rng.standard_normal((2, n, dim), dtype=np.float32)
+        rows[1, ::7] = 0.0  # degenerate rows on side b
+        for name, side in zip("ab", rows):
+            save_embeddings(EmbeddingSet(name.upper(), ids, side), tmp_path / f"{name}.cfeb")
+        save_manifest(MediaManifest([MediaEntry(m, f"s{i // 6}", f"T{i // 3:04d}")
+                                     for i, m in enumerate(ids)]), tmp_path / "manifest.csv")
+        save_pairs(PairList(tuple((f"T{t:04d}", f"T{t + k:04d}") for t in range(0, 1990, 2)
+                                  for k in (1, 3))), tmp_path / "pairs.csv")
+        read = []
+
+        def preadv(fd, buffers, offset, real=os.preadv):
+            read.append(real(fd, buffers, offset))
+            return read[-1]
+
+        monkeypatch.setattr(os, "preadv", preadv)
+        code, _, _ = run_cli(capsys, "verify", *(str(tmp_path / f) for f in (
+            "a.cfeb", "b.cfeb", "manifest.csv", "pairs.csv")), "--far", "0.1")
+        assert code == 0
+        files = sum((tmp_path / f"{name}.cfeb").stat().st_size for name in "ab")
+        assert 2 * n * dim * 4 <= sum(read) <= files
 
     def test_single_model_matches_library_byte_for_byte(self, world, capsys):
         code, stdout, _ = run_cli(

@@ -475,6 +475,14 @@ class TestFitDispatch:
         with pytest.raises(ValueError, match="unknown map kind 'affine'"):
             fit("affine", a, b)
 
+    @pytest.mark.parametrize("fitter", [fit_linear, fit_rotation])
+    @pytest.mark.parametrize("dims", [(0, 0), (0, 3), (3, 0)])
+    def test_dimension_zero_refused(self, fitter, dims):
+        # a fit has nothing to solve for in a space of dimension 0
+        x, y = np.zeros((3, dims[0])), np.zeros((3, dims[1]))
+        with pytest.raises(DimensionError, match="fitting needs dimensions of at least 1"):
+            fitter(x, y)
+
     def test_error_order(self, monkeypatch):
         # an unknown kind is refused first, then the identity's dimensions,
         # then sets that share no media (a rotation's unequal dimensions
@@ -853,9 +861,9 @@ class TestIdentityAndApply:
         assert reference.same_bits(got.vectors, want)
 
     def test_memory_within_one_chunk_buffer(self):
-        # the product's gather buffer is freed before row_norms takes its
-        # own, so one 4096-row float64 buffer at a time lives beside the
-        # output (measured: 0.99 buffers, and 1.96 with the buffer kept)
+        # one 4096-row float64 gather buffer lives beside the output, and
+        # unit_rows normalizes each chunk of the output in place with one
+        # 512-row block of scratch (measured: 1.1 buffers)
         n, dim = 20_000, 512
         rng = np.random.default_rng(4)
         vectors = rng.standard_normal((n, dim)).astype(np.float32)

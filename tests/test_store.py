@@ -62,6 +62,7 @@ from embalign.store import (
     pair_chunks,
     row_chunks,
     row_norms,
+    unit_rows,
 )
 
 
@@ -204,11 +205,29 @@ class TestRowNorms:
 
     @pytest.mark.parametrize("n", [4097, 5000])
     def test_memory_within_the_longest_chunk(self, n):
+        # the rows are squared one _GATHER_BLOCK block at a time, so the
+        # scratch is one block's float64 copy, whatever the chunk length
         dim = 512
         rows = np.random.default_rng(n).standard_normal((n, dim), dtype=np.float32)
-        longest = max(c.stop - c.start for c in row_chunks(n))
         peak = traced_peak(lambda: row_norms(rows))
-        assert peak <= longest * dim * 8 + n * 8 + (1 << 20)
+        assert peak <= store._GATHER_BLOCK * dim * 8 + n * 8 + (1 << 20)
+
+    def test_unit_rows_divide_by_linalg_norm_and_zero_degenerate_rows(self):
+        n = 2 * store._GATHER_BLOCK + 7
+        rng = np.random.default_rng(5)
+        rows = rng.standard_normal((n, 67)) * 10.0 ** rng.integers(-3, 4, (n, 1))
+        rows[[0, 600]] = 0.0
+        rows[[3, n - 1]] *= 1e-16  # below DEGENERATE_NORM, negative entries included
+        rows[5] = [store.DEGENERATE_NORM] + [0.0] * 66  # at the threshold: kept
+        norms = np.linalg.norm(rows, axis=1)
+        want = norms >= store.DEGENERATE_NORM
+        with np.errstate(invalid="ignore"):
+            unit = rows / norms[:, None]
+        keep = unit_rows(rows)
+        assert keep.dtype == bool and np.array_equal(keep, want)
+        assert np.flatnonzero(~keep).tolist() == [0, 3, 600, n - 1]
+        assert rows[keep].tobytes() == unit[keep].tobytes()
+        assert rows[~keep].tobytes() == np.zeros((4, 67)).tobytes()  # +0.0, not -0.0
 
 
 class TestFloatChunks:
@@ -298,6 +317,20 @@ class TestFloatChunks:
         for path in package.glob("*.py"):
             if path.name != "store.py":
                 assert "row_chunks(" not in path.read_text(), path.name
+
+    def test_degenerate_norm_only_in_store_and_template_lengths(self):
+        # rows are normalized by store.unit_rows alone; verification
+        # compares only its template lengths with the threshold
+        package = Path(embalign.__file__).parent
+        compares = []
+        for path in package.glob("*.py"):
+            text = path.read_text()
+            compares += [(path.name, ast.unparse(node)) for node in ast.walk(ast.parse(text))
+                         if isinstance(node, ast.Compare) and "DEGENERATE_NORM" in ast.unparse(node)]
+            if path.name not in ("store.py", "verification.py"):
+                assert "DEGENERATE_NORM" not in text, path.name
+        assert sorted(compares) == [("store.py", "norms >= DEGENERATE_NORM"),
+                                    ("verification.py", "lengths >= DEGENERATE_NORM")]
 
     def test_aligned_rows_only_in_store_and_shared_fits(self):
         # every fit of two sets aligns them in mapping._shared_fits
@@ -663,7 +696,12 @@ class TestFileRows:
                 np.zeros((data.draw(st.integers(0, 2)), 2), dtype=np.intp),
             ]
             for key in keys:
+                # a damaged header can claim a dimension of 2**30 over no
+                # records, and numpy allocates a fancy index's result before
+                # it checks the index; so numpy's first-axis rules are asked
+                # of the row numbers, and the oracle's rows read once they hold
                 try:
+                    np.arange(n)[key]
                     want = oracle[key]
                 except IndexError:
                     with pytest.raises(IndexError):

@@ -547,6 +547,26 @@ class TestEvalPlanOracle:
         assert result["pairs"] > 40_000
         assert result["genuine"] >= 3_000
 
+    def test_one_grouping_for_a_set_in_the_compiled_order(self, monkeypatch):
+        # degenerate rows become zero rows in the compiled grouping; only a
+        # set in another media order is grouped afresh
+        manifest, a, b, pairs = chunked_protocol(50, 3)
+        row = {m: i for i, m in enumerate(b.media_ids)}
+        b = embset(a.media_ids, np.asarray(b.vectors)[[row[m] for m in a.media_ids]], "B")
+        assert b.media_ids == a.media_ids and not np.asarray(b.vectors).any(axis=1).all()
+        made = []
+        init = verification._Grouping.__init__
+        monkeypatch.setattr(verification._Grouping, "__init__",
+                            lambda self, *args: made.append(init(self, *args)))
+        plan = EvalPlan(manifest, a.media_ids, pairs)
+        templates_b = plan.templates(b)
+        scored = plan.score(plan.templates(a), b)
+        assert len(made) == 1 and templates_b.dropped == ("t00003", "t00004")
+        assert scored.dropped_pairs > 0
+        reference.assert_same_templates(templates_b, reference.build_templates(b, manifest))
+        plan.templates(embset(a.media_ids[::-1], np.asarray(a.vectors)[::-1]))
+        assert len(made) == 2
+
     def test_scores_span_many_chunks(self):
         # more pairs than one scoring chunk, on sides in different row orders
         rng = np.random.default_rng(11)
