@@ -13,22 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, product, repeat
-from math import isqrt
 
 import numpy as np
 
 from .errors import DataError, ProtocolError, UnknownIdError
-from .mapping import MappingMatrix, _shared_fits, apply_map, check_kinds, fit
+from .mapping import MappingMatrix, _shared_fits, apply_map, check_kinds, fit, mapped_chunks
 from .rng import Purpose, stream
-from .store import EmbeddingSet, MediaManifest, PairList
+from .store import EmbeddingSet, MediaManifest, PairList, piece_rows, score_pieces
 from .verification import EvalPlan, TemplateSet, build_templates, roc
 
 DEFAULT_FARS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 DIAGONAL_KIND = "unmapped"
-
-# Probes ranked per chunk in run_attack: the working set is a few
-# chunk x gallery arrays, whatever the number of probes.
-_PROBE_CHUNK = 1024
 
 @dataclass(frozen=True)
 class GridCell:
@@ -205,12 +200,15 @@ def _genuine_pairs(subjects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(order, partners), order[first + offset]
 
 
-def _triangle_pair(index: int, n: int) -> tuple[int, int]:
-    """The (i, j), i < j < n, at row-major ``index`` of the strict upper
-    triangle of an n x n matrix, exactly, through ``isqrt``."""
-    # rows counted from the last: row u from the end holds u + 1 pairs
+def _triangle_pairs(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (i, j), i < j < n, at each row-major ``index`` of the strict
+    upper triangle of an n x n matrix. Counted from the last row, row u
+    holds u + 1 pairs; each index's u comes from a float64 square root,
+    off by at most one, then corrected exactly in integers."""
     back = n * (n - 1) // 2 - 1 - index
-    u = (isqrt(8 * back + 1) - 1) // 2
+    u = ((np.sqrt(8 * back + 1) - 1) // 2).astype(np.int64)
+    u -= u * (u + 1) // 2 > back
+    u += (u + 1) * (u + 2) // 2 <= back
     i = n - 2 - u
     return i, i + 1 + u - (back - u * (u + 1) // 2)
 
@@ -266,10 +264,9 @@ def sample_eval_pairs(
         # rank k's index is k plus the genuine indices below it: those with
         # at most k non-genuine indices before them
         chosen += np.searchsorted(triangle - np.arange(triangle.size), chosen, "right")
-        impostors = [_triangle_pair(t, n) for t in chosen.tolist()]
-        impostors = np.array(impostors, dtype=np.intp).reshape(-1, 2)
-        side_a.append(impostors[:, 0])
-        side_b.append(impostors[:, 1])
+        imp_a, imp_b = _triangle_pairs(chosen, n)
+        side_a.append(imp_a)
+        side_b.append(imp_b)
     return PairList.coded(templates, np.concatenate(side_a), np.concatenate(side_b))
 
 
@@ -460,19 +457,6 @@ def subject_gallery(embeddings: EmbeddingSet, manifest: MediaManifest) -> Templa
     return build_templates(embeddings, by_subject)
 
 
-def _probe_chunks(n: int) -> list[slice]:
-    """Consecutive row slices of at most _PROBE_CHUNK rows covering n rows.
-
-    A 1-row last chunk is folded into the chunk before it: a 1-row product
-    runs through gemv, whose scores can differ in the last bit from the
-    same rows inside a GEMM.
-    """
-    starts = list(range(0, n, _PROBE_CHUNK))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
-
-
 def _first_hits(scores: np.ndarray, probe_codes: np.ndarray, gallery_codes: np.ndarray,
                 work: np.ndarray, ahead: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Each probe's 0-based rank of its first true-subject gallery entry,
@@ -513,9 +497,14 @@ def run_attack(
     hit is its best-scoring entry of the true subject (the lowest index
     among equal scores), and its rank is the number of entries scoring
     higher plus those scoring equal at a lower index. The gallery may
-    hold several templates per subject. Probes are scored and ranked in
-    chunks of _PROBE_CHUNK rows, so memory is O(chunk x gallery) whatever
-    the number of probes.
+    hold several templates per subject. Probes are mapped a chunk at a
+    time by ``mapping.mapped_chunks``, and each chunk's kept probes are
+    scored and ranked a ``store.score_pieces`` piece at a time, into
+    scratch allocated once: memory past the gallery is a mapped chunk and
+    a piece's scores and ranking scratch, whatever the numbers of probes
+    and gallery entries. The first probe, in probe order, whose subject
+    the manifest lacks (UnknownIdError) or the gallery lacks
+    (ProtocolError) stops the attack.
     """
     shared = set(unknown_enroll.media_ids) & set(attacker_enroll.media_ids)
     if not shared:
@@ -532,41 +521,43 @@ def run_attack(
         raise ValueError(f"k values must lie in [1, {len(gallery)}]")
 
     mapping, _ = fit(map_kind, unknown_enroll, attacker_enroll)
-    mapped = apply_map(mapping, probes)
-    if len(mapped) == 0:
-        raise ValueError("no probes survived mapping")
+    chunks = mapped_chunks(mapping, probes)
     code = {sid: i for i, sid in enumerate(manifest.subject_ids)}
     # a gallery subject the manifest lacks takes a code no probe has
     gallery_codes = np.array([code.get(sid, len(code)) for sid in gallery.subject_ids])
-    rows = np.fromiter(map(manifest.media_row.get, mapped.media_ids, repeat(-1)),
-                       np.intp, len(mapped))
     # -1 for a probe the manifest lacks
-    probe_codes = np.append(manifest.subject_codes, -1)[rows]
-    failing = ~np.isin(probe_codes, gallery_codes)
-    if failing.any():
-        i = int(failing.argmax())
-        # the first failing probe decides: UnknownIdError if the manifest lacks it
-        manifest.rows_of(mapped.media_ids[i : i + 1])
-        sid = manifest.subject_ids[probe_codes[i]]
-        raise ProtocolError(f"probe subject {sid!r} absent from gallery")
-
-    first_hit = np.empty(len(mapped), dtype=np.int64)
-    chunks = _probe_chunks(len(mapped))
-    # two float and two bool buffers serve every chunk, so the peak does not
-    # depend on where the allocator places per-chunk chunk x gallery arrays
-    scores = np.empty((max(rows.stop - rows.start for rows in chunks), len(gallery)))
+    subject_codes = np.append(manifest.subject_codes, -1)
+    # float and bool scratch for the longest piece, shared by every piece,
+    # so the peak does not depend on where the allocator places them
+    scores = np.empty((min(piece_rows(len(gallery)), len(probes)), len(gallery)))
     work = np.empty_like(scores)
     ahead, mask = np.empty((2, *scores.shape), dtype=bool)
-    for rows in chunks:
-        k = rows.stop - rows.start
-        np.matmul(mapped.vectors[rows], gallery.vectors.T, out=scores[:k])
-        first_hit[rows] = _first_hits(scores[:k], probe_codes[rows], gallery_codes,
-                                      work[:k], ahead[:k], mask[:k])
-    accuracy = {
-        k: float(np.mean(first_hit < k)) for k in ks
-    }
+    hits = np.zeros(len(ks), dtype=np.int64)
+    ranked = 0
+    for rows, chunk, keep in chunks:
+        kept = np.flatnonzero(keep)
+        media = list(compress(probes.media_ids[rows], keep.tolist()))
+        probe_codes = subject_codes[
+            np.fromiter(map(manifest.media_row.get, media, repeat(-1)), np.intp, len(media))
+        ]
+        failing = ~np.isin(probe_codes, gallery_codes)
+        if failing.any():
+            i = int(failing.argmax())
+            # the first failing probe decides: UnknownIdError if the manifest lacks it
+            manifest.rows_of(media[i : i + 1])
+            sid = manifest.subject_ids[probe_codes[i]]
+            raise ProtocolError(f"probe subject {sid!r} absent from gallery")
+        for piece in score_pieces(kept.size, len(gallery)):
+            k = piece.stop - piece.start
+            np.matmul(chunk[kept[piece]], gallery.vectors.T, out=scores[:k])
+            first_hit = _first_hits(scores[:k], probe_codes[piece], gallery_codes,
+                                    work[:k], ahead[:k], mask[:k])
+            hits += np.count_nonzero(first_hit[:, None] < ks, axis=0)
+        ranked += kept.size
+    if not ranked:
+        raise ValueError("no probes survived mapping")
     return AttackResult(
         gallery_size=len(gallery),
-        probe_count=len(mapped),
-        rank_k_accuracy=accuracy,
+        probe_count=ranked,
+        rank_k_accuracy={k: hit / ranked for k, hit in zip(ks, hits.tolist())},
     )

@@ -40,7 +40,9 @@ of two sets goes through ``_shared_fits``: ``fit`` is its one fit over
 one target, and the grid's fits of one source share the statistics, one
 X^T Y pass per target for every kind and one X^T X and eigendecomposition
 per source.
-``apply_map`` takes its product chunk by chunk from the same reader.
+Maps are applied a chunk at a time by ``mapped_chunks``, from the same
+reader through ``store.float_products``: ``apply_map`` collects its
+chunks, and the attack ranks each as it comes.
 
 Map file (.cfem), in the header and string codec of ``store``:
     magic "CFEM" | version u16=1 | kind u8 (0=linear,1=rotation,2=identity) |
@@ -66,6 +68,7 @@ from .store import (
     binary_header,
     binary_string,
     float_chunks,
+    float_products,
     float_rows,
     unit_rows,
     write_file,
@@ -444,29 +447,37 @@ def _shared_fits(kinds, source: EmbeddingSet, targets):
             yield _solve(kind, moments, x, y, ids)
 
 
+def mapped_chunks(mapping: MappingMatrix, embeddings: EmbeddingSet,
+                  out: np.ndarray | None = None):
+    """The set's rows mapped a ``row_chunks`` chunk at a time: for each
+    chunk, ``(rows, chunk, keep)``, the product of ``store.float_products``
+    (in ``out[rows]``, or without ``out`` in one buffer reused for every
+    chunk) made unit length in place by ``store.unit_rows``, and the mask
+    of the rows it kept. A chunk has the same bits either way.
+    DimensionError, at once, for a set that does not fit the map."""
+    if embeddings.dim != mapping.d_a:
+        raise DimensionError(
+            f"set dimension {embeddings.dim} does not match map input {mapping.d_a}"
+        )
+    return ((rows, chunk, unit_rows(chunk))
+            for rows, chunk in float_products(embeddings.vectors, mapping.matrix, out))
+
+
 def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
     """Map every vector and L2-normalize the result.
 
-    The product is taken chunk by chunk from ``float_chunks`` into one
-    float64 output, with the bits of the whole product, each chunk made
-    unit length in place by ``store.unit_rows``: no float64 copy of the
-    whole input is made.
+    ``mapped_chunks`` maps the rows a chunk at a time straight into one
+    float64 output: no float64 copy of the whole input is made.
 
     The output is tagged with the map's target model id and keeps media
     ids and row order. Rows whose mapped norm falls below 1e-12 have no
     direction to normalize; they are excluded and reported on the output
     set's ``dropped`` field.
     """
-    if embeddings.dim != mapping.d_a:
-        raise DimensionError(
-            f"set dimension {embeddings.dim} does not match map input {mapping.d_a}"
-        )
     mapped = np.empty((len(embeddings), mapping.d_b))
     keep = np.empty(len(embeddings), dtype=bool)
-    for rows, chunk in float_chunks(embeddings.vectors):
-        np.matmul(chunk, mapping.matrix, out=mapped[rows])
-        keep[rows] = unit_rows(mapped[rows])
-        del chunk  # a view of the gather buffer, which goes with the chunks
+    for rows, _, kept in mapped_chunks(mapping, embeddings, mapped):
+        keep[rows] = kept
     media_ids = embeddings.media_ids
     dropped = tuple(media_ids[i] for i in np.flatnonzero(~keep))
     if dropped:

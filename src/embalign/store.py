@@ -47,7 +47,9 @@ fit's statistics and residuals and map application all read through it;
 ``all_finite`` checks a set's values a ``row_chunks`` chunk at a time.
 ``unit_rows``, the one rule that normalizes rows, runs on each chunk read.
 Pair scoring takes its rows a ``pair_chunks`` piece at a time, straight
-from the template matrices, as each pair is scored on its own.
+from the template matrices, as each pair is scored on its own. The
+attack scores each ``row_chunks`` chunk of mapped probes against its
+gallery a ``score_pieces`` piece at a time, sized by the gallery's width.
 ``float_groups`` reads rows the same way in chunks of whole groups
 (``group_chunks``), the one template-chunk rule.
 ``aligned_rows`` gives the one row order of two sets' shared media, sorted
@@ -91,6 +93,9 @@ DEGENERATE_NORM = 1e-12
 _ROW_CHUNK = 4096
 # most pairs in a piece of pair_chunks: two pieces' float64 rows stay in cache
 _PAIR_CHUNK = 128
+# most bytes of float64 scores in a piece of score_pieces: a piece's scores
+# and their ranking scratch stay in cache
+_SCORE_BUDGET = 1 << 21
 # rows per copy when a row loop takes a set's rows (a fancy-indexed gather,
 # or a read from a file) or a save writes them
 _GATHER_BLOCK = 512
@@ -114,12 +119,35 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
     return arr
 
 
+def _near_equal(n: int, most: int) -> list[slice]:
+    """As few near-equal consecutive slices of at most ``most`` rows as
+    cover n rows."""
+    count = -(-n // most)
+    return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+
+
 def row_chunks(n: int) -> list[slice]:
     """Near-equal consecutive slices of at most _ROW_CHUNK rows covering n
     rows, so no chunk is a short remainder: a few rows can take a BLAS
     small-matrix kernel, whose products differ in the last bit from GEMM's."""
-    count = -(-n // _ROW_CHUNK)
-    return [slice(n * k // count, n * (k + 1) // count) for k in range(count)]
+    return _near_equal(n, _ROW_CHUNK)
+
+
+def piece_rows(width: int) -> int:
+    """The most rows in a piece of ``score_pieces`` against ``width``
+    columns: as many as keep the piece's float64 scores within
+    _SCORE_BUDGET bytes, and at least 3, so that near-equal pieces of n >= 2
+    rows hold at least 2 rows each."""
+    return max(3, _SCORE_BUDGET // (8 * max(width, 1)))
+
+
+def score_pieces(n: int, width: int) -> list[slice]:
+    """Near-equal consecutive slices of at most ``piece_rows(width)`` rows
+    covering n rows, for products of rows against ``width`` columns taken a
+    piece at a time. No piece is one row unless n is 1: a 1-row product
+    runs through gemv, whose scores can differ in the last bit from the
+    same row's inside a GEMM."""
+    return _near_equal(n, piece_rows(width))
 
 
 def pair_chunks(n: int):
@@ -179,6 +207,22 @@ def float_chunks(vectors: np.ndarray, index: np.ndarray | None = None):
     until the next is taken."""
     chunks = row_chunks(len(vectors) if index is None else index.size)
     return zip(chunks, _gathered(vectors, index, chunks))
+
+
+def float_products(vectors: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = None):
+    """For each slice ``rows`` of ``row_chunks``, ``(rows, product)``: the
+    float64 rows ``vectors[rows]`` of ``float_chunks`` times ``matrix``, one
+    GEMM per chunk, written into ``out[rows]``, or without ``out`` into one
+    buffer reused for every chunk, so a product is valid only until the
+    next is taken."""
+    chunks = row_chunks(len(vectors))
+    if out is None:
+        longest = max((rows.stop - rows.start for rows in chunks), default=0)
+        buffer = np.empty((longest, matrix.shape[1]))
+    for rows, chunk in zip(chunks, _gathered(vectors, None, chunks)):
+        product = buffer[: rows.stop - rows.start] if out is None else out[rows]
+        np.matmul(chunk, matrix, out=product)
+        yield rows, product
 
 
 def float_groups(vectors: np.ndarray, index: np.ndarray, starts: np.ndarray):

@@ -3,7 +3,9 @@ entries, tuples of id pairs, and the sampler over np.triu_indices of every
 candidate pair. The oracle for the integer codes of `embalign.store` and
 `embalign.experiments.sample_eval_pairs`: the same tables, pairs and
 sampled pair lists, and the same error type and message on the same
-input, whichever check fails first. `decoded` turns a `MediaManifest`'s
+input, whichever check fails first. `triangle_pair` decodes one upper
+triangle index exactly through `math.isqrt`, the oracle for the sampler's
+vectorized decode. `decoded` turns a `MediaManifest`'s
 columns into this manifest, so every reference below takes either.
 
 Reference protocol splits and canonical order: the enroll/verify split
@@ -33,6 +35,8 @@ of the whole design matrix, the oracle for `embalign.mapping.fit_linear`,
 which must return the same bytes wherever it falls back to the SVD and
 the same map to 1e-9 relative where it solves from the Gram.
 """
+
+from math import isqrt
 
 import numpy as np
 
@@ -292,6 +296,16 @@ def sample_eval_pairs(manifest, template_ids, n_impostor: int, seed: int):
             (templates[i], templates[j]) for i, j in zip(imp_a[chosen], imp_b[chosen])
         )
     return pair_tuple(pairs)
+
+
+def triangle_pair(index: int, n: int) -> tuple[int, int]:
+    """The (i, j), i < j < n, at row-major ``index`` of the strict upper
+    triangle of an n x n matrix, exactly, through ``isqrt``."""
+    # rows counted from the last: row u from the end holds u + 1 pairs
+    back = n * (n - 1) // 2 - 1 - index
+    u = (isqrt(8 * back + 1) - 1) // 2
+    i = n - 2 - u
+    return i, i + 1 + u - (back - u * (u + 1) // 2)
 
 
 def _normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from embalign import (
     score_pairs,
     split_attack,
     split_by_template,
+    store,
     subject_gallery,
 )
 
@@ -107,6 +109,20 @@ class TestSplitAndPairs:
         first = sample_eval_pairs(manifest, templates, 500, seed=9)
         second = sample_eval_pairs(manifest, templates, 500, seed=9)
         assert first.pairs == second.pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from([2, 3, 2**17]), st.integers(2, 2**17)), st.data())
+    def test_triangle_decode_matches_isqrt(self, n, data):
+        # the first and last index, row starts and the indices beside them,
+        # where a float64 square root lands nearest a row boundary
+        total = n * (n - 1) // 2
+        rows = data.draw(st.lists(st.integers(0, n - 2), max_size=10))
+        starts = [r * n - r * (r + 1) // 2 + step for r in rows for step in (-1, 0, 1)]
+        picks = data.draw(st.lists(st.integers(0, total - 1), max_size=10))
+        index = [0, total - 1] + [t for t in starts if 0 <= t < total] + picks
+        i, j = experiments._triangle_pairs(np.array(index, dtype=np.int64), n)
+        want = [reference.triangle_pair(t, n) for t in index]
+        assert list(zip(i.tolist(), j.tolist())) == want
 
 
 class TestRunGrid:
@@ -533,7 +549,6 @@ class TestRunAttack:
         assert run_attack(*args) == run_attack(*args)
 
 
-CHUNK = experiments._PROBE_CHUNK
 SCORE_VALUES = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
 
 
@@ -555,8 +570,10 @@ def score_cases(draw):
 def attack_cases(draw):
     """Probes and a gallery TemplateSet built directly from a small pool of
     unit vectors (signed basis vectors and random directions): duplicated
-    gallery rows tie exactly, and subjects may hold several templates. The
-    probe counts sit at the edges of the chunking."""
+    gallery rows tie exactly, and subjects may hold several templates.
+    The score budget is drawn so that a piece of ``score_pieces`` holds 3
+    to 5 rows against the gallery, and the probe counts sit at the edges
+    of those pieces and of ``row_chunks``."""
     dim = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     directions = rng.standard_normal((3, dim))
@@ -567,7 +584,10 @@ def attack_cases(draw):
     subjects = draw(st.lists(st.sampled_from(["s0", "s1", "s2"]),
                              min_size=size, max_size=size))
     gallery = TemplateSet("B", [f"g{i}" for i in range(size)], subjects, pool[rows])
-    n = draw(st.sampled_from([1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1]))
+    piece = draw(st.integers(3, 5))
+    budget = 8 * size * piece
+    n = draw(st.sampled_from([1, 2, piece - 1, piece, piece + 1, 2 * piece + 1,
+                              store._ROW_CHUNK, store._ROW_CHUNK + 1]))
     media = [f"p{i:05d}" for i in range(n)]
     probe_subjects = rng.choice(sorted(set(subjects)), size=n)
     manifest = MediaManifest(
@@ -576,26 +596,32 @@ def attack_cases(draw):
     )
     probes = EmbeddingSet("A", media, pool[rng.integers(len(pool), size=n)])
     enroll = EmbeddingSet("A", ["e0"], pool[:1]), EmbeddingSet("B", ["e0"], pool[:1])
-    return enroll, probes, gallery, manifest
+    return enroll, probes, gallery, manifest, budget
 
 
-# Run in a child under an address-space cap a little above the
-# interpreter's own size: the probes x gallery float64 score matrix alone
-# (720 MB) cannot fit, while ranking in chunks needs a few chunk x gallery
-# arrays (about 25 MB each).
+# run_attack with argv[1] probes against an argv[2]-template 8-d gallery,
+# in a child under an address-space cap of its VmSize, once the inputs are
+# built and a first attack has set up the BLAS buffers, plus 32 MiB.
+# Neither the probes x gallery float64 score matrix (720 MB at 30,000 x
+# 3,000) nor ranking scratch that grows with the gallery (18 B an entry for
+# 1,024 probes: 55 MB at 3,000 templates, 737 MB at 40,000) fits; ranking
+# a piece of at most 2 MiB of scores at a time does. Measured at one BLAS
+# thread: both runs pass at 8 MiB above that VmSize and fail at 4.
 MEMORY_GATE = """
 import json
+import sys
 import numpy as np
 from embalign import EmbeddingSet, MediaEntry, MediaManifest, TemplateSet, run_attack
 
-n_probes, n_gallery, dim = 30_000, 3_000, 8
+n_probes, n_gallery = map(int, sys.argv[1:])
+dim = 8
 rng = np.random.default_rng(0)
 
 def unit(n):
     v = rng.standard_normal((n, dim))
     return v / np.linalg.norm(v, axis=1)[:, None]
 
-subjects = [f"s{i:04d}" for i in range(n_gallery)]
+subjects = [f"s{i:05d}" for i in range(n_gallery)]
 gallery = TemplateSet("B", subjects, subjects, unit(n_gallery))
 media = [f"p{i:05d}" for i in range(n_probes)]
 owners = rng.integers(n_gallery, size=n_probes)
@@ -607,8 +633,11 @@ seed_row = unit(1)
 enroll_a = EmbeddingSet("A", ["e0"], seed_row)
 enroll_b = EmbeddingSet("B", ["e0"], seed_row)
 
-cap_address_space(256 << 20)
-result = run_attack(enroll_a, enroll_b, probes, gallery, manifest, "identity", [1, 10])
+attack = enroll_a, enroll_b, probes, gallery, manifest, "identity", [1, 10]
+# a first attack on a few probes sets up the BLAS buffers
+run_attack(*attack[:2], probes.restrict(media[:64]), *attack[3:])
+cap_address_space(32 << 20)
+result = run_attack(*attack)
 print(json.dumps(result.to_dict()))
 """
 
@@ -643,9 +672,10 @@ class TestAttackRanking:
         assert np.array_equal(got, reference.first_hits(scores, probe_codes, gallery_codes))
 
     def test_masks_written_into_buffers(self):
-        # a full chunk against the attack benchmark's gallery size: the
+        # a full piece against the attack benchmark's gallery size: the
         # subject, tie and lower-index masks go into the caller's buffers
-        k, size = experiments._PROBE_CHUNK, 2800
+        size = 2800
+        k = store.piece_rows(size)
         rng = np.random.default_rng(6)
         scores = rng.standard_normal((k, size))
         gallery_codes = rng.integers(0, 700, size)
@@ -663,9 +693,10 @@ class TestAttackRanking:
     @settings(max_examples=150, deadline=None)
     @given(attack_cases())
     def test_rank_k_matches_oracle_for_every_k(self, case):
-        enroll, probes, gallery, manifest = case
+        enroll, probes, gallery, manifest, budget = case
         ks = range(1, len(gallery) + 1)
-        result = run_attack(*enroll, probes, gallery, manifest, "identity", ks)
+        with mock.patch.object(store, "_SCORE_BUDGET", budget):
+            result = run_attack(*enroll, probes, gallery, manifest, "identity", ks)
         mapped = apply_map(identity_map(probes.dim), probes)
         assert result.probe_count == len(probes)
         assert result.rank_k_accuracy == reference.rank_k_accuracy(
@@ -673,46 +704,104 @@ class TestAttackRanking:
         )
 
     def test_no_one_row_chunk(self):
-        for n in range(1, 3 * CHUNK + 3):
-            chunks = experiments._probe_chunks(n)
-            assert chunks[0].start == 0 and chunks[-1].stop == n
-            assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
-            sizes = [c.stop - c.start for c in chunks]
-            assert max(sizes) <= CHUNK + 1
-            assert n == 1 or min(sizes) >= 2
+        # pieces against galleries of one entry, the chunk test's, the
+        # attack benchmark's, and one so wide that 3 rows pass the budget
+        for width in (1, 375, 2800, 10**6):
+            rows = store.piece_rows(width)
+            assert rows >= 3
+            assert rows == 3 or rows * width * 8 <= store._SCORE_BUDGET
+            edges = {m * rows + d for m in (1, 2, 3) for d in (-1, 0, 1, 2)}
+            for n in sorted({*range(1, 12), *edges, store._ROW_CHUNK, store._ROW_CHUNK + 1}):
+                pieces = store.score_pieces(n, width)
+                assert pieces[0].start == 0 and pieces[-1].stop == n
+                assert all(a.stop == b.start for a, b in zip(pieces, pieces[1:]))
+                sizes = [p.stop - p.start for p in pieces]
+                assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+                assert n == 1 or min(sizes) >= 2
 
     def test_chunk_plus_one_probes_match_oracle(self, monkeypatch):
         a, b, manifest, enroll, probe_media, gallery = attack_setup(
             num_subjects=400, within_class_noise=2.0, cross_model_noise=0.5
         )
         unknown, attacker = a.restrict(enroll), b.restrict(enroll)
-        probes = a.restrict(sorted(probe_media)[: CHUNK + 1])
-        chunks, used = experiments._probe_chunks, []
+        rows = store.piece_rows(len(gallery))
+        probes = a.restrict(sorted(probe_media)[: rows + 1])
+        pieces, used = experiments.score_pieces, []
 
-        def spy(n):
-            used.append(chunks(n))
+        def spy(n, width):
+            used.append(pieces(n, width))
             return used[-1]
 
-        monkeypatch.setattr(experiments, "_probe_chunks", spy)
+        monkeypatch.setattr(experiments, "score_pieces", spy)
         ks = range(1, len(gallery) + 1)
         result = run_attack(unknown, attacker, probes, gallery, manifest, "rotation", ks)
         mapping, _ = experiments.fit("rotation", unknown, attacker)
         mapped = apply_map(mapping, probes)
-        assert len(mapped) == CHUNK + 1
-        assert used == [[slice(0, CHUNK + 1)]]
+        assert len(mapped) == rows + 1
+        half = (rows + 1) // 2
+        assert used == [[slice(0, half), slice(half, rows + 1)]]
         assert result.rank_k_accuracy == reference.rank_k_accuracy(
             mapped, gallery, manifest, ks
         )
         assert 0.0 < result.rank_k_accuracy[1] < 1.0
 
+    def test_pieces_of_two_chunks_with_degenerate_probes_match_oracle(self, monkeypatch):
+        # a gallery of the attack benchmark's size, where a piece's scores
+        # have the bits of the same rows in one whole product; two
+        # row_chunks chunks of probes, each with degenerate rows, each cut
+        # into several pieces
+        dim, size, n = 32, 2800, store._ROW_CHUNK + 900
+        rng = np.random.default_rng(11)
+        gallery_rows = rng.standard_normal((size, dim))
+        gallery_rows /= np.linalg.norm(gallery_rows, axis=1)[:, None]
+        subjects = [f"s{i:04d}" for i in range(size // 2)] * 2
+        gallery = TemplateSet("B", [f"g{i:04d}" for i in range(size)], subjects, gallery_rows)
+        owners = rng.integers(size, size=n)
+        probe_rows = gallery_rows[owners] + 0.2 * rng.standard_normal((n, dim))
+        degenerate = [0, 7, n // 2 - 1, n // 2 + 3, n - 1]
+        probe_rows[degenerate] = 0.0
+        media = [f"p{i:05d}" for i in range(n)]
+        manifest = MediaManifest(
+            [MediaEntry("e0", "enroll", "te0", None)]
+            + [MediaEntry(m, subjects[o], "t" + m, None) for m, o in zip(media, owners)]
+        )
+        probes = EmbeddingSet("A", media, probe_rows)
+        seed_row = gallery_rows[:1]
+        enroll = EmbeddingSet("A", ["e0"], seed_row), EmbeddingSet("B", ["e0"], seed_row)
+        pieces, used = experiments.score_pieces, []
+
+        def spy(count, width):
+            used.append(pieces(count, width))
+            return used[-1]
+
+        monkeypatch.setattr(experiments, "score_pieces", spy)
+        ks = [1, 2, 5, 50, size]
+        result = run_attack(*enroll, probes, gallery, manifest, "identity", ks)
+        mapped = apply_map(identity_map(dim), probes)
+        assert len(mapped.dropped) == len(degenerate)
+        assert result.probe_count == n - len(degenerate)
+        assert len(used) == 2 and all(len(chunk) > 1 for chunk in used)
+        assert sum(chunk[-1].stop for chunk in used) == result.probe_count
+        assert result.rank_k_accuracy == reference.rank_k_accuracy(mapped, gallery, manifest, ks)
+        assert 0.0 < result.rank_k_accuracy[1] < 1.0
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
     def test_memory_bounded_in_probes(self):
-        done = run_gate(MEMORY_GATE)
+        done = run_gate(MEMORY_GATE, 30_000, 3_000)
         assert done.returncode == 0, done.stderr[-2000:]
         result = json.loads(done.stdout)
         assert result["probe_count"] == 30_000
         assert result["gallery_size"] == 3_000
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_memory_bounded_in_gallery(self):
+        done = run_gate(MEMORY_GATE, 2_048, 40_000)
+        assert done.returncode == 0, done.stderr[-2000:]
+        result = json.loads(done.stdout)
+        assert result["probe_count"] == 2_048
+        assert result["gallery_size"] == 40_000
 
 
 class TestSplitAttack:

@@ -312,11 +312,25 @@ class TestFloatChunks:
         assert peak <= _ROW_CHUNK * dim + (64 << 10)  # one chunk's bool mask
 
     def test_row_chunks_only_in_store(self):
-        # every other module reads its rows through float_chunks
+        # every other module reads its rows through float_chunks and takes
+        # its chunks and pieces from store's rules: it defines no _*_CHUNK
+        # size, and cuts no slices of its own by a fixed step or a count
         package = Path(embalign.__file__).parent
         for path in package.glob("*.py"):
-            if path.name != "store.py":
-                assert "row_chunks(" not in path.read_text(), path.name
+            if path.name == "store.py":
+                continue
+            text = path.read_text()
+            assert "row_chunks(" not in text, path.name
+            tree = ast.parse(text)
+            names = [target.id for node in tree.body if isinstance(node, ast.Assign)
+                     for target in node.targets if isinstance(target, ast.Name)]
+            assert not [name for name in names if re.fullmatch(r"_\w*_CHUNK", name)], path.name
+            calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+            steps = [ast.unparse(node) for node in calls
+                     if ast.unparse(node.func) == "range" and len(node.args) == 3]
+            cuts = [ast.unparse(node) for node in calls if ast.unparse(node.func) == "slice"
+                    and any(isinstance(op, ast.FloorDiv) for op in ast.walk(node))]
+            assert not steps and not cuts, (path.name, steps, cuts)
 
     def test_degenerate_norm_only_in_store_and_template_lengths(self):
         # rows are normalized by store.unit_rows alone; verification
