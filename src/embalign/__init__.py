@@ -39,6 +39,7 @@ from .mapping import (
     identity_map,
     load_map,
     save_map,
+    save_mapped,
 )
 from .verification import (
     EvalPlan,

@@ -235,13 +235,12 @@ def cmd_fit(args) -> int:
 def cmd_apply(args) -> int:
     fitted = mapping.load_map(args.map)
     embeddings = store.load_embeddings(args.embeddings)
-    mapped = mapping.apply_map(fitted, embeddings)
-    store.save_embeddings(mapped, args.out)
+    count, dropped = mapping.save_mapped(fitted, embeddings, args.out)
     _emit(
         {
-            "model_id": mapped.model_id,
-            "count": len(mapped),
-            "dropped": list(mapped.dropped),
+            "model_id": fitted.target_model_id,
+            "count": count,
+            "dropped": list(dropped),
             "out": str(args.out),
         }
     )
@@ -271,9 +270,10 @@ def cmd_verify(args) -> int:
 
 
 def _split_and_pair(config, refs):
-    """Load the manifest, split it by template, load each model and read
-    only its split's rows (a loaded model holds its ids and offsets), and
-    load or sample the evaluation pairs. Sampled pairs take every genuine
+    """Load the manifest, split it by template, load each model and keep
+    only its split (a loaded model's split holds its ids and offsets, and
+    its rows are read by the experiment), and load or sample the
+    evaluation pairs. Sampled pairs take every genuine
     pair among the verification templates, so a split leaving no subject
     two of them is refused here, where its cause is known."""
     manifest = store.load_manifest(config.manifest)
@@ -284,7 +284,7 @@ def _split_and_pair(config, refs):
     for ref in refs:
         full = ref.load()
         split.append((full.restrict(enroll_media), full.restrict(verify_media)))
-        del full  # its file closes before the next model is loaded
+        del full  # its ids go before the next model is loaded
     if config.pairs is not None:
         return manifest, split, store.load_pairs(config.pairs, manifest)
     codes = np.unique(manifest.template_codes[manifest.rows_of(verify_media)])

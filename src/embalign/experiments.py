@@ -318,7 +318,9 @@ def run_grid(
     the unmapped verification embeddings, computed once regardless of the
     requested kinds; off-diagonal cells fit on the enrollment split and
     evaluate source-mapped templates against target templates. Every
-    cell is evaluated through one EvalPlan. A source's row of cells fits
+    cell is evaluated through one EvalPlan, and each split set's rows are
+    read into one array once (``EmbeddingSet.in_memory``), as every row of
+    cells reads them again. A source's row of cells fits
     from shared statistics (``mapping._shared_fits``): each ordered pair's
     X^T Y, ||X||^2 and ||Y||^2 serve every kind, and the source's X^T X
     and its eigendecomposition every target, held only while the row runs;
@@ -333,6 +335,8 @@ def run_grid(
     ids = [enroll.model_id for enroll, _ in models]
     if len(set(ids)) != len(ids):
         raise ValueError(f"duplicate model ids in grid: {ids}")
+    # every cell reads its models' rows again: read each split's file once
+    models = [(enroll.in_memory(), verify.in_memory()) for enroll, verify in models]
 
     plan = EvalPlan(manifest, models[0][1].media_ids, pairs)
     templates = [plan.templates(verify) for _, verify in models]
@@ -366,7 +370,10 @@ def run_sweep(
     enrollment media is drawn without replacement from the stream keyed
     on seed and (repetition << 32) | count, the map is fit on the subset,
     and TAR at ``far`` is evaluated on the full verification split
-    through one EvalPlan shared by every point.
+    through one EvalPlan shared by every point. Every point reads the
+    enrollment sets and the source's verification set again, so their
+    rows are read into arrays once (``EmbeddingSet.in_memory``); the
+    target's verification templates are built once.
     """
     enroll_a, verify_a = model_a
     enroll_b, verify_b = model_b
@@ -382,6 +389,8 @@ def run_sweep(
                 f"sample count {c} outside [1, {len(enroll_ids)}] enrollment media"
             )
 
+    # every point reads these rows again: read each from its file once
+    enroll_a, enroll_b, verify_a = (s.in_memory() for s in (enroll_a, enroll_b, verify_a))
     plan = EvalPlan(manifest, verify_a.media_ids, pairs)
     target = plan.templates(verify_b)
     points: list[SweepPoint] = []

@@ -42,7 +42,8 @@ X^T Y pass per target for every kind and one X^T X and eigendecomposition
 per source.
 Maps are applied a chunk at a time by ``mapped_chunks``, from the same
 reader through ``store.float_products``: ``apply_map`` collects its
-chunks, and the attack ranks each as it comes.
+chunks, ``save_mapped`` writes each to a file as it comes, and the attack
+ranks each as it comes.
 
 Map file (.cfem), in the header and string codec of ``store``:
     magic "CFEM" | version u16=1 | kind u8 (0=linear,1=rotation,2=identity) |
@@ -61,6 +62,7 @@ import numpy as np
 
 from .errors import CorruptMapError, DataError, DimensionError, FileFormatError
 from .store import (
+    _NON_FINITE,
     BinaryReader,
     EmbeddingSet,
     aligned_rows,
@@ -70,6 +72,7 @@ from .store import (
     float_chunks,
     float_products,
     float_rows,
+    save_rows,
     unit_rows,
     write_file,
 )
@@ -490,6 +493,30 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
         vectors=mapped,
         dropped=dropped,
     )
+
+
+def save_mapped(mapping: MappingMatrix, embeddings: EmbeddingSet,
+                path) -> tuple[int, tuple[str, ...]]:
+    """``save_embeddings(apply_map(mapping, embeddings), path)`` a chunk of
+    ``mapped_chunks`` at a time: each chunk's kept rows are written as
+    they are mapped, through ``store.save_rows``, so no mapped set is held
+    and every row has the bits ``apply_map`` gives it. The count of rows
+    written and the media ids dropped."""
+    chunks = mapped_chunks(mapping, embeddings)
+    dropped: list[str] = []
+
+    def kept():
+        for rows, chunk, keep in chunks:
+            media_ids = embeddings.media_ids[rows]
+            if not keep.all():
+                dropped.extend(compress(media_ids, (~keep).tolist()))
+                media_ids, chunk = tuple(compress(media_ids, keep.tolist())), chunk[keep]
+            if not all_finite(chunk):
+                raise DataError(_NON_FINITE)
+            yield media_ids, chunk
+
+    save_rows(path, mapping.target_model_id, mapping.d_b, len(embeddings), kept())
+    return len(embeddings) - len(dropped), tuple(dropped)
 
 
 def save_map(mapping: MappingMatrix, path) -> None:

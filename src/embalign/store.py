@@ -30,10 +30,17 @@ A load scans the records once, through one bounded window of the open
 file, and keeps the media ids, the file offset of each vector and the
 open file, not the vectors: a loaded set's ``vectors`` are ``FileRows``,
 which pick the rows asked for by numpy's index rules over the records'
-offsets and read them with positioned reads through one window, so no row
-loop holds a loaded set's vectors whole. A binary file is saved through
-``write_file``, into a new file that replaces the old one only when it is
-whole. Sets hold only their fields. They adopt a read-only array of the
+offsets and read only the runs of asked records (at most one record
+between two), with positioned reads through one window, so no row loop
+holds a loaded set's vectors whole. A
+loaded set's ``restrict`` reads nothing: its subset is a ``FileRows``
+over the kept records, so a command holds a subset's rows only where it
+reads them again (``EmbeddingSet.in_memory``, which the sweep and the
+grid take once). A binary file is saved through ``write_file``, into a
+new file that replaces the old one only when it is whole; ``save_rows``
+writes a .cfeb file a chunk at a time, and patches its header's count
+when it writes fewer records than it declared. Sets hold only their
+fields. They adopt a read-only array of the
 dtype they keep that owns its data, and copy any other
 (``_frozen_array``), so the library's producers (restrict, map
 application, templates, scoring) mark their fresh arrays read-only and
@@ -51,7 +58,9 @@ from the template matrices, as each pair is scored on its own. The
 attack scores each ``row_chunks`` chunk of mapped probes against its
 gallery a ``score_pieces`` piece at a time, sized by the gallery's width.
 ``float_groups`` reads rows the same way in chunks of whole groups
-(``group_chunks``), the one template-chunk rule.
+(``group_chunks``), the one template-chunk rule: a chunk covers at most
+_GATHER_BLOCK rows, so it is gathered in one block, or holds one larger
+group alone.
 ``aligned_rows`` gives the one row order of two sets' shared media, sorted
 by media id, that every fit takes in ``mapping._shared_fits``.
 """
@@ -165,15 +174,12 @@ def all_finite(rows: np.ndarray) -> bool:
 
 def group_chunks(starts: np.ndarray) -> list[slice]:
     """Consecutive slices of the groups whose rows are ``starts[g]:starts[g +
-    1]``, each of whole groups covering at most as many rows as the longest
-    chunk of ``row_chunks`` over all of them (at most _ROW_CHUNK), or of one
-    group that has more on its own. So over one-row groups the longest
-    chunk is that of ``row_chunks``."""
-    rows = int(starts[-1] - starts[0]) if len(starts) else 0
-    limit = max((c.stop - c.start for c in row_chunks(rows)), default=0)
+    1]``, each of whole groups covering at most _GATHER_BLOCK rows, or of
+    one group that has more on its own: a chunk of small groups is
+    gathered in one block."""
     chunks, lo, groups = [], 0, len(starts) - 1
     while lo < groups:
-        hi = int(np.searchsorted(starts, starts[lo] + limit, side="right")) - 1
+        hi = int(np.searchsorted(starts, starts[lo] + _GATHER_BLOCK, side="right")) - 1
         hi = min(max(hi, lo + 1), groups)
         chunks.append(slice(lo, hi))
         lo = hi
@@ -271,44 +277,65 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 class FileRows:
-    """The (count, dim) float32 vectors of a loaded .cfeb file, read from
-    the file when asked for: the set a load returns holds these, not an
-    array.
+    """The (count, dim) float32 vectors of records of a loaded .cfeb file,
+    read from the file when asked for: the set a load returns holds these,
+    not an array.
 
     It offers ``shape``, ``dtype`` and ``len``; a key picks records by
     numpy's index rules over the records' file offsets, numpy refusing
     what it refuses: an integer gives one row, a slice, integer array or
     bool mask the rows as a new array, and a key picking along two axes is
-    refused. ``np.asarray`` gives all of them (read-only). Every request is
-    read in ascending file order through one window that the reader
-    keeps: the asked records within _READ_WINDOW bytes of the first are
-    read into it together with positioned reads, and each row is copied
-    to its place in the result. A file cut short since the load raises
-    TruncationError naming the first record it cut; a file unlinked since
-    the load still reads. The descriptor, taken over from the load, closes
-    when the reader is collected.
+    refused. ``np.asarray`` gives all of them (read-only). ``records``
+    picks records by the same rules as a new reader of the file, and reads
+    nothing. Every request is read in ascending file order through one
+    window that the reader keeps: each run of asked records, with at most
+    one record between two of them, is read into it with positioned reads,
+    at most _READ_WINDOW bytes at a time, and each row is copied to its
+    place in the result, so the records between runs are not read and a
+    run reads at most one record it was not asked for per row. A file cut short
+    since the load raises TruncationError naming the first record it cut;
+    a file unlinked since the load still reads. Each reader owns its
+    descriptor (a load's, or a duplicate of it for ``records``), which
+    closes when the reader is collected.
     """
 
-    def __init__(self, path, fd: int, offsets: np.ndarray, dim: int):
+    def __init__(self, path, fd: int, offsets: np.ndarray, dim: int,
+                 file_offsets: np.ndarray | None = None):
         self.path = path
         self.shape = (offsets.size, dim)
         self.dtype = np.dtype("<f4")
         self._fd = fd
-        # the file offset of each record's vector, strictly increasing
+        # the file offset of the vector of each record this reader reads
         self._offsets = offsets
+        # the file offset of every record's vector in the file, strictly
+        # increasing: a record's place in it is its number in the file
+        self._file_offsets = offsets if file_offsets is None else file_offsets
         self._window = bytearray()
         weakref.finalize(self, os.close, fd)
 
     def __len__(self) -> int:
         return self.shape[0]
 
-    def __getitem__(self, key) -> np.ndarray:
+    def _starts(self, key) -> np.ndarray:
+        """The file offsets of the vectors ``key`` picks."""
         starts = np.asarray(self._offsets[key])
         if starts.ndim > 1:
             raise IndexError(f"rows are read by a key that picks them along one axis, "
                              f"not one that picks shape {starts.shape}")
+        return starts
+
+    def __getitem__(self, key) -> np.ndarray:
+        starts = self._starts(key)
         rows = self._read(starts.reshape(-1))
         return rows if starts.ndim else rows[0]
+
+    def records(self, key) -> "FileRows":
+        """The records ``key`` picks, by the rules of a key that reads them,
+        as a reader of the same file through a duplicate of its
+        descriptor: nothing is read, and it reads on once this reader is
+        collected."""
+        starts = self._starts(key).reshape(-1)
+        return FileRows(self.path, os.dup(self._fd), starts, self.shape[1], self._file_offsets)
 
     def __reduce__(self):
         # a copy would keep the descriptor that this reader closes
@@ -332,18 +359,23 @@ class FileRows:
         order = np.argsort(starts, kind="stable")
         starts = starts[order]
         ends = starts + row_bytes
+        # a run ends where more than one record lies between two asked
+        # ones, so it reads at most one record it was not asked for per row
+        records = np.searchsorted(self._file_offsets, starts)
         i = 0
-        while i < starts.size:
-            j = max(int(np.searchsorted(ends, starts[i] + _READ_WINDOW, side="right")), i + 1)
-            lo = int(starts[i])
-            span = int(ends[j - 1]) - lo
-            if len(self._window) < span:
-                self._window = bytearray(span)
-            window = memoryview(self._window)[:span]
-            self._fill(window, lo, ends[i:j])
-            for k, start in zip(order[i:j].tolist(), (starts[i:j] - lo).tolist()):
-                raw[k * row_bytes : (k + 1) * row_bytes] = window[start : start + row_bytes]
-            i = j
+        for stop in np.append(np.flatnonzero(np.diff(records) > 2) + 1, starts.size).tolist():
+            while i < stop:
+                j = int(np.searchsorted(ends, starts[i] + _READ_WINDOW, side="right"))
+                j = min(max(j, i + 1), stop)
+                lo = int(starts[i])
+                span = int(ends[j - 1]) - lo
+                if len(self._window) < span:
+                    self._window = bytearray(span)
+                window = memoryview(self._window)[:span]
+                self._fill(window, lo, ends[i:j])
+                for k, start in zip(order[i:j].tolist(), (starts[i:j] - lo).tolist()):
+                    raw[k * row_bytes : (k + 1) * row_bytes] = window[start : start + row_bytes]
+                i = j
         return out
 
     def _fill(self, target: memoryview, offset: int, ends: np.ndarray):
@@ -358,7 +390,7 @@ class FileRows:
                 start = int(ends[np.searchsorted(ends, offset + got, side="right")]) - need
                 raise TruncationError(
                     f"{self.path}: file ends inside record "
-                    f"{np.searchsorted(self._offsets, start)} vector "
+                    f"{np.searchsorted(self._file_offsets, start)} vector "
                     f"(need {need} bytes at offset {start})"
                 )
             got += count
@@ -420,17 +452,31 @@ class EmbeddingSet:
         return len(self.media_ids)
 
     def restrict(self, media_ids) -> "EmbeddingSet":
-        """Row subset over the given ids, preserving this set's row order."""
+        """Row subset over the given ids, preserving this set's row order.
+        A loaded set's subset reads nothing: its vectors are the
+        ``FileRows.records`` of the kept rows. Any other set's are the
+        kept rows as a new array."""
         keep = np.fromiter(
             map(set(media_ids).__contains__, self.media_ids), bool, len(self)
         )
-        vectors = self.vectors[keep]
-        vectors.setflags(write=False)
+        if isinstance(self.vectors, FileRows):
+            vectors = self.vectors.records(keep)
+        else:
+            vectors = self.vectors[keep]
+            vectors.setflags(write=False)
         return EmbeddingSet(
             model_id=self.model_id,
             media_ids=tuple(compress(self.media_ids, keep.tolist())),
             vectors=vectors,
         )
+
+    def in_memory(self) -> "EmbeddingSet":
+        """This set with its rows in an array: a loaded set's read from its
+        file once, for a caller that reads them many times; any other set
+        as it is."""
+        if not isinstance(self.vectors, FileRows):
+            return self
+        return EmbeddingSet(self.model_id, self.media_ids, np.asarray(self.vectors), self.dropped)
 
 
 class MediaEntry(NamedTuple):
@@ -732,32 +778,59 @@ def write_file(path, parts) -> None:
     file is saved: they go to a new file beside it, which replaces
     ``path`` only once every part is written. So a save that is refused or
     fails part way leaves what ``path`` held, and a set still reading the
-    file that is replaced keeps reading the old one."""
+    file that is replaced keeps reading the old one. A part may also be an
+    ``(offset, bytes)`` pair, which overwrites the bytes written at
+    ``offset``, as a header patched once the parts before it are known."""
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(temp, "xb") as f:
             for part in parts:
-                f.write(part)
+                if isinstance(part, tuple):
+                    f.seek(part[0])
+                    f.write(part[1])
+                    f.seek(0, os.SEEK_END)
+                else:
+                    f.write(part)
         os.replace(temp, path)
     except BaseException:
         temp.unlink(missing_ok=True)
         raise
 
 
-def _records(embeddings: EmbeddingSet):
-    """The bytes of the .cfeb file of ``embeddings``, _GATHER_BLOCK
-    records at a time."""
-    yield binary_header(_MAGIC, "<IQ", embeddings.dim, len(embeddings))
-    for lo in range(0, len(embeddings), _GATHER_BLOCK):
-        rows = slice(lo, lo + _GATHER_BLOCK)
-        payload = np.ascontiguousarray(embeddings.vectors[rows], dtype="<f4")
-        out = bytearray()
-        for media_id, row in zip(embeddings.media_ids[rows], payload):
-            out += binary_string(media_id, "media id")
-            out += row.tobytes()
-        yield out
-    yield binary_string(embeddings.model_id, "model id")
+# the file offset of a .cfeb header's record count: after the magic, the
+# version and the dimension
+_COUNT_AT = len(_MAGIC) + 2 + 4
+
+
+def _records(model_id: str, dim: int, count: int, chunks):
+    """The bytes of a .cfeb file of the records in ``chunks``, each a
+    sequence of media ids and their rows, converted and written
+    _GATHER_BLOCK records at a time. The header declares ``count``
+    records; when the chunks hold fewer, a last part patches it."""
+    yield binary_header(_MAGIC, "<IQ", dim, count)
+    written = 0
+    for media_ids, rows in chunks:
+        for lo in range(0, len(rows), _GATHER_BLOCK):
+            block = slice(lo, lo + _GATHER_BLOCK)
+            payload = np.ascontiguousarray(rows[block], dtype="<f4")
+            out = bytearray()
+            for media_id, row in zip(media_ids[block], payload):
+                out += binary_string(media_id, "media id")
+                out += row.tobytes()
+            written += len(payload)
+            yield out
+    yield binary_string(model_id, "model id")
+    if written != count:
+        yield _COUNT_AT, struct.pack("<Q", written)
+
+
+def save_rows(path, model_id: str, dim: int, count: int, chunks) -> None:
+    """Write the .cfeb file of the ``(media_ids, rows)`` ``chunks`` through
+    ``write_file``, a chunk at a time: its header declares ``count``
+    records, and is patched to the records written if the chunks hold
+    fewer, before the new file replaces ``path``."""
+    write_file(path, _records(model_id, dim, count, chunks))
 
 
 def save_embeddings(embeddings: EmbeddingSet, path) -> None:
@@ -769,7 +842,8 @@ def save_embeddings(embeddings: EmbeddingSet, path) -> None:
     ``write_file``, so a save holds that many records, not the file, and
     one refused for an id too long to serialize leaves ``path`` as it was.
     """
-    write_file(path, _records(embeddings))
+    save_rows(path, embeddings.model_id, embeddings.dim, len(embeddings),
+              [(embeddings.media_ids, embeddings.vectors)])
 
 
 def load_embeddings(path) -> EmbeddingSet:

@@ -26,16 +26,17 @@ template ids are decoded only when read. build_templates and score_pairs
 compile a plan for one call.
 
 Templates are built a chunk at a time: whole templates covering at most
-one row chunk of media (``store.float_groups``), or one larger template
-on its own. A chunk's rows are gathered as float64 into one buffer, made
-unit length in it by ``store.unit_rows``, and summed in it when every
-feature and template is one row, else each summing step gathers its rows;
-so a set is read once. ``templates`` collects the chunks into one matrix,
-which the template set adopts without copying it again. ``score`` takes
-side b as a template set or as embeddings; for embeddings it scores each
-chunk's pairs as the chunk is built, so side b's templates are never held
-whole. Every template row and every pair's score is computed on its own,
-so each has the same bits however the rows are chunked.
+one gather block of media (``store.float_groups``), or one larger
+template on its own. A chunk's rows are gathered as float64 into one
+buffer, made unit length in it by ``store.unit_rows``, and summed in it
+when every feature and template is one row, else each summing step
+gathers its rows; so a set is read once. ``templates`` collects the
+chunks into one matrix, which the template set adopts without copying it
+again. ``score`` takes side b as a template set or as embeddings; for
+embeddings it scores each chunk's pairs as the chunk is built, so side
+b's templates are never held whole. Every template row and every pair's
+score is computed on its own, so each has the same bits however the rows
+are chunked.
 
 Pairs are scored by the plain inner product, which equals cosine
 similarity because templates are unit length. ROC analysis uses exact
@@ -359,9 +360,11 @@ class EvalPlan:
         template set is one chunk, as it is held whole; for an embedding
         set, the chunks of ``templates`` are built one at a time, so its
         templates are never held whole, and a pair to one found degenerate
-        is dropped once all are built. Memory past b's chunk is one
-        piece's rows of each side, 2 x 128 x dim floats, and one float64
-        score per pair. No per-pair Python object is made: the result holds
+        is dropped once all are built; its pairs are sorted once by their
+        side-b row, so each chunk takes its pairs as one run of that order.
+        Memory past b's chunk is one piece's rows of each side, 2 x 128 x
+        dim floats, a float64 score per pair and, for an embedding set, an
+        index per pair. No per-pair Python object is made: the result holds
         the plan's codes."""
         if isinstance(b, TemplateSet):
             rows_b = self._rows_in(b)
@@ -377,10 +380,25 @@ class EvalPlan:
         side_a, side_b = self._side_a, self._side_b
         row_a, row_b = self._rows_in(a)[side_a], rows_b[side_b]
         scorable = (row_a >= 0) & (row_b >= 0)
+        if isinstance(b, TemplateSet):
+            # its one chunk takes every scorable pair, unsorted: sorting
+            # cost `sweep` 2.4 ms a call at 50,000 impostor pairs, 0.13 s
+            # of its 2 s
+            def chunk_pairs(templates):
+                return np.flatnonzero(scorable)
+        else:
+            # the scorable pairs by side-b row (the rest before them), so
+            # each chunk's pairs are one run of that order
+            keyed = np.where(scorable, row_b, -1)
+            by_b = np.argsort(keyed, kind="stable")
+            runs = np.cumsum(np.bincount(keyed + 1, minlength=unit_b.size + 1))
+            del keyed
+
+            def chunk_pairs(templates):
+                return by_b[runs[templates.start] : runs[templates.stop]]
         scores = np.empty(side_a.size)
         for templates, vectors, unit in chunks:
-            in_chunk = (row_b >= templates.start) & (row_b < templates.stop)
-            pairs = np.flatnonzero(scorable & in_chunk)
+            pairs = chunk_pairs(templates)
             ia, ib = row_a[pairs], row_b[pairs] - templates.start
             for piece in pair_chunks(pairs.size):
                 scores[pairs[piece]] = np.einsum(

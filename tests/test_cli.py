@@ -19,6 +19,7 @@ from embalign import (
     MediaManifest,
     PairList,
     SynthSpec,
+    apply_map,
     build_templates,
     generate_world,
     identity_map,
@@ -188,13 +189,13 @@ class TestFit:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
     def test_memory_bounded(self, large_sets, tmp_path):
-        # The cap is three quarters of one input set: a fit reads both sets
-        # from their files a chunk at a time, and holds their ids, their
-        # alignment and two float64 chunk buffers (16 MiB). Measured at one
-        # BLAS thread: 73 MiB over the VmSize after imports, 15 MiB to
-        # spare; holding both sets took 304 MiB.
+        # The cap is seven sixteenths of one input set (51 MiB): a fit reads
+        # both sets from their files a chunk at a time, and holds their
+        # ids, their alignment and two float64 chunk buffers (16 MiB).
+        # Measured at one BLAS thread: 41 MiB over the VmSize after imports
+        # and the warm-up, 10 MiB to spare; holding both sets took 304 MiB.
         root, n, dim = large_sets
-        done = run_memory_limited(tmp_path, 3 * n * dim, "fit", root / "a.cfeb",
+        done = run_memory_limited(tmp_path, 7 * n * dim // 4, "fit", root / "a.cfeb",
                                   root / "b.cfeb", "--kind", "linear",
                                   "--out", tmp_path / "m.cfem")
         assert done.returncode == 0, done.stderr[-2000:]
@@ -315,17 +316,38 @@ class TestApplyAndIngest:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
     def test_memory_bounded(self, large_sets, tmp_path):
-        # The cap is the float64 output (234 MiB, two input sets) plus three
-        # quarters of one input set, which apply reads from its file a
-        # chunk at a time. Measured at one BLAS thread: 285 MiB over the
-        # VmSize after imports, 37 MiB to spare; holding the input beside
-        # the output took 404 MiB.
+        # The cap is three eighths of one input set (44 MiB): apply reads
+        # its input from the file, and maps and writes it a chunk at a
+        # time, holding the ids and two float64 chunk buffers (16 MiB).
+        # Measured at one BLAS thread: 27 MiB over the VmSize after imports
+        # and the warm-up, 17 MiB to spare; holding the float64 output
+        # until the save took 253 MiB.
         root, n, dim = large_sets
-        done = run_memory_limited(tmp_path, n * dim * 8 + 3 * n * dim, "apply",
+        done = run_memory_limited(tmp_path, 3 * n * dim // 2, "apply",
                                   root / "map.cfem", root / "a.cfeb",
                                   "--out", tmp_path / "mapped.cfeb")
         assert done.returncode == 0, done.stderr[-2000:]
         assert json.loads(done.stdout)["count"] == n
+
+    def test_dropped_rows_match_the_library_byte_for_byte(self, world, tmp_path, capsys):
+        # zero rows have no direction: the streamed file leaves them out,
+        # and its header's record count is patched to the rows written
+        source = load_embeddings(world["a"])
+        rows = np.array(np.asarray(source.vectors))
+        rows[::7] = 0.0
+        zeroed = tmp_path / "zeroed.cfeb"
+        save_embeddings(EmbeddingSet(source.model_id, source.media_ids, rows), zeroed)
+        out = tmp_path / "applied.cfeb"
+        code, stdout, stderr = run_cli(capsys, "apply", str(world["ground_truth"]),
+                                       str(zeroed), "--out", str(out))
+        assert code == 0, stderr
+        mapped = apply_map(load_map(world["ground_truth"]), load_embeddings(zeroed))
+        save_embeddings(mapped, tmp_path / "library.cfeb")
+        assert out.read_bytes() == (tmp_path / "library.cfeb").read_bytes()
+        assert json.loads(stdout) == {"model_id": "B", "count": len(mapped),
+                                      "dropped": list(source.media_ids[::7]), "out": str(out)}
+        assert len(mapped) == len(source) - len(source.media_ids[::7])
+        assert sorted(os.listdir(tmp_path)) == ["applied.cfeb", "library.cfeb", "zeroed.cfeb"]
 
     def test_apply_over_its_input_writes_what_a_new_path_gets(self, world, tmp_path, capsys):
         fresh, same = tmp_path / "fresh.cfeb", tmp_path / "same.cfeb"
@@ -418,14 +440,15 @@ class TestVerify:
         # (58.6 MiB) and a template set twice that. The cap is side a's
         # template set (2 sets), as neither side's vectors are held (both
         # are read from their files a chunk at a time) and side b's
-        # templates are scored a chunk at a time, plus 64 MiB for the
-        # manifest, a template chunk and the scoring pieces; with --map,
-        # the float64 mapped set and side a's template set (4 sets), held
-        # while its templates are built, plus 112 MiB. Measured at one BLAS
-        # thread: 23 MiB (plain) to spare. Holding side b's whole set while
-        # scoring (3 sets) is refused under the plain cap; with --map,
-        # building side b's templates whole goes 32 MiB over, and so does
-        # reading side b before side a's templates are built.
+        # templates are scored a chunk at a time, plus 32 MiB for the
+        # manifest, a template chunk of one gather block (4 MiB) and the
+        # scoring pieces; with --map, the float64 mapped set and side a's
+        # template set (4 sets), held while its templates are built, plus
+        # 40 MiB. Measured at one BLAS thread, over the VmSize after
+        # imports and the warm-up: 17 MiB (plain) and 24 MiB (--map) past
+        # the sets, each 15 MiB under its cap. Template chunks of 3,750
+        # rows (29 MiB) went 11 and 9 MiB over, and holding side b's whole
+        # set while scoring (3 sets) is refused under the plain cap.
         n, dim = 15_000, 1024
         rng = np.random.default_rng(4)
         ids = [f"m{i:05d}" for i in range(n)]
@@ -444,17 +467,80 @@ class TestVerify:
         if mapped:
             save_map(identity_map(dim), tmp_path / "map.cfem")
             argv += ["--map", tmp_path / "map.cfem"]
-        sets, headroom = (4, 112 << 20) if mapped else (2, 64 << 20)
+        sets, headroom = (4, 40 << 20) if mapped else (2, 32 << 20)
         done = run_memory_limited(tmp_path, sets * n * dim * 4 + headroom, *argv)
         assert done.returncode == 0, done.stderr[-2000:]
         report = json.loads(done.stdout)
         assert (report["genuine_count"], report["impostor_count"]) == (1000, 1000)
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_template_chunks_gather_one_block(self, tmp_path):
+        # 20,000 media at dim 1024 in templates of eight: side a's template
+        # set is 2,500 x 1024 float64 (19.5 MiB). The cap is that set plus
+        # 32 MiB for the manifest, the pairs and a template chunk, which
+        # gathers at most one block of 512 rows (4 MiB a side). Measured at
+        # one BLAS thread: 16 MiB past the template set, over the VmSize
+        # after imports and the warm-up. Chunks of 4,000 rows (31 MiB)
+        # needed 51 MiB past it.
+        n, dim, per = 20_000, 1024, 8
+        rng = np.random.default_rng(4)
+        ids = [f"m{i:06d}" for i in range(n)]
+        for name in ("a", "b"):
+            rows = rng.standard_normal((n, dim), dtype=np.float32)
+            save_embeddings(EmbeddingSet(name.upper(), ids, rows), tmp_path / f"{name}.cfeb")
+        save_manifest(MediaManifest([MediaEntry(m, f"s{i // (2 * per):05d}", f"T{i // per:05d}")
+                                     for i, m in enumerate(ids)]), tmp_path / "manifest.csv")
+        templates = n // per
+        save_pairs(PairList(tuple((f"T{i:05d}", f"T{(i + k) % templates:05d}")
+                                  for i in range(templates) for k in (1, 7))),
+                   tmp_path / "pairs.csv")
+        done = run_memory_limited(tmp_path, templates * dim * 8 + (32 << 20), "verify",
+                                  *(tmp_path / f for f in ("a.cfeb", "b.cfeb", "manifest.csv",
+                                                           "pairs.csv")), "--far", "0.1")
+        assert done.returncode == 0, done.stderr[-2000:]
+        report = json.loads(done.stdout)
+        assert report["genuine_count"] + report["impostor_count"] == 2 * templates
+
+    def test_reads_only_the_asked_records(self, tmp_path, capsys, monkeypatch):
+        # template ids T0, T1, T10, T100, ... sort in another order than
+        # the file's records, so each gather block's rows lie scattered
+        # through the file: only the runs of records asked for are read,
+        # about their vectors' bytes, not everything between them (11.8 MB
+        # from two 0.8 MB files, when a read spanned a window)
+        rng = np.random.default_rng(6)
+        n, dim = 6000, 32
+        ids = [f"m{i:04d}" for i in range(n)]
+        rows = rng.standard_normal((2, n, dim), dtype=np.float32)
+        for name, side in zip("ab", rows):
+            save_embeddings(EmbeddingSet(name.upper(), ids, side), tmp_path / f"{name}.cfeb")
+        save_manifest(MediaManifest([MediaEntry(m, f"s{i // 6}", f"T{i // 3}")
+                                     for i, m in enumerate(ids)]), tmp_path / "manifest.csv")
+        save_pairs(PairList(tuple((f"T{t}", f"T{t + k}") for t in range(0, 1990, 2)
+                                  for k in (1, 3))), tmp_path / "pairs.csv")
+        read = []
+
+        def preadv(fd, buffers, offset, real=os.preadv):
+            read.append(real(fd, buffers, offset))
+            return read[-1]
+
+        monkeypatch.setattr(os, "preadv", preadv)
+        code, stdout, _ = run_cli(capsys, "verify", *(str(tmp_path / f) for f in (
+            "a.cfeb", "b.cfeb", "manifest.csv", "pairs.csv")), "--far", "0.1")
+        assert code == 0
+        asked = 2 * n * dim * 4
+        assert asked <= sum(read) <= 2 * asked
+        monkeypatch.undo()
+        expected = roc(score_pairs(
+            *(build_templates(load_embeddings(tmp_path / f"{name}.cfeb"),
+                              load_manifest(tmp_path / "manifest.csv")) for name in "ab"),
+            load_pairs(tmp_path / "pairs.csv"), load_manifest(tmp_path / "manifest.csv")),
+            [0.1])
+        assert json.loads(stdout) == json.loads(json.dumps(expected.to_dict()))
+
     def test_reads_each_file_once(self, tmp_path, capsys, monkeypatch):
         # side a's templates and side b's scored chunks each read their
-        # file's vectors once; a row-norm pass before them read each twice.
-        # Template ids sort in file order, as a window read takes every
-        # record between the first and the last it is asked for
+        # file's vectors once; a row-norm pass before them read each twice
         rng = np.random.default_rng(6)
         n, dim = 6000, 32
         ids = [f"m{i:04d}" for i in range(n)]
@@ -571,9 +657,10 @@ class TestVerify:
     def test_pair_memory_bounded(self, tmp_path):
         # 4M pairs over 3,000 one-image templates at dim 8, so the pairs
         # are all of the memory: the cap is 17 B a pair (two int32 codes,
-        # a float64 score and a bool label) plus 256 MiB. Measured at one
-        # BLAS thread: the peak is 262 MiB over the imports, 59 MiB under
-        # the cap; a tuple of ids per pair peaked 1.36 GiB over them.
+        # a float64 score and a bool label) plus 128 MiB. Measured at one
+        # BLAS thread: the peak is 158 MiB over the imports and the
+        # warm-up, 35 MiB under the cap; a tuple of ids per pair peaked
+        # 1.36 GiB over them.
         n, n_pairs = 3000, 4_000_000
         rng = np.random.default_rng(6)
         ids = [f"m{i:04d}" for i in range(n)]
@@ -592,7 +679,7 @@ class TestVerify:
                 f.write("".join(f"Tm{x:04d},Tm{y:04d}\n" for x, y in zip(a.tolist(), b.tolist())))
         argv = ["verify", *(tmp_path / f for f in ("a.cfeb", "b.cfeb", "manifest.csv",
                                                    "pairs.csv")), "--far", "0.1"]
-        done = run_memory_limited(tmp_path, 17 * n_pairs + (256 << 20), *argv)
+        done = run_memory_limited(tmp_path, 17 * n_pairs + (128 << 20), *argv)
         assert done.returncode == 0, done.stderr[-2000:]
         report = json.loads(done.stdout)
         assert report["genuine_count"] + report["impostor_count"] == n_pairs
@@ -816,6 +903,37 @@ class TestExperimentCommands:
         assert (out / "attack.json").read_text() == expected
         assert 0.0 < result.rank_k_accuracy[1] < 1.0
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_attack_memory_bounded_in_probes(self, tmp_path):
+        # 40 subjects of 800 media at dim 1024, an identity map and one
+        # subject's enrollment: 15,600 probes, whose float32 rows are 61
+        # MiB. The cap is 144 MiB whatever the probe count: the attack
+        # holds the sets' ids and offsets, and maps the probes a row chunk
+        # at a time (two float64 buffers of 3,900 rows, 61 MiB). Measured at
+        # one BLAS thread: 126 MiB over the VmSize after imports and the
+        # warm-up; restricted sets that read their rows needed 194 MiB.
+        subjects, media, dim = 40, 800, 1024
+        ids = [f"m{i:06d}" for i in range(subjects * media)]
+        rng = np.random.default_rng(3)
+        for name in ("a", "b"):
+            rows = rng.standard_normal((len(ids), dim), dtype=np.float32)
+            save_embeddings(EmbeddingSet(name.upper(), ids, rows), tmp_path / f"{name}.cfeb")
+            del rows
+        save_manifest(MediaManifest([MediaEntry(m, f"s{i // media:03d}", f"t{i // media:03d}")
+                                     for i, m in enumerate(ids)]), tmp_path / "manifest.csv")
+        config = tmp_path / "attack.json"
+        config.write_text(json.dumps({
+            "unknown": {"embeddings": "a.cfeb"}, "attacker": {"embeddings": "b.cfeb"},
+            "manifest": "manifest.csv", "map_kind": "identity", "enroll_pairs": media,
+            "k_values": [1],
+        }))
+        done = run_memory_limited(tmp_path, 144 << 20, "attack", config,
+                                  "--out", tmp_path / "out")
+        assert done.returncode == 0, done.stderr[-2000:]
+        result = json.loads(done.stdout)
+        assert (result["gallery_size"], result["probe_count"]) == (subjects - 1, 15_600)
+
     def test_bad_config_schema_exits_2(self, world, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_text(json.dumps({"manifest": str(world["manifest"])}))
@@ -838,11 +956,12 @@ class TestGridSplitMemory:
     def test_one_full_model_held_while_splitting(self, tmp_path):
         # six models of 24,000 media at dim 256 (23.4 MiB each, one file
         # under six ids), ten media a template, one rotation per cell. The
-        # cap is two sets per model: holding every full model beside its
-        # split needs all of it and the imports' and grid's working memory
-        # besides (it went 29 MiB over, refused inside the split), while
-        # keeping only each model's split as it is loaded needs about 250
-        # MiB (31 MiB to spare, at one BLAS thread).
+        # cap is 10.5 sets (246 MiB), below the 2 sets per model the grid
+        # would need to hold every full model beside its split, let alone
+        # its working memory besides; keeping only each model's split as
+        # it is loaded, and reading the splits' rows once in the grid,
+        # needs 215 MiB over the VmSize after imports and the warm-up (31
+        # MiB to spare, at one BLAS thread).
         n, dim, models = 24_000, 256, 6
         ids = [f"m{i:05d}" for i in range(n)]
         rows = np.random.default_rng(5).standard_normal((n, dim), dtype=np.float32)
@@ -856,7 +975,7 @@ class TestGridSplitMemory:
             "impostor_pairs": 1000, "seed": 1,
         }))
         out = tmp_path / "grid"
-        done = run_memory_limited(tmp_path, 2 * models * n * dim * 4, "grid", config,
+        done = run_memory_limited(tmp_path, (4 * models - 3) * n * dim * 2, "grid", config,
                                   "--out", out)
         assert done.returncode == 0, done.stderr[-2000:]
         cells = json.loads((out / "grid.json").read_text())["cells"]
@@ -1144,14 +1263,17 @@ class TestHostileInput:
 
 
 # main() under RLIMIT_AS = VmSize + headroom (argv[1], in bytes), taken
-# after the imports; the resident set and the VmSize then, and the peak
-# resident set and peak VmSize at exit, in KiB, are written as JSON to the
-# file argv[2]
+# after the imports and a first small GEMM, which maps the BLAS buffers
+# outside the cap (about 33 MiB at one BLAS thread); the resident set and
+# the VmSize then, and the peak resident set and peak VmSize at exit, in
+# KiB, are written as JSON to the file argv[2]
 MEMORY_LIMITED_MAIN = """
 import json, sys
+import numpy as np
 from embalign.cli import main
 
 headroom, report, *argv = sys.argv[1:]
+np.ones((300, 300)) @ np.ones((300, 300))
 after_imports = status("VmRSS")
 vm_size = cap_address_space(int(headroom))
 try:

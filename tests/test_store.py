@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import gc
 import inspect
 import json
 import os
@@ -256,11 +257,12 @@ class TestFloatChunks:
         [5000, 1, 1, 4095, 2, 4096, 4097], [],
     ], ids=["one-row", "one-chunk", "three-row", "empty groups", "large groups", "none"])
     def test_group_chunks_hold_whole_groups(self, sizes):
+        # a chunk is gathered in one block: at most _GATHER_BLOCK rows, or
+        # one longer group on its own
         starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
         chunks = group_chunks(starts)
         assert [g for c in chunks for g in range(c.start, c.stop)] == list(range(len(sizes)))
-        limit = max((c.stop - c.start for c in row_chunks(int(starts[-1]))), default=0)
-        assert limit <= _ROW_CHUNK
+        limit = store._GATHER_BLOCK
         for c in chunks:
             # within the limit or one longer group, and the next group
             # would not have fitted
@@ -722,16 +724,20 @@ class TestFileRows:
                         rows[key]
                     continue
                 if want.ndim > 2:
-                    with pytest.raises(IndexError, match="picks them along one axis"):
-                        rows[key]
+                    for pick in (rows.__getitem__, rows.records):
+                        with pytest.raises(IndexError, match="picks them along one axis"):
+                            pick(key)
                 else:
                     assert rows[key].tobytes() == want.tobytes(), key
+                    # a key's records read as its rows do, as a reader of their own
+                    assert np.asarray(rows.records(key)).tobytes() == want.tobytes(), key
 
     def test_ascending_reads_take_one_window_each(self, tmp_path):
         # 3,000 records of 71 bytes (a 5-byte id and 16 floats): the vectors
         # within a 4,096-byte window of a record's vector are 57 records, so
         # reading every row takes ceil(3000 / 57) = 53 reads, in any order
-        # asked; the whole file fits one 1 MiB window
+        # asked; every other record is one run, read through the record
+        # between two, and every third record is a run of its own
         n = 3000
         vectors = np.random.default_rng(3).standard_normal((n, 16), dtype=np.float32)
         path = tmp_path / "w.cfeb"
@@ -740,6 +746,15 @@ class TestFileRows:
         with mock.patch.object(os, "preadv", wraps=os.preadv) as preadv:
             every_third = np.arange(n) % 3 == 0
             assert rows[every_third].tobytes() == vectors[every_third].tobytes()
+            assert preadv.call_count == 1000
+            assert {len(call.args[1][0]) for call in preadv.call_args_list} == {64}
+            preadv.reset_mock()
+            every_other = np.arange(n) % 2 == 0
+            assert rows[every_other].tobytes() == vectors[every_other].tobytes()
+            assert preadv.call_count == 1
+            assert len(preadv.call_args.args[1][0]) == 2998 * 71 + 64
+            preadv.reset_mock()
+            assert rows[:1500].tobytes() == vectors[:1500].tobytes()
             assert preadv.call_count == 1
             with mock.patch.object(store, "_READ_WINDOW", 4096):
                 for key in (slice(None), np.random.default_rng(4).permutation(n)):
@@ -762,6 +777,9 @@ class TestFileRows:
         for key in (slice(None), [9, 6, 0], 6):
             with pytest.raises(TruncationError, match=message):
                 rows[key]
+            # a reader of some records numbers them as the file does
+            with pytest.raises(TruncationError, match=message):
+                np.asarray(rows.records(key))
         with pytest.raises(TruncationError, match=message):
             np.asarray(rows)
 
@@ -772,7 +790,45 @@ class TestFileRows:
         loaded = load_embeddings(path)
         path.unlink()
         assert np.asarray(loaded.vectors).tobytes() == vectors.tobytes()
-        assert loaded.restrict({"r3", "r17"}).vectors.tobytes() == vectors[[3, 17]].tobytes()
+        kept = loaded.restrict({"r3", "r17"}).vectors
+        assert np.asarray(kept).tobytes() == vectors[[3, 17]].tobytes()
+
+    def test_restrict_reads_nothing_and_gives_the_eager_rows(self, tmp_path):
+        rng = np.random.default_rng(8)
+        vectors = rng.standard_normal((300, 5), dtype=np.float32)
+        ids = [f"r{i:03d}" for i in range(300)]
+        path = tmp_path / "v.cfeb"
+        save_embeddings(make_set(ids, vectors), path)
+        loaded = load_embeddings(path)
+        kept = set(rng.choice(ids, 120, replace=False).tolist())
+        with mock.patch.object(os, "preadv", wraps=os.preadv) as preadv:
+            subset = loaded.restrict(kept)
+            inner = subset.restrict(sorted(kept)[::3])
+            assert preadv.call_count == 0
+        eager = reference.load_embeddings(path)
+        for got in (subset, inner):
+            want = eager.restrict(got.media_ids)
+            assert isinstance(got.vectors, store.FileRows)
+            assert got.media_ids == want.media_ids
+            assert np.asarray(got.vectors).tobytes() == want.vectors.tobytes()
+            assert got.vectors[::-2].tobytes() == want.vectors[::-2].tobytes()
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").exists(),
+                        reason="counts the process's descriptors in /proc")
+    def test_restricted_view_outlives_its_set_and_leaks_no_descriptor(self, tmp_path):
+        vectors = np.random.default_rng(9).standard_normal((50, 4), dtype=np.float32)
+        path = tmp_path / "o.cfeb"
+        save_embeddings(make_set([f"r{i:02d}" for i in range(50)], vectors), path)
+        before = len(os.listdir("/proc/self/fd"))
+        loaded = load_embeddings(path)
+        views = [loaded.restrict({f"r{i:02d}" for i in range(k, 50, 7)}) for k in range(7)]
+        del loaded
+        gc.collect()
+        for k, view in enumerate(views):
+            assert np.asarray(view.vectors).tobytes() == vectors[k::7].tobytes()
+        assert len(os.listdir("/proc/self/fd")) == before + 7
+        del view, views
+        assert len(os.listdir("/proc/self/fd")) == before
 
     def test_refuses_to_be_copied(self, tmp_path):
         # a copy would keep the descriptor that the reader closes
