@@ -41,9 +41,10 @@ one target, and the grid's fits of one source share the statistics, one
 X^T Y pass per target for every kind and one X^T X and eigendecomposition
 per source.
 Maps are applied a chunk at a time by ``mapped_chunks``, from the same
-reader through ``store.float_products``: ``apply_map`` collects its
-chunks, ``save_mapped`` writes each to a file as it comes, and the attack
-ranks each as it comes.
+reader through ``store.float_products``, one GEMM per chunk of the rows
+``float_chunks`` gives, and normalized by ``store.unit_rows``:
+``apply_map`` collects its chunks, ``save_mapped`` writes each to a file
+as it comes, and the attack ranks each as it comes.
 
 Map file (.cfem), in the header and string codec of ``store``:
     magic "CFEM" | version u16=1 | kind u8 (0=linear,1=rotation,2=identity) |

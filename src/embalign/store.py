@@ -44,23 +44,21 @@ fields. They adopt a read-only array of the
 dtype they keep that owns its data, and copy any other
 (``_frozen_array``), so the library's producers (restrict, map
 application, templates, scoring) mark their fresh arrays read-only and
-hand them over. ``float_chunks`` is the one chunked float64 row reader:
-over the row slices of ``row_chunks`` it yields an array's rows, or the
-rows an index picks, as float64 in one reused buffer, taking them from
+hand them over. ``float_chunks`` is the one float64 row reader: over
+given row slices, by default ``row_chunks``, it yields an array's rows,
+or the rows an index picks, as float64 in one reused buffer, copied from
 the array or the file _GATHER_BLOCK rows at a time, so no row loop makes
-a full-size temporary. ``align_pairs`` (through ``float_rows``), the
-fit's statistics and residuals and map application all read through it;
-``row_norms`` and a save take _GATHER_BLOCK rows at a time, and
-``all_finite`` checks a set's values a ``row_chunks`` chunk at a time.
-``unit_rows``, the one rule that normalizes rows, runs on each chunk read.
-Pair scoring takes its rows a ``pair_chunks`` piece at a time, straight
-from the template matrices, as each pair is scored on its own. The
-attack scores each ``row_chunks`` chunk of mapped probes against its
-gallery a ``score_pieces`` piece at a time, sized by the gallery's width.
-``float_groups`` reads rows the same way in chunks of whole groups
-(``group_chunks``), the one template-chunk rule: a chunk covers at most
-_GATHER_BLOCK rows, so it is gathered in one block, or holds one larger
-group alone.
+a full-size temporary. Alignment (``float_rows``), the fits and map
+application (``float_products``) read its row chunks, ``row_norms`` its
+_GATHER_BLOCK-row blocks, and template building its chunks of whole
+templates (``group_chunks``: at most _GATHER_BLOCK rows, gathered in one
+block, or one larger group alone). A save writes _GATHER_BLOCK rows at a
+time, and ``all_finite`` checks a ``row_chunks`` chunk at a time. Rows
+are normalized by ``unit_rows`` alone and checked unit length by
+``unit_length`` alone. Pair scoring takes its rows a ``pair_chunks``
+piece at a time, straight from the template matrices; the attack scores
+each ``row_chunks`` chunk of mapped probes against its gallery a
+``score_pieces`` piece at a time, sized by the gallery's width.
 ``aligned_rows`` gives the one row order of two sets' shared media, sorted
 by media id, that every fit takes in ``mapping._shared_fits``.
 """
@@ -186,12 +184,17 @@ def group_chunks(starts: np.ndarray) -> list[slice]:
     return chunks
 
 
-def _gathered(vectors: np.ndarray, index: np.ndarray | None, chunks: list[slice]):
-    """For each slice ``rows`` of ``chunks``, the float64 rows
+def float_chunks(vectors: np.ndarray, index: np.ndarray | None = None,
+                 chunks: list[slice] | None = None):
+    """For each slice ``rows`` of ``chunks`` (by default ``row_chunks`` of
+    the rows read), ``(rows, chunk)``: the float64 rows
     ``vectors[index[rows]]``, or ``vectors[rows]`` without an index, in one
-    buffer that holds the longest chunk, reused for every chunk. Rows are
-    taken _GATHER_BLOCK at a time, so the copy before the cast (a
-    fancy-indexed copy, or the rows read from a file) stays small."""
+    buffer that holds the longest chunk, reused for every chunk, so a chunk
+    is valid only until the next is taken. Rows are taken _GATHER_BLOCK at
+    a time, so the copy before the cast (a fancy-indexed copy, or the rows
+    read from a file) stays small."""
+    if chunks is None:
+        chunks = row_chunks(len(vectors) if index is None else index.size)
     longest = max((rows.stop - rows.start for rows in chunks), default=0)
     buffer = np.empty((longest, vectors.shape[1]))
     for rows in chunks:
@@ -203,16 +206,7 @@ def _gathered(vectors: np.ndarray, index: np.ndarray | None, chunks: list[slice]
                 chunk[block] = vectors[lo : min(lo + _GATHER_BLOCK, rows.stop)]
             else:
                 chunk[block] = vectors[index[rows][block]]
-        yield chunk
-
-
-def float_chunks(vectors: np.ndarray, index: np.ndarray | None = None):
-    """For each slice ``rows`` of ``row_chunks``, ``(rows, chunk)``: the
-    float64 rows ``vectors[index[rows]]``, or ``vectors[rows]`` without an
-    index, in one buffer reused for every chunk, so a chunk is valid only
-    until the next is taken."""
-    chunks = row_chunks(len(vectors) if index is None else index.size)
-    return zip(chunks, _gathered(vectors, index, chunks))
+        yield rows, chunk
 
 
 def float_products(vectors: np.ndarray, matrix: np.ndarray, out: np.ndarray | None = None):
@@ -225,20 +219,10 @@ def float_products(vectors: np.ndarray, matrix: np.ndarray, out: np.ndarray | No
     if out is None:
         longest = max((rows.stop - rows.start for rows in chunks), default=0)
         buffer = np.empty((longest, matrix.shape[1]))
-    for rows, chunk in zip(chunks, _gathered(vectors, None, chunks)):
+    for rows, chunk in float_chunks(vectors, chunks=chunks):
         product = buffer[: rows.stop - rows.start] if out is None else out[rows]
         np.matmul(chunk, matrix, out=product)
         yield rows, product
-
-
-def float_groups(vectors: np.ndarray, index: np.ndarray, starts: np.ndarray):
-    """For each slice ``groups`` of ``group_chunks(starts)``, ``(groups,
-    chunk)``: the float64 rows ``vectors[index[starts[groups.start]:
-    starts[groups.stop]]]``, in one buffer reused for every chunk, as
-    ``float_chunks`` gives them."""
-    groups = group_chunks(starts)
-    rows = [slice(int(starts[g.start]), int(starts[g.stop])) for g in groups]
-    return zip(groups, _gathered(vectors, index, rows))
 
 
 def float_rows(vectors: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
@@ -253,16 +237,22 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     """The float64 L2 norm of each row of a 2-D array.
 
     sqrt(add.reduce(c * c, axis=1)) over blocks ``c`` of _GATHER_BLOCK rows
-    from ``_gathered``, each row reduced on its own: bit for bit what
+    from ``float_chunks``, each row reduced on its own: bit for bit what
     ``np.linalg.norm(rows, axis=1)`` gives on the rows as float64.
     """
     n = rows.shape[0]
     norms = np.empty(n)
     blocks = [slice(lo, min(lo + _GATHER_BLOCK, n)) for lo in range(0, n, _GATHER_BLOCK)]
-    for block, chunk in zip(blocks, _gathered(rows, None, blocks)):
+    for block, chunk in float_chunks(rows, chunks=blocks):
         chunk *= chunk
         np.add.reduce(chunk, axis=1, out=norms[block])
     return np.sqrt(norms, out=norms)
+
+
+def unit_length(rows: np.ndarray) -> bool:
+    """Whether every row of a 2-D array has an L2 norm within UNIT_NORM_TOL
+    of 1; true of no rows."""
+    return bool(np.all(np.abs(row_norms(rows) - 1.0) <= UNIT_NORM_TOL))
 
 
 def unit_rows(rows: np.ndarray) -> np.ndarray:
@@ -442,11 +432,8 @@ class EmbeddingSet:
 
     @property
     def normalized(self) -> bool:
-        """True when every row has unit L2 norm within 1e-6."""
-        if len(self) == 0:
-            return True
-        norms = row_norms(self.vectors)
-        return bool(np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL))
+        """True when every row has unit L2 norm (``unit_length``)."""
+        return unit_length(self.vectors)
 
     def __len__(self) -> int:
         return len(self.media_ids)

@@ -23,7 +23,8 @@ media-id order. The planted product is taken over every manifest medium
 in that same order, so BLAS always sees the same matrix shape. A derived
 vector therefore depends only on the seed, the manifest and its own base
 vector: not on the base set's row order, on which other media it holds,
-or on worker count.
+or on worker count. Rows are normalized by ``store.unit_rows``, so a
+derived row with no direction is +0.0.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .mapping import LINEAR, MappingMatrix, ROTATION
 from .rng import Purpose, stream
-from .store import EmbeddingSet, MediaEntry, MediaManifest, row_norms
+from .store import EmbeddingSet, MediaEntry, MediaManifest, unit_rows
 
 PLANTED_ROTATION = "rotation"
 PLANTED_LINEAR = "linear"
@@ -71,12 +72,6 @@ class SynthSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _unit(rows: np.ndarray) -> np.ndarray:
-    """The float64 ``rows`` scaled in place to unit length."""
-    rows /= row_norms(rows)[:, None]
-    return rows
 
 
 def _haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -143,7 +138,8 @@ def _clustered(seed, mean_purpose, noise_purpose, blocks, rows, level) -> np.nda
     purposes keyed by i."""
     scale = _noise_scale(level, rows.shape[1])
     for i, block in enumerate(blocks):
-        mean = _unit(stream(seed, mean_purpose, i).standard_normal((1, rows.shape[1])))
+        mean = stream(seed, mean_purpose, i).standard_normal((1, rows.shape[1]))
+        unit_rows(mean)
         noise = stream(seed, noise_purpose, i).standard_normal(rows[block].shape)
         rows[block] = mean + scale * noise
     return rows
@@ -193,8 +189,9 @@ def _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
             matrix=planted,
             fit_sample_count=0,
         )
-    derived = EmbeddingSet(model_id=model_id, media_ids=base.media_ids,
-                           vectors=_unit(rows[take]))
+    rows = rows[take]
+    unit_rows(rows)
+    derived = EmbeddingSet(model_id=model_id, media_ids=base.media_ids, vectors=rows)
     return derived, ground_truth
 
 
@@ -216,8 +213,9 @@ def generate_world(
     vectors_a = np.empty((spec.num_subjects * per, spec.dim))
     manifest = MediaManifest(_manifest_entries(spec))
     blocks = [slice(s * per, (s + 1) * per) for s in range(spec.num_subjects)]
-    vectors_a = _unit(_clustered(spec.seed, Purpose.MEAN_A, Purpose.NOISE_A, blocks,
-                                 vectors_a, spec.within_class_noise))
+    _clustered(spec.seed, Purpose.MEAN_A, Purpose.NOISE_A, blocks, vectors_a,
+               spec.within_class_noise)
+    unit_rows(vectors_a)
     set_a = EmbeddingSet(model_id="A", media_ids=manifest.media_ids, vectors=vectors_a)
     set_b, ground_truth = _derive(
         vectors_a, blocks, slice(None), set_a, spec.planted_kind,

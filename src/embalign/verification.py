@@ -26,9 +26,10 @@ template ids are decoded only when read. build_templates and score_pairs
 compile a plan for one call.
 
 Templates are built a chunk at a time: whole templates covering at most
-one gather block of media (``store.float_groups``), or one larger
+one gather block of media (``store.group_chunks``), or one larger
 template on its own. A chunk's rows are gathered as float64 into one
-buffer, made unit length in it by ``store.unit_rows``, and summed in it
+buffer by ``store.float_chunks``, the one row reader, made unit length
+in it by ``store.unit_rows``, and summed in it
 when every feature and template is one row, else each summing step
 gathers its rows; so a set is read once. ``templates`` collects the
 chunks into one matrix, which the template set adopts without copying it
@@ -51,21 +52,22 @@ from __future__ import annotations
 import csv
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DataError, DimensionError, ProtocolError, UnknownIdError
 from .store import (
     DEGENERATE_NORM,
-    UNIT_NORM_TOL,
     EmbeddingSet,
     MediaManifest,
     PairList,
     _decoded,
     _frozen_array,
-    float_groups,
+    float_chunks,
+    group_chunks,
     pair_chunks,
-    row_norms,
+    unit_length,
     unit_rows,
 )
 
@@ -102,10 +104,8 @@ class TemplateSet:
             raise DataError("template ids, subject ids, and rows must align")
         if len(set(self.template_ids)) != n:
             raise DataError("duplicate template ids")
-        if n:
-            norms = row_norms(self.vectors)
-            if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):
-                raise DataError("template vectors must be unit length within 1e-6")
+        if not unit_length(self.vectors):
+            raise DataError("template vectors must be unit length within 1e-6")
 
     @property
     def dim(self) -> int:
@@ -246,16 +246,21 @@ class _Grouping:
         )
 
     def chunks(self, vectors: np.ndarray):
-        """Per chunk of whole templates, as ``store.float_groups`` gathers
-        their rows: ``(templates, totals, keep)``, the slice of templates,
-        each one's sum of features, and which sums have a norm of at least
-        DEGENERATE_NORM; those are scaled to unit length. A feature is the
-        mean of its usable frames as ``unit_rows`` leaves them (a degenerate
-        row is +0.0 and adds nothing); an image is a one-frame feature.
-        ``totals`` is the gather buffer when every feature and template
-        holds one row, so it is valid until the next chunk is taken."""
+        """Per chunk of whole templates (``store.group_chunks``), its rows
+        gathered by ``store.float_chunks``: ``(templates, totals, keep)``,
+        the slice of templates, each one's sum of features, and which sums
+        have a norm of at least DEGENERATE_NORM; those are scaled to unit
+        length. A feature is the mean of its usable frames as ``unit_rows``
+        leaves them (a degenerate row is +0.0 and adds nothing); an image
+        is a one-frame feature. ``totals`` is the gather buffer when every
+        feature and template holds one row, so it is valid until the next
+        chunk is taken."""
         feature_starts, template_starts = self.feature_starts, self.template_starts
-        for templates, rows in float_groups(vectors, self.rows, feature_starts[template_starts]):
+        media_starts = feature_starts[template_starts]
+        groups = group_chunks(media_starts)
+        media = [slice(int(media_starts[g.start]), int(media_starts[g.stop])) for g in groups]
+        del media_starts  # 8 bytes a template, not to be held while the chunks are built
+        for templates, (_, rows) in zip(groups, float_chunks(vectors, self.rows, media)):
             features = template_starts[templates.start : templates.stop + 1]
             starts = feature_starts[features[0] : features[-1] + 1] - feature_starts[features[0]]
             usable = np.append(0, np.cumsum(unit_rows(rows)))[starts]
@@ -276,8 +281,9 @@ class EvalPlan:
 
     Compiled for a manifest, the media order of the verification set and
     a pair list: it holds the media-to-video-to-template grouping as row
-    arrays, and each pair side as an int32 template code: the manifest's
-    code, or a code past the manifest's templates for an id it lacks.
+    arrays, and each pair side as an int32 template code from one
+    id-to-code dict: the manifest's code, or a code past the manifest's
+    templates for an id it lacks.
     Genuine labels come from the codes' subjects. Experiments evaluate
     every point, which differ only in the map, through one plan.
     ``verify`` scores side b's embeddings through it without building
@@ -288,9 +294,13 @@ class EvalPlan:
         self._manifest = manifest
         self._media_ids = tuple(media_ids)
         self._grouping = _Grouping(self._media_ids, manifest)
-        known = manifest.template_code
-        extra = [tid for tid in pairs.template_ids if tid not in known]
-        self._extra = {tid: len(known) + k for k, tid in enumerate(extra)}
+        code = manifest.template_code
+        extra = [tid for tid in pairs.template_ids if tid not in code]
+        if extra:
+            # a new dict: the manifest's is shared, and copying it always
+            # would hold a second dict of every template id
+            code = code | dict(zip(extra, range(len(code), len(code) + len(extra))))
+        self._code = code
         self._template_ids = manifest.template_ids + tuple(extra)
         table = self._codes_of(pairs.template_ids)
         self._side_a = _read_only(table[pairs.codes_a])
@@ -300,9 +310,8 @@ class EvalPlan:
 
     def _codes_of(self, template_ids) -> np.ndarray:
         """The plan's code of each id, or -1 for an id it does not know."""
-        known, extra = self._manifest.template_code, self._extra
-        codes = (known.get(tid, extra.get(tid, -1)) for tid in template_ids)
-        return np.fromiter(codes, np.int32, len(template_ids))
+        return np.fromiter(map(self._code.get, template_ids, repeat(-1)), np.int32,
+                           len(template_ids))
 
     def _template_chunks(self, embeddings: EmbeddingSet):
         """The compiled grouping, or for a set in another media order its

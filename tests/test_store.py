@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import gc
+import importlib
 import inspect
 import json
 import os
@@ -58,7 +59,6 @@ from embalign.store import (
     aligned_rows,
     all_finite,
     float_chunks,
-    float_groups,
     group_chunks,
     pair_chunks,
     row_chunks,
@@ -272,21 +272,47 @@ class TestFloatChunks:
         if set(sizes) == {1}:
             assert max(c.stop - c.start for c in chunks) == limit
 
-    def test_float_groups_gather_each_chunk(self):
-        rng = np.random.default_rng(3)
-        sizes = rng.integers(0, 7, 3000)
-        sizes[100] = 5000
-        starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
-        vectors = rng.standard_normal((500, 4)).astype(np.float32)
-        index = rng.integers(0, 500, starts[-1])
-        seen, first = [], None
-        for groups, chunk in float_groups(vectors, index, starts):
-            first = chunk if first is None else first
-            assert np.shares_memory(chunk, first)
-            rows = index[starts[groups.start]:starts[groups.stop]]
-            assert chunk.tobytes() == vectors[rows].astype(np.float64).tobytes()
-            seen.append(groups)
-        assert seen == group_chunks(starts)
+    @staticmethod
+    def _chunk_list(kind: str) -> list[slice]:
+        """Row slices as a caller passes them: template chunks of whole
+        groups (some empty, one longer than a block), one-row chunks, or
+        empty chunks between others, the longest first."""
+        if kind == "groups":
+            sizes = np.random.default_rng(3).integers(0, 7, 600)
+            sizes[100] = 700
+            starts = np.concatenate([[0], np.cumsum(sizes)]).astype(np.intp)
+            return [slice(int(starts[g.start]), int(starts[g.stop]))
+                    for g in group_chunks(starts)]
+        if kind == "one-row":
+            return [slice(i, i + 1) for i in range(300)]
+        bounds = [0, 1100, 1100, 1101, 1400, 1400, 1401, 1900, 1900]
+        return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+    @pytest.mark.parametrize("source", ["array", "file"])
+    @pytest.mark.parametrize("order", [None, "permuted", "repeated"])
+    @pytest.mark.parametrize("kind", ["groups", "one-row", "empty and longest first"])
+    def test_gathers_each_given_chunk(self, tmp_path, kind, order, source):
+        chunks = self._chunk_list(kind)
+        n = chunks[-1].stop
+        rng = np.random.default_rng(n)
+        want = rng.standard_normal((n, 5)).astype(np.float32)
+        vectors = want
+        if source == "file":
+            save_embeddings(make_set([f"r{i}" for i in range(n)], want), tmp_path / "s.cfeb")
+            vectors = load_embeddings(tmp_path / "s.cfeb").vectors
+        index = {None: None, "permuted": rng.permutation(n),
+                 "repeated": rng.integers(0, n, n)}[order]
+        seen, buffers = [], []
+        for rows, chunk in float_chunks(vectors, index, chunks):
+            picked = want[rows] if index is None else want[index[rows]]
+            assert chunk.tobytes() == picked.astype(np.float64).tobytes()
+            seen.append(rows)
+            buffers.append(chunk.base)
+        assert seen == chunks
+        # one buffer, as long as the longest chunk, serves every chunk
+        longest = max(rows.stop - rows.start for rows in chunks)
+        assert all(buffer is buffers[0] for buffer in buffers)
+        assert buffers[0].shape == (longest, 5)
 
     @pytest.mark.parametrize("n", [0, 1, _PAIR_CHUNK - 1, _PAIR_CHUNK, _PAIR_CHUNK + 1,
                                    10 * _PAIR_CHUNK + 3])
@@ -348,6 +374,18 @@ class TestFloatChunks:
         assert sorted(compares) == [("store.py", "norms >= DEGENERATE_NORM"),
                                     ("verification.py", "lengths >= DEGENERATE_NORM")]
 
+    def test_one_float_reader_and_one_unit_length_rule(self):
+        # rows are read as float64 by store.float_chunks alone, and only
+        # store takes row norms or compares them with UNIT_NORM_TOL
+        package = Path(embalign.__file__).parent
+        for path in package.glob("*.py"):
+            text = path.read_text()
+            defined = {node.name for node in ast.walk(ast.parse(text))
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            assert not defined & {"_gathered", "float_groups"}, path.name
+            if path.name != "store.py":
+                assert "row_norms(" not in text and "UNIT_NORM_TOL" not in text, path.name
+
     def test_aligned_rows_only_in_store_and_shared_fits(self):
         # every fit of two sets aligns them in mapping._shared_fits
         package = Path(embalign.__file__).parent
@@ -369,6 +407,17 @@ class TestFloatChunks:
             if path.name != "store.py":
                 text = path.read_text()
                 assert [name for name in names if name in text] == [], path.name
+
+
+class TestReadme:
+    def test_named_module_attributes_exist(self):
+        # a helper that is deleted or renamed cannot stay documented
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        named = set(re.findall(r"`(store|mapping|verification|experiments)\.(\w+)", readme))
+        assert named
+        missing = [f"{module}.{name}" for module, name in sorted(named)
+                   if not hasattr(importlib.import_module(f"embalign.{module}"), name)]
+        assert missing == []
 
 
 class TestEmbeddingFile:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,25 @@ class TestDeriveModel:
             assert derived.media_ids == base.media_ids
             for i, mid in enumerate(derived.media_ids):
                 assert derived.vectors[i].tobytes() == expected[mid]
+
+    @pytest.mark.parametrize("kind", ["rotation", "linear"])
+    def test_zero_base_row_derives_a_zero_row(self, kind):
+        # with no cross-model noise a zero base row has no direction:
+        # store.unit_rows sets it to +0.0, without a warning, and every
+        # other row is as derived from a base without it
+        spec = SynthSpec(dim=16, num_subjects=4, media_per_subject=3, seed=5)
+        a, _, manifest, _ = generate_world(spec)
+        vectors = np.array(a.vectors)
+        vectors[4] = 0.0
+        options = dict(planted_kind=kind, cross_model_noise=0.0, seed=7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            derived, _ = derive_model(EmbeddingSet("A", a.media_ids, vectors), manifest,
+                                      **options)
+        assert derived.vectors[4].tobytes() == np.zeros(16).tobytes()
+        others = np.arange(len(a)) != 4
+        full, _ = derive_model(a, manifest, **options)
+        assert derived.vectors[others].tobytes() == full.vectors[others].tobytes()
 
     def test_medium_missing_from_manifest_rejected(self):
         spec = SynthSpec(dim=4, num_subjects=3, media_per_subject=2, seed=1)
