@@ -4,7 +4,9 @@ Every stream is a Philox generator (Salmon et al., "Random123", SC 2011)
 keyed by (seed, purpose, index): the seed fills the first key word, the
 purpose code the top 16 bits of the second and the index its low 48
 bits. Distinct keys give independent streams, so each draw depends only
-on its key, never on evaluation order or worker count.
+on its key, never on evaluation order or worker count. A stream is keyed
+without drawing OS entropy: ``Philox`` takes its key words from a seed
+sequence that returns them (``_key_type``), with its counter at 0.
 
 Every purpose code is registered in ``Purpose``; ``unique`` rejects a
 duplicate code at import time.
@@ -12,6 +14,7 @@ duplicate code at import time.
 
 from __future__ import annotations
 
+import functools
 import operator
 from enum import IntEnum, unique
 
@@ -37,6 +40,24 @@ class Purpose(IntEnum):
     ATTACK = 19
 
 
+@functools.cache
+def _key_type() -> type:
+    """The seed sequence whose state, as ``Philox`` asks for it
+    (``generate_state(2, np.uint64)``), is a stream's two uint64 key
+    words. Made on first use, as importing ``numpy.random`` with this
+    module would load it into every command, drawing or not."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Key(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return Key
+
+
 def stream(seed: int, purpose: Purpose, index: int = 0) -> np.random.Generator:
     """The generator keyed by (seed, purpose, index).
 
@@ -52,4 +73,4 @@ def stream(seed: int, purpose: Purpose, index: int = 0) -> np.random.Generator:
     key = np.array(
         [seed, (int(Purpose(purpose)) << _INDEX_BITS) | index], dtype=np.uint64
     )
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_key_type()(key)))

@@ -17,18 +17,24 @@ Model B is derived per planted kind:
 
 ``generate_world`` and ``derive_model`` derive model B on one path.
 Randomness comes from ``embalign.rng`` streams keyed by (seed, purpose,
-subject index), one stream per subject and purpose. Subjects are indexed
-in sorted subject-id order, and each subject's media draw their noise in
-media-id order. The planted product is taken over every manifest medium
-in that same order, so BLAS always sees the same matrix shape. A derived
-vector therefore depends only on the seed, the manifest and its own base
-vector: not on the base set's row order, on which other media it holds,
-or on worker count. Rows are normalized by ``store.unit_rows``, so a
-derived row with no direction is +0.0.
+subject index), one stream per subject and purpose; a stream is keyed
+without drawing OS entropy. Subjects are indexed in sorted subject-id
+order, and each subject's media draw their noise in media-id order. The
+planted product is taken over every manifest medium in that same order,
+so BLAS always sees the same matrix shape. A derived vector therefore
+depends only on the seed, the manifest and its own base vector: not on
+the base set's row order, on which other media it holds, or on worker
+count. Rows are normalized by ``store.unit_rows``, so a derived row with
+no direction is +0.0. The subject means are drawn into one array, each
+into its row, and normalized in one pass; each subject's noise is drawn
+straight into its rows and scaled and shifted there. The sets adopt the
+arrays made for them, read-only, without a copy. Each noise level must
+be finite and >= 0, else ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,6 +47,13 @@ PLANTED_ROTATION = "rotation"
 PLANTED_LINEAR = "linear"
 PLANTED_INDEPENDENT = "independent"
 PLANTED_KINDS = (PLANTED_ROTATION, PLANTED_LINEAR, PLANTED_INDEPENDENT)
+
+
+def _check_levels(**levels: float) -> None:
+    """ValueError naming the first noise level that is not finite and >= 0."""
+    for name, level in levels.items():
+        if not (math.isfinite(level) and level >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {level!r}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +76,8 @@ class SynthSpec:
             raise ValueError("subject and media counts must be >= 1")
         if self.frames_per_video is not None and self.frames_per_video < 1:
             raise ValueError("frames_per_video must be >= 1 when set")
-        if self.within_class_noise < 0 or self.cross_model_noise < 0:
-            raise ValueError("noise levels must be >= 0")
+        _check_levels(within_class_noise=self.within_class_noise,
+                      cross_model_noise=self.cross_model_noise)
         if self.planted_kind not in PLANTED_KINDS:
             raise ValueError(f"unknown planted kind {self.planted_kind!r}")
         if self.seed < 0:
@@ -136,12 +149,17 @@ def _clustered(seed, mean_purpose, noise_purpose, blocks, rows, level) -> np.nda
     """``rows`` filled with unnormalized mean + noise. Subject block i takes
     its unit mean and its media's noise from the streams of the two
     purposes keyed by i."""
-    scale = _noise_scale(level, rows.shape[1])
+    dim = rows.shape[1]
+    means = np.empty((len(blocks), dim))
+    for i, mean in enumerate(means):
+        stream(seed, mean_purpose, i).standard_normal(out=mean)
+    unit_rows(means)
+    scale = _noise_scale(level, dim)
     for i, block in enumerate(blocks):
-        mean = stream(seed, mean_purpose, i).standard_normal((1, rows.shape[1]))
-        unit_rows(mean)
-        noise = stream(seed, noise_purpose, i).standard_normal(rows[block].shape)
-        rows[block] = mean + scale * noise
+        subject = rows[block]
+        stream(seed, noise_purpose, i).standard_normal(out=subject)
+        subject *= scale
+        subject += means[i]
     return rows
 
 
@@ -164,7 +182,7 @@ def _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
     """Derive a model space over ``base``'s media from base rows laid out
     in canonical order: ``grid`` holds one float64 row per manifest
     medium, ``blocks`` are its subject row slices in sorted subject order,
-    and ``take`` selects ``base``'s rows from it."""
+    and ``take`` selects ``base``'s rows from it (None: all, in order)."""
     dim = grid.shape[1]
     ground_truth = None
     if planted_kind == PLANTED_INDEPENDENT:
@@ -189,8 +207,10 @@ def _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
             matrix=planted,
             fit_sample_count=0,
         )
-    rows = rows[take]
+    if take is not None:
+        rows = rows[take]
     unit_rows(rows)
+    rows.setflags(write=False)
     derived = EmbeddingSet(model_id=model_id, media_ids=base.media_ids, vectors=rows)
     return derived, ground_truth
 
@@ -216,9 +236,10 @@ def generate_world(
     _clustered(spec.seed, Purpose.MEAN_A, Purpose.NOISE_A, blocks, vectors_a,
                spec.within_class_noise)
     unit_rows(vectors_a)
+    vectors_a.setflags(write=False)
     set_a = EmbeddingSet(model_id="A", media_ids=manifest.media_ids, vectors=vectors_a)
     set_b, ground_truth = _derive(
-        vectors_a, blocks, slice(None), set_a, spec.planted_kind,
+        vectors_a, blocks, None, set_a, spec.planted_kind,
         spec.cross_model_noise, spec.within_class_noise, spec.seed, "B",
     )
     return set_a, set_b, manifest, ground_truth
@@ -242,10 +263,13 @@ def derive_model(
     models sharing one media population. Each derived vector is the same
     bytes under any row order or subset of ``base``; the work grows with
     the manifest, not with ``base``. Raises UnknownIdError for a base
-    medium missing from the manifest.
+    medium missing from the manifest, and ValueError for a noise level
+    that is not finite and >= 0.
     """
     if planted_kind not in PLANTED_KINDS:
         raise ValueError(f"unknown planted kind {planted_kind!r}")
+    _check_levels(cross_model_noise=cross_model_noise,
+                  within_class_noise=within_class_noise)
     blocks, take = _canonical_rows(manifest, base.media_ids)
     grid = np.zeros((len(manifest), base.dim))
     grid[take] = base.vectors

@@ -34,6 +34,13 @@ accuracies, float for float. Reference linear fit: the SVD pseudoinverse
 of the whole design matrix, the oracle for `embalign.mapping.fit_linear`,
 which must return the same bytes wherever it falls back to the SVD and
 the same map to 1e-9 relative where it solves from the Gram.
+
+Reference synthetic worlds: one subject at a time, each subject's mean
+normalized on its own, its rows mean + scale * noise from a fresh noise
+array, and cross-model noise added from a fresh array per subject. The
+oracle for `embalign.synthetic.generate_world` and `derive_model`, which
+draw every mean into one array, normalize them in one pass and draw noise
+into the rows: the same manifest and the same bytes.
 """
 
 from math import isqrt
@@ -57,6 +64,7 @@ from embalign import (
 from embalign.mapping import SVD_RCOND
 from embalign.rng import Purpose, stream
 from embalign import store
+from embalign.synthetic import _bounded_linear, _haar_rotation
 from embalign.store import (
     _MANIFEST_HEADER,
     _PAIRS_HEADER,
@@ -199,6 +207,77 @@ def canonical_rows(manifest, media_ids) -> tuple[list[slice], list[int]]:
         return blocks, [row_of[mid] for mid in media_ids]
     except KeyError as exc:
         raise UnknownIdError(f"media id {exc.args[0]!r} not in manifest") from None
+
+
+def world_entries(spec) -> list[MediaEntry]:
+    """The media of a synthetic world, subject by subject: each subject's
+    media in videos of ``frames_per_video`` frames, the rest stills."""
+    entries = []
+    for s in range(spec.num_subjects):
+        sid = f"s{s:05d}"
+        media = [f"{sid}_m{m:03d}" for m in range(spec.media_per_subject)]
+        k = spec.frames_per_video or len(media) + 1
+        for v in range(len(media) // k):
+            vid = f"{sid}_v{v:03d}"
+            entries += [MediaEntry(mid, sid, f"T_{vid}", vid) for mid in media[v * k : (v + 1) * k]]
+        entries += [MediaEntry(mid, sid, f"T_{mid}", None)
+                    for mid in media[len(media) // k * k :]]
+    return entries
+
+
+def clustered_rows(seed, mean_purpose, noise_purpose, sizes, dim, level) -> np.ndarray:
+    """Subject i's rows, one subject at a time: its mean from its own
+    stream, normalized on its own, plus ``level / sqrt(dim)`` times a
+    fresh noise array from its own stream; not normalized."""
+    scale = level / np.sqrt(dim)
+    rows = []
+    for i, size in enumerate(sizes):
+        mean = stream(seed, mean_purpose, i).standard_normal((1, dim))
+        store.unit_rows(mean)
+        noise = stream(seed, noise_purpose, i).standard_normal((size, dim))
+        rows.append(mean + scale * noise)
+    return np.concatenate(rows)
+
+
+def derive_model(base: EmbeddingSet, manifest, planted_kind: str, cross_model_noise: float,
+                 within_class_noise: float, seed: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The normalized rows of a model derived over ``base``'s media, in its
+    row order, and the planted matrix (None for an independent model).
+    The rows are made in canonical order over every manifest medium."""
+    blocks, take = canonical_rows(manifest, base.media_ids)
+    dim = base.dim
+    planted = None
+    if planted_kind == "independent":
+        rows = clustered_rows(seed, Purpose.MEAN_B, Purpose.NOISE_B,
+                              [b.stop - b.start for b in blocks], dim, within_class_noise)
+    else:
+        grid = np.zeros((blocks[-1].stop, dim))
+        grid[take] = np.asarray(base.vectors, dtype=np.float64)
+        plant = _haar_rotation if planted_kind == "rotation" else _bounded_linear
+        planted = plant(dim, stream(seed, Purpose.PLANTED))
+        rows = grid @ planted
+        if cross_model_noise > 0:
+            scale = cross_model_noise / np.sqrt(dim)
+            for i, block in enumerate(blocks):
+                noise = stream(seed, Purpose.NOISE_X, i).standard_normal(rows[block].shape)
+                rows[block] += scale * noise
+    rows = rows[take]
+    store.unit_rows(rows)
+    return rows, planted
+
+
+def generate_world(spec) -> tuple[list[MediaEntry], np.ndarray, np.ndarray, np.ndarray | None]:
+    """A synthetic world's media, its model-A and model-B rows in media
+    order and its planted matrix."""
+    entries = world_entries(spec)
+    rows_a = clustered_rows(spec.seed, Purpose.MEAN_A, Purpose.NOISE_A,
+                            [spec.media_per_subject] * spec.num_subjects, spec.dim,
+                            spec.within_class_noise)
+    store.unit_rows(rows_a)
+    set_a = EmbeddingSet("A", tuple(e.media_id for e in entries), rows_a)
+    rows_b, planted = derive_model(set_a, Manifest(entries), spec.planted_kind,
+                                   spec.cross_model_noise, spec.within_class_noise, spec.seed)
+    return entries, rows_a, rows_b, planted
 
 
 def load_embeddings(path) -> EmbeddingSet:

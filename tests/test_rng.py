@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.random import bit_generator
 
 import embalign
 from embalign import SynthSpec, derive_model, generate_world
@@ -12,9 +17,43 @@ class TestStream:
     def test_key_layout(self):
         # seed in the first key word, purpose << 48 | index in the second:
         # the layout every stored world and split was drawn with
-        key = np.array([5, (18 << 48) | 9], dtype=np.uint64)
-        expected = np.random.Generator(np.random.Philox(key=key)).random(4)
-        assert stream(5, Purpose.SWEEP, 9).random(4).tobytes() == expected.tobytes()
+        for seed, purpose, index in product([0, 5, 2**64 - 1], Purpose, [0, 9, 2**48 - 1]):
+            key = np.array([seed, (purpose.value << 48) | index], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key))
+            got = stream(seed, purpose, index)
+            for field in ("key", "counter"):
+                assert np.array_equal(got.bit_generator.state["state"][field],
+                                      expected.bit_generator.state["state"][field])
+            assert got.random(4).tobytes() == expected.random(4).tobytes()
+            rows, want = np.empty((3, 5)), np.empty((3, 5))
+            got.standard_normal(out=rows[1:])
+            expected.standard_normal(out=want[1:])
+            assert rows[1:].tobytes() == want[1:].tobytes()
+
+    def test_keyed_without_os_entropy(self, monkeypatch):
+        # the key is the whole state: no SeedSequence gathers OS entropy
+        # (numpy's bit_generator.randbits) only for the key to override it
+        drawn = []
+        if hasattr(bit_generator, "randbits"):
+            randbits = bit_generator.randbits
+            monkeypatch.setattr(bit_generator, "randbits",
+                                lambda bits: drawn.append(bits) or randbits(bits))
+        seed_seq = stream(5, Purpose.SWEEP, 9).bit_generator.seed_seq
+        assert drawn == []
+        assert not isinstance(seed_seq, np.random.SeedSequence)
+        key = seed_seq.generate_state(2, np.uint64)
+        assert key.dtype == np.uint64 and key.tolist() == [5, (18 << 48) | 9]
+
+    def test_import_loads_no_numpy_random(self):
+        # numpy.random loads with the first stream, not with the package:
+        # loaded at import, it added about 6 MB to the peak RSS of every
+        # command, drawing or not
+        src = Path(embalign.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, embalign.cli; print('numpy.random' in sys.modules)"],
+            env=os.environ | {"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert done.stdout == "False\n", done.stderr
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_seed_range_edges_accepted(self, seed):

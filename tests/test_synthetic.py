@@ -1,10 +1,15 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_eval as reference
+from memory_gate import run_gate
 from embalign import (
     EmbeddingSet,
     PairList,
@@ -22,6 +27,10 @@ from embalign import (
     score_pairs,
 )
 from embalign.errors import UnknownIdError
+from embalign.synthetic import PLANTED_KINDS
+
+BAD_LEVELS = [-0.1, -math.inf, math.nan, math.inf]
+LEVELS = ["within_class_noise", "cross_model_noise"]
 
 
 class TestSynthSpec:
@@ -42,6 +51,128 @@ class TestSynthSpec:
             SynthSpec(planted_kind="affine")
         with pytest.raises(ValueError):
             SynthSpec(num_subjects=0)
+
+
+class TestNoiseLevels:
+    """One rule for both noise levels, in SynthSpec and derive_model: each
+    must be finite and >= 0."""
+
+    @pytest.mark.parametrize("level", BAD_LEVELS)
+    @pytest.mark.parametrize("field", LEVELS)
+    def test_spec_refuses(self, field, level):
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            SynthSpec(**{field: level})
+
+    @pytest.mark.parametrize("level", BAD_LEVELS)
+    @pytest.mark.parametrize("kind", PLANTED_KINDS)
+    @pytest.mark.parametrize("field", LEVELS)
+    def test_derive_model_refuses(self, field, kind, level):
+        # unchecked, a negative or NaN cross-model noise reads as none, a
+        # negative within-class noise draws a reflected independent world,
+        # and an infinite level ends in non-finite embeddings
+        a, _, manifest, _ = generate_world(SynthSpec(dim=4, num_subjects=3,
+                                                     media_per_subject=2))
+        with pytest.raises(ValueError, match=f"{field} must be finite and >= 0"):
+            derive_model(a, manifest, planted_kind=kind, **{field: level})
+
+    @pytest.mark.parametrize("kind", PLANTED_KINDS)
+    def test_zero_levels_accepted(self, kind):
+        spec = SynthSpec(dim=4, num_subjects=3, media_per_subject=2, planted_kind=kind,
+                         within_class_noise=0.0, cross_model_noise=0.0)
+        a, b, manifest, _ = generate_world(spec)
+        derived, _ = derive_model(a, manifest, planted_kind=kind, within_class_noise=0.0,
+                                  cross_model_noise=0.0, model_id="B")
+        assert derived.vectors.tobytes() == b.vectors.tobytes()
+
+
+@st.composite
+def world_specs(draw, dim, planted_kind):
+    return SynthSpec(
+        dim=dim,
+        num_subjects=draw(st.integers(1, 9)),
+        media_per_subject=draw(st.integers(1, 7)),
+        frames_per_video=draw(st.sampled_from([None, 3])),
+        within_class_noise=draw(st.sampled_from([0.0, 0.15, 2.0])),
+        cross_model_noise=draw(st.sampled_from([0.0, 0.05, 0.5])),
+        planted_kind=planted_kind,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+class TestWorldOracle:
+    """generate_world and derive_model against the one-subject-at-a-time
+    reference generator, byte for byte."""
+
+    @pytest.mark.parametrize("kind", PLANTED_KINDS)
+    @pytest.mark.parametrize("dim", [2, 3, 7, 9, 64, 129, 512])
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_world_matches_reference(self, dim, kind, data):
+        spec = data.draw(world_specs(dim, kind))
+        random = data.draw(st.randoms(use_true_random=False))
+        float32_base = data.draw(st.booleans())
+        a, b, manifest, ground_truth = generate_world(spec)
+        entries, rows_a, rows_b, planted = reference.generate_world(spec)
+        assert reference.decoded(manifest).entries == tuple(entries)
+        assert a.media_ids == b.media_ids == tuple(e.media_id for e in entries)
+        assert reference.same_bits(a.vectors, rows_a)
+        assert reference.same_bits(b.vectors, rows_b)
+        if planted is None:
+            assert ground_truth is None
+        else:
+            assert ground_truth.kind == spec.planted_kind
+            assert reference.same_bits(ground_truth.matrix, planted)
+
+        # a permuted subset of A, in float64 or float32, as another base
+        pick = random.sample(range(len(a)), random.randint(1, len(a)))
+        vectors = a.vectors[pick].astype(np.float32 if float32_base else np.float64)
+        base = EmbeddingSet("A", [a.media_ids[i] for i in pick], vectors)
+        options = dict(planted_kind=spec.planted_kind, seed=(spec.seed + 1) % 2**64,
+                       cross_model_noise=spec.cross_model_noise,
+                       within_class_noise=spec.within_class_noise)
+        derived, derived_truth = derive_model(base, manifest, **options)
+        rows, derived_planted = reference.derive_model(base, manifest, **options)
+        assert derived.media_ids == base.media_ids
+        assert reference.same_bits(derived.vectors, rows)
+        if derived_planted is None:
+            assert derived_truth is None
+        else:
+            assert reference.same_bits(derived_truth.matrix, derived_planted)
+
+    @pytest.mark.parametrize("kind", PLANTED_KINDS)
+    def test_sets_own_their_read_only_arrays(self, kind):
+        spec = SynthSpec(dim=8, num_subjects=5, media_per_subject=3, planted_kind=kind)
+        a, b, manifest, _ = generate_world(spec)
+        derived, _ = derive_model(a.restrict(a.media_ids[::2]), manifest, planted_kind=kind)
+        for vectors in (a.vectors, b.vectors, derived.vectors):
+            assert vectors.base is None and not vectors.flags.writeable
+
+
+WORLD_MEMORY_GATE = """
+import json
+import numpy as np
+from embalign import SynthSpec, generate_world
+
+spec = SynthSpec(dim=512, num_subjects=2_000, media_per_subject=10, seed=5)
+np.ones((64, 64)) @ np.ones((64, 64))
+# the two sets' arrays and one more set's worth of room: every set adopts
+# the array made for it, so no set is held twice
+cap_address_space(3 * spec.num_subjects * spec.media_per_subject * spec.dim * 8)
+a, b, manifest, planted = generate_world(spec)
+print(json.dumps({"media": [len(a), len(b), len(manifest)],
+                  "owned": [v.base is None and not v.flags.writeable
+                            for v in (a.vectors, b.vectors)]}))
+"""
+
+
+class TestWorldMemory:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads the process's VmSize from /proc")
+    def test_world_memory_bounded(self):
+        done = run_gate(WORLD_MEMORY_GATE)
+        assert done.returncode == 0, done.stderr[-2000:]
+        result = json.loads(done.stdout)
+        assert result == {"media": [20_000] * 3, "owned": [True, True]}
 
 
 class TestGenerateWorld:
