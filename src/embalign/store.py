@@ -157,11 +157,17 @@ def score_pieces(n: int, width: int) -> list[slice]:
     return _near_equal(n, piece_rows(width))
 
 
+def strides(n: int, step: int):
+    """Consecutive slices of ``step`` rows covering n rows, the last one
+    possibly shorter, made one at a time."""
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
+
+
 def pair_chunks(n: int):
-    """Consecutive slices of _PAIR_CHUNK pairs covering n pairs, the last
-    one possibly shorter, for loops that score each pair on its own: a
-    piece's two sides of float64 rows stay in cache."""
-    return (slice(lo, min(lo + _PAIR_CHUNK, n)) for lo in range(0, n, _PAIR_CHUNK))
+    """``strides`` of _PAIR_CHUNK pairs covering n pairs, for loops that
+    score each pair on its own: a piece's two sides of float64 rows stay
+    in cache."""
+    return strides(n, _PAIR_CHUNK)
 
 
 def all_finite(rows: np.ndarray) -> bool:
@@ -199,11 +205,9 @@ def float_chunks(vectors: np.ndarray, index: np.ndarray | None = None,
     buffer = np.empty((longest, vectors.shape[1]))
     for rows in chunks:
         chunk = buffer[: rows.stop - rows.start]
-        for start in range(0, len(chunk), _GATHER_BLOCK):
-            block = slice(start, start + _GATHER_BLOCK)
+        for block in strides(len(chunk), _GATHER_BLOCK):
             if index is None:
-                lo = rows.start + start
-                chunk[block] = vectors[lo : min(lo + _GATHER_BLOCK, rows.stop)]
+                chunk[block] = vectors[rows.start + block.start : rows.start + block.stop]
             else:
                 chunk[block] = vectors[index[rows][block]]
         yield rows, chunk
@@ -242,8 +246,7 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     """
     n = rows.shape[0]
     norms = np.empty(n)
-    blocks = [slice(lo, min(lo + _GATHER_BLOCK, n)) for lo in range(0, n, _GATHER_BLOCK)]
-    for block, chunk in float_chunks(rows, chunks=blocks):
+    for block, chunk in float_chunks(rows, chunks=list(strides(n, _GATHER_BLOCK))):
         chunk *= chunk
         np.add.reduce(chunk, axis=1, out=norms[block])
     return np.sqrt(norms, out=norms)
@@ -798,8 +801,7 @@ def _records(model_id: str, dim: int, count: int, chunks):
     yield binary_header(_MAGIC, "<IQ", dim, count)
     written = 0
     for media_ids, rows in chunks:
-        for lo in range(0, len(rows), _GATHER_BLOCK):
-            block = slice(lo, lo + _GATHER_BLOCK)
+        for block in strides(len(rows), _GATHER_BLOCK):
             payload = np.ascontiguousarray(rows[block], dtype="<f4")
             out = bytearray()
             for media_id, row in zip(media_ids[block], payload):

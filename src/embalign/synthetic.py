@@ -177,24 +177,30 @@ def _canonical_rows(manifest: MediaManifest, media_ids) -> tuple[list[slice], np
     return blocks, canonical[manifest.rows_of(media_ids)]
 
 
-def _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
+def _derive(count, blocks, take, base, planted_kind, cross_model_noise,
             within_class_noise, seed, model_id):
-    """Derive a model space over ``base``'s media from base rows laid out
-    in canonical order: ``grid`` holds one float64 row per manifest
-    medium, ``blocks`` are its subject row slices in sorted subject order,
-    and ``take`` selects ``base``'s rows from it (None: all, in order)."""
-    dim = grid.shape[1]
+    """Derive a model space over ``base``'s media. The manifest's ``count``
+    media are laid out in canonical order: ``blocks`` are its subject row
+    slices in sorted subject order, and ``take`` selects ``base``'s rows
+    from it (None: all, in order). A planted kind lays ``base`` out in one
+    float64 row per medium, held only until the product is made."""
+    dim = base.dim
     ground_truth = None
     if planted_kind == PLANTED_INDEPENDENT:
         rows = _clustered(seed, Purpose.MEAN_B, Purpose.NOISE_B, blocks,
-                          np.empty(grid.shape), within_class_noise)
+                          np.empty((count, dim)), within_class_noise)
     else:
         rng = stream(seed, Purpose.PLANTED)
         if planted_kind == PLANTED_ROTATION:
             kind, planted = ROTATION, _haar_rotation(dim, rng)
         else:
             kind, planted = LINEAR, _bounded_linear(dim, rng)
+        grid = base.vectors
+        if take is not None:
+            grid = np.zeros((count, dim))
+            grid[take] = base.vectors
         rows = grid @ planted
+        del grid
         if cross_model_noise > 0:
             scale = _noise_scale(cross_model_noise, dim)
             for i, block in enumerate(blocks):
@@ -239,7 +245,7 @@ def generate_world(
     vectors_a.setflags(write=False)
     set_a = EmbeddingSet(model_id="A", media_ids=manifest.media_ids, vectors=vectors_a)
     set_b, ground_truth = _derive(
-        vectors_a, blocks, None, set_a, spec.planted_kind,
+        len(vectors_a), blocks, None, set_a, spec.planted_kind,
         spec.cross_model_noise, spec.within_class_noise, spec.seed, "B",
     )
     return set_a, set_b, manifest, ground_truth
@@ -262,16 +268,15 @@ def derive_model(
     from fresh per-subject means. Useful for grids with three or more
     models sharing one media population. Each derived vector is the same
     bytes under any row order or subset of ``base``; the work grows with
-    the manifest, not with ``base``. Raises UnknownIdError for a base
-    medium missing from the manifest, and ValueError for a noise level
-    that is not finite and >= 0.
+    the manifest, not with ``base``, and at most two float64 arrays of the
+    manifest's size are held. Raises UnknownIdError for a base medium
+    missing from the manifest, and ValueError for a noise level that is
+    not finite and >= 0.
     """
     if planted_kind not in PLANTED_KINDS:
         raise ValueError(f"unknown planted kind {planted_kind!r}")
     _check_levels(cross_model_noise=cross_model_noise,
                   within_class_noise=within_class_noise)
     blocks, take = _canonical_rows(manifest, base.media_ids)
-    grid = np.zeros((len(manifest), base.dim))
-    grid[take] = base.vectors
-    return _derive(grid, blocks, take, base, planted_kind, cross_model_noise,
+    return _derive(len(manifest), blocks, take, base, planted_kind, cross_model_noise,
                    within_class_noise, seed, model_id)

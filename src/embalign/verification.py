@@ -29,15 +29,15 @@ Templates are built a chunk at a time: whole templates covering at most
 one gather block of media (``store.group_chunks``), or one larger
 template on its own. A chunk's rows are gathered as float64 into one
 buffer by ``store.float_chunks``, the one row reader, made unit length
-in it by ``store.unit_rows``, and summed in it
-when every feature and template is one row, else each summing step
-gathers its rows; so a set is read once. ``templates`` collects the
-chunks into one matrix, which the template set adopts without copying it
-again. ``score`` takes side b as a template set or as embeddings; for
-embeddings it scores each chunk's pairs as the chunk is built, so side
-b's templates are never held whole. Every template row and every pair's
-score is computed on its own, so each has the same bits however the rows
-are chunked.
+in it by ``store.unit_rows``, and summed in it when every feature and
+template is one row, else each summing step gathers its rows; so a set
+is read once. Every side of a plan is a source of template chunks: a
+template set is one, held whole, and an embedding set's are built one
+at a time. ``templates`` collects them into one matrix, which the
+template set adopts without copying it again; ``score`` walks side b's
+in one loop, sorting the pairs by side-b row only when b has more than
+one chunk. Every template row and every pair's score is computed on its
+own, so each has the same bits however the rows are chunked.
 
 Pairs are scored by the plain inner product, which equals cosine
 similarity because templates are unit length. ROC analysis uses exact
@@ -82,7 +82,7 @@ class TemplateSet:
 
     ``dropped`` lists template ids excluded because their feature sum was
     degenerate (all-zero); pairs referencing them are dropped downstream.
-    A set equals only itself.
+    No id is listed twice, kept or dropped. A set equals only itself.
     """
 
     model_id: str
@@ -102,8 +102,8 @@ class TemplateSet:
         n = vecs.shape[0]
         if len(self.template_ids) != n or len(self.subject_ids) != n:
             raise DataError("template ids, subject ids, and rows must align")
-        if len(set(self.template_ids)) != n:
-            raise DataError("duplicate template ids")
+        if len(set(self.template_ids + self.dropped)) != n + len(self.dropped):
+            raise DataError("duplicate template ids, kept or dropped")
         if not unit_length(self.vectors):
             raise DataError("template vectors must be unit length within 1e-6")
 
@@ -313,43 +313,45 @@ class EvalPlan:
         return np.fromiter(map(self._code.get, template_ids, repeat(-1)), np.int32,
                            len(template_ids))
 
-    def _template_chunks(self, embeddings: EmbeddingSet):
-        """The compiled grouping, or for a set in another media order its
-        own, and its template chunks (``_Grouping.chunks``)."""
-        same = embeddings.media_ids == self._media_ids
-        grouping = self._grouping if same else _Grouping(embeddings.media_ids, self._manifest)
-        return grouping, grouping.chunks(embeddings.vectors)
+    def _side(self, side: TemplateSet | EmbeddingSet):
+        """``(rows, codes, chunks)``: per plan code, its row in ``side``, else
+        _DROPPED or _UNKNOWN; the code of each of its templates; and its
+        chunks ``(templates, vectors, keep)``: one for a held template set,
+        else ``_Grouping.chunks`` of the compiled grouping or, for a set in
+        another media order, of its own."""
+        if isinstance(side, TemplateSet):
+            codes = self._codes_of(side.template_ids)
+            dropped = self._codes_of(side.dropped)
+            chunks = [(slice(0, len(side)), side.vectors, np.ones(len(side), dtype=bool))]
+        else:
+            same = side.media_ids == self._media_ids
+            grouping = self._grouping if same else _Grouping(side.media_ids, self._manifest)
+            codes, dropped = grouping.template_codes, self._codes_of(())
+            chunks = grouping.chunks(side.vectors)
+        rows = np.full(len(self._template_ids), _UNKNOWN, dtype=np.int32)
+        known = codes >= 0
+        rows[codes[known]] = np.flatnonzero(known)
+        rows[dropped[dropped >= 0]] = _DROPPED
+        return rows, codes, chunks
 
     def templates(self, embeddings: EmbeddingSet) -> TemplateSet:
-        """``build_templates(embeddings, manifest)``: the template chunks
-        collected into one matrix."""
-        grouping, chunks = self._template_chunks(embeddings)
-        codes = grouping.template_codes
+        """``build_templates(embeddings, manifest)``: the chunks of
+        ``_side`` collected into one matrix."""
+        _, codes, chunks = self._side(embeddings)
         totals = np.empty((codes.size, embeddings.dim))
         keep = np.empty(codes.size, dtype=bool)
         for templates, chunk, kept in chunks:
             totals[templates], keep[templates] = chunk, kept
             del chunk  # a view of the gather buffer, which goes with the chunks
-        vectors = totals if keep.all() else totals[keep]
-        vectors.setflags(write=False)
         manifest = self._manifest
         return TemplateSet(
             model_id=embeddings.model_id,
             template_ids=_decoded(manifest.template_ids, codes[keep]),
             subject_ids=_decoded(manifest.subject_ids,
                                  manifest.template_subjects[codes[keep]]),
-            vectors=vectors,
+            vectors=_read_only(totals if keep.all() else totals[keep]),
             dropped=_decoded(manifest.template_ids, codes[~keep]),
         )
-
-    def _rows_in(self, side: TemplateSet) -> np.ndarray:
-        """Per plan code: its row in ``side``, else _DROPPED or _UNKNOWN."""
-        rows = np.full(len(self._template_ids), _UNKNOWN, dtype=np.int32)
-        codes = self._codes_of(side.template_ids)
-        rows[codes[codes >= 0]] = np.flatnonzero(codes >= 0)
-        codes = self._codes_of(side.dropped)
-        rows[codes[codes >= 0]] = _DROPPED
-        return rows
 
     def _raise_unknown(self, p: int, row_a: np.ndarray, row_b: np.ndarray):
         ta, tb = self._template_ids[self._side_a[p]], self._template_ids[self._side_b[p]]
@@ -363,57 +365,44 @@ class EvalPlan:
     def score(self, a: TemplateSet, b: TemplateSet | EmbeddingSet) -> ScoredPairs:
         """``score_pairs(a, b, pairs, manifest)`` over the compiled pairs.
 
-        Side b is walked a chunk of templates at a time, and each chunk's
-        pairs are scored a piece of ``pair_chunks`` at a time, the piece's
-        rows taken straight from a's and the chunk's template matrices. A
-        template set is one chunk, as it is held whole; for an embedding
-        set, the chunks of ``templates`` are built one at a time, so its
-        templates are never held whole, and a pair to one found degenerate
-        is dropped once all are built; its pairs are sorted once by their
-        side-b row, so each chunk takes its pairs as one run of that order.
-        Memory past b's chunk is one piece's rows of each side, 2 x 128 x
-        dim floats, a float64 score per pair and, for an embedding set, an
-        index per pair. No per-pair Python object is made: the result holds
-        the plan's codes."""
-        if isinstance(b, TemplateSet):
-            rows_b = self._rows_in(b)
-            chunks = [(slice(0, len(b)), b.vectors, True)]
-            unit_b = np.ones(len(b), dtype=bool)
-        else:
-            grouping, chunks = self._template_chunks(b)
-            rows_b = np.full(len(self._template_ids), _UNKNOWN, dtype=np.int32)
-            rows_b[grouping.template_codes] = np.arange(grouping.template_codes.size)
-            unit_b = np.empty(grouping.template_codes.size, dtype=bool)
+        Side b is walked one chunk of ``_side`` at a time (a held set is one
+        chunk), and each chunk's pairs are scored a piece of ``pair_chunks``
+        at a time, the piece's rows taken straight from a's and the chunk's
+        template matrices. A chunk holding all of b's templates takes the
+        pairs unsorted; else they are sorted once by side-b row, on the
+        first chunk, so each chunk takes one run of that order, and an
+        embedding set's templates are never held whole. A template a chunk
+        finds degenerate is marked dropped as it is walked. Memory past b's
+        chunk is one piece's rows of each side, 2 x 128 x dim floats, a
+        float64 score per pair and, when b has more than one chunk, an
+        index per pair. No per-pair Python object is made: the result
+        holds the plan's codes."""
+        rows_b, codes_b, chunks = self._side(b)
         if a.dim != b.dim:
             raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
         side_a, side_b = self._side_a, self._side_b
-        row_a, row_b = self._rows_in(a)[side_a], rows_b[side_b]
+        row_a, row_b = self._side(a)[0][side_a], rows_b[side_b]
         scorable = (row_a >= 0) & (row_b >= 0)
-        if isinstance(b, TemplateSet):
-            # its one chunk takes every scorable pair, unsorted: sorting
-            # cost `sweep` 2.4 ms a call at 50,000 impostor pairs, 0.13 s
-            # of its 2 s
-            def chunk_pairs(templates):
-                return np.flatnonzero(scorable)
-        else:
-            # the scorable pairs by side-b row (the rest before them), so
-            # each chunk's pairs are one run of that order
-            keyed = np.where(scorable, row_b, -1)
-            by_b = np.argsort(keyed, kind="stable")
-            runs = np.cumsum(np.bincount(keyed + 1, minlength=unit_b.size + 1))
-            del keyed
-
-            def chunk_pairs(templates):
-                return by_b[runs[templates.start] : runs[templates.stop]]
         scores = np.empty(side_a.size)
-        for templates, vectors, unit in chunks:
-            pairs = chunk_pairs(templates)
+        by_b = None
+        for templates, vectors, kept in chunks:
+            if templates.stop - templates.start == codes_b.size:
+                # unsorted: a sort cost `sweep` 0.13 s of its 2 s (50,000 pairs)
+                pairs = np.flatnonzero(scorable)
+            else:
+                if by_b is None:
+                    # scorable pairs by side-b row, the rest first: a chunk's are one run
+                    keyed = np.where(scorable, row_b, -1)
+                    by_b = np.argsort(keyed, kind="stable")
+                    runs = np.cumsum(np.bincount(keyed + 1, minlength=codes_b.size + 1))
+                    del keyed
+                pairs = by_b[runs[templates.start] : runs[templates.stop]]
             ia, ib = row_a[pairs], row_b[pairs] - templates.start
             for piece in pair_chunks(pairs.size):
                 scores[pairs[piece]] = np.einsum(
                     "ij,ij->i", a.vectors[ia[piece]], vectors[ib[piece]])
-            unit_b[templates] = unit
-        row_b = np.where(np.isin(rows_b, np.flatnonzero(~unit_b)), _DROPPED, rows_b)[side_b]
+            rows_b[codes_b[templates][~kept]] = _DROPPED
+        row_b = rows_b[side_b]
         keep = (row_a != _DROPPED) & (row_b != _DROPPED)
         in_manifest = np.maximum(side_a, side_b) < len(self._manifest.template_ids)
         bad = keep & ((row_a < 0) | (row_b < 0) | ~in_manifest)

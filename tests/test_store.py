@@ -360,6 +360,18 @@ class TestFloatChunks:
                     and any(isinstance(op, ast.FloorDiv) for op in ast.walk(node))]
             assert not steps and not cuts, (path.name, steps, cuts)
 
+    def test_one_fixed_stride_rule(self):
+        # store cuts slices by a fixed step in one place, store.strides
+        text = (Path(embalign.__file__).parent / "store.py").read_text()
+        steps = [(func.name, ast.unparse(node)) for func in ast.walk(ast.parse(text))
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "range"
+                 and len(node.args) == 3]
+        assert steps == [("strides", "range(0, n, step)")]
+        assert [list(store.strides(n, 4)) for n in (0, 3, 8, 9)] == [
+            [], [slice(0, 3)], [slice(0, 4), slice(4, 8)],
+            [slice(0, 4), slice(4, 8), slice(8, 9)]]
+
     def test_degenerate_norm_only_in_store_and_template_lengths(self):
         # rows are normalized by store.unit_rows alone; verification
         # compares only its template lengths with the threshold

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -173,6 +174,26 @@ class TestWorldMemory:
         assert done.returncode == 0, done.stderr[-2000:]
         result = json.loads(done.stdout)
         assert result == {"media": [20_000] * 3, "owned": [True, True]}
+
+    @pytest.mark.parametrize("kind", PLANTED_KINDS)
+    def test_derive_model_holds_two_manifest_arrays(self, kind):
+        # the derived rows over the whole manifest and those of the base's
+        # media: a planted kind lays the base out in canonical order only
+        # until its product is made, and an independent kind never does
+        spec = SynthSpec(dim=64, num_subjects=2_000, media_per_subject=10, planted_kind=kind,
+                         seed=4)
+        a, _, manifest, _ = generate_world(spec)
+        manifest_bytes = len(manifest) * spec.dim * 8
+        for base in (a, a.restrict(a.media_ids[::-3])):
+            derive_model(base, manifest, planted_kind=kind)
+            tracemalloc.start()
+            try:
+                derived, _ = derive_model(base, manifest, planted_kind=kind)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(derived) == len(base)
+            assert peak <= 2.1 * manifest_bytes, (kind, len(base), peak / manifest_bytes)
 
 
 class TestGenerateWorld:

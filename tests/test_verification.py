@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -260,6 +262,22 @@ class TestScorePairs:
         )
         with pytest.raises(DimensionError):
             score_pairs(a, b, PairList(pairs=(("t1", "t2"),)), manifest)
+
+    @pytest.mark.parametrize("kept, dropped", [
+        (("t0", "t1"), ("t1",)),
+        (("t0", "t1"), ("t2", "t0")),
+        (("t0", "t1"), ("t2", "t2")),
+        (("t0",), ("t1", "t2", "t1")),
+    ])
+    def test_id_kept_and_dropped_or_dropped_twice_refused(self, kept, dropped):
+        # a pair to an id both kept and dropped would be dropped silently,
+        # though the set holds its vector
+        with pytest.raises(DataError, match="duplicate template ids"):
+            TemplateSet("A", kept, ("s0",) * len(kept), np.eye(len(kept), 2), dropped=dropped)
+
+    def test_distinct_dropped_ids_accepted(self):
+        side = TemplateSet("A", ("t0", "t1"), ("s0", "s1"), np.eye(2), dropped=("t2", "t3"))
+        assert side.dropped == ("t2", "t3")
 
     def test_symmetric_under_side_swap(self):
         manifest, a = self.setup_sets()
@@ -598,15 +616,15 @@ class TestEvalPlanOracle:
         )
 
 
-def chunked_protocol(n_templates: int, seed: int):
+def chunked_protocol(n_templates: int, seed: int, big: int = 5000):
     """A manifest of ``n_templates`` templates, mostly one image each, with
-    3-frame videos, one template of 5,000 media (more than one template
-    chunk holds), and two embedding sets over it: side b in another row
-    order, with zero rows, two of them the only rows of the one-image
-    templates t00003 and t00004, which b drops. Pairs are random, with
-    genuine pairs and pairs through b's dropped templates."""
+    3-frame videos, one template of ``big`` media (by default more than
+    one template chunk holds), and two embedding sets over it: side b in
+    another row order, with zero rows, two of them the only rows of the
+    one-image templates t00003 and t00004, which b drops. Pairs are
+    random, with genuine pairs and pairs through b's dropped templates."""
     rng = np.random.default_rng(seed)
-    entries, big = [], 5000
+    entries = []
     for t in range(n_templates):
         tid, sid = f"t{t:05d}", f"s{t // 3:05d}"
         if t == 7:
@@ -621,7 +639,7 @@ def chunked_protocol(n_templates: int, seed: int):
     dim = 6
     a = embset(ids, rng.standard_normal((len(ids), dim)), "A")
     rows = rng.standard_normal((len(ids), dim))
-    rows[rng.choice(len(ids), 50, replace=False)] = 0.0
+    rows[rng.choice(len(ids), min(50, len(ids) // 10), replace=False)] = 0.0
     rows[[i for i, e in enumerate(entries) if e.template_id in ("t00003", "t00004")]] = 0.0
     order = rng.permutation(len(ids))
     b = embset([ids[i] for i in order], rows[order], "B")
@@ -637,10 +655,17 @@ class TestScoreEmbeddingSide:
     """Side b as an embedding set, its templates built a chunk at a time,
     against its whole template set and the reference loops, bit for bit."""
 
-    @pytest.mark.parametrize("n_templates", [4095, 4097, 8193, 12291])
-    def test_bits_of_whole_templates(self, n_templates):
-        manifest, a, b, pairs = chunked_protocol(n_templates, n_templates)
+    @pytest.mark.parametrize("n_templates, big", [
+        *(pytest.param(n, 5000, id=str(n)) for n in (4095, 4097, 8193, 12291)),
+        # side b is one chunk, so its pairs are taken unsorted
+        pytest.param(60, 3, id="60-one-chunk"),
+    ])
+    def test_bits_of_whole_templates(self, n_templates, big):
+        manifest, a, b, pairs = chunked_protocol(n_templates, n_templates, big)
         plan = EvalPlan(manifest, a.media_ids, pairs)
+        _, codes_b, chunks = plan._side(b)
+        walked = [templates for templates, _, _ in chunks]
+        assert (walked == [slice(0, codes_b.size)]) == (big < store._GATHER_BLOCK)
         templates_a = plan.templates(a)
         got = plan.score(templates_a, b)
         assert got.dropped_pairs > 0
@@ -674,6 +699,19 @@ class TestScoreEmbeddingSide:
         # one einsum scores every pair, whichever side b is
         source = Path(verification.__file__).read_text()
         assert source.count("einsum(") == 1
+
+    def test_only_the_walker_tells_the_sides_apart(self):
+        # score has one path: only EvalPlan._side tells a held template set
+        # from an embedding set
+        tree = ast.parse(Path(verification.__file__).read_text())
+        plan = next(node for node in tree.body if getattr(node, "name", None) == "EvalPlan")
+        methods = {node.name: node for node in plan.body if isinstance(node, ast.FunctionDef)}
+        assert "isinstance(" not in ast.unparse(methods["score"])
+        asking = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                  for node in ast.walk(func) if isinstance(node, ast.Call)
+                  and ast.unparse(node.func) == "isinstance"
+                  and re.search(r"\b(TemplateSet|EmbeddingSet)\b", ast.unparse(node.args[1]))]
+        assert asking == ["_side"]
 
 
 class TestRoc:
