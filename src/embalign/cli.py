@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, mapping, store, synthetic, verification
+from . import experiments, mapping, rng, store, synthetic, verification
 from .errors import EmbAlignError, FileFormatError, ProtocolError
 
 log = logging.getLogger("embalign")
@@ -130,7 +130,8 @@ def _typed(value, hint, path: Path, key: str = ""):
 
 def _read_config(args, schema):
     """The UTF-8 JSON object in the file ``args.config`` as the dataclass
-    ``schema``, its seed taken from --seed, the config, EMBALIGN_SEED or 0."""
+    ``schema``, its seed taken from --seed, the config, EMBALIGN_SEED or 0
+    and checked by ``rng.check_seed``, naming where it came from."""
     path = Path(args.config)
     try:
         values = json.loads(path.read_bytes().decode("utf-8"))
@@ -139,14 +140,16 @@ def _read_config(args, schema):
     if type(values) is not dict:
         raise ValueError(f"{path}: config must be a JSON object")
     seed = _typed(values.pop("seed", None), int | None, path, "seed")
+    where = f"{path}: seed"
     if args.seed is not None:
-        seed = args.seed
+        seed, where = args.seed, "--seed"
     elif seed is None:
-        env = os.environ.get(SEED_ENV_VAR, "0")
+        env, where = os.environ.get(SEED_ENV_VAR, "0"), SEED_ENV_VAR
         try:
             seed = int(env)
         except ValueError:
             raise ValueError(f"{SEED_ENV_VAR}={env!r} is not an integer seed") from None
+    _check_early(rng.check_seed, seed, where)
     return _typed(values | {"seed": seed}, schema, path)
 
 
@@ -270,34 +273,44 @@ def cmd_verify(args) -> int:
 
 
 def _split_and_pair(config, refs):
-    """Load the manifest, split it by template, load each model and keep
-    only its split (a loaded model's split holds its ids and offsets, and
-    its rows are read by the experiment), and load or sample the
-    evaluation pairs. Sampled pairs take every genuine
-    pair among the verification templates, so a split leaving no subject
-    two of them is refused here, where its cause is known."""
+    """Load the manifest and split it by template, load or sample the
+    evaluation pairs, then load each model and keep only its split (a
+    loaded model's split holds its ids and offsets, and its rows are read
+    by the experiment). Given pairs must name verification templates
+    only, and sampled pairs take every genuine pair among them, so a list
+    naming an enrollment template, or a split leaving no subject two
+    verification templates, is refused before any model is read."""
     manifest = store.load_manifest(config.manifest)
     enroll_media, verify_media = experiments.split_by_template(
         manifest, config.enroll_fraction, config.seed
     )
+    codes = np.unique(manifest.template_codes[manifest.rows_of(verify_media)])
+    verify_templates = sorted(manifest.template_ids[c] for c in codes)
+    if config.pairs is not None:
+        pairs = store.load_pairs(config.pairs, manifest)
+        verified = set(verify_templates)
+        enrolled = next((t for t in pairs.template_ids if t not in verified), None)
+        if enrolled is not None:
+            raise ProtocolError(
+                f"{config.pairs}: pair template {enrolled!r} is in the enrollment split; "
+                "evaluation pairs must name verification templates only"
+            )
+    else:
+        subjects = manifest.template_subjects[codes]
+        if np.unique(subjects).size == subjects.size:
+            raise ProtocolError(
+                "no genuine pair to sample: no subject keeps two verification "
+                f"templates at enroll_fraction {config.enroll_fraction}"
+            )
+        pairs = experiments.sample_eval_pairs(
+            manifest, verify_templates, config.impostor_pairs, config.seed
+        )
     split = []
     for ref in refs:
         full = ref.load()
         split.append((full.restrict(enroll_media), full.restrict(verify_media)))
         del full  # its ids go before the next model is loaded
-    if config.pairs is not None:
-        return manifest, split, store.load_pairs(config.pairs, manifest)
-    codes = np.unique(manifest.template_codes[manifest.rows_of(verify_media)])
-    verify_templates = sorted(manifest.template_ids[c] for c in codes)
-    subjects = manifest.template_subjects[codes]
-    if np.unique(subjects).size == subjects.size:
-        raise ProtocolError(
-            "no genuine pair to sample: no subject keeps two verification "
-            f"templates at enroll_fraction {config.enroll_fraction}"
-        )
-    return manifest, split, experiments.sample_eval_pairs(
-        manifest, verify_templates, config.impostor_pairs, config.seed
-    )
+    return manifest, split, pairs
 
 
 def cmd_grid(args) -> int:

@@ -11,7 +11,7 @@ enrollment must be disjoint from its probes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import compress, product, repeat
 
 import numpy as np
@@ -27,25 +27,25 @@ DIAGONAL_KIND = "unmapped"
 
 @dataclass(frozen=True)
 class GridCell:
-    source_model_id: str
-    target_model_id: str
-    map_kind: str
+    source: str
+    target: str
+    kind: str
     fit_sample_count: int
     tars: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class GridResult:
+    """A cell per (source, target, kind). Its JSON is its fields, and its
+    CSV a row per cell and FAR: the cell's fields but ``tars``, then
+    ``far`` and ``tar``."""
+
     far_targets: tuple[float, ...]
     cells: tuple[GridCell, ...]
 
     def cell(self, source: str, target: str, kind: str) -> GridCell:
         for c in self.cells:
-            if (
-                c.source_model_id == source
-                and c.target_model_id == target
-                and c.map_kind == kind
-            ):
+            if (c.source, c.target, c.kind) == (source, target, kind):
                 return c
         raise KeyError((source, target, kind))
 
@@ -55,40 +55,20 @@ class GridResult:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "far_targets": list(self.far_targets),
-            "cells": [
-                {
-                    "source": c.source_model_id,
-                    "target": c.target_model_id,
-                    "kind": c.map_kind,
-                    "fit_sample_count": c.fit_sample_count,
-                    "tars": list(c.tars),
-                }
-                for c in self.cells
-            ],
-        }
+        return asdict(self)
 
     def csv_rows(self) -> list[list]:
-        rows = [["source", "target", "kind", "fit_sample_count", "far", "tar"]]
+        names = [f.name for f in fields(GridCell) if f.name != "tars"]
+        rows = [names + ["far", "tar"]]
         for c in self.cells:
-            for far, tar in zip(self.far_targets, c.tars):
-                rows.append(
-                    [
-                        c.source_model_id,
-                        c.target_model_id,
-                        c.map_kind,
-                        c.fit_sample_count,
-                        repr(far),
-                        repr(tar),
-                    ]
-                )
+            values = [getattr(c, name) for name in names]
+            rows.extend(values + [far, tar] for far, tar in zip(self.far_targets, c.tars))
         return rows
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    map_kind: str
+    kind: str
     sample_count: int
     repetition: int
     tar: float
@@ -96,51 +76,29 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """A point per (kind, sample count, repetition). Its JSON is its
+    fields plus ``means``, the mean TAR of each kind and count; its CSV a
+    row of fields per point."""
+
     far_target: float
     repetitions: int
     points: tuple[SweepPoint, ...]
 
     def mean_tar(self, kind: str, sample_count: int) -> float:
-        tars = [
-            p.tar
-            for p in self.points
-            if p.map_kind == kind and p.sample_count == sample_count
-        ]
+        tars = [p.tar for p in self.points if (p.kind, p.sample_count) == (kind, sample_count)]
         if not tars:
             raise KeyError((kind, sample_count))
         return float(np.mean(tars))
 
     def to_dict(self) -> dict:
-        kinds = sorted({p.map_kind for p in self.points})
+        kinds = sorted({p.kind for p in self.points})
         counts = sorted({p.sample_count for p in self.points})
-        return {
-            "far_target": self.far_target,
-            "repetitions": self.repetitions,
-            "points": [
-                {
-                    "kind": p.map_kind,
-                    "sample_count": p.sample_count,
-                    "repetition": p.repetition,
-                    "tar": p.tar,
-                }
-                for p in self.points
-            ],
-            "means": [
-                {
-                    "kind": k,
-                    "sample_count": c,
-                    "mean_tar": self.mean_tar(k, c),
-                }
-                for k in kinds
-                for c in counts
-            ],
-        }
+        means = [{"kind": k, "sample_count": c, "mean_tar": self.mean_tar(k, c)}
+                 for k in kinds for c in counts]
+        return asdict(self) | {"means": means}
 
     def csv_rows(self) -> list[list]:
-        rows = [["kind", "sample_count", "repetition", "tar"]]
-        for p in self.points:
-            rows.append([p.map_kind, p.sample_count, p.repetition, repr(p.tar)])
-        return rows
+        return [[f.name for f in fields(SweepPoint)]] + [list(astuple(p)) for p in self.points]
 
 
 @dataclass(frozen=True)
@@ -150,15 +108,12 @@ class AttackResult:
     rank_k_accuracy: dict[int, float]
 
     def to_dict(self) -> dict:
-        return {
-            "gallery_size": self.gallery_size,
-            "probe_count": self.probe_count,
-            "rank_k_accuracy": {str(k): v for k, v in sorted(self.rank_k_accuracy.items())},
-        }
+        # a JSON object's keys are strings
+        accuracy = {str(k): v for k, v in sorted(self.rank_k_accuracy.items())}
+        return asdict(self) | {"rank_k_accuracy": accuracy}
 
     def csv_rows(self) -> list[list]:
-        accuracy = sorted(self.rank_k_accuracy.items())
-        return [["k", "accuracy"]] + [[k, repr(v)] for k, v in accuracy]
+        return [["k", "accuracy"]] + [list(kv) for kv in sorted(self.rank_k_accuracy.items())]
 
 
 def split_by_template(

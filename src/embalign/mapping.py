@@ -170,8 +170,10 @@ class FitReport:
 
 
 def _fit_inputs(source_rows, target_rows) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(source_rows, dtype=np.float64)
-    y = np.asarray(target_rows, dtype=np.float64)
+    """The two row matrices, a float32 or float64 array as it is (its rows
+    are read as float64 a chunk at a time) and anything else as float64."""
+    x, y = (rows if isinstance(rows, np.ndarray) and rows.dtype in (np.float32, np.float64)
+            else np.asarray(rows, dtype=np.float64) for rows in (source_rows, target_rows))
     if x.ndim != 2 or y.ndim != 2:
         raise DataError("fit inputs must be 2-D row matrices")
     if not (all_finite(x) and all_finite(y)):

@@ -58,16 +58,24 @@ def _key_type() -> type:
     return Key
 
 
+def check_seed(seed: int) -> int:
+    """``seed`` as an int, by the one seed rule: TypeError for a value that
+    is not an integer (a float would be truncated silently), ValueError
+    for one outside [0, 2**64), the range of a stream's first key word."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def stream(seed: int, purpose: Purpose, index: int = 0) -> np.random.Generator:
     """The generator keyed by (seed, purpose, index).
 
-    Raises TypeError for a seed or index that is not an integer (a float
-    would be truncated silently), and ValueError for a seed outside
-    [0, 2**64), an index outside [0, 2**48) or an unregistered purpose.
+    Raises what ``check_seed`` raises for the seed, TypeError for an
+    index that is not an integer, and ValueError for an index outside
+    [0, 2**48) or an unregistered purpose.
     """
-    seed, index = operator.index(seed), operator.index(index)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    seed, index = check_seed(seed), operator.index(index)
     if not 0 <= index < 1 << _INDEX_BITS:
         raise ValueError(f"stream index must be in [0, 2**{_INDEX_BITS}), got {index}")
     key = np.array(

@@ -968,10 +968,23 @@ def load_pairs(path, manifest: MediaManifest | None = None) -> PairList:
 
 
 def save_pairs(pairs: PairList, path) -> None:
+    write_pair_csv(pairs, path)
+
+
+def write_pair_csv(pairs: PairList, path, **columns) -> None:
+    """Write the pair CSV header followed by the names of ``columns``, then
+    a row per pair: its two template ids and its entry of each column, a
+    function from a slice of the pairs to their entries. Rows are decoded
+    and written a ``pair_chunks`` piece at a time, so no list over every
+    pair is built."""
+    ids = pairs.template_ids
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
-        writer.writerow(_PAIRS_HEADER)
-        writer.writerows(pairs)
+        writer.writerow(_PAIRS_HEADER + list(columns))
+        for piece in pair_chunks(len(pairs)):
+            writer.writerows(zip(_decoded(ids, pairs.codes_a[piece]),
+                                 _decoded(ids, pairs.codes_b[piece]),
+                                 *(column(piece) for column in columns.values())))
 
 
 def aligned_rows(a: EmbeddingSet, b: EmbeddingSet) -> tuple[np.ndarray, np.ndarray]:

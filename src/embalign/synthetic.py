@@ -40,7 +40,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .mapping import LINEAR, MappingMatrix, ROTATION
-from .rng import Purpose, stream
+from .rng import Purpose, check_seed, stream
 from .store import EmbeddingSet, MediaEntry, MediaManifest, unit_rows
 
 PLANTED_ROTATION = "rotation"
@@ -80,8 +80,7 @@ class SynthSpec:
                       cross_model_noise=self.cross_model_noise)
         if self.planted_kind not in PLANTED_KINDS:
             raise ValueError(f"unknown planted kind {self.planted_kind!r}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

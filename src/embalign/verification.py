@@ -49,7 +49,6 @@ realized FAR never exceeds the target.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import repeat
@@ -69,6 +68,7 @@ from .store import (
     pair_chunks,
     unit_length,
     unit_rows,
+    write_pair_csv,
 )
 
 # row codes of a pair template that is not a row of the scored side
@@ -450,18 +450,12 @@ def score_pairs(
 
 def scores_to_csv(scored: ScoredPairs, path) -> None:
     """One CSV row per pair: its two template ids, the repr of its score
-    and its label as true or false, written a ``pair_chunks`` piece at a
-    time, so no list over every pair is built."""
-    ids = scored.template_ids
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["template_id_a", "template_id_b", "score", "genuine"])
-        for piece in pair_chunks(len(scored)):
-            writer.writerows(zip(
-                _decoded(ids, scored.codes_a[piece]), _decoded(ids, scored.codes_b[piece]),
-                map(repr, scored.scores[piece].tolist()),
-                map(("false", "true").__getitem__, scored.genuine[piece].tolist()),
-            ))
+    and its label as true or false, written by ``store.write_pair_csv``
+    a piece at a time, so no list over every pair is built."""
+    write_pair_csv(scored, path,
+                   score=lambda piece: scored.scores[piece].tolist(),
+                   genuine=lambda piece: map(("false", "true").__getitem__,
+                                             scored.genuine[piece].tolist()))
 
 
 def check_fars(far_targets) -> list[float]:

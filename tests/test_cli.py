@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import importlib
 import importlib.util
 import io
@@ -14,10 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embalign import (
+    LINEAR,
     EmbeddingSet,
+    GridCell,
+    GridResult,
+    MappingMatrix,
     MediaEntry,
     MediaManifest,
     PairList,
+    SweepPoint,
+    SweepResult,
     SynthSpec,
     apply_map,
     build_templates,
@@ -30,12 +37,16 @@ from embalign import (
     random_rotation,
     roc,
     run_attack,
+    run_grid,
+    run_sweep,
+    sample_eval_pairs,
     save_embeddings,
     save_manifest,
     save_map,
     save_pairs,
     score_pairs,
     split_attack,
+    split_by_template,
     subject_gallery,
 )
 from embalign import cli, store
@@ -411,6 +422,31 @@ class TestApplyAndIngest:
         assert loaded.media_ids == ("m1", "m2")
         assert np.allclose(loaded.vectors, [[1.0, 0.0], [0.5, 0.25]])
 
+    def test_ingest_header_only_writes_an_empty_set(self, tmp_path, capsys):
+        src = tmp_path / "vecs.csv"
+        src.write_text("media_id,x0,x1\n")
+        out = tmp_path / "vecs.cfeb"
+        code, stdout, _ = run_cli(
+            capsys, "ingest", str(src), "--model-id", "empty", "--out", str(out)
+        )
+        assert code == 0
+        assert json.loads(stdout) == {"model_id": "empty", "dim": 0, "count": 0, "out": str(out)}
+        loaded = load_embeddings(out)
+        assert (loaded.model_id, loaded.media_ids, loaded.dim) == ("empty", (), 0)
+
+    def test_apply_refuses_a_product_that_overflows(self, tmp_path, capsys):
+        # each mapped component is 1.5e308 * (0.6 + 0.8), past float64's range
+        save_map(MappingMatrix(LINEAR, "A", "B", np.full((2, 2), 1.5e308), 1),
+                 tmp_path / "big.cfem")
+        save_embeddings(EmbeddingSet("A", ("m1",), np.array([[0.6, 0.8]])), tmp_path / "a.cfeb")
+        out = tmp_path / "mapped.cfeb"
+        # numpy also warns of the overflow; what is tested here is the refusal
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, stdout, stderr = run_cli(capsys, "apply", str(tmp_path / "big.cfem"),
+                                           str(tmp_path / "a.cfeb"), "--out", str(out))
+        assert_refused(code, stdout, stderr, out)
+        assert stderr == "error: embedding vectors contain non-finite values\n"
+
     def test_ingest_bad_value_exits_2(self, tmp_path, capsys):
         src = tmp_path / "vecs.csv"
         src.write_text("m1,1.0,zebra\n")
@@ -760,6 +796,14 @@ class TestExperimentCommands:
         diagonal = [c for c in result["cells"] if c["kind"] == "unmapped"]
         assert len(diagonal) == 3
 
+    def test_jobs_below_one_exits_2(self, world, tmp_path, capsys):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(self.grid_config(world)))
+        out = tmp_path / "g"
+        code, stdout, stderr = run_cli(capsys, "--jobs", "0", "grid", str(config), "--out", str(out))
+        assert_refused(code, stdout, stderr, out)
+        assert stderr == "error: --jobs must be >= 1\n"
+
     def test_jobs_flag_does_not_change_output(self, world, tmp_path, capsys):
         config = tmp_path / "grid.json"
         config.write_text(json.dumps(self.grid_config(world, kinds=("rotation",))))
@@ -794,6 +838,43 @@ class TestExperimentCommands:
         assert len(rows) == 6
         for count in ("4", "16"):
             assert sum(1 for r in rows if r[1] == count) == 3
+
+    def test_sweep_without_counts_takes_powers_of_two(self, world, tmp_path, capsys):
+        values = command_configs(world)["sweep"] | {"sample_counts": None, "kinds": ["linear"],
+                                                    "seed": 3}
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "sweep"
+        code, _, _ = run_cli(capsys, "sweep", str(config), "--out", str(out))
+        assert code == 0
+        enroll, _ = split_by_template(load_manifest(world["manifest"]), 0.5, 3)
+        counts = [p["sample_count"] for p in json.loads((out / "sweep.json").read_text())["points"]]
+        # 2, 4, ... up to the largest power of two within the enrollment
+        assert counts == [2**k for k in range(1, len(enroll).bit_length())]
+        assert counts[-1] <= len(enroll) < 2 * counts[-1]
+
+    @pytest.mark.parametrize("command", ["grid", "sweep"])
+    def test_result_json_reads_back_by_field_name(self, world, tmp_path, capsys, command):
+        # each JSON key and CSV column of a result is its field's name
+        values = command_configs(world)[command] | {"seed": 4}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, command, str(config), "--out", str(out))
+        assert code == 0
+        data = json.loads((out / f"{command}.json").read_text())
+        if command == "grid":
+            read = GridResult(
+                far_targets=tuple(data["far_targets"]),
+                cells=tuple(GridCell(**c | {"tars": tuple(c["tars"])}) for c in data["cells"]),
+            )
+            header = [f.name for f in dataclasses.fields(GridCell)][:-1] + ["far", "tar"]
+        else:
+            read = SweepResult(far_target=data["far_target"], repetitions=data["repetitions"],
+                               points=tuple(SweepPoint(**p) for p in data["points"]))
+            header = [f.name for f in dataclasses.fields(SweepPoint)]
+        assert read == library_result(world, command, values)
+        assert (out / f"{command}.csv").read_text().splitlines()[0] == ",".join(header)
 
     def test_sweep_seed_repeatable(self, world, tmp_path, capsys):
         config = tmp_path / "sweep.json"
@@ -1028,6 +1109,34 @@ def command_configs(world):
     }
 
 
+def library_result(world, command, values, pairs=None):
+    """The result of ``command_configs``' grid or sweep ``values`` through
+    the library: its split, its sampled pairs unless ``pairs`` is given,
+    and its experiment."""
+    manifest = load_manifest(world["manifest"])
+    enroll, verify = split_by_template(manifest, 0.5, values["seed"])
+    if pairs is None:
+        codes = manifest.template_codes[manifest.rows_of(verify)]
+        pairs = sample_eval_pairs(manifest, {manifest.template_ids[c] for c in codes},
+                                  values["impostor_pairs"], values["seed"])
+    models = [(m.restrict(enroll), m.restrict(verify))
+              for m in (load_embeddings(world["a"]), load_embeddings(world["b"]))]
+    if command == "grid":
+        return run_grid(models, manifest, pairs, values["kinds"], cli.GridConfig.fars)
+    return run_sweep(*models, manifest, pairs, cli.SweepConfig.kinds, values["sample_counts"],
+                     values["repetitions"], cli.SweepConfig.far, values["seed"])
+
+
+def without_models(values: dict, tmp_path) -> None:
+    """Point every model of a config at a file that does not exist, so
+    reading one would exit 1."""
+    models = values.get("models", []) + [
+        values[key] for key in ("source", "target", "unknown", "attacker") if key in values
+    ]
+    for model in models:
+        model["embeddings"] = str(tmp_path / "missing.cfeb")
+
+
 def assert_refused(code, stdout, stderr, out):
     """Exit 2 with one `error: ` line, no traceback and no output."""
     assert code == 2
@@ -1058,8 +1167,7 @@ class TestImpostorCount:
             values["impostor_pairs"] = -1
             # inputs that do not exist: reading any of them would exit 1
             values["manifest"] = str(tmp_path / "missing.csv")
-            for model in values.get("models", [values.get("source"), values.get("target")]):
-                model["embeddings"] = str(tmp_path / "missing.cfeb")
+            without_models(values, tmp_path)
         config.write_text(json.dumps(values))
         code, stdout, stderr = run_cli(capsys, *argv)
         assert_refused(code, stdout, stderr, out)
@@ -1084,20 +1192,27 @@ class TestSeedRange:
     @pytest.mark.parametrize("command", ["grid", "sweep", "attack", "synth"])
     @pytest.mark.parametrize(
         "seed", ["-1", str(2**64), "env -3", "env abc", "config 1.5", "config true",
-                 'config "7"']
+                 'config "7"', f"config {2**64}"]
     )
     def test_out_of_range_seed_exits_2(self, world, tmp_path, capsys, monkeypatch,
                                        command, seed):
         config = tmp_path / "config.json"
         values = command_configs(world)[command]
+        if command != "synth":
+            # inputs that do not exist: the seed is refused before any is read
+            values["manifest"] = str(tmp_path / "missing.csv")
+            without_models(values, tmp_path)
         out = tmp_path / "out"
         argv = [command, str(config), "--out", str(out)]
         if seed.startswith("env "):
             monkeypatch.setenv("EMBALIGN_SEED", seed.split()[1])
+            where = "EMBALIGN_SEED"
         elif seed.startswith("config "):
             values["seed"] = json.loads(seed.split(maxsplit=1)[1])
+            where = f"{config}: seed"
         else:
             argv += ["--seed", seed]
+            where = "--seed"
         config.write_text(json.dumps(values))
         code, stdout, stderr = run_cli(capsys, *argv)
         assert_refused(code, stdout, stderr, out)
@@ -1105,6 +1220,52 @@ class TestSeedRange:
         assert "seed" in stderr.replace(str(config), "")
         if seed == "env abc":
             assert "EMBALIGN_SEED" in stderr
+        value = seed.split()[-1]
+        if value.lstrip("-").isdigit():
+            # one seed rule, naming where the seed came from
+            assert stderr == f"error: {where}: seed must be in [0, 2**64), got {value}\n"
+
+
+class TestGivenPairs:
+    """A config's ``pairs`` list is scored as given, and must name
+    verification templates only."""
+
+    @pytest.mark.parametrize("command", ["grid", "sweep"])
+    def test_verification_pairs_match_the_library(self, world, tmp_path, capsys, command):
+        manifest = load_manifest(world["manifest"])
+        _, verify = split_by_template(manifest, 0.5, 4)
+        codes = manifest.template_codes[manifest.rows_of(verify)]
+        pairs = sample_eval_pairs(manifest, {manifest.template_ids[c] for c in codes}, 300, 9)
+        save_pairs(pairs, tmp_path / "pairs.csv")
+        values = command_configs(world)[command] | {"seed": 4, "pairs": "pairs.csv"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, command, str(config), "--out", str(out))
+        assert code == 0
+        expected = library_result(world, command, values, load_pairs(tmp_path / "pairs.csv"))
+        assert (out / f"{command}.json").read_text() == json.dumps(
+            expected.to_dict(), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("command", ["grid", "sweep"])
+    def test_enrollment_template_refused_before_any_model_is_read(
+        self, world, tmp_path, capsys, command
+    ):
+        # synth --pairs-out lists pairs over every template of the manifest
+        values = command_configs(world)[command] | {"seed": 4, "pairs": str(world["pairs"])}
+        without_models(values, tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(values))
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(capsys, command, str(config), "--out", str(out))
+        assert_refused(code, stdout, stderr, out)
+        manifest = load_manifest(world["manifest"])
+        enroll, _ = split_by_template(manifest, 0.5, 4)
+        enrolled = {manifest.template_ids[c] for c in manifest.template_codes[manifest.rows_of(enroll)]}
+        first = next(t for t in load_pairs(world["pairs"]).template_ids if t in enrolled)
+        assert stderr == (f"error: {world['pairs']}: pair template {first!r} is in the "
+                          "enrollment split; evaluation pairs must name verification "
+                          "templates only\n")
 
 
 class TestHostileInput:

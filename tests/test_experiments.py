@@ -164,7 +164,7 @@ class TestRunGrid:
             score_pairs(templates, templates, pairs, manifest), [1e-1, 1e-2]
         )
         assert grid.cells[0].tars == report.tar_at_far
-        assert grid.cells[0].map_kind == DIAGONAL_KIND
+        assert grid.cells[0].kind == DIAGONAL_KIND
 
     def test_overlapping_splits_rejected(self):
         _, a, b, manifest, _ = make_world()
@@ -202,7 +202,7 @@ class TestRunGrid:
         kinds = ["linear", "rotation", "identity"]
         grid = run_grid(models, manifest, pairs, kinds, [1e-1])
         assert len(grid.cells) == 3 * 2 * len(kinds) + 3
-        diagonals = [c for c in grid.cells if c.map_kind == DIAGONAL_KIND]
+        diagonals = [c for c in grid.cells if c.kind == DIAGONAL_KIND]
         assert len(diagonals) == 3
 
     def test_diagonal_invariant_to_requested_kinds(self):
@@ -458,6 +458,19 @@ class TestRunAttack:
         accs = [result.rank_k_accuracy[k] for k in ks]
         assert accs == sorted(accs)
         assert result.rank_k_accuracy[50] == 1.0
+
+    def test_every_probe_mapped_to_zero_rejected(self):
+        # the minimum-norm linear map sends the directions the enrollment
+        # never spans to zero, and the probes lie along them
+        eye = np.eye(4)
+        manifest = MediaManifest([MediaEntry(m, s, m) for m, s in (
+            ("e1", "s0"), ("e2", "s0"), ("g1", "s1"), ("p1", "s1"), ("g2", "s2"), ("p2", "s2"))])
+        gallery = subject_gallery(EmbeddingSet("B", ("g1", "g2"), eye[2:]), manifest)
+        with pytest.raises(ValueError, match="no probes survived mapping"):
+            run_attack(EmbeddingSet("A", ("e1", "e2"), eye[:2]),
+                       EmbeddingSet("B", ("e1", "e2"), eye[:2]),
+                       EmbeddingSet("A", ("p1", "p2"), eye[2:]),
+                       gallery, manifest, "linear", [1])
 
     def test_zero_pairs_rejected(self):
         a, b, manifest, enroll, probes, gallery = attack_setup()

@@ -46,6 +46,23 @@ def rotation_2d(theta):
 
 
 class TestFitLinear:
+    @pytest.mark.parametrize("fit_rows", [fit_linear, fit_rotation])
+    def test_float32_rows_read_a_chunk_at_a_time(self, fit_rows):
+        # float64 copies of the two inputs would take 39 MiB; their rows
+        # are read as float64 a row chunk at a time (measured: 8.4 MiB)
+        n, dim = 20_000, 128
+        x, y = np.random.default_rng(6).standard_normal((2, n, dim), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            fitted, report = fit_rows(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * _ROW_CHUNK * dim * 8, peak
+        want, want_report = fit_rows(x.astype(np.float64), y.astype(np.float64))
+        assert reference.same_bits(fitted.matrix, want.matrix)
+        assert report == want_report
+
     def test_self_map_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((20, 5))

@@ -64,6 +64,12 @@ class TestStream:
         with pytest.raises(ValueError, match="seed must be in"):
             stream(seed, Purpose.PLANTED)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_spec_takes_the_stream_seed_rule(self, seed):
+        # one seed rule: a spec refuses what a stream refuses, when it is made
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+            SynthSpec(seed=seed)
+
     @pytest.mark.parametrize("index", [-1, 2**48])
     def test_index_out_of_range_rejected(self, index):
         with pytest.raises(ValueError, match="stream index must be in"):

@@ -1035,6 +1035,17 @@ class TestPairList:
         save_pairs(pairs, path)
         assert load_pairs(path).pairs == pairs.pairs
 
+    def test_save_memory_does_not_grow_with_pairs(self, tmp_path):
+        # decoding every pair's codes at once takes two lists of n ids
+        n, templates = 400_000, 20_000
+        ids = tuple(f"t{i}" for i in range(templates))
+        codes = np.arange(n) % templates
+        pairs = PairList.coded(ids, codes, (codes + 1) % templates)
+        path = tmp_path / "pairs.csv"
+        assert traced_peak(lambda: save_pairs(pairs, path)) < 1 << 20
+        rows = "".join(f"t{c},t{(c + 1) % templates}\r\n" for c in codes.tolist())
+        assert path.read_bytes() == ("template_id_a,template_id_b\r\n" + rows).encode()
+
     def test_coded_builds_the_named_pairs(self):
         pairs = PairList.coded(("a", "b", "c"), [0, 2], [1, 0])
         assert pairs.pairs == (("a", "b"), ("c", "a"))
