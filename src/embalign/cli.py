@@ -261,10 +261,9 @@ def cmd_verify(args) -> int:
         side_a = mapping.apply_map(fitted, side_a)
     plan = verification.EvalPlan(manifest, side_a.media_ids, pairs)
     del pairs  # the plan holds its codes
-    templates_a = plan.templates(side_a)
-    del side_a  # only its templates are scored; free it before side b is read
-    # side b's templates are built and scored a chunk at a time
-    scored = plan.score(templates_a, store.load_embeddings(args.b))
+    # side a's templates are built a tile at a time, and side b's a chunk at
+    # a time once per tile
+    scored = plan.score(side_a, store.load_embeddings(args.b))
     report = verification.roc(scored, fars)
     if args.scores_out:
         verification.scores_to_csv(scored, args.scores_out)

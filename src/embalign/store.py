@@ -52,9 +52,11 @@ a full-size temporary. Alignment (``float_rows``), the fits and map
 application (``float_products``) read its row chunks, ``row_norms`` its
 _GATHER_BLOCK-row blocks, and template building its chunks of whole
 templates (``group_chunks``: at most _GATHER_BLOCK rows, gathered in one
-block, or one larger group alone). A save writes _GATHER_BLOCK rows at a
-time, and ``all_finite`` checks a ``row_chunks`` chunk at a time. Rows
-are normalized by ``unit_rows`` alone and checked unit length by
+block, or one larger group alone); a verification holds side a's
+templates in ``template_tiles``, near-equal tiles within _TILE_BUDGET
+bytes of float64 rows. A save writes _GATHER_BLOCK rows at a time, and
+``all_finite`` checks a ``row_chunks`` chunk at a time. Rows are
+normalized by ``unit_rows`` alone and checked unit length by
 ``unit_length`` alone. Pair scoring takes its rows a ``pair_chunks``
 piece at a time, straight from the template matrices; the attack scores
 each ``row_chunks`` chunk of mapped probes against its gallery a
@@ -106,6 +108,9 @@ _SCORE_BUDGET = 1 << 21
 # rows per copy when a row loop takes a set's rows (a fancy-indexed gather,
 # or a read from a file) or a save writes them
 _GATHER_BLOCK = 512
+# most bytes of float64 template rows in a tile of template_tiles: a
+# verification holds side a one tile at a time, and walks side b once a tile
+_TILE_BUDGET = 64 << 20
 # bytes of the window a .cfeb load reads its records through
 _READ_WINDOW = 1 << 20
 
@@ -176,6 +181,14 @@ def all_finite(rows: np.ndarray) -> bool:
     return all(np.isfinite(rows[chunk]).all() for chunk in row_chunks(len(rows)))
 
 
+def template_tiles(n: int, dim: int) -> list[slice]:
+    """As few near-equal consecutive slices of n templates as keep each
+    slice's float64 rows of ``dim`` within _TILE_BUDGET bytes, a template
+    a slice when one row is larger; one empty slice for no templates, so
+    a walk over the tiles still walks the other side once."""
+    return _near_equal(n, max(1, _TILE_BUDGET // (8 * max(dim, 1)))) or [slice(0, 0)]
+
+
 def group_chunks(starts: np.ndarray) -> list[slice]:
     """Consecutive slices of the groups whose rows are ``starts[g]:starts[g +
     1]``, each of whole groups covering at most _GATHER_BLOCK rows, or of
@@ -225,7 +238,10 @@ def float_products(vectors: np.ndarray, matrix: np.ndarray, out: np.ndarray | No
         buffer = np.empty((longest, matrix.shape[1]))
     for rows, chunk in float_chunks(vectors, chunks=chunks):
         product = buffer[: rows.stop - rows.start] if out is None else out[rows]
-        np.matmul(chunk, matrix, out=product)
+        # a product past float64's range is left to the caller's all_finite
+        # check, which refuses it in one error and no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(chunk, matrix, out=product)
         yield rows, product
 
 
@@ -246,9 +262,12 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     """
     n = rows.shape[0]
     norms = np.empty(n)
-    for block, chunk in float_chunks(rows, chunks=list(strides(n, _GATHER_BLOCK))):
-        chunk *= chunk
-        np.add.reduce(chunk, axis=1, out=norms[block])
+    # squares past float64's range give an infinite norm, with no warning:
+    # unit_length refuses the row, and unit_rows divides it to NaN
+    with np.errstate(over="ignore"):
+        for block, chunk in float_chunks(rows, chunks=list(strides(n, _GATHER_BLOCK))):
+            chunk *= chunk
+            np.add.reduce(chunk, axis=1, out=norms[block])
     return np.sqrt(norms, out=norms)
 
 
@@ -264,7 +283,9 @@ def unit_rows(rows: np.ndarray) -> np.ndarray:
     direction, to +0.0; the mask of the rows kept."""
     norms = row_norms(rows)
     keep = norms >= DEGENERATE_NORM
-    rows /= np.where(keep, norms, 1.0)[:, None]
+    # an infinite row divides to NaN, with no warning: all_finite refuses it
+    with np.errstate(invalid="ignore"):
+        rows /= np.where(keep, norms, 1.0)[:, None]
     rows[~keep] = 0.0
     return keep
 

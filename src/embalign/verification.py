@@ -31,13 +31,16 @@ template on its own. A chunk's rows are gathered as float64 into one
 buffer by ``store.float_chunks``, the one row reader, made unit length
 in it by ``store.unit_rows``, and summed in it when every feature and
 template is one row, else each summing step gathers its rows; so a set
-is read once. Every side of a plan is a source of template chunks: a
-template set is one, held whole, and an embedding set's are built one
-at a time. ``templates`` collects them into one matrix, which the
-template set adopts without copying it again; ``score`` walks side b's
-in one loop, sorting the pairs by side-b row only when b has more than
-one chunk. Every template row and every pair's score is computed on its
-own, so each has the same bits however the rows are chunked.
+is read once. Every side of a plan is a source of blocks of templates:
+a held template set is one block; an embedding set's blocks are its
+chunks, built one at a time, or its tiles (``store.template_tiles``),
+each collected from its chunks into one buffer. ``templates`` is one
+tile of every template, which the template set adopts without copying
+it again. ``score`` is a block nested-loop join: it holds side a one
+tile at a time and walks side b's chunks once per tile, so its memory
+is bounded by a tile, not by side a's templates. Every template row and
+every pair's score is computed on its own, so each has the same bits
+however the rows are chunked or tiled.
 
 Pairs are scored by the plain inner product, which equals cosine
 similarity because templates are unit length. ROC analysis uses exact
@@ -49,8 +52,10 @@ realized FAR never exceeds the target.
 
 from __future__ import annotations
 
+import logging
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -66,10 +71,13 @@ from .store import (
     float_chunks,
     group_chunks,
     pair_chunks,
+    template_tiles,
     unit_length,
     unit_rows,
     write_pair_csv,
 )
+
+log = logging.getLogger(__name__)
 
 # row codes of a pair template that is not a row of the scored side
 _UNKNOWN = -1
@@ -245,17 +253,19 @@ class _Grouping:
             feature_template, np.arange(ranks.size + 1)
         )
 
-    def chunks(self, vectors: np.ndarray):
-        """Per chunk of whole templates (``store.group_chunks``), its rows
-        gathered by ``store.float_chunks``: ``(templates, totals, keep)``,
-        the slice of templates, each one's sum of features, and which sums
-        have a norm of at least DEGENERATE_NORM; those are scaled to unit
-        length. A feature is the mean of its usable frames as ``unit_rows``
-        leaves them (a degenerate row is +0.0 and adds nothing); an image
-        is a one-frame feature. ``totals`` is the gather buffer when every
-        feature and template holds one row, so it is valid until the next
-        chunk is taken."""
-        feature_starts, template_starts = self.feature_starts, self.template_starts
+    def chunks(self, vectors: np.ndarray, tile: slice = slice(None)):
+        """Per chunk of whole templates of ``tile`` (``store.group_chunks``),
+        its rows gathered by ``store.float_chunks``: ``(templates, totals,
+        keep)``, the slice of templates, each one's sum of features, and
+        which sums have a norm of at least DEGENERATE_NORM; those are scaled
+        to unit length. A feature is the mean of its usable frames as
+        ``unit_rows`` leaves them (a degenerate row is +0.0 and adds
+        nothing); an image is a one-frame feature. ``totals`` is the gather
+        buffer when every feature and template holds one row, so it is valid
+        until the next chunk is taken."""
+        feature_starts = self.feature_starts
+        first, stop, _ = tile.indices(self.template_starts.size - 1)
+        template_starts = self.template_starts[first : stop + 1]
         media_starts = feature_starts[template_starts]
         groups = group_chunks(media_starts)
         media = [slice(int(media_starts[g.start]), int(media_starts[g.stop])) for g in groups]
@@ -273,7 +283,23 @@ class _Grouping:
             lengths = np.sqrt(np.matmul(totals[:, None, :], totals[:, :, None]).ravel())
             keep = lengths >= DEGENERATE_NORM
             totals /= np.where(keep, lengths, 1.0)[:, None]
-            yield templates, totals, keep
+            yield slice(first + templates.start, first + templates.stop), totals, keep
+
+    def tiles(self, vectors: np.ndarray, slices: list[slice]):
+        """Per slice of templates in ``slices``, ``(tile, totals, keep)``: its
+        ``chunks`` collected into one buffer that holds the longest tile,
+        reused for every tile, so a tile is valid until the next is taken;
+        a tile as long as the buffer is the buffer itself."""
+        longest = max(tile.stop - tile.start for tile in slices)
+        buffer, kept = np.empty((longest, vectors.shape[1])), np.empty(longest, dtype=bool)
+        for tile in slices:
+            n = tile.stop - tile.start
+            totals = buffer if n == longest else buffer[:n]
+            for templates, chunk, keep in self.chunks(vectors, tile):
+                rows = slice(templates.start - tile.start, templates.stop - tile.start)
+                totals[rows], kept[rows] = chunk, keep
+                del chunk  # a view of the gather buffer, which goes with the chunks
+            yield tile, totals, kept[:n]
 
 
 class EvalPlan:
@@ -286,8 +312,8 @@ class EvalPlan:
     templates for an id it lacks.
     Genuine labels come from the codes' subjects. Experiments evaluate
     every point, which differ only in the map, through one plan.
-    ``verify`` scores side b's embeddings through it without building
-    side b's template set.
+    ``verify`` scores both sides' embeddings through it without building
+    either side's template set.
     """
 
     def __init__(self, manifest: MediaManifest, media_ids, pairs: PairList):
@@ -313,36 +339,47 @@ class EvalPlan:
         return np.fromiter(map(self._code.get, template_ids, repeat(-1)), np.int32,
                            len(template_ids))
 
-    def _side(self, side: TemplateSet | EmbeddingSet):
-        """``(rows, codes, chunks)``: per plan code, its row in ``side``, else
-        _DROPPED or _UNKNOWN; the code of each of its templates; and its
-        chunks ``(templates, vectors, keep)``: one for a held template set,
-        else ``_Grouping.chunks`` of the compiled grouping or, for a set in
-        another media order, of its own."""
+    def _grouping_of(self, embeddings: EmbeddingSet) -> _Grouping:
+        """The compiled grouping for a set in the compiled media order, else
+        the set's own."""
+        if embeddings.media_ids == self._media_ids:
+            return self._grouping
+        return _Grouping(embeddings.media_ids, self._manifest)
+
+    def _side(self, side: TemplateSet | EmbeddingSet, tiled: bool = False):
+        """``(rows, codes, walk)``: per plan code, its row in ``side``, else
+        _DROPPED or _UNKNOWN; the code of each of its templates; and a
+        function giving a new walk over its blocks ``(templates, vectors,
+        keep)`` of consecutive templates. A held template set is one block,
+        its own vectors. An embedding set's blocks come from its
+        ``_grouping_of``: its chunks or, ``tiled``, its tiles of
+        ``store.template_tiles``."""
         if isinstance(side, TemplateSet):
             codes = self._codes_of(side.template_ids)
             dropped = self._codes_of(side.dropped)
-            chunks = [(slice(0, len(side)), side.vectors, np.ones(len(side), dtype=bool))]
+            whole = [(slice(0, len(side)), side.vectors, np.ones(len(side), dtype=bool))]
+            walk = partial(iter, whole)
         else:
-            same = side.media_ids == self._media_ids
-            grouping = self._grouping if same else _Grouping(side.media_ids, self._manifest)
+            grouping = self._grouping_of(side)
             codes, dropped = grouping.template_codes, self._codes_of(())
-            chunks = grouping.chunks(side.vectors)
+            walk = partial(grouping.chunks, side.vectors)
+            if tiled:
+                tiles = template_tiles(codes.size, side.dim)
+                log.info("side a held in tiles: templates=%d tiles=%d passes_over_side_b=%d",
+                         codes.size, len(tiles), len(tiles))
+                walk = partial(grouping.tiles, side.vectors, tiles)
         rows = np.full(len(self._template_ids), _UNKNOWN, dtype=np.int32)
         known = codes >= 0
         rows[codes[known]] = np.flatnonzero(known)
         rows[dropped[dropped >= 0]] = _DROPPED
-        return rows, codes, chunks
+        return rows, codes, walk
 
     def templates(self, embeddings: EmbeddingSet) -> TemplateSet:
-        """``build_templates(embeddings, manifest)``: the chunks of
-        ``_side`` collected into one matrix."""
-        _, codes, chunks = self._side(embeddings)
-        totals = np.empty((codes.size, embeddings.dim))
-        keep = np.empty(codes.size, dtype=bool)
-        for templates, chunk, kept in chunks:
-            totals[templates], keep[templates] = chunk, kept
-            del chunk  # a view of the gather buffer, which goes with the chunks
+        """``build_templates(embeddings, manifest)``: the grouping's templates
+        as one tile (``_Grouping.tiles``), which the set adopts."""
+        grouping = self._grouping_of(embeddings)
+        codes = grouping.template_codes
+        ((_, totals, keep),) = grouping.tiles(embeddings.vectors, [slice(0, codes.size)])
         manifest = self._manifest
         return TemplateSet(
             model_id=embeddings.model_id,
@@ -362,46 +399,54 @@ class EvalPlan:
         missing = tb if ta in self._manifest.template_code else ta
         raise UnknownIdError(f"template {missing!r} not in manifest")
 
-    def score(self, a: TemplateSet, b: TemplateSet | EmbeddingSet) -> ScoredPairs:
+    def score(self, a: TemplateSet | EmbeddingSet, b: TemplateSet | EmbeddingSet) -> ScoredPairs:
         """``score_pairs(a, b, pairs, manifest)`` over the compiled pairs.
 
-        Side b is walked one chunk of ``_side`` at a time (a held set is one
-        chunk), and each chunk's pairs are scored a piece of ``pair_chunks``
-        at a time, the piece's rows taken straight from a's and the chunk's
-        template matrices. A chunk holding all of b's templates takes the
-        pairs unsorted; else they are sorted once by side-b row, on the
-        first chunk, so each chunk takes one run of that order, and an
-        embedding set's templates are never held whole. A template a chunk
-        finds degenerate is marked dropped as it is walked. Memory past b's
-        chunk is one piece's rows of each side, 2 x 128 x dim floats, a
-        float64 score per pair and, when b has more than one chunk, an
-        index per pair. No per-pair Python object is made: the result
-        holds the plan's codes."""
+        A block nested-loop join over the blocks of ``_side``: side a is
+        walked one tile at a time (a held set is one tile, used as it is),
+        and side b's chunks once per tile (a held set is one chunk). Each
+        (tile, chunk) bucket's pairs are scored a piece of ``pair_chunks``
+        at a time, the piece's rows taken straight from the two blocks. A
+        chunk holding all of b's templates takes its pairs unsorted; else
+        the pairs are sorted once by side-b row, so each chunk takes one
+        run of that order; a tile short of all of a's templates keeps the
+        pairs of its rows. A template a tile or a chunk finds degenerate is
+        marked dropped as it is walked. Memory past a's tile (at most
+        ``store._TILE_BUDGET`` bytes) and b's chunk is one piece's rows of
+        each side, 2 x 128 x dim floats, a float64 score per pair and, when
+        b has more than one chunk, an index per pair. No per-pair Python
+        object is made: the result holds the plan's codes."""
+        rows_a, codes_a, tiles = self._side(a, tiled=True)
         rows_b, codes_b, chunks = self._side(b)
         if a.dim != b.dim:
             raise DimensionError(f"template dimensions differ: {a.dim} vs {b.dim}")
         side_a, side_b = self._side_a, self._side_b
-        row_a, row_b = self._side(a)[0][side_a], rows_b[side_b]
+        row_a, row_b = rows_a[side_a], rows_b[side_b]
         scorable = (row_a >= 0) & (row_b >= 0)
         scores = np.empty(side_a.size)
         by_b = None
-        for templates, vectors, kept in chunks:
-            if templates.stop - templates.start == codes_b.size:
-                # unsorted: a sort cost `sweep` 0.13 s of its 2 s (50,000 pairs)
-                pairs = np.flatnonzero(scorable)
-            else:
-                if by_b is None:
-                    # scorable pairs by side-b row, the rest first: a chunk's are one run
-                    keyed = np.where(scorable, row_b, -1)
-                    by_b = np.argsort(keyed, kind="stable")
-                    runs = np.cumsum(np.bincount(keyed + 1, minlength=codes_b.size + 1))
-                    del keyed
-                pairs = by_b[runs[templates.start] : runs[templates.stop]]
-            ia, ib = row_a[pairs], row_b[pairs] - templates.start
-            for piece in pair_chunks(pairs.size):
-                scores[pairs[piece]] = np.einsum(
-                    "ij,ij->i", a.vectors[ia[piece]], vectors[ib[piece]])
-            rows_b[codes_b[templates][~kept]] = _DROPPED
+        for tile, vectors_a, kept_a in tiles():
+            for templates, vectors_b, kept_b in chunks():
+                if templates.stop - templates.start == codes_b.size:
+                    # unsorted: a sort cost `sweep` 0.13 s of its 2 s (50,000 pairs)
+                    pairs = np.flatnonzero(scorable)
+                else:
+                    if by_b is None:
+                        # scorable pairs by side-b row, the rest first: a chunk's are one run
+                        keyed = np.where(scorable, row_b, -1)
+                        by_b = np.argsort(keyed, kind="stable")
+                        runs = np.cumsum(np.bincount(keyed + 1, minlength=codes_b.size + 1))
+                        del keyed
+                    pairs = by_b[runs[templates.start] : runs[templates.stop]]
+                if tile.stop - tile.start != codes_a.size:
+                    pairs = pairs[(row_a[pairs] >= tile.start) & (row_a[pairs] < tile.stop)]
+                ia, ib = row_a[pairs] - tile.start, row_b[pairs] - templates.start
+                for piece in pair_chunks(pairs.size):
+                    scores[pairs[piece]] = np.einsum(
+                        "ij,ij->i", vectors_a[ia[piece]], vectors_b[ib[piece]])
+                rows_b[codes_b[templates][~kept_b]] = _DROPPED
+            rows_a[codes_a[tile][~kept_a]] = _DROPPED
+        row_a = rows_a[side_a]
         row_b = rows_b[side_b]
         keep = (row_a != _DROPPED) & (row_b != _DROPPED)
         in_manifest = np.maximum(side_a, side_b) < len(self._manifest.template_ids)

@@ -7,6 +7,8 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -434,16 +436,16 @@ class TestApplyAndIngest:
         loaded = load_embeddings(out)
         assert (loaded.model_id, loaded.media_ids, loaded.dim) == ("empty", (), 0)
 
+    # the refusal is the one line on stderr: numpy warns of nothing
+    @pytest.mark.filterwarnings("error")
     def test_apply_refuses_a_product_that_overflows(self, tmp_path, capsys):
         # each mapped component is 1.5e308 * (0.6 + 0.8), past float64's range
         save_map(MappingMatrix(LINEAR, "A", "B", np.full((2, 2), 1.5e308), 1),
                  tmp_path / "big.cfem")
         save_embeddings(EmbeddingSet("A", ("m1",), np.array([[0.6, 0.8]])), tmp_path / "a.cfeb")
         out = tmp_path / "mapped.cfeb"
-        # numpy also warns of the overflow; what is tested here is the refusal
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, stdout, stderr = run_cli(capsys, "apply", str(tmp_path / "big.cfem"),
-                                           str(tmp_path / "a.cfeb"), "--out", str(out))
+        code, stdout, stderr = run_cli(capsys, "apply", str(tmp_path / "big.cfem"),
+                                       str(tmp_path / "a.cfeb"), "--out", str(out))
         assert_refused(code, stdout, stderr, out)
         assert stderr == "error: embedding vectors contain non-finite values\n"
 
@@ -473,18 +475,17 @@ class TestVerify:
     @pytest.mark.parametrize("mapped", [False, True])
     def test_memory_bounded(self, tmp_path, mapped):
         # 15,000 single-image media at dim 1024; a set is n x dim float32
-        # (58.6 MiB) and a template set twice that. The cap is side a's
-        # template set (2 sets), as neither side's vectors are held (both
-        # are read from their files a chunk at a time) and side b's
-        # templates are scored a chunk at a time, plus 32 MiB for the
-        # manifest, a template chunk of one gather block (4 MiB) and the
-        # scoring pieces; with --map, the float64 mapped set and side a's
-        # template set (4 sets), held while its templates are built, plus
-        # 40 MiB. Measured at one BLAS thread, over the VmSize after
-        # imports and the warm-up: 17 MiB (plain) and 24 MiB (--map) past
-        # the sets, each 15 MiB under its cap. Template chunks of 3,750
-        # rows (29 MiB) went 11 and 9 MiB over, and holding side b's whole
-        # set while scoring (3 sets) is refused under the plain cap.
+        # (58.6 MiB) and its template set twice that, more than one tile.
+        # Neither side's vectors are held (both are read from their files a
+        # chunk at a time), side a's templates are held one tile at a time
+        # (at most store._TILE_BUDGET bytes) and side b's are scored a chunk
+        # at a time, so the cap is one tile plus 32 MiB for the manifest, a
+        # template chunk of one gather block (4 MiB) and the scoring pieces,
+        # whatever side a's template count; with --map, also the float64
+        # mapped set (2 sets), plus 40 MiB. Measured at one BLAS thread,
+        # over the VmSize after imports and the warm-up: 81 MiB (plain, two
+        # tiles of 58.6 MiB) and 205 MiB (--map), each 15 MiB under its
+        # cap; holding side a's whole template set took 134 and 258 MiB.
         n, dim = 15_000, 1024
         rng = np.random.default_rng(4)
         ids = [f"m{i:05d}" for i in range(n)]
@@ -503,11 +504,30 @@ class TestVerify:
         if mapped:
             save_map(identity_map(dim), tmp_path / "map.cfem")
             argv += ["--map", tmp_path / "map.cfem"]
-        sets, headroom = (4, 40 << 20) if mapped else (2, 32 << 20)
-        done = run_memory_limited(tmp_path, sets * n * dim * 4 + headroom, *argv)
+        sets, headroom = (2, 40 << 20) if mapped else (0, 32 << 20)
+        cap = sets * n * dim * 4 + store._TILE_BUDGET + headroom
+        done = run_memory_limited(tmp_path, cap, *argv)
         assert done.returncode == 0, done.stderr[-2000:]
         report = json.loads(done.stdout)
         assert (report["genuine_count"], report["impostor_count"]) == (1000, 1000)
+
+    @pytest.mark.filterwarnings("error")
+    def test_map_refuses_a_product_that_overflows(self, tmp_path, capsys):
+        # as apply does: the map's product is past float64's range
+        save_map(MappingMatrix(LINEAR, "A", "B", np.full((2, 2), 1.5e308), 1),
+                 tmp_path / "big.cfem")
+        for name, media in (("a", "m1"), ("b", "m2")):
+            save_embeddings(EmbeddingSet(name.upper(), (media,), np.array([[0.6, 0.8]])),
+                            tmp_path / f"{name}.cfeb")
+        save_manifest(MediaManifest([MediaEntry("m1", "s1", "T1"), MediaEntry("m2", "s2", "T2")]),
+                      tmp_path / "manifest.csv")
+        save_pairs(PairList((("T1", "T2"),)), tmp_path / "pairs.csv")
+        code, stdout, stderr = run_cli(
+            capsys, "verify", *(str(tmp_path / f) for f in ("a.cfeb", "b.cfeb", "manifest.csv",
+                                                            "pairs.csv")),
+            "--map", str(tmp_path / "big.cfem"))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: embedding vectors contain non-finite values\n"
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
@@ -674,6 +694,23 @@ class TestVerify:
         lines = scores.read_text().strip().splitlines()
         assert lines[0] == "template_id_a,template_id_b,score,genuine"
         assert len(lines) == 1 + len(load_pairs(world["pairs"]))
+
+    def test_verbose_logs_the_tiles_on_one_line(self, world, tmp_path):
+        # -v adds one line on stderr, side a's templates, tiles and passes
+        # over side b, and leaves stdout's bytes and the scores as they are
+        argv = [sys.executable, "-m", "embalign.cli", "verify", world["a"], world["b"],
+                world["manifest"], world["pairs"], "--far", "1e-1"]
+        env = os.environ | {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        quiet, loud = (subprocess.run([*argv[:3], *flags, *argv[3:], "--scores-out",
+                                       tmp_path / f"{name}.csv"],
+                                      env=env, capture_output=True, text=True, timeout=120)
+                       for name, flags in (("quiet", []), ("loud", ["-v"])))
+        assert (quiet.returncode, loud.returncode, quiet.stderr) == (0, 0, "")
+        assert loud.stdout == quiet.stdout
+        assert (tmp_path / "loud.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
+        templates = len(load_manifest(world["manifest"]).template_ids)
+        assert loud.stderr == (f"side a held in tiles: templates={templates} tiles=1 "
+                               "passes_over_side_b=1\n")
 
     def test_bad_far_list_exits_2(self, world, capsys):
         code, _, _ = run_cli(

@@ -341,24 +341,48 @@ class TestFloatChunks:
 
     def test_row_chunks_only_in_store(self):
         # every other module reads its rows through float_chunks and takes
-        # its chunks and pieces from store's rules: it defines no _*_CHUNK
-        # size, and cuts no slices of its own by a fixed step or a count
+        # its chunks, pieces and tiles from store's rules: it defines and
+        # reads no _*_CHUNK, _*_BLOCK or _*_BUDGET size, cuts no near-equal
+        # slices, and cuts no slices of its own by a fixed step or a count
         package = Path(embalign.__file__).parent
+        sizes = r"_\w*_(CHUNK|BLOCK|BUDGET)"
         for path in package.glob("*.py"):
             if path.name == "store.py":
                 continue
             text = path.read_text()
-            assert "row_chunks(" not in text, path.name
+            assert "row_chunks(" not in text and "_near_equal(" not in text, path.name
             tree = ast.parse(text)
-            names = [target.id for node in tree.body if isinstance(node, ast.Assign)
-                     for target in node.targets if isinstance(target, ast.Name)]
-            assert not [name for name in names if re.fullmatch(r"_\w*_CHUNK", name)], path.name
+            names = [node.id for node in ast.walk(tree) if isinstance(node, ast.Name)]
+            names += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+            names += [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                      for alias in node.names]
+            assert not [name for name in names if re.fullmatch(sizes, name)], path.name
             calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
             steps = [ast.unparse(node) for node in calls
                      if ast.unparse(node.func) == "range" and len(node.args) == 3]
             cuts = [ast.unparse(node) for node in calls if ast.unparse(node.func) == "slice"
                     and any(isinstance(op, ast.FloorDiv) for op in ast.walk(node))]
             assert not steps and not cuts, (path.name, steps, cuts)
+
+    @pytest.mark.parametrize("dim", [1, 6, 512])
+    def test_template_tiles(self, monkeypatch, dim):
+        # near-equal tiles of whole templates within the budget's bytes of
+        # float64 rows; a row larger than the budget is a tile of its own
+        budget = 10 * 8 * dim
+        monkeypatch.setattr(store, "_TILE_BUDGET", budget)
+        assert store.template_tiles(0, dim) == [slice(0, 0)]
+        assert store.template_tiles(10, dim) == [slice(0, 10)]
+        assert store.template_tiles(11, dim) == [slice(0, 5), slice(5, 11)]
+        assert store.template_tiles(23, dim) == [slice(0, 7), slice(7, 15), slice(15, 23)]
+        for n in (1, 9, 10, 11, 19, 20, 21, 99, 1000):
+            tiles = store.template_tiles(n, dim)
+            sizes = [tile.stop - tile.start for tile in tiles]
+            assert [tile.start for tile in tiles[1:]] == [tile.stop for tile in tiles[:-1]]
+            assert (tiles[0].start, tiles[-1].stop) == (0, n)
+            assert len(tiles) == -(-n // 10) and max(sizes) - min(sizes) <= 1
+            assert max(sizes) * 8 * dim <= budget
+        monkeypatch.setattr(store, "_TILE_BUDGET", 8 * dim - 1)
+        assert store.template_tiles(3, dim) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     def test_one_fixed_stride_rule(self):
         # store cuts slices by a fixed step in one place, store.strides

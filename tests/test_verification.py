@@ -664,7 +664,7 @@ class TestScoreEmbeddingSide:
         manifest, a, b, pairs = chunked_protocol(n_templates, n_templates, big)
         plan = EvalPlan(manifest, a.media_ids, pairs)
         _, codes_b, chunks = plan._side(b)
-        walked = [templates for templates, _, _ in chunks]
+        walked = [templates for templates, _, _ in chunks()]
         assert (walked == [slice(0, codes_b.size)]) == (big < store._GATHER_BLOCK)
         templates_a = plan.templates(a)
         got = plan.score(templates_a, b)
@@ -712,6 +712,86 @@ class TestScoreEmbeddingSide:
                   and ast.unparse(node.func) == "isinstance"
                   and re.search(r"\b(TemplateSet|EmbeddingSet)\b", ast.unparse(node.args[1]))]
         assert asking == ["_side"]
+
+
+def tiled_protocol(n_templates: int, seed: int):
+    """``chunked_protocol`` with no large template, where side a also
+    drops a template: t00005, a 3-frame video whose rows are all zero."""
+    manifest, a, b, pairs = chunked_protocol(n_templates, seed, big=3)
+    rows = np.asarray(a.vectors).copy()
+    rows[[i for i, m in enumerate(a.media_ids) if m.startswith("m00005")]] = 0.0
+    a = embset(a.media_ids, rows, "A")
+    pairs = PairList(tuple(pairs) + (("t00005", "t00001"), ("t00002", "t00005")))
+    return manifest, a, b, pairs
+
+
+# the _TILE_BUDGET giving each count of tiles, for n templates of dim d
+TILE_BUDGETS = {
+    "one-template-tiles": lambda n, d: 8 * d,
+    "two-tiles": lambda n, d: 8 * d * -(-n // 2),
+    "one-tile": lambda n, d: 8 * d * n,
+}
+
+
+class TestTiledSideA:
+    """Side a as an embedding set, held one tile of templates at a time,
+    against the reference loops, bit for bit."""
+
+    @pytest.mark.parametrize("tiles", TILE_BUDGETS)
+    @pytest.mark.parametrize("side_b", ["embeddings", "templates"])
+    @pytest.mark.parametrize("n_templates", [
+        # side b's embeddings are one chunk, so its pairs are taken unsorted
+        pytest.param(60, id="b-one-chunk"),
+        pytest.param(700, id="b-many-chunks"),
+    ])
+    def test_bits_of_whole_templates(self, monkeypatch, n_templates, side_b, tiles):
+        manifest, a, b, pairs = tiled_protocol(n_templates, n_templates)
+        plan = EvalPlan(manifest, a.media_ids, pairs)
+        if side_b == "templates":
+            b = plan.templates(b)
+        _, codes_b, chunks = plan._side(b)
+        walked = [templates for templates, _, _ in chunks()]
+        assert (walked == [slice(0, codes_b.size)]) == (n_templates == 60 or side_b == "templates")
+        monkeypatch.setattr(store, "_TILE_BUDGET", TILE_BUDGETS[tiles](n_templates, a.dim))
+        _, codes_a, walk = plan._side(a, tiled=True)
+        count = len(list(walk()))
+        assert count == {"one-template-tiles": codes_a.size, "two-tiles": 2, "one-tile": 1}[tiles]
+        got = plan.score(a, b)
+        want_a = reference.build_templates(a, manifest)
+        want_b = reference.build_templates(b, manifest) if side_b == "embeddings" else b
+        assert "t00005" in want_a.dropped and {"t00003", "t00004"} <= set(want_b.dropped)
+        want = reference.score_pairs(want_a, want_b, pairs, manifest)
+        assert 0 < want.dropped_pairs < len(pairs)
+        reference.assert_same_scores(got, want)
+
+    @pytest.mark.parametrize("tiles", TILE_BUDGETS)
+    @pytest.mark.parametrize("unknown", ["t_ghost", "t00003"])
+    def test_unknown_ids_same_message_and_pair(self, monkeypatch, unknown, tiles):
+        # side a lacks t00003 and drops t00005; pairs through a dropped
+        # template are dropped, not refused, though the drops are known
+        # only once every tile and chunk is built; the third pair is refused
+        manifest, a, b, pairs = tiled_protocol(700, 1)
+        a = a.restrict([m for m in a.media_ids if not m.startswith("m00003")])
+        pairs = PairList((("t00003", "t00004"), ("t00005", "t_ghost"), (unknown, "t00002"))
+                         + tuple(pairs))
+        plan = EvalPlan(manifest, a.media_ids, pairs)
+        monkeypatch.setattr(store, "_TILE_BUDGET", TILE_BUDGETS[tiles](699, a.dim))
+        error = unknown_id_message(plan.score, a, b)
+        assert error == f"template {unknown!r} not in side-a set"
+        want_a = reference.build_templates(a, manifest)
+        want_b = reference.build_templates(b, manifest)
+        assert unknown_id_message(reference.score_pairs, want_a, want_b, pairs,
+                                  manifest) == error
+
+    def test_held_template_set_is_one_tile_used_as_is(self, monkeypatch):
+        manifest, a, b, pairs = tiled_protocol(60, 3)
+        plan = EvalPlan(manifest, a.media_ids, pairs)
+        held = plan.templates(a)
+        monkeypatch.setattr(store, "_TILE_BUDGET", 8 * held.dim)
+        _, _, walk = plan._side(held, tiled=True)
+        ((tile, vectors, keep),) = walk()
+        assert tile == slice(0, len(held)) and vectors is held.vectors and keep.all()
+        reference.assert_same_scores(plan.score(held, b), plan.score(a, b))
 
 
 class TestRoc:
