@@ -73,6 +73,7 @@ from .store import (
     float_chunks,
     float_products,
     float_rows,
+    kept_rows,
     save_rows,
     unit_rows,
     write_file,
@@ -473,7 +474,8 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
     """Map every vector and L2-normalize the result.
 
     ``mapped_chunks`` maps the rows a chunk at a time straight into one
-    float64 output: no float64 copy of the whole input is made.
+    float64 output: no float64 copy of the whole input is made, and rows
+    it drops are compacted out of that output in place (``kept_rows``).
 
     The output is tagged with the map's target model id and keeps media
     ids and row order. Rows whose mapped norm falls below 1e-12 have no
@@ -482,13 +484,14 @@ def apply_map(mapping: MappingMatrix, embeddings: EmbeddingSet) -> EmbeddingSet:
     """
     mapped = np.empty((len(embeddings), mapping.d_b))
     keep = np.empty(len(embeddings), dtype=bool)
-    for rows, _, kept in mapped_chunks(mapping, embeddings, mapped):
+    for rows, chunk, kept in mapped_chunks(mapping, embeddings, mapped):
         keep[rows] = kept
+        del chunk  # a view of mapped, which kept_rows shrinks
     media_ids = embeddings.media_ids
     dropped = tuple(media_ids[i] for i in np.flatnonzero(~keep))
     if dropped:
         media_ids = tuple(compress(media_ids, keep.tolist()))
-        mapped = mapped[keep]
+        mapped = kept_rows(mapped, keep)
     mapped.setflags(write=False)
     return EmbeddingSet(
         model_id=mapping.target_model_id,

@@ -32,7 +32,9 @@ open file, not the vectors: a loaded set's ``vectors`` are ``FileRows``,
 which pick the rows asked for by numpy's index rules over the records'
 offsets and read only the runs of asked records (at most one record
 between two), with positioned reads through one window, so no row loop
-holds a loaded set's vectors whole. A
+holds a loaded set's vectors whole. The load checks each window's vectors
+finite, and a read copies each window's rows out, in one gather that
+indexes the window's bytes by the rows' offsets in it (``_byte_rows``). A
 loaded set's ``restrict`` reads nothing: its subset is a ``FileRows``
 over the kept records, so a command holds a subset's rows only where it
 reads them again (``EmbeddingSet.in_memory``, which the sweep and the
@@ -44,17 +46,22 @@ fields. They adopt a read-only array of the
 dtype they keep that owns its data, and copy any other
 (``_frozen_array``), so the library's producers (restrict, map
 application, templates, scoring) mark their fresh arrays read-only and
-hand them over. ``float_chunks`` is the one float64 row reader: over
+hand them over; a producer that drops rows moves the kept ones to the
+front of its fresh array and shrinks it in place (``kept_rows``), so the
+set still adopts it. ``float_chunks`` is the one float64 row reader: over
 given row slices, by default ``row_chunks``, it yields an array's rows,
 or the rows an index picks, as float64 in one reused buffer, copied from
 the array or the file _GATHER_BLOCK rows at a time, so no row loop makes
 a full-size temporary. Alignment (``float_rows``), the fits and map
-application (``float_products``) read its row chunks, ``row_norms`` its
-_GATHER_BLOCK-row blocks, and template building its chunks of whole
-templates (``group_chunks``: at most _GATHER_BLOCK rows, gathered in one
-block, or one larger group alone); a verification holds side a's
-templates in ``template_tiles``, near-equal tiles within _TILE_BUDGET
-bytes of float64 rows. A save writes _GATHER_BLOCK rows at a time, and
+application (``float_products``) read its row chunks, and template
+building its chunks of whole templates (``group_chunks``: at most
+_GATHER_BLOCK rows, gathered in one block, or one larger group alone); a
+verification holds side a's templates in ``template_tiles``, near-equal
+tiles within _TILE_BUDGET bytes of float64 rows (40 MiB: five tiles of
+39.1 MiB, so five passes over side b, for 50,000 512-d templates; the
+trade curve is at _TILE_BUDGET). ``row_norms`` reads each
+_GATHER_BLOCK-row block once and squares it as float64 into one scratch
+block. A save writes _GATHER_BLOCK rows at a time, and
 ``all_finite`` checks a ``row_chunks`` chunk at a time. Rows are
 normalized by ``unit_rows`` alone and checked unit length by
 ``unit_length`` alone. Pair scoring takes its rows a ``pair_chunks``
@@ -109,8 +116,14 @@ _SCORE_BUDGET = 1 << 21
 # or a read from a file) or a save writes them
 _GATHER_BLOCK = 512
 # most bytes of float64 template rows in a tile of template_tiles: a
-# verification holds side a one tile at a time, and walks side b once a tile
-_TILE_BUDGET = 64 << 20
+# verification holds side a one tile at a time, and walks side b once a tile.
+# `verify` of 50,000 512-d templates a side (medians of six runs, one BLAS
+# thread, 2 vCPUs): 64 MiB, 4 tiles, 123.1 MiB peak in 2.14 s; 40 MiB, 5
+# tiles of 39.1 MiB, 113.3 MiB in 2.30 s; 34 MiB, 6 tiles, 106.7 MiB in
+# 2.52 s; 32 MiB, 7 tiles, 102.2 MiB in 2.60 s. 40 MiB is the smallest that
+# keeps the 2.32 s that 64 MiB tiles took when a pass also divided by 1,
+# copied each row_norms block and staged each loaded row
+_TILE_BUDGET = 40 << 20
 # bytes of the window a .cfeb load reads its records through
 _READ_WINDOW = 1 << 20
 
@@ -129,6 +142,14 @@ def _frozen_array(values, dtype=None) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True)
     arr.setflags(write=False)
     return arr
+
+
+def _byte_rows(buffer, row_bytes: int) -> np.ndarray:
+    """The ``row_bytes`` bytes from each byte offset of ``buffer`` on, one
+    np.void element an offset, read in place (a 1-byte stride): indexing
+    it by the offsets of rows copies those rows in one gather."""
+    return np.ndarray((len(buffer) - row_bytes + 1,), (np.void, row_bytes), buffer,
+                      strides=(1,))
 
 
 def _near_equal(n: int, most: int) -> list[slice]:
@@ -253,21 +274,38 @@ def float_rows(vectors: np.ndarray, index: np.ndarray | None = None) -> np.ndarr
     return rows
 
 
+def kept_rows(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``rows[keep]`` in ``rows`` itself: the kept rows moved to its front
+    _GATHER_BLOCK at a time, then the array shrunk to them in place, so it
+    still owns its data and a set adopts it without a copy. ``rows`` must
+    own its data, and no view of it may be alive."""
+    kept = np.flatnonzero(keep)
+    for block in strides(kept.size, _GATHER_BLOCK):
+        # kept[i] >= i: a block reads rows that no earlier block wrote
+        rows[block] = rows[kept[block]]
+    rows.resize((kept.size, rows.shape[1]), refcheck=False)
+    return rows
+
+
 def row_norms(rows: np.ndarray) -> np.ndarray:
     """The float64 L2 norm of each row of a 2-D array.
 
-    sqrt(add.reduce(c * c, axis=1)) over blocks ``c`` of _GATHER_BLOCK rows
-    from ``float_chunks``, each row reduced on its own: bit for bit what
-    ``np.linalg.norm(rows, axis=1)`` gives on the rows as float64.
+    sqrt(add.reduce(c * c, axis=1)) over blocks ``c`` of _GATHER_BLOCK rows,
+    each block read once (from a ``FileRows``, one read) and squared as
+    float64 into one scratch block, each row reduced on its own: bit for
+    bit what ``np.linalg.norm(rows, axis=1)`` gives on the rows as float64.
     """
     n = rows.shape[0]
     norms = np.empty(n)
+    squares = np.empty((min(n, _GATHER_BLOCK), rows.shape[1]))
     # squares past float64's range give an infinite norm, with no warning:
     # unit_length refuses the row, and unit_rows divides it to NaN
     with np.errstate(over="ignore"):
-        for block, chunk in float_chunks(rows, chunks=list(strides(n, _GATHER_BLOCK))):
-            chunk *= chunk
-            np.add.reduce(chunk, axis=1, out=norms[block])
+        for block in strides(n, _GATHER_BLOCK):
+            r = rows[block]
+            square = squares[: block.stop - block.start]
+            np.multiply(r, r, out=square, dtype=np.float64)
+            np.add.reduce(square, axis=1, out=norms[block])
     return np.sqrt(norms, out=norms)
 
 
@@ -302,10 +340,12 @@ class FileRows:
     refused. ``np.asarray`` gives all of them (read-only). ``records``
     picks records by the same rules as a new reader of the file, and reads
     nothing. Every request is read in ascending file order through one
-    window that the reader keeps: each run of asked records, with at most
-    one record between two of them, is read into it with positioned reads,
-    at most _READ_WINDOW bytes at a time, and each row is copied to its
-    place in the result, so the records between runs are not read and a
+    window buffer of its own, which the reader does not keep between
+    requests: the runs of asked records, with at most
+    one record between two of them, are read into it end to end, one
+    positioned read a run or a piece of one, at most _READ_WINDOW bytes at
+    a time, and each window's rows are copied to their places in the
+    result in one gather, so the records between runs are not read and a
     run reads at most one record it was not asked for per row. A file cut short
     since the load raises TruncationError naming the first record it cut;
     a file unlinked since the load still reads. Each reader owns its
@@ -324,7 +364,6 @@ class FileRows:
         # the file offset of every record's vector in the file, strictly
         # increasing: a record's place in it is its number in the file
         self._file_offsets = offsets if file_offsets is None else file_offsets
-        self._window = bytearray()
         weakref.finalize(self, os.close, fd)
 
     def __len__(self) -> int:
@@ -365,31 +404,42 @@ class FileRows:
 
     def _read(self, starts: np.ndarray) -> np.ndarray:
         """The vectors at the file offsets ``starts``, each a record's."""
-        out = np.empty((starts.size, self.shape[1]), dtype=self.dtype)
+        n, row_bytes = starts.size, 4 * self.shape[1]
+        out = np.empty((n, self.shape[1]), dtype=self.dtype)
         if not out.size:
             return out
-        raw = memoryview(out).cast("B")
-        row_bytes = 4 * self.shape[1]
         order = np.argsort(starts, kind="stable")
         starts = starts[order]
         ends = starts + row_bytes
         # a run ends where more than one record lies between two asked
         # ones, so it reads at most one record it was not asked for per row
         records = np.searchsorted(self._file_offsets, starts)
+        runs = np.append(0, np.flatnonzero(np.diff(records) > 2) + 1)
+        # each row's place in the runs' bytes laid end to end
+        step = np.diff(starts, prepend=starts[0])
+        step[runs[1:]] = row_bytes
+        packed = np.cumsum(step)
+        rows = out.view((np.void, row_bytes))[:, 0]
+        # a window holds whole runs, or pieces of one, within _READ_WINDOW
+        # bytes, or one row alone; its buffer lives for this request only
+        buffer = np.empty(min(int(packed[-1]) + row_bytes, max(_READ_WINDOW, row_bytes)),
+                          dtype=np.uint8)
+        window, by_offset = memoryview(buffer), _byte_rows(buffer, row_bytes)
         i = 0
-        for stop in np.append(np.flatnonzero(np.diff(records) > 2) + 1, starts.size).tolist():
-            while i < stop:
-                j = int(np.searchsorted(ends, starts[i] + _READ_WINDOW, side="right"))
-                j = min(max(j, i + 1), stop)
-                lo = int(starts[i])
-                span = int(ends[j - 1]) - lo
-                if len(self._window) < span:
-                    self._window = bytearray(span)
-                window = memoryview(self._window)[:span]
-                self._fill(window, lo, ends[i:j])
-                for k, start in zip(order[i:j].tolist(), (starts[i:j] - lo).tolist()):
-                    raw[k * row_bytes : (k + 1) * row_bytes] = window[start : start + row_bytes]
-                i = j
+        while i < n:
+            j = int(np.searchsorted(packed, packed[i] + _READ_WINDOW - row_bytes, side="right"))
+            j = max(j, i + 1)
+            lo = int(packed[i])
+            # the first row of each run, or piece of one, in the window
+            firsts = np.append(i, runs[np.searchsorted(runs, i, side="right") :
+                                       np.searchsorted(runs, j)])
+            stops = np.append(firsts[1:], j)
+            for p, q, at, size in zip(firsts.tolist(), stops.tolist(),
+                                      (packed[firsts] - lo).tolist(),
+                                      (ends[stops - 1] - starts[firsts]).tolist()):
+                self._fill(window[at : at + size], int(starts[p]), ends[p:q])
+            rows[order[i:j]] = by_offset[packed[i:j] - lo]
+            i = j
         return out
 
     def _fill(self, target: memoryview, offset: int, ends: np.ndarray):
@@ -860,7 +910,9 @@ def load_embeddings(path) -> EmbeddingSet:
     """Read a .cfeb file, validating structure and invariants.
 
     The records are scanned once, through one window of at most
-    _READ_WINDOW bytes allocated once. The set keeps the media ids, the
+    _READ_WINDOW bytes allocated once, for their ids and offsets; each
+    window's vectors are checked finite in one gather. The set keeps the
+    media ids, the
     file offset of each vector and the open file, as ``FileRows``, and no
     vector: its rows are read from the file when they are asked for. A
     record the window cannot hold whole, or one that is cut short or not
@@ -884,12 +936,9 @@ def load_embeddings(path) -> EmbeddingSet:
         media_ids, offsets, finite = [], array("q"), True
         window = bytearray(min(_READ_WINDOW, reader.remaining))
         view = memoryview(window)
-        # one window's vectors, copied into place for the finiteness check
-        staged = np.empty(len(window) // max(row_bytes, 1) * dim, dtype="<f4")
-        rows = memoryview(staged.view(np.uint8))
         i = 0
         while i < count:
-            filled, pos, k = reader.peek_into(view), 0, 0
+            filled, pos, first = reader.peek_into(view), 0, len(offsets)
             try:
                 while i < count and pos + 2 <= filled:
                     start = pos + 2 + (window[pos] | window[pos + 1] << 8)
@@ -898,11 +947,13 @@ def load_embeddings(path) -> EmbeddingSet:
                         break
                     media_ids.append(window[pos + 2 : start].decode("utf-8"))
                     offsets.append(reader.pos + start)
-                    rows[k * row_bytes : (k + 1) * row_bytes] = view[start:stop]
-                    pos, i, k = stop, i + 1, k + 1
+                    pos, i = stop, i + 1
             except UnicodeDecodeError:
                 pass  # record i starts the next window, so is read below
-            finite = finite and bool(np.isfinite(staged[: k * dim]).all())
+            if finite and dim and len(offsets) > first:
+                # the window's vectors in one gather, by their starts in it
+                at = np.frombuffer(offsets[first:], dtype=np.int64) - reader.pos
+                finite = bool(np.isfinite(_byte_rows(window, row_bytes)[at].view("<f4")).all())
             reader.skip(pos)
             if pos == 0:
                 # record i is longer than the window, or is cut short or not

@@ -31,16 +31,18 @@ template on its own. A chunk's rows are gathered as float64 into one
 buffer by ``store.float_chunks``, the one row reader, made unit length
 in it by ``store.unit_rows``, and summed in it when every feature and
 template is one row, else each summing step gathers its rows; so a set
-is read once. Every side of a plan is a source of blocks of templates:
-a held template set is one block; an embedding set's blocks are its
-chunks, built one at a time, or its tiles (``store.template_tiles``),
-each collected from its chunks into one buffer. ``templates`` is one
-tile of every template, which the template set adopts without copying
-it again. ``score`` is a block nested-loop join: it holds side a one
-tile at a time and walks side b's chunks once per tile, so its memory
-is bounded by a tile, not by side a's templates. Every template row and
-every pair's score is computed on its own, so each has the same bits
-however the rows are chunked or tiled.
+is read once. A chunk divides its feature sums by their usable rows only
+when some feature has more than one: dividing by 1 moves no bit. Every
+side of a plan is a source of blocks of templates: a held template set
+is one block; an embedding set's blocks are its chunks, built one at a
+time, or its tiles (``store.template_tiles``), each collected from its
+chunks into one buffer. ``templates`` is one tile of every template,
+which the template set adopts without copying it again, its degenerate
+templates compacted out in place. ``score`` is a block nested-loop join:
+it holds side a one tile at a time and walks side b's chunks once per
+tile, so its memory is bounded by a tile, not by side a's templates.
+Every template row and every pair's score is computed on its own, so
+each has the same bits however the rows are chunked or tiled.
 
 Pairs are scored by the plain inner product, which equals cosine
 similarity because templates are unit length. ROC analysis uses exact
@@ -53,6 +55,7 @@ realized FAR never exceeds the target.
 from __future__ import annotations
 
 import logging
+import time
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -70,6 +73,7 @@ from .store import (
     _frozen_array,
     float_chunks,
     group_chunks,
+    kept_rows,
     pair_chunks,
     template_tiles,
     unit_length,
@@ -221,6 +225,25 @@ def _ordered_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _timed(walk, *args):
+    """The tiles of ``walk(*args)``, logging once they end the seconds
+    spent building them and the mean seconds the caller spent on each, a
+    pass over side b."""
+    built = passed = 0.0
+    count = 0
+    start = time.perf_counter()
+    for tile in walk(*args):
+        made = time.perf_counter()
+        built += made - start
+        yield tile
+        start = time.perf_counter()
+        passed += start - made
+        count += 1
+    built += time.perf_counter() - start
+    log.info("side a tiles built in %.3f s; each pass over side b took %.3f s",
+             built, passed / max(count, 1))
+
+
 class _Grouping:
     """The rows of one media order grouped into features and templates.
 
@@ -273,9 +296,12 @@ class _Grouping:
         for templates, (_, rows) in zip(groups, float_chunks(vectors, self.rows, media)):
             features = template_starts[templates.start : templates.stop + 1]
             starts = feature_starts[features[0] : features[-1] + 1] - feature_starts[features[0]]
-            usable = np.append(0, np.cumsum(unit_rows(rows)))[starts]
+            usable = np.diff(np.append(0, np.cumsum(unit_rows(rows)))[starts])
             sums = _ordered_sums(rows, starts)
-            sums /= np.maximum(np.diff(usable), 1)[:, None]
+            if usable.max(initial=0) > 1:
+                # a feature of one usable row, or none, is its sum: dividing
+                # it by 1 moves no bit, so a chunk of such features skips it
+                sums /= np.maximum(usable, 1)[:, None]
             totals = _ordered_sums(sums, features - features[0])
             # a stack of 1 x d @ d x 1 products runs one dot per row, which
             # is what np.linalg.norm computes for one vector, so each norm
@@ -353,7 +379,8 @@ class EvalPlan:
         keep)`` of consecutive templates. A held template set is one block,
         its own vectors. An embedding set's blocks come from its
         ``_grouping_of``: its chunks or, ``tiled``, its tiles of
-        ``store.template_tiles``."""
+        ``store.template_tiles``, whose count is logged, and whose walk
+        logs its times when it ends (``_timed``)."""
         if isinstance(side, TemplateSet):
             codes = self._codes_of(side.template_ids)
             dropped = self._codes_of(side.dropped)
@@ -367,7 +394,7 @@ class EvalPlan:
                 tiles = template_tiles(codes.size, side.dim)
                 log.info("side a held in tiles: templates=%d tiles=%d passes_over_side_b=%d",
                          codes.size, len(tiles), len(tiles))
-                walk = partial(grouping.tiles, side.vectors, tiles)
+                walk = partial(_timed, grouping.tiles, side.vectors, tiles)
         rows = np.full(len(self._template_ids), _UNKNOWN, dtype=np.int32)
         known = codes >= 0
         rows[codes[known]] = np.flatnonzero(known)
@@ -386,7 +413,7 @@ class EvalPlan:
             template_ids=_decoded(manifest.template_ids, codes[keep]),
             subject_ids=_decoded(manifest.subject_ids,
                                  manifest.template_subjects[codes[keep]]),
-            vectors=_read_only(totals if keep.all() else totals[keep]),
+            vectors=_read_only(totals if keep.all() else kept_rows(totals, keep)),
             dropped=_decoded(manifest.template_ids, codes[~keep]),
         )
 

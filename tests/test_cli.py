@@ -6,6 +6,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -472,7 +473,7 @@ class TestApplyAndIngest:
 class TestVerify:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
-    @pytest.mark.parametrize("mapped", [False, True])
+    @pytest.mark.parametrize("mapped", [False, True, "dropping"])
     def test_memory_bounded(self, tmp_path, mapped):
         # 15,000 single-image media at dim 1024; a set is n x dim float32
         # (58.6 MiB) and its template set twice that, more than one tile.
@@ -482,16 +483,22 @@ class TestVerify:
         # at a time, so the cap is one tile plus 32 MiB for the manifest, a
         # template chunk of one gather block (4 MiB) and the scoring pieces,
         # whatever side a's template count; with --map, also the float64
-        # mapped set (2 sets), plus 40 MiB. Measured at one BLAS thread,
-        # over the VmSize after imports and the warm-up: 81 MiB (plain, two
-        # tiles of 58.6 MiB) and 205 MiB (--map), each 15 MiB under its
-        # cap; holding side a's whole template set took 134 and 258 MiB.
+        # mapped set (2 sets), plus 40 MiB, and the same when the map drops
+        # a medium of side a (a zero row no pair reaches), whose row is
+        # compacted out of the mapped set in place. Measured at one BLAS
+        # thread, over the VmSize after imports and the warm-up: 60 MiB
+        # (plain, three tiles of 39.1 MiB), 184 MiB (--map) and 185 MiB
+        # (dropping), each 12 MiB under its cap; holding side a's whole
+        # template set took 134 and 258 MiB, and copying the kept rows of
+        # the mapped set failed the cap.
         n, dim = 15_000, 1024
         rng = np.random.default_rng(4)
         ids = [f"m{i:05d}" for i in range(n)]
         for name in ("a", "b"):
             rows = rng.standard_normal((n, dim), dtype=np.float32)
             rows /= np.linalg.norm(rows, axis=1)[:, None]
+            if name == "a" and mapped == "dropping":
+                rows[-1] = 0.0
             save_embeddings(EmbeddingSet(name.upper(), ids, rows), tmp_path / f"{name}.cfeb")
         manifest = MediaManifest(
             [MediaEntry(m, f"s{i // 10:04d}", f"T{m}") for i, m in enumerate(ids)]
@@ -696,8 +703,10 @@ class TestVerify:
         assert len(lines) == 1 + len(load_pairs(world["pairs"]))
 
     def test_verbose_logs_the_tiles_on_one_line(self, world, tmp_path):
-        # -v adds one line on stderr, side a's templates, tiles and passes
-        # over side b, and leaves stdout's bytes and the scores as they are
+        # -v adds two lines on stderr, side a's templates, tiles and passes
+        # over side b, then the seconds spent building the tiles and the
+        # mean seconds a pass over side b took, and leaves stdout's bytes and
+        # the scores as they are
         argv = [sys.executable, "-m", "embalign.cli", "verify", world["a"], world["b"],
                 world["manifest"], world["pairs"], "--far", "1e-1"]
         env = os.environ | {"PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
@@ -709,8 +718,10 @@ class TestVerify:
         assert loud.stdout == quiet.stdout
         assert (tmp_path / "loud.csv").read_bytes() == (tmp_path / "quiet.csv").read_bytes()
         templates = len(load_manifest(world["manifest"]).template_ids)
-        assert loud.stderr == (f"side a held in tiles: templates={templates} tiles=1 "
-                               "passes_over_side_b=1\n")
+        tiles, times = loud.stderr.splitlines()
+        assert tiles == f"side a held in tiles: templates={templates} tiles=1 passes_over_side_b=1"
+        assert re.fullmatch(r"side a tiles built in \d+\.\d{3} s; "
+                            r"each pass over side b took \d+\.\d{3} s", times)
 
     def test_bad_far_list_exits_2(self, world, capsys):
         code, _, _ = run_cli(

@@ -213,6 +213,21 @@ class TestRowNorms:
         peak = traced_peak(lambda: row_norms(rows))
         assert peak <= store._GATHER_BLOCK * dim * 8 + n * 8 + (1 << 20)
 
+    def test_file_rows_read_once_a_block(self, tmp_path):
+        # a loaded set's rows are read one _GATHER_BLOCK block at a time,
+        # each block once, and squared from that read
+        n = 2 * store._GATHER_BLOCK + 7
+        rows = np.random.default_rng(3).standard_normal((n, 67), dtype=np.float32)
+        path = tmp_path / "r.cfeb"
+        save_embeddings(make_set([f"r{i}" for i in range(n)], rows), path)
+        loaded = load_embeddings(path).vectors
+        real = store.FileRows._read
+        with mock.patch.object(store.FileRows, "_read", autospec=True, side_effect=real) as read:
+            norms = row_norms(loaded)
+        block = store._GATHER_BLOCK
+        assert [call.args[1].size for call in read.call_args_list] == [block, block, 7]
+        assert norms.tobytes() == np.linalg.norm(rows.astype(np.float64), axis=1).tobytes()
+
     def test_unit_rows_divide_by_linalg_norm_and_zero_degenerate_rows(self):
         n = 2 * store._GATHER_BLOCK + 7
         rng = np.random.default_rng(5)
@@ -657,17 +672,34 @@ class TestEmbeddingFile:
         with pytest.raises(FileFormatError):
             load_embeddings(path)
 
-    def test_non_finite_in_file(self, tmp_path):
-        path = tmp_path / "nan.cfeb"
-        s = make_set(["a"], [[1.0, 0.0]])
-        save_embeddings(s, path)
-        raw = bytearray(path.read_bytes())
-        # overwrite the first float32 payload value with NaN
-        offset = 4 + 2 + 4 + 8 + 2 + 1
-        raw[offset : offset + 4] = struct.pack("<f", float("nan"))
-        path.write_bytes(bytes(raw))
-        with pytest.raises(DataError):
-            load_embeddings(path)
+    @pytest.mark.parametrize("window", [30, 100, store._READ_WINDOW],
+                             ids=["records-longer-than-window", "window-100", "window-1MiB"])
+    @pytest.mark.parametrize("damage", ["nan-in-first-record", "inf-in-middle-record",
+                                        "nan-in-record-2", "cut-inside-last-record",
+                                        "id-not-utf8"])
+    def test_non_finite_in_file(self, tmp_path, monkeypatch, damage, window):
+        # 40 records of 37 bytes after an 18-byte header: a 100-byte window
+        # holds records 0 and 1, and record 2 straddles its end; a 30-byte
+        # window holds no record, so each is read through the checked
+        # fields. Each refusal is the eager load's, type and message.
+        n, dim = 40, 8
+        vectors = np.random.default_rng(2).standard_normal((n, dim)).astype("<f4")
+        record = {"nan-in-first-record": 0, "inf-in-middle-record": 20}.get(damage, 2)
+        value = np.inf if damage.startswith("inf") else np.nan
+        if damage.startswith(("nan", "inf")):
+            vectors[record, 5] = value
+        raw = cfeb_bytes([f"r{i:02d}" for i in range(n)], vectors, "m")
+        if damage == "cut-inside-last-record":
+            raw = raw[: 18 + (n - 1) * 37 + 20]
+        elif damage == "id-not-utf8":
+            raw = raw[: 18 + record * 37 + 3] + b"\xff" + raw[18 + record * 37 + 4 :]
+        path = tmp_path / "damaged.cfeb"
+        path.write_bytes(raw)
+        monkeypatch.setattr(store, "_READ_WINDOW", window)
+        got = load_outcome(load_embeddings, path)
+        assert got[0] is {"cut-inside-last-record": TruncationError,
+                          "id-not-utf8": FileFormatError}.get(damage, DataError)
+        assert got == load_outcome(reference.load_embeddings, path)
 
     def test_nan_rejected_before_writing(self, tmp_path):
         with pytest.raises(DataError):

@@ -486,20 +486,28 @@ class TestOrderedSums:
 
 # Both sides' templates and their scores for a 30,000-medium single-image
 # world (dim 256) under an RLIMIT_AS of the VmSize after loading it, plus
-# two rows x dim float64 arrays (the two template sets) and 64 MiB.
-# Measured at one BLAS thread: this passes with no slack beyond the two
-# template sets and fails 8 MiB below them; building templates through
-# full-size temporaries (a gathered copy per summing step and a second
-# copy of each set) needed 160 to 176 MiB of slack.
+# two rows x dim float64 arrays (the two template sets) and 64 MiB; with
+# argument 1, side a's first medium is a zero row, so its template drops
+# and the kept templates are compacted in place while side b's set is
+# held. Measured at one BLAS thread: this passes with no slack beyond the
+# two template sets and fails 8 MiB below them; building templates through
+# full-size temporaries (a gathered copy per summing step and a second copy
+# of each set) needed 160 to 176 MiB of slack, and copying side a's kept
+# templates fails the cap.
 TEMPLATE_MEMORY_GATE = """
-import json, tempfile
+import json, sys, tempfile
 from pathlib import Path
 import numpy as np
-from embalign import (EvalPlan, PairList, SynthSpec, generate_world, load_embeddings,
-                      save_embeddings)
+from embalign import (EmbeddingSet, EvalPlan, PairList, SynthSpec, generate_world,
+                      load_embeddings, save_embeddings)
 
 set_a, set_b, manifest, _ = generate_world(
     SynthSpec(dim=256, num_subjects=3000, media_per_subject=10, seed=3))
+if sys.argv[1] == "1":
+    rows = np.array(set_a.vectors)
+    rows[0] = 0.0
+    set_a = EmbeddingSet(set_a.model_id, set_a.media_ids, rows)
+    del rows
 with tempfile.TemporaryDirectory() as tmp:
     save_embeddings(set_a, Path(tmp) / "a.cfeb")
     save_embeddings(set_b, Path(tmp) / "b.cfeb")
@@ -513,9 +521,11 @@ pairs = PairList(tuple((tids[i], tids[j]) for i, j in picks if i != j)
 
 cap_address_space(2 * len(a) * a.dim * 8 + (64 << 20))
 plan = EvalPlan(manifest, a.media_ids, pairs)
-scored = plan.score(plan.templates(a), plan.templates(b))
+templates_b = plan.templates(b)
+templates_a = plan.templates(a)
+scored = plan.score(templates_a, templates_b)
 print(json.dumps({"media": len(a), "pairs": len(scored),
-                  "genuine": int(scored.genuine.sum())}))
+                  "genuine": int(scored.genuine.sum()), "dropped": len(templates_a.dropped)}))
 """
 
 
@@ -557,11 +567,12 @@ class TestEvalPlanOracle:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(),
                         reason="reads the process's VmSize from /proc")
-    def test_template_memory_bounded(self):
-        done = run_gate(TEMPLATE_MEMORY_GATE)
+    @pytest.mark.parametrize("dropped", [0, 1], ids=["all-kept", "one-dropped"])
+    def test_template_memory_bounded(self, dropped):
+        done = run_gate(TEMPLATE_MEMORY_GATE, dropped)
         assert done.returncode == 0, done.stderr[-2000:]
         result = json.loads(done.stdout)
-        assert result["media"] == 30_000
+        assert (result["media"], result["dropped"]) == (30_000, dropped)
         assert result["pairs"] > 40_000
         assert result["genuine"] >= 3_000
 
@@ -725,6 +736,47 @@ def tiled_protocol(n_templates: int, seed: int):
     return manifest, a, b, pairs
 
 
+def feature_protocol(case: str):
+    """900 templates over two float64 sets, in three template chunks: t0000
+    to t0599 one image each, so the first chunk's features are all one
+    row; t0600 to t0799 an image and a 2-frame video, so the second
+    chunk's largest feature has two rows; then alternately an image with a
+    3-frame video and a 2-frame video alone. Random pairs among them.
+    ``case`` sets rows at the edges of a feature's mean:
+    "negative-zero-and-denormals" puts -0.0 and float64 denormals in every
+    row, with videos whose denormal components sum to -5e-324, so a
+    2-frame mean underflows to -0.0; "all-degenerate-video" zeroes every
+    frame of some videos, t0100 and t0101 beside their image, t0102 alone
+    among the one-image templates, t0602 and t0850 beside their image, and
+    t0801 and t0899 alone; "mixed-features" is the mix as drawn."""
+    rng = np.random.default_rng(7)
+    entries = []
+    for t in range(900):
+        tid, sid = f"t{t:04d}", f"s{t // 3:04d}"
+        images = int(t < 800 or t % 2 == 0)
+        frames = 0 if t < 600 else 2 if t < 800 or t % 2 else 3
+        if case == "all-degenerate-video" and t in (100, 101, 102):
+            images, frames = int(t < 102), 3
+        entries += [MediaEntry(f"m{t:04d}_i{k}", sid, tid) for k in range(images)]
+        entries += [MediaEntry(f"m{t:04d}_v{k}", sid, tid, f"v{t}") for k in range(frames)]
+    manifest = MediaManifest(entries)
+    ids = [e.media_id for e in entries]
+    sides = rng.standard_normal((2, len(ids), 6))
+    if case == "negative-zero-and-denormals":
+        sides[:, :, 0] = -0.0
+        sides[:, :, 1] = 5e-324 * rng.choice([-1.0, 1.0], size=sides.shape[:2])
+        first = [i for i, m in enumerate(ids) if m.endswith("_v0")]
+        sides[:, :, 2] = -0.0
+        sides[:, first, 2] = -5e-324
+    elif case == "all-degenerate-video":
+        video = {"v100", "v101", "v102", "v602", "v801", "v850", "v899"}
+        sides[:, [i for i, e in enumerate(entries) if e.video_id in video]] = 0.0
+    tids = manifest.template_ids
+    picks = rng.integers(0, len(tids), size=(3000, 2))
+    pairs = PairList(tuple((tids[i], tids[j]) for i, j in picks if i != j))
+    return manifest, embset(ids, sides[0], "A"), embset(ids, sides[1], "B"), pairs
+
+
 # the _TILE_BUDGET giving each count of tiles, for n templates of dim d
 TILE_BUDGETS = {
     "one-template-tiles": lambda n, d: 8 * d,
@@ -782,6 +834,31 @@ class TestTiledSideA:
         want_b = reference.build_templates(b, manifest)
         assert unknown_id_message(reference.score_pairs, want_a, want_b, pairs,
                                   manifest) == error
+
+    @pytest.mark.parametrize("case", ["negative-zero-and-denormals", "all-degenerate-video",
+                                      "mixed-features"])
+    def test_bits_at_the_edges_of_the_feature_means(self, monkeypatch, case):
+        # a chunk whose features are each one usable row, or none, skips
+        # the divide by the usable counts; its neighbours divide
+        manifest, a, b, pairs = feature_protocol(case)
+        plan = EvalPlan(manifest, a.media_ids, pairs)
+        grouping = plan._grouping_of(a)
+        rows = np.asarray(a.vectors)[grouping.rows]
+        usable = np.add.reduceat(np.linalg.norm(rows, axis=1) >= store.DEGENERATE_NORM,
+                                 grouping.feature_starts[:-1])
+        features = grouping.template_starts
+        largest = [int(usable[features[t.start] : features[t.stop]].max())
+                   for t in store.group_chunks(grouping.feature_starts[features])]
+        assert largest == [1, 2, 3]
+        want_a = reference.build_templates(a, manifest)
+        want_b = reference.build_templates(b, manifest)
+        reference.assert_same_templates(plan.templates(a), want_a)
+        reference.assert_same_templates(plan.templates(b), want_b)
+        if case == "all-degenerate-video":
+            assert {"t0102", "t0801", "t0899"} <= set(want_a.dropped)
+        monkeypatch.setattr(store, "_TILE_BUDGET", TILE_BUDGETS["two-tiles"](900, a.dim))
+        reference.assert_same_scores(plan.score(a, b),
+                                     reference.score_pairs(want_a, want_b, pairs, manifest))
 
     def test_held_template_set_is_one_tile_used_as_is(self, monkeypatch):
         manifest, a, b, pairs = tiled_protocol(60, 3)
